@@ -12,14 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cosmology import Cosmology, sigma_breaks, sigma_infinity
+from .cosmology import Cosmology, sigma_infinity
 from .errors import AccuracyError, DomainError, OutOfChartError
-from .geodesics import chi_of_sigma, rho_of_sigma, t_of_sigma
+from .geodesics import chi_of_sigma, lapse_bracket, rho_of_sigma, t_of_sigma
 from .kinematics import proper_radius
-from .numerics import (DEFAULT_CONFIG, NumericsConfig, find_root_monotone,
-                       integrate_sigma)
+from .numerics import DEFAULT_CONFIG, NumericsConfig, find_root_monotone
 
 __all__ = [
     "RWEvent",
@@ -197,12 +194,10 @@ def jacobian_F(cosmo: Cosmology, tau: float, sigma: float,
                cfg: NumericsConfig | None = None) -> float:
     """Jacobian determinant of (tau, sigma) -> (t, chi) along the slice.
 
-    J = (a'(tau)/(2 sigma)) b'(a/sqrt(sigma)) [ b'(a/sqrt(sigma))
-        / sqrt(sigma-1) + (a/(2 sqrt(sigma))) * I ]
-    with I the integral of b''(a/sqrt(s)) / (s sqrt(s-1)).  Positive
-    whenever b is convex, which is what makes the chart global.
+    J = a'(tau) b'(a/sqrt(sigma)) B / (2 sigma sqrt(sigma-1)) with B the
+    lapse bracket of geodesics.lapse_bracket.  Positive whenever b is
+    convex, which is what makes the chart global.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not sigma > 1.0:
         raise DomainError(f"sigma must exceed 1, got {sigma}")
     s_inf = sigma_infinity(cosmo, tau)
@@ -210,14 +205,9 @@ def jacobian_F(cosmo: Cosmology, tau: float, sigma: float,
         raise DomainError(
             f"sigma={sigma:g} is not below sigma_infinity={s_inf:g}")
     m = cosmo.model
-    a0 = float(m.a(tau))
-    root = math.sqrt(sigma)
-    bd = float(m.b_dot(a0 / root))
-    ibb = integrate_sigma(
-        lambda s: m.b_ddot(a0 / np.sqrt(s)) / (s * np.sqrt(s - 1.0)),
-        1.0, sigma, cfg, breaks=sigma_breaks(cosmo, tau, sigma))
-    bracket = bd / math.sqrt(sigma - 1.0) + 0.5 * a0 / root * ibb
-    return float(m.a_dot(tau)) / (2.0 * sigma) * bd * bracket
+    bd = float(m.b_dot(float(m.a(tau)) / math.sqrt(sigma)))
+    return (float(m.a_dot(tau)) * bd * lapse_bracket(cosmo, tau, sigma, cfg)
+            / (2.0 * sigma * math.sqrt(sigma - 1.0)))
 
 
 def comoving_flow_fermi(cosmo: Cosmology, event: RWEvent,

@@ -4,8 +4,10 @@ Each constant-tau slice of the Fermi chart is ruled by unit-speed spacelike
 geodesics leaving the observer at proper time tau.  Points along one
 geodesic are labelled by the stretch sigma = (a(tau)/a(t))^2 >= 1, and the
 three maps below give cosmological time t, comoving radius chi, and proper
-distance rho as functions of sigma.  An independent route integrates the
-geodesic equation in rho directly and is used as a cross-check.
+distance rho as functions of sigma.  Every slice quantity is built from one
+integral, slice_integral, of b'(a(tau)/sqrt(s)) or b''(a(tau)/sqrt(s))
+against s^(-n) (s-1)^(-1/2).  An independent route integrates the geodesic
+equation in rho directly and is used as a cross-check.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosmology import Cosmology, hubble, sigma_infinity
+from .cosmology import Cosmology, hubble, sigma_breaks, sigma_infinity
 from .errors import AccuracyError, DomainError
 from .numerics import DEFAULT_CONFIG, NumericsConfig, integrate_sigma
 
@@ -24,6 +26,8 @@ __all__ = [
     "t_of_sigma",
     "chi_of_sigma",
     "rho_of_sigma",
+    "slice_integral",
+    "lapse_bracket",
     "sample_geodesic",
     "integrate_geodesic_ode",
 ]
@@ -69,23 +73,53 @@ def t_of_sigma(cosmo: Cosmology, tau: float, sigma: float) -> float:
     return float(m.b(float(m.a(tau)) / math.sqrt(sigma)))
 
 
+def slice_integral(cosmo: Cosmology, tau: float, sigma: float, order: int,
+                   power: float, cfg: NumericsConfig | None = None) -> float:
+    """integral_1^sigma b^(order)(a0/sqrt(s)) s^(-power) (s-1)^(-1/2) ds.
+
+    a0 = a(tau), order is 1 (b') or 2 (b''), and sigma may be inf.  The
+    range is split at the table knots of interpolated models; within
+    1e-10 of sigma = 1 the leading-order value 2 b^(order)(a0) sqrt(sigma-1)
+    is returned instead.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    m = cosmo.model
+    deriv = m.b_dot if order == 1 else m.b_ddot
+    a0 = float(m.a(tau))
+    if sigma - 1.0 <= _SIGMA_NEAR_ONE:
+        return 2.0 * float(deriv(a0)) * math.sqrt(max(sigma - 1.0, 0.0))
+
+    def f(s):
+        return deriv(a0 / np.sqrt(s)) / (s ** power * np.sqrt(s - 1.0))
+
+    return integrate_sigma(f, 1.0, sigma, cfg,
+                           breaks=sigma_breaks(cosmo, tau, sigma))
+
+
+def lapse_bracket(cosmo: Cosmology, tau: float, sigma: float,
+                  cfg: NumericsConfig | None = None) -> float:
+    """B = b'(a0/sqrt(sigma)) + a0 sqrt(sigma-1)/(2 sqrt(sigma)) * I.
+
+    I is slice_integral of order 2 and power 1.  The lapse is
+    g_tau_tau = -(a'(tau) B)^2 and the chart Jacobian is
+    a'(tau) b'(a0/sqrt(sigma)) B / (2 sigma sqrt(sigma-1)).
+    """
+    m = cosmo.model
+    a0 = float(m.a(tau))
+    root = math.sqrt(sigma)
+    inner = slice_integral(cosmo, tau, sigma, 2, 1.0, cfg)
+    return (float(m.b_dot(a0 / root))
+            + a0 * math.sqrt(sigma - 1.0) / (2.0 * root) * inner)
+
+
 def chi_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
                  cfg: NumericsConfig | None = None) -> float:
     """Comoving radius reached at stretch sigma.
 
     chi = (1/2) * integral_1^sigma b'(a(tau)/sqrt(s)) / (sqrt(s) sqrt(s-1)) ds
     """
-    cfg = cfg or DEFAULT_CONFIG
     tau, sigma = _check_slice(cosmo, tau, sigma)
-    m = cosmo.model
-    a0 = float(m.a(tau))
-    if sigma - 1.0 <= _SIGMA_NEAR_ONE:
-        return float(m.b_dot(a0)) * math.sqrt(max(sigma - 1.0, 0.0))
-
-    def f(s):
-        return m.b_dot(a0 / np.sqrt(s)) / (np.sqrt(s) * np.sqrt(s - 1.0))
-
-    return 0.5 * integrate_sigma(f, 1.0, sigma, cfg)
+    return 0.5 * slice_integral(cosmo, tau, sigma, 1, 0.5, cfg)
 
 
 def rho_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
@@ -95,17 +129,9 @@ def rho_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
     rho = (a(tau)/2) * integral_1^sigma b'(a(tau)/sqrt(s))
           / (s^(3/2) sqrt(s-1)) ds
     """
-    cfg = cfg or DEFAULT_CONFIG
     tau, sigma = _check_slice(cosmo, tau, sigma)
-    m = cosmo.model
-    a0 = float(m.a(tau))
-    if sigma - 1.0 <= _SIGMA_NEAR_ONE:
-        return a0 * float(m.b_dot(a0)) * math.sqrt(max(sigma - 1.0, 0.0))
-
-    def f(s):
-        return m.b_dot(a0 / np.sqrt(s)) / (s ** 1.5 * np.sqrt(s - 1.0))
-
-    return 0.5 * a0 * integrate_sigma(f, 1.0, sigma, cfg)
+    a0 = float(cosmo.model.a(tau))
+    return 0.5 * a0 * slice_integral(cosmo, tau, sigma, 1, 1.5, cfg)
 
 
 def sample_geodesic(cosmo: Cosmology, tau: float, sigma_max: float, n: int,
@@ -143,10 +169,11 @@ def integrate_geodesic_ode(cosmo: Cosmology, tau: float, rho_max: float,
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise DomainError(f"tau must be positive and finite, got {tau}")
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step}")
-    if rho_max < 0.0:
-        raise DomainError(f"rho_max must be nonnegative, got {rho_max}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"step must be positive and finite, got {step}")
+    if not (math.isfinite(rho_max) and rho_max >= 0.0):
+        raise DomainError(
+            f"rho_max must be nonnegative and finite, got {rho_max}")
     m = cosmo.model
     a0 = float(m.a(tau))
     start = GeodesicPoint(tau, 1.0, float(tau), 0.0, 0.0)

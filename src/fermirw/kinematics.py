@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosmology import (Cosmology, hubble, make_power_law, sigma_breaks,
-                        sigma_infinity)
+from .cosmology import Cosmology, hubble, make_power_law, sigma_infinity
 from .errors import AccuracyError, DomainError
-from .geodesics import chi_of_sigma, rho_of_sigma
+from .geodesics import chi_of_sigma, rho_of_sigma, slice_integral
 from .numerics import (DEFAULT_CONFIG, NumericsConfig, find_root_monotone,
-                       gamma_fn, integrate_sigma)
+                       integrate_sigma)
 
 __all__ = [
     "VelocityReport",
@@ -146,20 +145,11 @@ def fermi_speed(cosmo: Cosmology, tau: float, chi0: float,
     sigma0 = sigma_of_chi(cosmo, tau, chi0, cfg)
     m = cosmo.model
     a0 = float(m.a(tau))
-    adot = float(m.a_dot(tau))
-    knots = sigma_breaks(cosmo, tau, sigma0)
-    i1 = integrate_sigma(
-        lambda s: m.b_dot(a0 / np.sqrt(s)) / (s ** 1.5 * np.sqrt(s - 1.0)),
-        1.0, sigma0, cfg, breaks=knots)
-    i2 = integrate_sigma(
-        lambda s: m.b_ddot(a0 / np.sqrt(s)) / (s ** 2 * np.sqrt(s - 1.0)),
-        1.0, sigma0, cfg, breaks=knots)
-    i3 = integrate_sigma(
-        lambda s: m.b_ddot(a0 / np.sqrt(s)) / (s * np.sqrt(s - 1.0)),
-        1.0, sigma0, cfg, breaks=knots)
-    v_f = 0.5 * adot * (i1 + a0 * i2 - a0 / sigma0 * i3)
-    rho = 0.5 * a0 * i1
-    return VelocityReport(tau, chi0, sigma0, rho, v_f, v_h)
+    i1 = slice_integral(cosmo, tau, sigma0, 1, 1.5, cfg)
+    i2 = slice_integral(cosmo, tau, sigma0, 2, 2.0, cfg)
+    i3 = slice_integral(cosmo, tau, sigma0, 2, 1.0, cfg)
+    v_f = 0.5 * float(m.a_dot(tau)) * (i1 + a0 * i2 - a0 / sigma0 * i3)
+    return VelocityReport(tau, chi0, sigma0, 0.5 * a0 * i1, v_f, v_h)
 
 
 def fermi_speed_power_law(alpha: float, sigma0: float,
@@ -192,12 +182,14 @@ def fermi_speed_sup(alpha: float) -> float:
     """Least upper bound of the power-law Fermi velocity over all sigma0.
 
     sqrt(pi) Gamma(1/(2 alpha) + 1/2) / (2 alpha Gamma(1/(2 alpha) + 1)),
-    which is at most 1/alpha with equality only for alpha = 1.
+    which is at most 1/alpha with equality only for alpha = 1.  The gamma
+    ratio is taken through lgamma so that small alpha cannot overflow.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"power-law exponent must be in (0, 1], got {alpha}")
     p = 1.0 / (2.0 * alpha)
-    return math.sqrt(math.pi) * gamma_fn(p + 0.5) / (2.0 * alpha * gamma_fn(p + 1.0))
+    ratio = math.exp(math.lgamma(p + 0.5) - math.lgamma(p + 1.0))
+    return math.sqrt(math.pi) * ratio / (2.0 * alpha)
 
 
 def proper_radius(cosmo: Cosmology, tau: float,
@@ -208,18 +200,13 @@ def proper_radius(cosmo: Cosmology, tau: float,
     sqrt(s-1)) ds; finite sigma_infinity is clipped just inside the slice.
     Always at most the Hubble radius 1/H(tau).
     """
-    cfg = cfg or DEFAULT_CONFIG
     s_inf = sigma_infinity(cosmo, tau)
     if math.isfinite(s_inf):
         s_end = s_inf * (1.0 - _SLICE_MARGIN)
     else:
         s_end = math.inf
-    m = cosmo.model
-    a0 = float(m.a(tau))
-    val = integrate_sigma(
-        lambda s: m.b_dot(a0 / np.sqrt(s)) / (s ** 1.5 * np.sqrt(s - 1.0)),
-        1.0, s_end, cfg)
-    return 0.5 * a0 * val
+    a0 = float(cosmo.model.a(tau))
+    return 0.5 * a0 * slice_integral(cosmo, tau, s_end, 1, 1.5, cfg)
 
 
 def proper_radius_power_law(alpha: float, tau: float) -> float:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import sigma_of_rho
-from .cosmology import Cosmology, sigma_breaks, sigma_infinity
+from .cosmology import Cosmology, _check_time
 from .errors import DomainError, UnsupportedCurvatureError
-from .geodesics import chi_of_sigma
-from .numerics import DEFAULT_CONFIG, NumericsConfig, integrate_sigma
+from .geodesics import chi_of_sigma, lapse_bracket
+from .numerics import DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
     "PolarMetric",
@@ -56,23 +56,10 @@ def s_k(k: int, chi: float) -> float:
 
 def _g_tau_tau_at(cosmo: Cosmology, tau: float, sigma: float,
                   cfg: NumericsConfig) -> float:
-    """g_tau_tau on the tau slice at geodesic parameter sigma.
-
-    g = -(a'(tau))^2 [ b'(a/sqrt(sigma))
-        + a (sqrt(sigma-1)/(2 sqrt(sigma))) * I ]^2
-    with I the integral of b''(a/sqrt(s)) / (s sqrt(s-1)) from 1 to sigma.
-    """
-    m = cosmo.model
-    a0 = float(m.a(tau))
-    adot = float(m.a_dot(tau))
-    root = math.sqrt(sigma)
-    bracket = float(m.b_dot(a0 / root))
-    if sigma > 1.0:
-        ibb = integrate_sigma(
-            lambda s: m.b_ddot(a0 / np.sqrt(s)) / (s * np.sqrt(s - 1.0)),
-            1.0, sigma, cfg, breaks=sigma_breaks(cosmo, tau, sigma))
-        bracket += a0 * math.sqrt(sigma - 1.0) / (2.0 * root) * ibb
-    return -((adot * bracket) ** 2)
+    """g_tau_tau = -(a'(tau) B)^2 on the tau slice at stretch sigma, with B
+    the lapse bracket of geodesics.lapse_bracket."""
+    adot = float(cosmo.model.a_dot(tau))
+    return -((adot * lapse_bracket(cosmo, tau, sigma, cfg)) ** 2)
 
 
 def g_tau_tau(cosmo: Cosmology, tau: float, rho: float,
@@ -115,6 +102,7 @@ def lambda_k(cosmo: Cosmology, tau: float, rho: float,
     Cartesian metric smooth through the origin.
     """
     cfg = cfg or DEFAULT_CONFIG
+    tau = _check_time(tau)
     if not (math.isfinite(rho) and rho >= 0.0):
         raise DomainError(f"rho must be nonnegative and finite, got {rho}")
     rho_eps = _LAMBDA_RHO_FRACTION * tau

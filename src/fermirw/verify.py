@@ -336,7 +336,7 @@ def invariants_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
     out.append(_result("jacobian-fd", worst, 1e-5,
                        "J vs finite-difference determinant"))
 
-    worst = 0.0
+    worst = worst_pull = 0.0
     for cosmo, tau, rho in ((cf.radiation().cosmology, 1.0, 0.9),
                             (cf.matter().cosmology, 2.0, 1.1),
                             (ds.cosmology, 3.0, 0.8)):
@@ -357,7 +357,8 @@ def invariants_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
         g_cross = -t_tau * t_rho + a_mid * a_mid * c_tau * c_rho
         worst = max(worst, abs(g_cross))
         g_diag = -t_tau * t_tau + a_mid * a_mid * c_tau * c_tau
-        worst_pull = abs(g_diag - metric_polar(cosmo, tau, rho, cfg).g_tau_tau)
+        worst_pull = max(worst_pull, abs(
+            g_diag - metric_polar(cosmo, tau, rho, cfg).g_tau_tau))
     out.append(_result("metric-diagonal", worst, 1e-6,
                        "finite-difference g_tau_rho"))
     out.append(_result("metric-pullback", worst_pull, 1e-5,

@@ -6,17 +6,23 @@ import numpy as np
 import pytest
 
 from fermirw import (
+    DEFAULT_CONFIG,
     Cosmology,
     DomainError,
     chi_of_sigma,
     integrate_geodesic_ode,
     make_exponential,
     make_power_law,
+    proper_radius,
     rho_of_sigma,
     sample_geodesic,
     sigma_of_rho,
     t_of_sigma,
 )
+from fermirw import numerics
+from fermirw.geodesics import lapse_bracket, slice_integral
+from fermirw.numerics import table_safe_config
+from fermirw.verify import _tabulated_matterlike
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
 RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
@@ -198,3 +204,62 @@ def test_ode_beyond_slice_leaves_domain():
     # fails by construction when t is driven through zero.
     with pytest.raises(DomainError):
         integrate_geodesic_ode(MILNE, 1.0, 1.5, 1e-3)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rho_max": 1.0, "step": math.nan},
+    {"rho_max": 1.0, "step": math.inf},
+    {"rho_max": math.nan, "step": 1e-3},
+    {"rho_max": math.inf, "step": 1e-3},
+])
+def test_ode_non_finite_inputs(kwargs):
+    with pytest.raises(DomainError):
+        integrate_geodesic_ode(RADIATION, 1.0, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# slice_integral and lapse_bracket
+
+def test_slice_integral_radiation_radius():
+    # b'(x) = 2x and a0 = sqrt(tau): 2 a0 * integral s^-2 (s-1)^-1/2 = pi a0.
+    tau = 2.0
+    val = slice_integral(RADIATION, tau, math.inf, 1, 1.5)
+    assert val == pytest.approx(math.pi * math.sqrt(tau), rel=1e-12)
+
+
+def test_slice_integral_near_one_leading_order():
+    # sigma - 1 = 2^-40 is exact in binary, so sqrt(sigma - 1) = 2^-20.
+    a0 = float(MATTER.model.a(1.3))
+    want = 2.0 * float(MATTER.model.b_ddot(a0)) * 2.0 ** -20
+    assert slice_integral(MATTER, 1.3, 1.0 + 2.0 ** -40, 2, 1.0) == \
+        pytest.approx(want, rel=1e-14)
+    assert slice_integral(MATTER, 1.3, 1.0, 1, 1.5) == 0.0
+
+
+def test_lapse_bracket_is_unit_lapse_on_the_worldline():
+    for cosmo in (MILNE, RADIATION, MATTER, DESITTER):
+        bracket = lapse_bracket(cosmo, 1.7, 1.0)
+        assert float(cosmo.model.a_dot(1.7)) * bracket == pytest.approx(
+            1.0, rel=1e-12)
+
+
+def test_slice_maps_split_at_table_knots(monkeypatch):
+    # tau = 1, sigma = 16 crosses about 220 table knots.  Without the knot
+    # split these calls took 628, 522 and 650 G7/K15 panels.
+    cosmo = _tabulated_matterlike()
+    cfg = table_safe_config(DEFAULT_CONFIG)
+    panel = numerics._panel
+    count = [0]
+
+    def counting(*args):
+        count[0] += 1
+        return panel(*args)
+
+    monkeypatch.setattr(numerics, "_panel", counting)
+    for call, unsplit in (
+            (lambda: chi_of_sigma(cosmo, 1.0, 16.0, cfg), 628),
+            (lambda: rho_of_sigma(cosmo, 1.0, 16.0, cfg), 522),
+            (lambda: proper_radius(cosmo, 1.0, cfg), 650)):
+        count[0] = 0
+        call()
+        assert 0 < count[0] < unsplit / 2

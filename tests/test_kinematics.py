@@ -170,6 +170,19 @@ def test_sup_bounded_by_inverse_alpha():
             assert sup < 1.0 / alpha
 
 
+@pytest.mark.parametrize("alpha", [1e-3, 3e-3])
+def test_sup_small_alpha_asymptote(alpha):
+    # Gamma(p + 1/2)/Gamma(p + 1) ~ p^(-1/2) (1 - 1/(8p)), p = 1/(2 alpha),
+    # so the sup tends to sqrt(pi/(2 alpha)) (1 - alpha/4) + O(alpha^1.5).
+    want = math.sqrt(math.pi / (2.0 * alpha)) * (1.0 - 0.25 * alpha)
+    assert fermi_speed_sup(alpha) == pytest.approx(want, rel=1e-6)
+
+
+def test_radius_power_law_small_alpha():
+    assert proper_radius_power_law(0.001, 1.0) == pytest.approx(39.6234,
+                                                                rel=1e-6)
+
+
 def test_sup_gap_closes():
     for alpha in (0.5, 2.0 / 3.0):
         v = fermi_speed_power_law(alpha, 1e8)

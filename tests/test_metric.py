@@ -7,6 +7,7 @@ import pytest
 
 from fermirw import (
     Cosmology,
+    DomainError,
     UnsupportedCurvatureError,
     g_tau_tau,
     lambda_k,
@@ -129,6 +130,13 @@ def test_lambda_small_rho_stable():
         a = lambda_k(cosmo, tau, 1e-4 * tau)
         b = lambda_k(cosmo, tau, 5e-5 * tau)
         assert a == pytest.approx(b, abs=1e-4)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+@pytest.mark.parametrize("tau", [-1.0, 0.0, math.nan, math.inf])
+def test_lambda_bad_tau(tau, rho):
+    with pytest.raises(DomainError):
+        lambda_k(RADIATION, tau, rho)
 
 
 def test_lambda_extrapolation_joins_direct_branch():

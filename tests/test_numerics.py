@@ -116,6 +116,13 @@ def test_nonconvergence_carries_estimate():
     assert exc.value.bound > 0.0
 
 
+@pytest.mark.parametrize("sigma_hi", [2.0, 40.0, math.inf])
+def test_nan_integrand_raises(sigma_hi):
+    # A NaN Kronrod/Gauss difference must not count as a converged panel.
+    with pytest.raises(AccuracyError):
+        integrate_sigma(lambda s: np.full_like(s, np.nan), 1.0, sigma_hi)
+
+
 def test_degenerate_interval():
     assert integrate_sigma(lambda s: np.ones_like(s), 2.0, 2.0) == 0.0
 
@@ -176,6 +183,12 @@ def test_gamma_domain():
         gamma_fn(0.0)
     with pytest.raises(DomainError):
         gamma_fn(-1.5)
+
+
+def test_gamma_overflow_is_domain_error():
+    assert math.isfinite(gamma_fn(171.0))
+    with pytest.raises(DomainError):
+        gamma_fn(200.0)
 
 
 @pytest.mark.parametrize("x", [0.25 * k for k in range(1, 21)])
