@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .cosmology import Cosmology, sigma_infinity
 from .errors import AccuracyError, DomainError, OutOfChartError
-from .geodesics import chi_of_sigma, lapse_bracket, rho_of_sigma, t_of_sigma
+from .geodesics import (chi_of_sigma, invert_slice_map, lapse_bracket,
+                        rho_of_sigma, t_of_sigma)
 from .kinematics import proper_radius
 from .numerics import DEFAULT_CONFIG, NumericsConfig, find_root_monotone
 
@@ -70,9 +71,11 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
                  cfg: NumericsConfig | None = None) -> float:
     """Invert the proper-distance map: sigma with rho_of_sigma = rho.
 
-    Solved in u = sqrt(sigma - 1), where the map is well conditioned near
-    the observer.  rho at or beyond the slice radius raises
-    OutOfChartError carrying that radius.
+    geodesics.invert_slice_map solves it by bracketed Newton in
+    u = sqrt(sigma - 1), where the map is well conditioned near the
+    observer, at about the cost of one rho_of_sigma.  The slice radius
+    (proper_radius, memoised per slice) bounds the bracket.  rho at or
+    beyond it raises OutOfChartError carrying that radius.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not (math.isfinite(rho) and rho >= 0.0):
@@ -85,30 +88,9 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
             f"rho={rho:g} is not inside the tau={tau:g} slice; "
             f"the slice proper radius is rho_M={rho_max:.12g}",
             rho_max=rho_max)
-
-    def rho_at(u: float) -> float:
-        return rho_of_sigma(cosmo, tau, 1.0 + u * u, cfg)
-
-    s_inf = sigma_infinity(cosmo, tau)
-    if math.isfinite(s_inf):
-        u_hi = math.sqrt(s_inf * (1.0 - 1e-12) - 1.0)
-        if rho_at(u_hi) <= rho:
-            # Inside the slice by measure but beyond solver resolution.
-            raise OutOfChartError(
-                f"rho={rho:g} within solver resolution of the slice "
-                f"boundary rho_M={rho_max:.12g}", rho_max=rho_max)
-    else:
-        u_hi = 1.0
-        for _ in range(_DOUBLING_CAP):
-            if rho_at(u_hi) > rho:
-                break
-            u_hi *= 2.0
-        else:
-            raise AccuracyError(
-                f"sigma bracket growth cap {_DOUBLING_CAP} reached for "
-                f"rho={rho:g}", estimate=1.0 + u_hi * u_hi)
-    u = find_root_monotone(lambda x: rho_at(x) - rho, 0.0, u_hi, cfg)
-    return 1.0 + u * u
+    a0 = float(cosmo.model.a(tau))
+    return invert_slice_map(cosmo, tau, rho, 1.5, 0.5 * a0, cfg,
+                            reach=rho_max)
 
 
 def rw_from_fermi(cosmo: Cosmology, event: FermiEvent,

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, TableError, UnsupportedCurvatureError
 
@@ -130,6 +129,10 @@ def make_tabulated(samples: Sequence[tuple[float, float]]) -> ScaleFactorModel:
             raise TableError(f"a samples not strictly increasing at index {i}")
     if avals[0] <= 0.0:
         raise TableError(f"sample 0 has a={avals[0]:g}; scale factor must be positive")
+
+    # Imported here: scipy.interpolate takes longer to import than the
+    # rest of the package, and only tabulated models need it.
+    from scipy.interpolate import PchipInterpolator
 
     a_interp = PchipInterpolator(ts, avals, extrapolate=True)
     b_interp = PchipInterpolator(avals, ts, extrapolate=True)

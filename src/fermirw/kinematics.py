@@ -10,16 +10,17 @@ be arbitrarily large.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cosmology import Cosmology, hubble, make_power_law, sigma_infinity
-from .errors import AccuracyError, DomainError
-from .geodesics import chi_of_sigma, rho_of_sigma, slice_integral
-from .numerics import (DEFAULT_CONFIG, NumericsConfig, find_root_monotone,
-                       integrate_sigma)
+from .cosmology import Cosmology, _check_time, hubble, make_power_law
+from .errors import DomainError
+from .geodesics import (invert_slice_map, rho_of_sigma, slice_end,
+                        slice_integral)
+from .numerics import DEFAULT_CONFIG, NumericsConfig, integrate_sigma
 
 __all__ = [
     "VelocityReport",
@@ -33,10 +34,6 @@ __all__ = [
     "power_law_geometry_relation",
     "sigma_of_chi",
 ]
-
-_GROWTH_CAP = 60
-# Fraction of sigma_infinity treated as the usable end of a finite slice.
-_SLICE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,64 +66,17 @@ def sigma_of_chi(cosmo: Cosmology, tau: float, chi0: float,
                  cfg: NumericsConfig | None = None) -> float:
     """Stretch sigma0 at which the tau-slice geodesic meets comoving chi0.
 
-    Solved in u = sqrt(sigma - 1) for conditioning near the observer.
-    Raises DomainError when chi0 lies beyond the comoving reach of the
-    slice (bounded chi range), AccuracyError when bracket growth exhausts
-    its cap on a chart with unbounded reach.
+    geodesics.invert_slice_map solves it by bracketed Newton in
+    u = sqrt(sigma - 1), at about the cost of one chi_of_sigma.  Raises
+    DomainError when chi0 lies beyond the comoving reach of the slice
+    (past the end of a finite slice, or where chi saturates on an
+    unbounded one), AccuracyError when the iteration or its bracket
+    growth exhausts its cap.
     """
-    cfg = cfg or DEFAULT_CONFIG
     chi0 = _check_chi(chi0)
     if chi0 == 0.0:
         return 1.0
-
-    def chi_at(u: float) -> float:
-        return chi_of_sigma(cosmo, tau, 1.0 + u * u, cfg)
-
-    s_inf = sigma_infinity(cosmo, tau)
-    if math.isfinite(s_inf):
-        u_hi = math.sqrt(s_inf * (1.0 - _SLICE_MARGIN) - 1.0)
-        if chi_at(u_hi) < chi0:
-            raise DomainError(
-                f"chi0={chi0:g} beyond the comoving reach of the tau={tau:g} "
-                f"slice (sigma_infinity={s_inf:g})")
-    else:
-        u_hi = 1.0
-        prev = chi_at(u_hi)
-        prev_inc = None
-        stalls = 0
-        for _ in range(_GROWTH_CAP):
-            if prev >= chi0:
-                break
-            u_hi *= 2.0
-            cur = chi_at(u_hi)
-            inc = cur - prev
-            if inc <= 1e-12 * max(1.0, chi0):
-                stalls += 1
-                if stalls >= 2:
-                    raise DomainError(
-                        f"chi0={chi0:g} beyond the comoving reach of the "
-                        f"tau={tau:g} slice (chi saturates near {cur:g})")
-            else:
-                stalls = 0
-                # Increments decaying geometrically bound the total
-                # remaining growth; a target beyond that bound is beyond
-                # the slice even though each doubling still makes progress.
-                if prev_inc is not None and inc < 0.9 * prev_inc:
-                    ratio = inc / prev_inc
-                    reach = cur + 1.5 * inc * ratio / (1.0 - ratio)
-                    if reach < chi0:
-                        raise DomainError(
-                            f"chi0={chi0:g} beyond the comoving reach of "
-                            f"the tau={tau:g} slice (chi saturates near "
-                            f"{reach:g})")
-            prev_inc = inc
-            prev = cur
-        else:
-            raise AccuracyError(
-                f"sigma bracket growth cap {_GROWTH_CAP} reached for "
-                f"chi0={chi0:g}", estimate=1.0 + u_hi * u_hi)
-    u = find_root_monotone(lambda x: chi_at(x) - chi0, 0.0, u_hi, cfg)
-    return 1.0 + u * u
+    return invert_slice_map(cosmo, tau, chi0, 0.5, 0.5, cfg)
 
 
 def fermi_speed(cosmo: Cosmology, tau: float, chi0: float,
@@ -198,15 +148,19 @@ def proper_radius(cosmo: Cosmology, tau: float,
 
     (a(tau)/2) * integral_1^sigma_infinity b'(a/sqrt(s)) / (s^(3/2)
     sqrt(s-1)) ds; finite sigma_infinity is clipped just inside the slice.
-    Always at most the Hubble radius 1/H(tau).
+    Always at most the Hubble radius 1/H(tau).  The last few slices'
+    radii are memoised per (cosmo, tau, cfg), so the rows of one slice
+    integrate its full sigma range once.
     """
-    s_inf = sigma_infinity(cosmo, tau)
-    if math.isfinite(s_inf):
-        s_end = s_inf * (1.0 - _SLICE_MARGIN)
-    else:
-        s_end = math.inf
+    return _proper_radius(cosmo, _check_time(tau), cfg or DEFAULT_CONFIG)
+
+
+@functools.lru_cache(maxsize=16)
+def _proper_radius(cosmo: Cosmology, tau: float,
+                   cfg: NumericsConfig) -> float:
     a0 = float(cosmo.model.a(tau))
-    return 0.5 * a0 * slice_integral(cosmo, tau, s_end, 1, 1.5, cfg)
+    return 0.5 * a0 * slice_integral(cosmo, tau, slice_end(cosmo, tau), 1,
+                                     1.5, cfg)
 
 
 def proper_radius_power_law(alpha: float, tau: float) -> float:
@@ -226,6 +180,9 @@ def velocity_identity_residual(cosmo: Cosmology, tau: float, chi0: float,
     """
     cfg = cfg or DEFAULT_CONFIG
     chi0 = _check_chi(chi0)
+    if not (math.isfinite(rel_step) and rel_step > 0.0):
+        raise DomainError(
+            f"rel_step must be positive and finite, got {rel_step}")
     if chi0 == 0.0:
         return 0.0
     rep = fermi_speed(cosmo, tau, chi0, cfg)

@@ -46,12 +46,17 @@ class PolarMetric:
 
 def s_k(k: int, chi: float) -> float:
     """Comoving area radius: chi for flat, sinh(chi) for open sections."""
+    if k not in (0, -1):
+        raise UnsupportedCurvatureError(
+            f"curvature index must be 0 or -1, got {k}")
+    if not math.isfinite(chi):
+        raise DomainError(f"chi must be finite, got {chi}")
     if k == 0:
         return float(chi)
-    if k == -1:
+    try:
         return math.sinh(chi)
-    raise UnsupportedCurvatureError(
-        f"curvature index must be 0 or -1, got {k}")
+    except OverflowError:
+        raise DomainError(f"sinh(chi) overflows at chi={chi:g}") from None
 
 
 def _g_tau_tau_at(cosmo: Cosmology, tau: float, sigma: float,
@@ -70,6 +75,16 @@ def g_tau_tau(cosmo: Cosmology, tau: float, rho: float,
     return _g_tau_tau_at(cosmo, tau, sigma, cfg)
 
 
+def _ang(cosmo: Cosmology, tau: float, sigma: float,
+         cfg: NumericsConfig) -> float:
+    """a(tau)^2 S_k(chi)^2 / sigma on the tau slice at stretch sigma."""
+    if sigma == 1.0:
+        return 0.0
+    chi = chi_of_sigma(cosmo, tau, sigma, cfg)
+    a0 = float(cosmo.model.a(tau))
+    return a0 * a0 * s_k(cosmo.k, chi) ** 2 / sigma
+
+
 def metric_polar(cosmo: Cosmology, tau: float, rho: float,
                  cfg: NumericsConfig | None = None) -> PolarMetric:
     """All polar metric components at (tau, rho).
@@ -79,17 +94,13 @@ def metric_polar(cosmo: Cosmology, tau: float, rho: float,
     """
     cfg = cfg or DEFAULT_CONFIG
     sigma = sigma_of_rho(cosmo, tau, rho, cfg)
-    if sigma == 1.0:
-        return PolarMetric(_g_tau_tau_at(cosmo, tau, sigma, cfg), 1.0, 0.0)
-    chi = chi_of_sigma(cosmo, tau, sigma, cfg)
-    a0 = float(cosmo.model.a(tau))
-    ang = a0 * a0 * s_k(cosmo.k, chi) ** 2 / sigma
-    return PolarMetric(_g_tau_tau_at(cosmo, tau, sigma, cfg), 1.0, ang)
+    return PolarMetric(_g_tau_tau_at(cosmo, tau, sigma, cfg), 1.0,
+                       _ang(cosmo, tau, sigma, cfg))
 
 
 def _lambda_direct(cosmo: Cosmology, tau: float, rho: float,
                    cfg: NumericsConfig) -> float:
-    ang = metric_polar(cosmo, tau, rho, cfg).ang
+    ang = _ang(cosmo, tau, sigma_of_rho(cosmo, tau, rho, cfg), cfg)
     return (ang - rho * rho) / rho ** 4
 
 

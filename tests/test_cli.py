@@ -4,12 +4,15 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fermirw
 from fermirw.cli import main
 
 
@@ -288,3 +291,15 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "fermirw" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # Only tabulated models need PchipInterpolator; make_tabulated imports
+    # it, so analytic-model runs do not pay for scipy.interpolate.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(fermirw.__file__).resolve().parents[1])}
+    code = ("import sys, fermirw.cli; "
+            "sys.exit('scipy.interpolate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermirw import (
     DEFAULT_CONFIG,
@@ -16,11 +18,13 @@ from fermirw import (
     proper_radius,
     rho_of_sigma,
     sample_geodesic,
+    sigma_infinity,
+    sigma_of_chi,
     sigma_of_rho,
     t_of_sigma,
 )
-from fermirw import numerics
-from fermirw.geodesics import lapse_bracket, slice_integral
+from fermirw import geodesics, numerics
+from fermirw.geodesics import lapse_bracket, slice_end, slice_integral
 from fermirw.numerics import table_safe_config
 from fermirw.verify import _tabulated_matterlike
 
@@ -263,3 +267,121 @@ def test_slice_maps_split_at_table_knots(monkeypatch):
         count[0] = 0
         call()
         assert 0 < count[0] < unsplit / 2
+
+
+def _count_panels(monkeypatch):
+    """Patch numerics._panel; return a function counting one call's panels."""
+    panel = numerics._panel
+    count = [0]
+
+    def counting(*args):
+        count[0] += 1
+        return panel(*args)
+
+    monkeypatch.setattr(numerics, "_panel", counting)
+
+    def panels(call):
+        count[0] = 0
+        call()
+        return count[0]
+    return panels
+
+
+def test_inversions_cost_about_one_slice_integral(monkeypatch):
+    # Newton continued from the nearest point already integrated: each
+    # inversion integrates [1, sigma] about once.  Bracket growth plus
+    # Brent took 3651 and 3045 panels here.
+    cosmo = _tabulated_matterlike()
+    cfg = table_safe_config(DEFAULT_CONFIG)
+    rho = rho_of_sigma(cosmo, 1.0, 16.0, cfg)
+    chi = chi_of_sigma(cosmo, 1.0, 16.0, cfg)
+    proper_radius(cosmo, 1.0, cfg)    # the slice radius is memoised
+    panels = _count_panels(monkeypatch)
+    one = panels(lambda: rho_of_sigma(cosmo, 1.0, 16.0, cfg))
+    assert one > 0
+    assert panels(lambda: sigma_of_rho(cosmo, 1.0, rho, cfg)) <= 2 * one
+    assert panels(lambda: sigma_of_chi(cosmo, 1.0, chi, cfg)) <= 2 * one
+
+
+# ---------------------------------------------------------------------------
+# invert_slice_map through sigma_of_rho and sigma_of_chi
+
+TABLE = _tabulated_matterlike()
+TABLE_CFG = table_safe_config(DEFAULT_CONFIG)
+
+
+def _sigma_top(cosmo, tau):
+    """Top of the test range: sigma = 16, or 90 % of a finite slice."""
+    return min(16.0, 1.0 + 0.9 * (sigma_infinity(cosmo, tau) - 1.0))
+
+
+@given(st.sampled_from([MILNE, RADIATION, MATTER, DESITTER]),
+       st.floats(min_value=0.3, max_value=3.0),
+       st.floats(min_value=1e-6, max_value=1.0))
+@settings(max_examples=60, deadline=None)
+def test_inversions_round_trip(cosmo, tau, frac):
+    u = frac * math.sqrt(_sigma_top(cosmo, tau) - 1.0)
+    sigma = 1.0 + u * u
+    rho = rho_of_sigma(cosmo, tau, sigma)
+    chi = chi_of_sigma(cosmo, tau, sigma)
+    assert sigma_of_rho(cosmo, tau, rho) == pytest.approx(sigma, rel=1e-10)
+    assert sigma_of_chi(cosmo, tau, chi) == pytest.approx(sigma, rel=1e-8)
+
+
+@pytest.mark.parametrize("cosmo, cfg", [(DESITTER, DEFAULT_CONFIG),
+                                        (TABLE, TABLE_CFG)],
+                         ids=["de-sitter", "table"])
+def test_sigma_of_rho_next_to_the_slice_radius(cosmo, cfg):
+    rho = (1.0 - 1e-9) * proper_radius(cosmo, 1.0, cfg)
+    sigma = sigma_of_rho(cosmo, 1.0, rho, cfg)
+    assert 1.0 < sigma < sigma_infinity(cosmo, 1.0)
+    assert rho_of_sigma(cosmo, 1.0, sigma, cfg) == pytest.approx(rho,
+                                                                 rel=1e-10)
+
+
+@pytest.mark.parametrize("cosmo, cfg", [(DESITTER, DEFAULT_CONFIG),
+                                        (TABLE, TABLE_CFG)],
+                         ids=["de-sitter", "table"])
+def test_sigma_of_chi_beyond_a_finite_slice(cosmo, cfg):
+    reach = chi_of_sigma(cosmo, 1.0, slice_end(cosmo, 1.0), cfg)
+    inside = sigma_of_chi(cosmo, 1.0, (1.0 - 1e-6) * reach, cfg)
+    assert 1.0 < inside < sigma_infinity(cosmo, 1.0)
+    with pytest.raises(DomainError):
+        sigma_of_chi(cosmo, 1.0, 1.001 * reach, cfg)
+
+
+@pytest.mark.parametrize("tau", [-1.0, 0.0, math.nan, math.inf])
+def test_inversions_reject_a_bad_tau(tau):
+    with pytest.raises(DomainError):
+        sigma_of_rho(MATTER, tau, 0.5)
+    with pytest.raises(DomainError):
+        sigma_of_chi(MATTER, tau, 0.5)
+
+
+@pytest.mark.parametrize("cosmo", [MATTER, DESITTER],
+                         ids=["matter", "de-sitter"])
+def test_inversions_of_a_tiny_target(cosmo):
+    assert sigma_of_rho(cosmo, 1.0, 1e-300) == 1.0
+    assert sigma_of_chi(cosmo, 1.0, 1e-300) == 1.0
+
+
+@pytest.mark.parametrize("factor", [0.1, 10.0])
+@pytest.mark.parametrize("cosmo, cfg", [(MATTER, DEFAULT_CONFIG),
+                                        (DESITTER, DEFAULT_CONFIG),
+                                        (TABLE, TABLE_CFG)],
+                         ids=["matter", "de-sitter", "table"])
+def test_inversions_survive_a_wrong_slope(monkeypatch, cosmo, cfg, factor):
+    # Steps ten times too long overshoot and must fall back on bisection;
+    # steps ten times too short must still creep to the root.
+    sigma = _sigma_top(cosmo, 1.0) / 2.0
+    rho = rho_of_sigma(cosmo, 1.0, sigma, cfg)
+    chi = chi_of_sigma(cosmo, 1.0, sigma, cfg)
+    want = (sigma_of_rho(cosmo, 1.0, rho, cfg),
+            sigma_of_chi(cosmo, 1.0, chi, cfg))
+    slope = geodesics._map_slope
+    monkeypatch.setattr(geodesics, "_map_slope",
+                        lambda *args: factor * slope(*args))
+    assert sigma_of_rho(cosmo, 1.0, rho, cfg) == pytest.approx(want[0],
+                                                               rel=1e-10)
+    assert sigma_of_chi(cosmo, 1.0, chi, cfg) == pytest.approx(want[1],
+                                                               rel=1e-10)

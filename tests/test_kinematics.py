@@ -1,11 +1,13 @@
 # Fermi and Hubble velocities, velocity suprema, slice radii.
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fermirw import (
+    DEFAULT_CONFIG,
     Cosmology,
     DomainError,
     GAMMA_RATIO_SUP,
@@ -23,6 +25,7 @@ from fermirw import (
     sigma_of_chi,
     velocity_identity_residual,
 )
+from fermirw import numerics
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
 RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
@@ -232,6 +235,30 @@ def test_radius_power_law_closed_form():
         GAMMA_RATIO_SUP, rel=1e-12)
 
 
+def test_radius_is_memoised_per_slice_and_config(monkeypatch):
+    cosmo = Cosmology(make_power_law(2.0 / 3.0), k=0, name="matter")
+    panel = numerics._panel
+    count = [0]
+
+    def counting(*args):
+        count[0] += 1
+        return panel(*args)
+
+    monkeypatch.setattr(numerics, "_panel", counting)
+
+    def panels(cfg):
+        count[0] = 0
+        radius = proper_radius(cosmo, 1.3, cfg)
+        return count[0], radius
+
+    first, radius = panels(None)
+    assert first > 0
+    assert panels(None) == (0, radius)
+    assert panels(DEFAULT_CONFIG) == (0, radius)  # None means the default
+    loose = replace(DEFAULT_CONFIG, quad_rel_tol=1e-10)
+    assert panels(loose)[0] > 0
+
+
 def test_radius_consistency_quadrature_vs_gamma():
     for alpha in (1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0):
         cosmo = Cosmology(make_power_law(alpha), k=0, name="p")
@@ -252,6 +279,11 @@ def test_identity_residual_milne():
 
 def test_identity_residual_matter():
     assert velocity_identity_residual(MATTER, 1.0, 1.0) < 1e-5
+
+
+def test_identity_residual_zero_step_is_domain_error():
+    with pytest.raises(DomainError):
+        velocity_identity_residual(MATTER, 1.0, 1.0, None, 0.0)
 
 
 def test_geometry_relation_milne():

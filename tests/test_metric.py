@@ -18,6 +18,7 @@ from fermirw import (
     rho_of_sigma,
     s_k,
 )
+from fermirw import metric
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
 RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
@@ -40,6 +41,16 @@ def test_s_k_open():
 def test_s_k_closed_unsupported():
     with pytest.raises(UnsupportedCurvatureError):
         s_k(1, 0.5)
+
+
+def test_s_k_open_overflow_is_domain_error():
+    with pytest.raises(DomainError):
+        s_k(-1, 1000.0)
+
+
+def test_s_k_nan_is_domain_error():
+    with pytest.raises(DomainError):
+        s_k(-1, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +169,22 @@ def test_lambda_extrapolation_joins_direct_branch():
 def test_cartesian_on_gamma_is_minkowski():
     g = metric_cartesian(MATTER, 1.0, 0.0, 0.0, 0.0)
     assert np.allclose(g, np.diag([-1.0, 1.0, 1.0, 1.0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.3, 2e-4])  # direct and extrapolated
+def test_cartesian_computes_one_lapse_bracket(monkeypatch, rho):
+    # lambda_k needs only the angular coefficient, so the lapse is
+    # computed once, for g_tau_tau.
+    calls = []
+    bracket = metric.lapse_bracket
+
+    def counting(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr(metric, "lapse_bracket", counting)
+    metric_cartesian(MATTER, 1.0, rho, 0.0, 0.0)
+    assert len(calls) == 1
 
 
 def test_cartesian_milne_is_minkowski():
