@@ -198,9 +198,12 @@ def comoving_flow_fermi(cosmo: Cosmology, event: RWEvent,
     """(dtau/dt, drho/dt) of the comoving worldline through the event.
 
     Central finite differences of fermi_from_rw in t at fixed chi with
-    step rel_step * t.  Step underflow raises AccuracyError.
+    step rel_step * t, 0 < rel_step < 1.  Step underflow raises
+    AccuracyError.
     """
     cfg = cfg or DEFAULT_CONFIG
+    if not 0.0 < rel_step < 1.0:
+        raise DomainError(f"rel_step must lie in (0, 1), got {rel_step}")
     if event.chi == 0.0:
         return 1.0, 0.0
     h = rel_step * float(event.t)

@@ -12,6 +12,7 @@ and the comoving-observer age tau plays the same role.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -57,6 +58,13 @@ class ScaleFactorModel:
     # Knot a-values of interpolated models: points where derivative
     # interpolants switch polynomial pieces.  None for analytic models.
     a_grid: tuple[float, ...] | None = None
+    # The same knots as a numpy array, for sigma_breaks.
+    a_knots: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    def __post_init__(self):
+        if self.a_grid is not None:
+            object.__setattr__(self, "a_knots", np.asarray(self.a_grid))
 
 
 @dataclass(frozen=True)
@@ -215,27 +223,27 @@ def sigma_infinity(cosmo: Cosmology, tau: float) -> float:
     return (float(cosmo.model.a(tau)) / cosmo.model.a_inf) ** 2
 
 
-def sigma_breaks(cosmo: Cosmology, tau: float,
-                 sigma_hi: float) -> tuple[float, ...] | None:
+def sigma_breaks(cosmo: Cosmology, tau: float, sigma_hi: float,
+                 a0: float | None = None) -> np.ndarray | None:
     """Interior sigma points where slice integrands lose smoothness.
 
     Interpolated models have piecewise-polynomial derivatives; a geodesic
     integrand evaluated at a(tau)/sqrt(s) crosses one knot a_k at
     s = (a(tau)/a_k)^2.  Quadrature split at these points converges per
-    piece.  None for analytic models.
+    piece.  An ascending array of the points in (1 + 1e-12, sigma_hi);
+    None for analytic models.  a0, when given, is a(tau), already
+    evaluated by the caller.
     """
     grid = cosmo.model.a_grid
     if grid is None:
         return None
-    tau = _check_time(tau)
-    a0 = float(cosmo.model.a(tau))
-    out = []
-    for a_k in reversed(grid):
-        if a_k >= a0:
-            continue
-        s = (a0 / a_k) ** 2
-        if s >= sigma_hi:
-            break
-        if s > 1.0 + 1e-12:
-            out.append(s)
-    return tuple(out)
+    if a0 is None:
+        a0 = float(cosmo.model.a(_check_time(tau)))
+    # Knots a_k < a0 give s > 1, and s falls as a_k rises, so the knots
+    # below sigma_hi sit above a0/sqrt(sigma_hi).  The bisection bound is
+    # widened by 1e-9 so the exact test on s, not rounding, decides.
+    low = a0 / math.sqrt(sigma_hi) * (1.0 - 1e-9) if sigma_hi > 1.0 else a0
+    top = bisect.bisect_left(grid, a0)
+    bottom = min(top, bisect.bisect_left(grid, low))
+    s = (a0 / cosmo.model.a_knots[bottom:top][::-1]) ** 2
+    return s[(s < sigma_hi) & (s > 1.0 + 1e-12)]

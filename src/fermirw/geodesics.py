@@ -18,6 +18,7 @@ cross-check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,7 @@ def slice_integral(cosmo: Cosmology, tau: float, sigma: float, order: int,
         return deriv(a0 / np.sqrt(s)) / (s ** power * np.sqrt(s - 1.0))
 
     return integrate_sigma(f, sigma_lo, sigma, cfg,
-                           breaks=sigma_breaks(cosmo, tau, sigma))
+                           breaks=sigma_breaks(cosmo, tau, sigma, a0))
 
 
 def slice_end(cosmo: Cosmology, tau: float) -> float:
@@ -275,6 +276,10 @@ def sample_geodesic(cosmo: Cosmology, tau: float, sigma_max: float, n: int,
                     cfg: NumericsConfig | None = None) -> list[GeodesicPoint]:
     """n points with geometrically spaced sigma on [1, sigma_max]."""
     cfg = cfg or DEFAULT_CONFIG
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"n must be an integer, got {n!r}") from None
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
     tau, sigma_max = _check_slice(cosmo, tau, sigma_max, allow_equal_one=False)

@@ -10,7 +10,16 @@ an interval endpoint, so transformed integrands are never evaluated at the
 singular points themselves.  A panel whose value is not finite raises
 AccuracyError rather than passing NaN on as converged.  The model slice
 integrals all go through ``geodesics.slice_integral``, which splits every
-range at the knots of tabulated models.
+range at the knots of tabulated models (``cosmology.sigma_breaks`` finds
+them by bisection on the knot table).
+
+A range split into several pieces takes the first panel of every piece
+from one integrand call on the stacked nodes, as QUADPACK's qagp starts
+from its breakpoints; a piece is accepted on the same per-piece test as
+before, and only pieces that fail it are bisected further, one panel at
+a time, worst panel first off a heap.  A single piece, as on analytic
+models, runs the scalar kernel throughout, which is cheaper for one
+panel.  The integrand points evaluated are the same either way.
 
 ``gamma_fn`` and ``hyp2f1`` are thin wrappers over ``math.gamma`` and
 ``scipy.special.hyp2f1`` that map their domain failures to DomainError.
@@ -18,6 +27,7 @@ range at the knots of tabulated models.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -100,6 +110,7 @@ _WG = np.zeros(15)
 _WG[1:14:2] = list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(_WG_HALF[-2::-1])
 
 _EPS = np.finfo(float).eps
+_NO_BREAKS = np.empty(0)
 
 
 def _panel(f: Callable, a: float, b: float) -> tuple[float, float, float]:
@@ -119,30 +130,67 @@ def _panel(f: Callable, a: float, b: float) -> tuple[float, float, float]:
     return knd, err, resabs
 
 
+def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
+    """G7/K15 panels on every [a[i], b[i]] from one call of f.
+
+    The vector form of _panel: f sees the (pieces x 15) node matrix
+    flattened, and the result is the arrays (kronrod value, error
+    estimate, resabs), one entry per piece.
+    """
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    x = mid[:, None] + half[:, None] * _NODES
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    knd = half * (y @ _WK)
+    gss = half * (y @ _WG)
+    resabs = np.abs(half) * (np.abs(y) @ _WK)
+    delta = np.abs(knd - gss)
+    bad = ~np.isfinite(delta)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise AccuracyError(
+            f"integrand not finite on the panel [{a[i]:.17g}, {b[i]:.17g}]",
+            estimate=float(knd[i]))
+    with np.errstate(over="ignore"):
+        err = np.minimum(delta, (200.0 * delta) ** 1.5)
+    return knd, err, resabs
+
+
+def _converged(err: float, val: float, resabs: float, rel_tol: float,
+               abs_tol: float) -> bool:
+    """The acceptance test, with a floor of 50 eps times resabs."""
+    return err <= max(abs_tol, rel_tol * abs(val), 50.0 * _EPS * resabs)
+
+
 def _adaptive(f: Callable, a: float, b: float, rel_tol: float, abs_tol: float,
-              max_iter: int) -> float:
-    """Adaptive bisection driven by the worst-panel error estimate."""
+              max_iter: int, first: tuple[float, float, float] | None = None
+              ) -> float:
+    """Adaptive bisection driven by the worst-panel error estimate.
+
+    first, when given, is the (value, error, resabs) of the panel on the
+    whole of [a, b], already evaluated.  The worst panel comes off a heap
+    keyed on (-error, insertion count), so ties go to the oldest panel.
+    """
     if a == b:
         return 0.0
-    val, err, resabs = _panel(f, a, b)
-    panels = [(err, a, b, val)]
+    val, err, resabs = first or _panel(f, a, b)
+    heap = [(-err, 0, a, b, val)]
+    count = 1
     total, total_err, total_resabs = val, err, resabs
     for _ in range(max_iter):
-        floor = 50.0 * _EPS * total_resabs
-        if total_err <= max(abs_tol, rel_tol * abs(total), floor):
+        if _converged(total_err, total, total_resabs, rel_tol, abs_tol):
             return total
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        werr, wa, wb, wval = panels.pop(worst)
+        nerr, _, wa, wb, wval = heapq.heappop(heap)
         m = 0.5 * (wa + wb)
         lv, le, lr = _panel(f, wa, m)
         rv, re, rr = _panel(f, m, wb)
-        panels.append((le, wa, m, lv))
-        panels.append((re, m, wb, rv))
+        heapq.heappush(heap, (-le, count, wa, m, lv))
+        heapq.heappush(heap, (-re, count + 1, m, wb, rv))
+        count += 2
         total += lv + rv - wval
-        total_err += le + re - werr
+        total_err += le + re + nerr
         total_resabs += lr + rr
-    floor = 50.0 * _EPS * total_resabs
-    if total_err <= max(abs_tol, rel_tol * abs(total), floor):
+    if _converged(total_err, total, total_resabs, rel_tol, abs_tol):
         return total
     raise AccuracyError(
         f"quadrature did not converge after {max_iter} subdivisions "
@@ -150,27 +198,41 @@ def _adaptive(f: Callable, a: float, b: float, rel_tol: float, abs_tol: float,
         estimate=total, bound=total_err)
 
 
-def _clean_breaks(breaks, lo: float, hi: float) -> list[float]:
-    """Sorted interior breakpoints, deduplicated and clear of the ends."""
-    if not breaks:
-        return []
-    out: list[float] = []
-    for p in sorted(breaks):
-        if p <= lo * (1.0 + 1e-12) or p >= hi * (1.0 - 1e-12):
-            continue
-        if out and p <= out[-1] * (1.0 + 1e-12):
-            continue
-        out.append(float(p))
-    return out
+def _clean_breaks(breaks, lo: float, hi: float) -> np.ndarray:
+    """Sorted interior breakpoints clear of the ends; a point within a
+    relative 1e-12 of the one before it is dropped."""
+    if breaks is None or len(breaks) == 0:
+        return _NO_BREAKS
+    p = np.sort(np.asarray(breaks, dtype=float))
+    p = p[(p > lo * (1.0 + 1e-12)) & (p < hi * (1.0 - 1e-12))]
+    if p.size > 1:
+        p = p[np.concatenate(([True], p[1:] > p[:-1] * (1.0 + 1e-12)))]
+    return p
 
 
-def _adaptive_pieces(g: Callable, nodes: list[float], rel: float,
+def _adaptive_pieces(g: Callable, nodes: np.ndarray, rel: float,
                      absb: float, max_iter: int) -> float:
-    total = 0.0
-    share = absb / max(1, len(nodes) - 1)
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        total += _adaptive(g, a, b, rel, share, max_iter)
-    return total
+    """Sum of the adaptive integrals of g over consecutive node pieces.
+
+    A single piece runs the scalar kernel.  Otherwise the first panel of
+    every piece comes from one batched integrand call, each piece is
+    accepted on the test _adaptive applies, with abs_tol absb / pieces,
+    and only pieces that fail it go on to bisection, seeded with their
+    first panel.
+    """
+    if len(nodes) == 2:
+        return _adaptive(g, float(nodes[0]), float(nodes[1]), rel, absb,
+                         max_iter)
+    share = absb / (len(nodes) - 1)
+    a, b = nodes[:-1], nodes[1:]
+    vals, errs, resabs = _panels(g, a, b)
+    tol = np.maximum(np.maximum(share, rel * np.abs(vals)),
+                     50.0 * _EPS * resabs)
+    for i in np.flatnonzero(errs > tol).tolist():
+        vals[i] = _adaptive(g, float(a[i]), float(b[i]), rel, share, max_iter,
+                            (float(vals[i]), float(errs[i]), float(resabs[i])))
+    # cumsum adds in piece order, as a running total would.
+    return float(np.cumsum(vals)[-1])
 
 
 def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
@@ -210,18 +272,34 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
     total = 0.0
     if sigma_lo < split:
         # sigma = 1 + u^2 absorbs the sqrt singularity at the left edge.
-        u_nodes = [math.sqrt(s - 1.0) for s in
-                   [sigma_lo] + [p for p in pts if p < split] + [split]]
-        total += _adaptive_pieces(_u_integrand(f), u_nodes, rel, absb,
-                                  cfg.max_iter)
+        total += _adaptive_pieces(_u_integrand(f),
+                                  _u_nodes(sigma_lo, pts, split),
+                                  rel, absb, cfg.max_iter)
     if sigma_hi > 2.0:
-        lo = max(sigma_lo, 2.0)
         # s = 1/sqrt(sigma) keeps large-sigma panels well conditioned.
-        s_nodes = [1.0 / math.sqrt(s) for s in
-                   [sigma_hi] + [p for p in reversed(pts) if p > lo] + [lo]]
-        total += _adaptive_pieces(lambda s: f(s ** -2.0) * 2.0 * s ** -3.0,
-                                  s_nodes, rel, absb, cfg.max_iter)
+        total += _adaptive_pieces(_s_integrand(f),
+                                  _s_nodes(sigma_hi, pts, max(sigma_lo, 2.0)),
+                                  rel, absb, cfg.max_iter)
     return total
+
+
+def _u_nodes(lo: float, pts: np.ndarray, hi: float):
+    """u = sqrt(sigma - 1) at lo, at the breaks pts below hi, and at hi.
+
+    Plain floats when there are no breaks, so one-piece ranges stay on
+    the scalar path.
+    """
+    if not pts.size:
+        return [math.sqrt(lo - 1.0), math.sqrt(hi - 1.0)]
+    return np.sqrt(np.concatenate(([lo], pts[pts < hi], [hi])) - 1.0)
+
+
+def _s_nodes(hi: float, pts: np.ndarray, lo: float):
+    """s = 1/sqrt(sigma) at hi (s = 0 for inf), at the breaks pts above
+    lo, and at lo, in increasing s."""
+    if not pts.size:
+        return [1.0 / math.sqrt(hi), 1.0 / math.sqrt(lo)]
+    return 1.0 / np.sqrt(np.concatenate(([hi], pts[pts > lo][::-1], [lo])))
 
 
 def _u_integrand(f: Callable) -> Callable:
@@ -235,6 +313,11 @@ def _u_integrand(f: Callable) -> Callable:
         sigma = 1.0 + u * u
         return f(sigma) * 2.0 * np.sqrt(sigma - 1.0)
     return g
+
+
+def _s_integrand(f: Callable) -> Callable:
+    """Transformed integrand for sigma = s^(-2), Jacobian 2 s^(-3)."""
+    return lambda s: f(s ** -2.0) * 2.0 * s ** -3.0
 
 
 def _near_one_fit(f: Callable, sigma_lo: float, sigma_hi: float) -> float:
@@ -270,16 +353,13 @@ def _integrate_infinite(f: Callable, sigma_lo: float,
         rel = 0.5 * cfg.quad_rel_tol
         absb = 0.5 * cfg.quad_abs_tol
         total = 0.0
-        split = max(sigma_lo, 2.0)
         if sigma_lo < 2.0:
-            u_nodes = [math.sqrt(s - 1.0) for s in
-                       [sigma_lo] + [p for p in pts if p < 2.0]] + [1.0]
-            total += _adaptive_pieces(_u_integrand(f), u_nodes, rel, absb,
-                                      cfg.max_iter)
-        s_nodes = [0.0] + [1.0 / math.sqrt(p) for p in reversed(pts)
-                           if p > split] + [1.0 / math.sqrt(split)]
-        total += _adaptive_pieces(lambda s: f(s ** -2.0) * 2.0 * s ** -3.0,
-                                  s_nodes, rel, absb, cfg.max_iter)
+            total += _adaptive_pieces(_u_integrand(f),
+                                      _u_nodes(sigma_lo, pts, 2.0),
+                                      rel, absb, cfg.max_iter)
+        total += _adaptive_pieces(_s_integrand(f),
+                                  _s_nodes(math.inf, pts, max(sigma_lo, 2.0)),
+                                  rel, absb, cfg.max_iter)
         return total
     # Slowly decaying tail: truncate and bound what was dropped.
     partial = integrate_sigma(f, sigma_lo, cap, cfg, breaks)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fermirw import (
     Cosmology,
+    DomainError,
     FermiEvent,
     OutOfChartError,
     RWEvent,
@@ -204,6 +205,14 @@ def test_flow_step_halving_richardson():
     d3 = comoving_flow_fermi(RADIATION, ev, rel_step=1e-4)[1]
     ratio = (d1 - d2) / (d2 - d3)
     assert 3.0 < ratio < 5.0
+
+
+@pytest.mark.parametrize("rel_step",
+                         [0.0, -1e-5, 1.0, 2.0, math.inf, math.nan])
+def test_flow_bad_step_is_domain_error(rel_step):
+    # 0, 2 and inf used to report a step underflow, nan a bad time.
+    with pytest.raises(DomainError, match="rel_step"):
+        comoving_flow_fermi(MATTER, RWEvent(1.0, 0.5), rel_step=rel_step)
 
 
 # ---------------------------------------------------------------------------

@@ -254,3 +254,34 @@ def test_sigma_breaks_tabulated_knots():
         assert any(abs(s - (a0 / ak) ** 2) < 1e-9 * s
                    for ak in c.model.a_grid)
     assert list(bks) == sorted(bks)
+
+
+def _breaks_by_scan(cosmo, tau, sigma_hi):
+    """The knot-by-knot scan that sigma_breaks' bisection replaced."""
+    a0 = float(cosmo.model.a(tau))
+    out = []
+    for a_k in reversed(cosmo.model.a_grid):
+        if a_k >= a0:
+            continue
+        s = (a0 / a_k) ** 2
+        if s >= sigma_hi:
+            break
+        if s > 1.0 + 1e-12:
+            out.append(s)
+    return out
+
+
+def test_sigma_breaks_bisection_matches_the_scan():
+    # Same knots; each s = (a0/a_k)^2 may differ by the last bit, since
+    # the square is taken in numpy rather than by pow.
+    ts = np.geomspace(0.05, 100.0, 800)
+    c = _cosmo(make_tabulated(list(zip(ts, ts ** (2.0 / 3.0)))),
+               name="tabulated")
+    for tau in (0.05, 0.3, 1.0, 7.0, 100.0, 150.0):
+        for sigma_hi in (0.5, 1.0, 1.0 + 1e-12, 1.3, 2.0, 16.0, 1e6,
+                         math.inf):
+            want = _breaks_by_scan(c, tau, sigma_hi)
+            got = sigma_breaks(c, tau, sigma_hi)
+            assert len(got) == len(want)
+            np.testing.assert_allclose(got, want,
+                                       rtol=2.0 * np.finfo(float).eps)

@@ -1,6 +1,7 @@
 # Orthogonal spacelike geodesic maps and the ODE cross-check.
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
 RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
 MATTER = Cosmology(make_power_law(2.0 / 3.0), k=0, name="matter")
 DESITTER = Cosmology(make_exponential(1.0), k=0, name="de-sitter")
+TABLE = _tabulated_matterlike()
+TABLE_CFG = table_safe_config(DEFAULT_CONFIG)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +132,16 @@ def test_sample_endpoints():
     assert pts[0].t == pytest.approx(2.0)
     assert pts[0].rho == 0.0
     assert pts[1].sigma == pytest.approx(9.0)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "4", None])
+def test_sample_count_must_be_an_integer(n):
+    with pytest.raises(DomainError, match="integer"):
+        sample_geodesic(RADIATION, 2.0, 9.0, n)
+
+
+def test_sample_accepts_a_numpy_integer_count():
+    assert len(sample_geodesic(RADIATION, 2.0, 9.0, np.int64(3))) == 3
 
 
 def test_sample_milne_radius_column():
@@ -247,47 +260,19 @@ def test_lapse_bracket_is_unit_lapse_on_the_worldline():
             1.0, rel=1e-12)
 
 
-def test_slice_maps_split_at_table_knots(monkeypatch):
+def test_slice_maps_split_at_table_knots(count_panels):
     # tau = 1, sigma = 16 crosses about 220 table knots.  Without the knot
     # split these calls took 628, 522 and 650 G7/K15 panels.
     cosmo = _tabulated_matterlike()
     cfg = table_safe_config(DEFAULT_CONFIG)
-    panel = numerics._panel
-    count = [0]
-
-    def counting(*args):
-        count[0] += 1
-        return panel(*args)
-
-    monkeypatch.setattr(numerics, "_panel", counting)
     for call, unsplit in (
             (lambda: chi_of_sigma(cosmo, 1.0, 16.0, cfg), 628),
             (lambda: rho_of_sigma(cosmo, 1.0, 16.0, cfg), 522),
             (lambda: proper_radius(cosmo, 1.0, cfg), 650)):
-        count[0] = 0
-        call()
-        assert 0 < count[0] < unsplit / 2
+        assert 0 < count_panels(call) < unsplit / 2
 
 
-def _count_panels(monkeypatch):
-    """Patch numerics._panel; return a function counting one call's panels."""
-    panel = numerics._panel
-    count = [0]
-
-    def counting(*args):
-        count[0] += 1
-        return panel(*args)
-
-    monkeypatch.setattr(numerics, "_panel", counting)
-
-    def panels(call):
-        count[0] = 0
-        call()
-        return count[0]
-    return panels
-
-
-def test_inversions_cost_about_one_slice_integral(monkeypatch):
+def test_inversions_cost_about_one_slice_integral(count_panels):
     # Newton continued from the nearest point already integrated: each
     # inversion integrates [1, sigma] about once.  Bracket growth plus
     # Brent took 3651 and 3045 panels here.
@@ -296,18 +281,57 @@ def test_inversions_cost_about_one_slice_integral(monkeypatch):
     rho = rho_of_sigma(cosmo, 1.0, 16.0, cfg)
     chi = chi_of_sigma(cosmo, 1.0, 16.0, cfg)
     proper_radius(cosmo, 1.0, cfg)    # the slice radius is memoised
-    panels = _count_panels(monkeypatch)
-    one = panels(lambda: rho_of_sigma(cosmo, 1.0, 16.0, cfg))
+    one = count_panels(lambda: rho_of_sigma(cosmo, 1.0, 16.0, cfg))
     assert one > 0
-    assert panels(lambda: sigma_of_rho(cosmo, 1.0, rho, cfg)) <= 2 * one
-    assert panels(lambda: sigma_of_chi(cosmo, 1.0, chi, cfg)) <= 2 * one
+    assert count_panels(lambda: sigma_of_rho(cosmo, 1.0, rho, cfg)) <= 2 * one
+    assert count_panels(lambda: sigma_of_chi(cosmo, 1.0, chi, cfg)) <= 2 * one
+
+
+def test_table_slice_integral_batches_model_calls():
+    # The first panel of every knot piece comes from one model call per
+    # u or s range; one call per piece made about 220 here.
+    calls = [0]
+    b_dot = TABLE.model.b_dot
+
+    def counting(x):
+        calls[0] += 1
+        return b_dot(x)
+
+    counted = Cosmology(replace(TABLE.model, b_dot=counting), k=0)
+    rho = rho_of_sigma(counted, 1.0, 16.0, TABLE_CFG)
+    assert rho == rho_of_sigma(TABLE, 1.0, 16.0, TABLE_CFG)
+    assert 0 < calls[0] <= 4
+
+
+def _pieces_one_by_one(g, nodes, rel, absb, max_iter):
+    """Reference for numerics._adaptive_pieces: _adaptive on each piece."""
+    share = absb / (len(nodes) - 1)
+    total = 0.0
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        total += numerics._adaptive(g, float(a), float(b), rel, share,
+                                    max_iter)
+    return total
+
+
+@given(st.sampled_from(["table", "matter", "de-sitter"]),
+       st.floats(min_value=0.5, max_value=2.0),
+       st.floats(min_value=1e-6, max_value=1.0),
+       st.sampled_from([(1, 0.5), (1, 1.5), (2, 1.0)]))
+@settings(max_examples=40, deadline=None)
+def test_batched_pieces_match_a_piece_by_piece_loop(name, tau, frac, kind):
+    cosmo, cfg = {"table": (TABLE, TABLE_CFG), "matter": (MATTER, None),
+                  "de-sitter": (DESITTER, None)}[name]
+    sigma = 1.0 + frac * (min(16.0, slice_end(cosmo, tau)) - 1.0)
+    order, power = kind
+    batched = slice_integral(cosmo, tau, sigma, order, power, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_adaptive_pieces", _pieces_one_by_one)
+        reference = slice_integral(cosmo, tau, sigma, order, power, cfg)
+    assert abs(batched - reference) <= 1e-14 * abs(reference)
 
 
 # ---------------------------------------------------------------------------
 # invert_slice_map through sigma_of_rho and sigma_of_chi
-
-TABLE = _tabulated_matterlike()
-TABLE_CFG = table_safe_config(DEFAULT_CONFIG)
 
 
 def _sigma_top(cosmo, tau):

@@ -25,7 +25,6 @@ from fermirw import (
     sigma_of_chi,
     velocity_identity_residual,
 )
-from fermirw import numerics
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
 RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
@@ -235,21 +234,14 @@ def test_radius_power_law_closed_form():
         GAMMA_RATIO_SUP, rel=1e-12)
 
 
-def test_radius_is_memoised_per_slice_and_config(monkeypatch):
+def test_radius_is_memoised_per_slice_and_config(count_panels):
     cosmo = Cosmology(make_power_law(2.0 / 3.0), k=0, name="matter")
-    panel = numerics._panel
-    count = [0]
-
-    def counting(*args):
-        count[0] += 1
-        return panel(*args)
-
-    monkeypatch.setattr(numerics, "_panel", counting)
 
     def panels(cfg):
-        count[0] = 0
-        radius = proper_radius(cosmo, 1.3, cfg)
-        return count[0], radius
+        radius = []
+        count = count_panels(
+            lambda: radius.append(proper_radius(cosmo, 1.3, cfg)))
+        return count, radius[0]
 
     first, radius = panels(None)
     assert first > 0

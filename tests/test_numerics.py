@@ -18,6 +18,7 @@ from fermirw import (
     hyp2f1,
     integrate_sigma,
 )
+from fermirw import numerics
 
 # Values computed with a 40-digit arbitrary-precision oracle before the
 # implementation existed; they are inputs to the tests, not outputs.
@@ -107,6 +108,28 @@ def test_breaks_outside_range_ignored():
     assert val == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
 
+def test_clean_breaks_matches_the_loop():
+    # The loop the vectorised cleanup replaced; the two agree whenever
+    # no three points sit within successive 1e-12 gaps.
+    def by_loop(breaks, lo, hi):
+        out = []
+        for p in sorted(breaks):
+            if p <= lo * (1.0 + 1e-12) or p >= hi * (1.0 - 1e-12):
+                continue
+            if out and p <= out[-1] * (1.0 + 1e-12):
+                continue
+            out.append(p)
+        return out
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        pts = rng.uniform(0.5, 12.0, 30)
+        pts = np.concatenate((pts, pts[:5], [1.0, 10.0, 10.0 * (1 - 1e-13)]))
+        rng.shuffle(pts)
+        assert numerics._clean_breaks(pts, 1.0, 10.0).tolist() == \
+            by_loop(pts.tolist(), 1.0, 10.0)
+    assert numerics._clean_breaks(None, 1.0, 10.0).size == 0
+
+
 def test_nonconvergence_carries_estimate():
     cfg = NumericsConfig(quad_rel_tol=1e-16, quad_abs_tol=1e-18, max_iter=2)
     with pytest.raises(AccuracyError) as exc:
@@ -121,6 +144,82 @@ def test_nan_integrand_raises(sigma_hi):
     # A NaN Kronrod/Gauss difference must not count as a converged panel.
     with pytest.raises(AccuracyError):
         integrate_sigma(lambda s: np.full_like(s, np.nan), 1.0, sigma_hi)
+
+
+@pytest.mark.parametrize("breaks,bad,piece", [
+    # a piece in u = sqrt(sigma - 1), and one in s = 1/sqrt(sigma)
+    ((1.2, 1.4, 1.6, 1.8), (1.4, 1.6),
+     (math.sqrt(1.4 - 1.0), math.sqrt(1.6 - 1.0))),
+    ((2.5, 3.0, 3.5, 5.0), (3.0, 3.5),
+     (1.0 / math.sqrt(3.5), 1.0 / math.sqrt(3.0))),
+])
+def test_nan_in_one_knot_piece_raises(breaks, bad, piece):
+    # The batched first pass names the whole piece, not a half of it.
+    def f(s):
+        return np.where((s > bad[0]) & (s < bad[1]), np.nan, 1.0) / \
+            np.sqrt(s - 1.0)
+    with pytest.raises(AccuracyError) as exc:
+        integrate_sigma(f, 1.0, 10.0, breaks=breaks)
+    assert f"panel [{piece[0]:.17g}, {piece[1]:.17g}]" in str(exc.value)
+    assert integrate_sigma(lambda s: 1.0 / np.sqrt(s - 1.0), 1.0, 10.0,
+                           breaks=breaks) == pytest.approx(6.0, rel=1e-14)
+
+
+def _adaptive_by_scan(f, a, b, rel_tol, abs_tol, max_iter):
+    """numerics._adaptive with the linear worst-panel scan the heap
+    replaced; returns (value, panels left)."""
+    val, err, resabs = numerics._panel(f, a, b)
+    panels = [(err, a, b, val)]
+    total, total_err, total_resabs = val, err, resabs
+    for _ in range(max_iter):
+        floor = 50.0 * np.finfo(float).eps * total_resabs
+        if total_err <= max(abs_tol, rel_tol * abs(total), floor):
+            return total, len(panels)
+        worst = max(range(len(panels)), key=lambda i: panels[i][0])
+        werr, wa, wb, wval = panels.pop(worst)
+        m = 0.5 * (wa + wb)
+        lv, le, lr = numerics._panel(f, wa, m)
+        rv, re, rr = numerics._panel(f, m, wb)
+        panels.append((le, wa, m, lv))
+        panels.append((re, m, wb, rv))
+        total += lv + rv - wval
+        total_err += le + re - werr
+        total_resabs += lr + rr
+    raise AssertionError("reference did not converge")
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: np.sqrt(np.abs(x - 0.3)) + np.abs(x - 0.71) ** 0.25,
+     0.0, 1.0),
+    (lambda x: np.sqrt(np.abs(x)), -1.0, 1.0),   # mirror panels can tie
+    (lambda x: np.sin(40.0 * x) ** 2, 0.0, 3.0),
+])
+def test_heap_picks_the_panels_the_scan_picked(f, a, b):
+    want, panels = _adaptive_by_scan(f, a, b, 1e-12, 1e-14, 500)
+    assert panels >= 30
+    assert numerics._adaptive(f, a, b, 1e-12, 1e-14, 500) == want
+
+
+def test_heap_breaks_ties_like_the_scan(monkeypatch):
+    # A left-rule kernel whose error depends on the width alone ties every
+    # panel of one bisection level; the heap must split the oldest tied
+    # panel first, as the scan's first maximum did.
+    def left_rule(f, a, b):
+        w = b - a
+        return w * f(a), 0.1 * w * w, abs(w * f(a))
+    monkeypatch.setattr(numerics, "_panel", left_rule)
+    f = lambda x: x * x
+    want, panels = _adaptive_by_scan(f, 0.0, 1.0, 0.0, 1e-3, 500)
+    assert 64 < panels < 128     # converged halfway through a level
+    assert numerics._adaptive(f, 0.0, 1.0, 0.0, 1e-3, 500) == want
+
+
+def test_pieces_that_fail_their_first_panel_are_bisected():
+    # cos(30 u) spans several periods on each piece, so no piece passes
+    # on its first panel: integral of 2 cos(30 u) du over [0, 3].
+    f = lambda s: np.cos(30.0 * np.sqrt(s - 1.0)) / np.sqrt(s - 1.0)
+    got = integrate_sigma(f, 1.0, 10.0, breaks=(1.5, 3.0, 6.0, 9.0))
+    assert got == pytest.approx(math.sin(90.0) / 15.0, rel=1e-11)
 
 
 def test_degenerate_interval():
