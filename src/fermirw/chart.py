@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cosmology import Cosmology, sigma_infinity
+from .cosmology import Cosmology, _check_time, sigma_infinity
 from .errors import AccuracyError, DomainError, OutOfChartError
 from .geodesics import (chi_of_sigma, invert_slice_map, lapse_bracket,
                         rho_of_sigma, t_of_sigma)
@@ -78,6 +78,7 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
     beyond it raises OutOfChartError carrying that radius.
     """
     cfg = cfg or DEFAULT_CONFIG
+    tau = _check_time(tau)
     if not (math.isfinite(rho) and rho >= 0.0):
         raise DomainError(f"rho must be nonnegative and finite, got {rho}")
     if rho == 0.0:
@@ -98,7 +99,7 @@ def rw_from_fermi(cosmo: Cosmology, event: FermiEvent,
     """Map a Fermi-chart event to Robertson-Walker coordinates."""
     cfg = cfg or DEFAULT_CONFIG
     if event.rho == 0.0:
-        return RWEvent(float(event.tau), 0.0, event.theta, event.phi)
+        return RWEvent(_check_time(event.tau), 0.0, event.theta, event.phi)
     sigma = sigma_of_rho(cosmo, event.tau, event.rho, cfg)
     return RWEvent(
         t_of_sigma(cosmo, event.tau, sigma),

@@ -74,6 +74,7 @@ def sigma_of_chi(cosmo: Cosmology, tau: float, chi0: float,
     growth exhausts its cap.
     """
     chi0 = _check_chi(chi0)
+    tau = _check_time(tau)
     if chi0 == 0.0:
         return 1.0
     return invert_slice_map(cosmo, tau, chi0, 0.5, 0.5, cfg)
@@ -183,6 +184,7 @@ def velocity_identity_residual(cosmo: Cosmology, tau: float, chi0: float,
     if not (math.isfinite(rel_step) and rel_step > 0.0):
         raise DomainError(
             f"rel_step must be positive and finite, got {rel_step}")
+    tau = _check_time(tau)
     if chi0 == 0.0:
         return 0.0
     rep = fermi_speed(cosmo, tau, chi0, cfg)

@@ -13,13 +13,16 @@ integrals all go through ``geodesics.slice_integral``, which splits every
 range at the knots of tabulated models (``cosmology.sigma_breaks`` finds
 them by bisection on the knot table).
 
-A range split into several pieces takes the first panel of every piece
-from one integrand call on the stacked nodes, as QUADPACK's qagp starts
-from its breakpoints; a piece is accepted on the same per-piece test as
-before, and only pieces that fail it are bisected further, one panel at
-a time, worst panel first off a heap.  A single piece, as on analytic
-models, runs the scalar kernel throughout, which is cheaper for one
-panel.  The integrand points evaluated are the same either way.
+The u range (sigma below 2) and the s range (sigma above 2, up to a finite
+sigma_hi or to s = 0) each run one adaptive driver, ``_adaptive``, which
+follows QUADPACK's qagp (Piessens et al., 1983).  It takes the first panel
+of every knot piece, from one integrand call on the stacked nodes when
+there are several pieces, and tests the range total once against
+max(abs_tol, rel_tol |total|, 50 eps resabs).  Only if that test fails
+does it bisect, worst panel of any piece first off a heap, with at most
+cfg.max_iter bisections for the whole range.  A single piece, as on
+analytic models, runs the scalar kernel throughout, which is cheaper for
+one panel.
 
 ``gamma_fn`` and ``hyp2f1`` are thin wrappers over ``math.gamma`` and
 ``scipy.special.hyp2f1`` that map their domain failures to DomainError.
@@ -156,30 +159,43 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
     return knd, err, resabs
 
 
-def _converged(err: float, val: float, resabs: float, rel_tol: float,
-               abs_tol: float) -> bool:
-    """The acceptance test, with a floor of 50 eps times resabs."""
-    return err <= max(abs_tol, rel_tol * abs(val), 50.0 * _EPS * resabs)
+def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
+              max_iter: int) -> float:
+    """Integral of f from nodes[0] to nodes[-1], split at every node.
 
-
-def _adaptive(f: Callable, a: float, b: float, rel_tol: float, abs_tol: float,
-              max_iter: int, first: tuple[float, float, float] | None = None
-              ) -> float:
-    """Adaptive bisection driven by the worst-panel error estimate.
-
-    first, when given, is the (value, error, resabs) of the panel on the
-    whole of [a, b], already evaluated.  The worst panel comes off a heap
-    keyed on (-error, insertion count), so ties go to the oldest panel.
+    QUADPACK's qagp scheme: the first G7/K15 panel of every piece (the
+    scalar kernel for one piece, one batched integrand call for several),
+    one acceptance test on the range total, and only if that fails,
+    bisection of the worst panel of any piece, at most max_iter times in
+    all.  The worst panel comes off a heap keyed on (-error, insertion
+    count), so ties go to the oldest panel.
     """
-    if a == b:
-        return 0.0
-    val, err, resabs = first or _panel(f, a, b)
-    heap = [(-err, 0, a, b, val)]
-    count = 1
-    total, total_err, total_resabs = val, err, resabs
-    for _ in range(max_iter):
-        if _converged(total_err, total, total_resabs, rel_tol, abs_tol):
-            return total
+    if len(nodes) == 2:
+        if nodes[0] == nodes[1]:
+            return 0.0
+        a, b = float(nodes[0]), float(nodes[1])
+        total, total_err, total_resabs = _panel(f, a, b)
+        heap = [(-total_err, 0, a, b, total)]
+    else:
+        nodes = np.asarray(nodes, dtype=float)
+        vals, errs, resabs = _panels(f, nodes[:-1], nodes[1:])
+        # cumsum adds in piece order, as a running total would.
+        total = float(np.cumsum(vals)[-1])
+        total_err, total_resabs = float(errs.sum()), float(resabs.sum())
+        heap = None
+    count, splits = len(nodes) - 1, 0
+    while total_err > max(abs_tol, rel_tol * abs(total),
+                          50.0 * _EPS * total_resabs):
+        if splits == max_iter:
+            raise AccuracyError(
+                f"quadrature did not converge after {max_iter} subdivisions "
+                f"(estimate {total:.17g}, error bound {total_err:.3g})",
+                estimate=total, bound=total_err)
+        if heap is None:
+            heap = list(zip((-errs).tolist(), range(count),
+                            nodes[:-1].tolist(), nodes[1:].tolist(),
+                            vals.tolist()))
+            heapq.heapify(heap)
         nerr, _, wa, wb, wval = heapq.heappop(heap)
         m = 0.5 * (wa + wb)
         lv, le, lr = _panel(f, wa, m)
@@ -187,15 +203,11 @@ def _adaptive(f: Callable, a: float, b: float, rel_tol: float, abs_tol: float,
         heapq.heappush(heap, (-le, count, wa, m, lv))
         heapq.heappush(heap, (-re, count + 1, m, wb, rv))
         count += 2
+        splits += 1
         total += lv + rv - wval
         total_err += le + re + nerr
         total_resabs += lr + rr
-    if _converged(total_err, total, total_resabs, rel_tol, abs_tol):
-        return total
-    raise AccuracyError(
-        f"quadrature did not converge after {max_iter} subdivisions "
-        f"(estimate {total:.17g}, error bound {total_err:.3g})",
-        estimate=total, bound=total_err)
+    return total
 
 
 def _clean_breaks(breaks, lo: float, hi: float) -> np.ndarray:
@@ -208,31 +220,6 @@ def _clean_breaks(breaks, lo: float, hi: float) -> np.ndarray:
     if p.size > 1:
         p = p[np.concatenate(([True], p[1:] > p[:-1] * (1.0 + 1e-12)))]
     return p
-
-
-def _adaptive_pieces(g: Callable, nodes: np.ndarray, rel: float,
-                     absb: float, max_iter: int) -> float:
-    """Sum of the adaptive integrals of g over consecutive node pieces.
-
-    A single piece runs the scalar kernel.  Otherwise the first panel of
-    every piece comes from one batched integrand call, each piece is
-    accepted on the test _adaptive applies, with abs_tol absb / pieces,
-    and only pieces that fail it go on to bisection, seeded with their
-    first panel.
-    """
-    if len(nodes) == 2:
-        return _adaptive(g, float(nodes[0]), float(nodes[1]), rel, absb,
-                         max_iter)
-    share = absb / (len(nodes) - 1)
-    a, b = nodes[:-1], nodes[1:]
-    vals, errs, resabs = _panels(g, a, b)
-    tol = np.maximum(np.maximum(share, rel * np.abs(vals)),
-                     50.0 * _EPS * resabs)
-    for i in np.flatnonzero(errs > tol).tolist():
-        vals[i] = _adaptive(g, float(a[i]), float(b[i]), rel, share, max_iter,
-                            (float(vals[i]), float(errs[i]), float(resabs[i])))
-    # cumsum adds in piece order, as a running total would.
-    return float(np.cumsum(vals)[-1])
 
 
 def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
@@ -261,8 +248,25 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
         raise DomainError(f"need sigma_lo < sigma_hi, got [{sigma_lo}, {sigma_hi}]")
 
     if math.isinf(sigma_hi):
-        return _integrate_infinite(f, sigma_lo, cfg, breaks)
-    if sigma_hi - 1.0 < 1e-11:
+        cap = cfg.sigma_cap
+        probe = f(np.array([cap / 100.0, cap]))
+        f_near, f_far = np.abs(np.asarray(probe, dtype=float)).tolist()
+        if f_far > 0.0 and f_near > 0.0:
+            q = math.log(f_near / f_far) / math.log(100.0)
+        else:
+            q = math.inf    # tail numerically dead, the s map is safe
+        if q < 1.25:
+            # Slowly decaying tail: truncate and bound what was dropped.
+            partial = integrate_sigma(f, sigma_lo, cap, cfg, breaks)
+            tail = f_far * cap / (q - 1.0) if q > 1.0 else math.inf
+            budget = max(cfg.quad_abs_tol, cfg.quad_rel_tol * abs(partial))
+            if tail > budget:
+                raise AccuracyError(
+                    f"tail beyond sigma_cap={cap:g} estimated at {tail:.3g}, "
+                    f"exceeding the tolerance budget {budget:.3g}",
+                    estimate=partial, bound=tail)
+            return partial
+    elif sigma_hi - 1.0 < 1e-11:
         return _near_one_fit(f, sigma_lo, sigma_hi)
 
     pts = _clean_breaks(breaks, sigma_lo, sigma_hi)
@@ -272,14 +276,14 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
     total = 0.0
     if sigma_lo < split:
         # sigma = 1 + u^2 absorbs the sqrt singularity at the left edge.
-        total += _adaptive_pieces(_u_integrand(f),
-                                  _u_nodes(sigma_lo, pts, split),
-                                  rel, absb, cfg.max_iter)
+        total += _adaptive(_u_integrand(f), _u_nodes(sigma_lo, pts, split),
+                           rel, absb, cfg.max_iter)
     if sigma_hi > 2.0:
-        # s = 1/sqrt(sigma) keeps large-sigma panels well conditioned.
-        total += _adaptive_pieces(_s_integrand(f),
-                                  _s_nodes(sigma_hi, pts, max(sigma_lo, 2.0)),
-                                  rel, absb, cfg.max_iter)
+        # s = 1/sqrt(sigma) keeps large-sigma panels well conditioned, and
+        # maps sigma = inf to s = 0.
+        total += _adaptive(_s_integrand(f),
+                           _s_nodes(sigma_hi, pts, max(sigma_lo, 2.0)),
+                           rel, absb, cfg.max_iter)
     return total
 
 
@@ -337,40 +341,6 @@ def _near_one_fit(f: Callable, sigma_lo: float, sigma_hi: float) -> float:
     lo_r = math.sqrt(sigma_lo - 1.0)
     hi_r = math.sqrt(sigma_hi - 1.0)
     return 2.0 * c1 * (hi_r - lo_r) + c0 * (sigma_hi - sigma_lo)
-
-
-def _integrate_infinite(f: Callable, sigma_lo: float,
-                        cfg: NumericsConfig, breaks=None) -> float:
-    cap = cfg.sigma_cap
-    probe = np.abs(np.asarray(f(np.array([cap / 100.0, cap])), dtype=float))
-    f_near, f_far = float(probe[0]), float(probe[1])
-    if f_far > 0.0 and f_near > 0.0:
-        q = math.log(f_near / f_far) / math.log(100.0)
-    else:
-        q = math.inf    # tail numerically dead, the s map is safe
-    if q >= 1.25:
-        pts = _clean_breaks(breaks, sigma_lo, math.inf)
-        rel = 0.5 * cfg.quad_rel_tol
-        absb = 0.5 * cfg.quad_abs_tol
-        total = 0.0
-        if sigma_lo < 2.0:
-            total += _adaptive_pieces(_u_integrand(f),
-                                      _u_nodes(sigma_lo, pts, 2.0),
-                                      rel, absb, cfg.max_iter)
-        total += _adaptive_pieces(_s_integrand(f),
-                                  _s_nodes(math.inf, pts, max(sigma_lo, 2.0)),
-                                  rel, absb, cfg.max_iter)
-        return total
-    # Slowly decaying tail: truncate and bound what was dropped.
-    partial = integrate_sigma(f, sigma_lo, cap, cfg, breaks)
-    tail = f_far * cap / (q - 1.0) if q > 1.0 else math.inf
-    budget = max(cfg.quad_abs_tol, cfg.quad_rel_tol * abs(partial))
-    if tail > budget:
-        raise AccuracyError(
-            f"tail beyond sigma_cap={cap:g} estimated at {tail:.3g}, "
-            f"exceeding the tolerance budget {budget:.3g}",
-            estimate=partial, bound=tail)
-    return partial
 
 
 def find_root_monotone(g: Callable[[float], float], lo: float, hi: float,

@@ -20,6 +20,7 @@ from . import closed_forms as cf
 from .chart import FermiEvent, RWEvent, fermi_from_rw, jacobian_F, rw_from_fermi
 from .chart import sigma_of_rho as chart_sigma_of_rho
 from .cosmology import Cosmology, hubble, make_power_law, make_tabulated
+from .errors import DomainError
 from .geodesics import (chi_of_sigma, integrate_geodesic_ode, rho_of_sigma,
                         t_of_sigma)
 from .kinematics import (fermi_speed, fermi_speed_power_law, fermi_speed_sup,
@@ -480,7 +481,7 @@ def run_suite(name: str, cfg: NumericsConfig | None = None,
     if name == "all":
         return (closed_forms_suite(cfg) + ode_oracle_suite(cfg, specs)
                 + invariants_suite(cfg))
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
 
 
 def format_report(results: list[CheckResult]) -> str:

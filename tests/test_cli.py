@@ -148,6 +148,16 @@ def test_sweep_out_of_range_rows_continue(capsys):
     assert rows[3]["error"] != ""  # rho = 1.5 beyond the tau = 1 slice
 
 
+def test_sweep_metric_bad_tau_fills_the_error_column(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "metric", "--model", "matter",
+                           "--tau", "-1", "--start", "0", "--stop", "0.5",
+                           "--samples", "2")
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == 2
+    assert all("time must be positive" in row["error"] for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -8,6 +8,7 @@ import pytest
 from fermirw import (
     Cosmology,
     DomainError,
+    FermiEvent,
     UnsupportedCurvatureError,
     g_tau_tau,
     lambda_k,
@@ -16,7 +17,11 @@ from fermirw import (
     metric_cartesian,
     metric_polar,
     rho_of_sigma,
+    rw_from_fermi,
     s_k,
+    sigma_of_chi,
+    sigma_of_rho,
+    velocity_identity_residual,
 )
 from fermirw import metric
 
@@ -148,6 +153,25 @@ def test_lambda_small_rho_stable():
 def test_lambda_bad_tau(tau, rho):
     with pytest.raises(DomainError):
         lambda_k(RADIATION, tau, rho)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tau: sigma_of_rho(MATTER, tau, 0.0),
+    lambda tau: rw_from_fermi(MATTER, FermiEvent(tau, 0.0)),
+    lambda tau: sigma_of_chi(MATTER, tau, 0.0),
+    lambda tau: velocity_identity_residual(MATTER, tau, 0.0),
+    lambda tau: g_tau_tau(MATTER, tau, 0.0),
+    lambda tau: metric_polar(MATTER, tau, 0.0),
+    lambda tau: metric_cartesian(MATTER, tau, 0.0, 0.0, 0.0),
+], ids=["sigma_of_rho", "rw_from_fermi", "sigma_of_chi",
+        "velocity_identity_residual", "g_tau_tau", "metric_polar",
+        "metric_cartesian"])
+@pytest.mark.parametrize("tau", [-1.0, 0.0, math.nan, math.inf])
+def test_worldline_rejects_a_bad_tau(tau, call):
+    # On the worldline (rho = 0 or chi0 = 0) each of these has a shortcut
+    # that must not skip the check on tau.
+    with pytest.raises(DomainError):
+        call(tau)
 
 
 def test_lambda_extrapolation_joins_direct_branch():

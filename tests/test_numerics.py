@@ -197,7 +197,7 @@ def _adaptive_by_scan(f, a, b, rel_tol, abs_tol, max_iter):
 def test_heap_picks_the_panels_the_scan_picked(f, a, b):
     want, panels = _adaptive_by_scan(f, a, b, 1e-12, 1e-14, 500)
     assert panels >= 30
-    assert numerics._adaptive(f, a, b, 1e-12, 1e-14, 500) == want
+    assert numerics._adaptive(f, [a, b], 1e-12, 1e-14, 500) == want
 
 
 def test_heap_breaks_ties_like_the_scan(monkeypatch):
@@ -211,7 +211,7 @@ def test_heap_breaks_ties_like_the_scan(monkeypatch):
     f = lambda x: x * x
     want, panels = _adaptive_by_scan(f, 0.0, 1.0, 0.0, 1e-3, 500)
     assert 64 < panels < 128     # converged halfway through a level
-    assert numerics._adaptive(f, 0.0, 1.0, 0.0, 1e-3, 500) == want
+    assert numerics._adaptive(f, [0.0, 1.0], 0.0, 1e-3, 500) == want
 
 
 def test_pieces_that_fail_their_first_panel_are_bisected():
@@ -220,6 +220,27 @@ def test_pieces_that_fail_their_first_panel_are_bisected():
     f = lambda s: np.cos(30.0 * np.sqrt(s - 1.0)) / np.sqrt(s - 1.0)
     got = integrate_sigma(f, 1.0, 10.0, breaks=(1.5, 3.0, 6.0, 9.0))
     assert got == pytest.approx(math.sin(90.0) / 15.0, rel=1e-11)
+
+
+def test_a_split_range_has_one_bisection_budget(monkeypatch):
+    # cos(100 u) over five u pieces takes 29 bisections in all, fewer than
+    # 20 on every piece: a cap of 20 must stop the range as a whole.
+    calls = [0]
+    panel = numerics._panel
+
+    def counting(*args):
+        calls[0] += 1
+        return panel(*args)
+    monkeypatch.setattr(numerics, "_panel", counting)
+    f = lambda s: np.cos(100.0 * np.sqrt(s - 1.0)) / np.sqrt(s - 1.0)
+    breaks = (1.2, 1.4, 1.6, 1.8)
+    assert integrate_sigma(f, 1.0, 2.0, breaks=breaks) == pytest.approx(
+        math.sin(100.0) / 50.0, rel=1e-11)
+    calls[0] = 0
+    with pytest.raises(AccuracyError):
+        integrate_sigma(f, 1.0, 2.0, NumericsConfig(max_iter=20),
+                        breaks=breaks)
+    assert calls[0] == 2 * 20
 
 
 def test_degenerate_interval():

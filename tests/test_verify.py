@@ -2,7 +2,9 @@
 
 import dataclasses
 
-from fermirw import verify
+import pytest
+
+from fermirw import DomainError, verify
 
 
 def test_pullback_checks_every_model(monkeypatch):
@@ -20,3 +22,8 @@ def test_pullback_checks_every_model(monkeypatch):
     results = {r.name: r for r in verify.invariants_suite()}
     assert not results["metric-pullback"].passed
     assert results["metric-pullback"].residual > 5e-4
+
+
+def test_unknown_suite_is_domain_error():
+    with pytest.raises(DomainError, match="unknown suite 'bogus'"):
+        verify.run_suite("bogus")
