@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from .cosmology import Cosmology, _check_time, sigma_infinity
 from .errors import AccuracyError, DomainError, OutOfChartError
-from .geodesics import (chi_of_sigma, invert_slice_map, lapse_bracket,
-                        rho_of_sigma, t_of_sigma)
+from .geodesics import (_GROWTH_CAP, _RHO, _check_slice, chi_of_sigma,
+                        lapse_bracket, rho_of_sigma, slice_integral, store,
+                        t_of_sigma)
 from .kinematics import proper_radius
 from .numerics import DEFAULT_CONFIG, NumericsConfig, find_root_monotone
 
@@ -29,7 +30,8 @@ __all__ = [
     "comoving_flow_fermi",
 ]
 
-_DOUBLING_CAP = 60
+# Relative rounding allowed for the slice radius at the chart edge.
+_RADIUS_ROUNDING = 1e-15
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,10 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
                  cfg: NumericsConfig | None = None) -> float:
     """Invert the proper-distance map: sigma with rho_of_sigma = rho.
 
-    geodesics.invert_slice_map solves it by bracketed Newton in
-    u = sqrt(sigma - 1), where the map is well conditioned near the
-    observer, at about the cost of one rho_of_sigma.  The slice radius
-    (proper_radius, memoised per slice) bounds the bracket.  rho at or
-    beyond it raises OutOfChartError carrying that radius.
+    geodesics.Slice.invert solves it by Newton's method on the slice
+    store's panel polynomials and one polish integral.  rho at or beyond
+    the slice radius (proper_radius), up to its rounding, raises
+    OutOfChartError carrying that radius.
     """
     cfg = cfg or DEFAULT_CONFIG
     tau = _check_time(tau)
@@ -84,14 +85,15 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
     if rho == 0.0:
         return 1.0
     rho_max = proper_radius(cosmo, tau, cfg)
-    if rho >= rho_max:
+    # rho_M is a sum over many stored panels and carries a few ulps of
+    # their rounding: within _RADIUS_ROUNDING of it, rho is on the edge.
+    if rho >= rho_max * (1.0 - _RADIUS_ROUNDING):
         raise OutOfChartError(
             f"rho={rho:g} is not inside the tau={tau:g} slice; "
             f"the slice proper radius is rho_M={rho_max:.12g}",
             rho_max=rho_max)
-    a0 = float(cosmo.model.a(tau))
-    return invert_slice_map(cosmo, tau, rho, 1.5, 0.5 * a0, cfg,
-                            reach=rho_max)
+    st = store(cosmo, tau, cfg)
+    return st.invert(_RHO, rho, 0.5 * st.a0, radial=True)
 
 
 def rw_from_fermi(cosmo: Cosmology, event: FermiEvent,
@@ -109,9 +111,12 @@ def rw_from_fermi(cosmo: Cosmology, event: FermiEvent,
 
 def _chi_of_tau(cosmo: Cosmology, tau: float, a_target: float,
                 cfg: NumericsConfig) -> float:
-    """chi reached on the tau slice at the comoving shell a(t) = a_target."""
-    sigma = (float(cosmo.model.a(tau)) / a_target) ** 2
-    return chi_of_sigma(cosmo, tau, sigma, cfg)
+    """chi reached on the tau slice at the comoving shell a(t) = a_target,
+    integrated directly, so the search over tau builds no slice store."""
+    ratio = float(cosmo.model.a(tau)) / a_target
+    tau, sigma = _check_slice(cosmo, tau, ratio * ratio)
+    return 0.5 * slice_integral(cosmo, tau, sigma, 1, 0.5, cfg,
+                                ratio * a_target)
 
 
 def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
@@ -136,14 +141,27 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
 
     t1, chi1 = float(event.t), float(event.chi)
     a_target = float(cosmo.model.a(t1))
+
+    def grown(tp: float) -> float:
+        try:
+            return _chi_of_tau(cosmo, tp, a_target, cfg)
+        except DomainError:
+            # A slice too late to evaluate (sigma_infinity overflows).
+            if cosmo.model.global_chart:
+                raise
+            raise OutOfChartError(
+                f"event (t={t1:g}, chi={chi1:g}) lies outside the "
+                f"observer's Fermi chart; the tau={tp:g} slice is out of "
+                f"range before chi reaches it") from None
+
     lo, hi = t1, 2.0 * t1
-    prev = _chi_of_tau(cosmo, hi, a_target, cfg)
+    prev = grown(hi)
     stalls = 0
-    for _ in range(_DOUBLING_CAP):
+    for _ in range(_GROWTH_CAP):
         if prev >= chi1:
             break
         lo, hi = hi, 2.0 * hi
-        cur = _chi_of_tau(cosmo, hi, a_target, cfg)
+        cur = grown(hi)
         if cur - prev <= 1e-12 * max(1.0, chi1):
             stalls += 1
             if stalls >= 2:
@@ -164,7 +182,7 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
                 f"event (t={t1:g}, chi={chi1:g}) not reached within the "
                 f"bracket growth cap; chart is not global")
         raise AccuracyError(
-            f"tau bracket growth cap {_DOUBLING_CAP} reached for chi={chi1:g}")
+            f"tau bracket growth cap {_GROWTH_CAP} reached for chi={chi1:g}")
 
     tau = find_root_monotone(
         lambda tp: _chi_of_tau(cosmo, tp, a_target, cfg) - chi1, lo, hi, cfg)

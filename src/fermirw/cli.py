@@ -25,7 +25,7 @@ from .cosmology import (Cosmology, hubble, load_table, make_exponential,
 from .errors import AccuracyError, DomainError
 from .geodesics import chi_of_sigma, rho_of_sigma, t_of_sigma
 from .kinematics import fermi_speed, proper_radius
-from .metric import metric_polar
+from .metric import _polar_at
 from .numerics import DEFAULT_CONFIG, NumericsConfig, table_safe_config
 from .verify import SUITE_NAMES, format_report, run_suite
 
@@ -279,7 +279,7 @@ def cmd_sweep(args, rc: RunConfig, parser: _Parser) -> int:
             row = {"rho": r}
             try:
                 row["sigma"] = _sigma_of_rho(cosmo, args.tau, r, cfg)
-                pm = metric_polar(cosmo, args.tau, r, cfg)
+                pm = _polar_at(cosmo, args.tau, row["sigma"], cfg)
                 row.update(g_tau_tau=pm.g_tau_tau, g_rho_rho=pm.g_rho_rho,
                            ang=pm.ang)
             except DomainError as exc:

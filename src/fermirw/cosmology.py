@@ -61,10 +61,19 @@ class ScaleFactorModel:
     # The same knots as a numpy array, for sigma_breaks.
     a_knots: np.ndarray | None = field(default=None, init=False, repr=False,
                                        compare=False)
+    # The hash, taken once: a model keys the slice-store cache, and hashing
+    # a long knot tuple on every lookup would cost more than the lookup.
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a_grid is not None:
             object.__setattr__(self, "a_knots", np.asarray(self.a_grid))
+        object.__setattr__(self, "_hash", hash((
+            self.a, self.a_dot, self.b, self.b_dot, self.b_ddot, self.a_inf,
+            self.global_chart, self.a_grid)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -215,12 +224,15 @@ def sigma_infinity(cosmo: Cosmology, tau: float) -> float:
     """Least upper bound of the stretch sigma on the tau slice.
 
     Infinite when the scale factor runs down to zero (a_inf = 0),
-    otherwise (a(tau)/a_inf)^2.
+    otherwise (a(tau)/a_inf)^2; DomainError where that overflows.
     """
     tau = _check_time(tau)
     if cosmo.model.a_inf == 0.0:
         return math.inf
-    return (float(cosmo.model.a(tau)) / cosmo.model.a_inf) ** 2
+    ratio = float(cosmo.model.a(tau)) / cosmo.model.a_inf
+    if not ratio * ratio < math.inf:
+        raise DomainError(f"sigma_infinity overflows on the tau={tau:g} slice")
+    return ratio * ratio
 
 
 def sigma_breaks(cosmo: Cosmology, tau: float, sigma_hi: float,

@@ -4,19 +4,29 @@ Each constant-tau slice of the Fermi chart is ruled by unit-speed spacelike
 geodesics leaving the observer at proper time tau.  Points along one
 geodesic are labelled by the stretch sigma = (a(tau)/a(t))^2 >= 1, and the
 three maps below give cosmological time t, comoving radius chi, and proper
-distance rho as functions of sigma.  Every slice quantity is built from one
-integral, slice_integral, of b'(a(tau)/sqrt(s)) or b''(a(tau)/sqrt(s))
-against s^(-n) (s-1)^(-1/2).  The inverse maps sigma(rho) and sigma(chi)
-both go through invert_slice_map, a bracketed Newton iteration in
-u = sqrt(sigma - 1) whose slope comes from the model in closed form and
-whose values are integrated piecewise from the nearest point already
-reached, so one inversion costs about one slice integral.  An independent
-route integrates the geodesic equation in rho directly and is used as a
-cross-check.
+distance rho as functions of sigma.  Every other slice quantity is an
+integral of b'(a(tau)/sqrt(s)) or b''(a(tau)/sqrt(s)) against
+s^(-n) (s-1)^(-1/2) over the same range.
+
+One store per slice, Slice, keeps the accepted G7/K15 panels of those
+integrals, built piece by piece (u = sqrt(sigma - 1) in [0, 1], then
+dyadic pieces s in [s/2, s] of s = 1/sqrt(sigma), then a last piece to
+the slice end) as queries reach them; the last few (cosmo, tau, cfg)
+stores are cached.  A value is a prefix sum over whole panels plus one
+polish integral over the last partial panel, and the inverse maps
+sigma(rho) and sigma(chi) run Newton's method on the stored panel
+polynomials before one polish, so every value depends on its arguments
+alone, not on the queries before it.  slice_integral integrates directly
+and serves fermi_from_rw's search over slices, which would otherwise
+build a store per iterate.  An independent route integrates the geodesic
+equation in rho directly and is used as a cross-check.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -25,7 +35,8 @@ import numpy as np
 
 from .cosmology import Cosmology, hubble, sigma_breaks, sigma_infinity
 from .errors import AccuracyError, DomainError
-from .numerics import DEFAULT_CONFIG, NumericsConfig, integrate_sigma
+from .numerics import (DEFAULT_CONFIG, NumericsConfig, _adaptive,
+                       _clean_breaks, _panel_root, integrate_sigma)
 
 __all__ = [
     "GeodesicPoint",
@@ -34,7 +45,6 @@ __all__ = [
     "rho_of_sigma",
     "slice_integral",
     "slice_end",
-    "invert_slice_map",
     "lapse_bracket",
     "sample_geodesic",
     "integrate_geodesic_ode",
@@ -47,8 +57,21 @@ _SIGMA_NEAR_ONE = 1e-10
 # Fraction of sigma_infinity treated as the usable end of a finite slice.
 _SLICE_MARGIN = 1e-12
 
-# Doublings of u allowed while an inversion has no upper bracket end.
+# Doublings allowed while a search has no upper bracket end: of u in an
+# inversion (one dyadic store piece each), of tau in fermi_from_rw.
 _GROWTH_CAP = 60
+
+# Slice stores kept by store(); one on an 800-knot table holds about
+# 110 kB, so more of them would show in a sweep's peak memory.
+_CACHED_SLICES = 4
+
+# Dyadic s pieces the radial store track shares with the main one before
+# its last piece; they reach sigma = 32.
+_SHARED_PIECES = 2
+
+# The slice integrals the store keeps, as (order, power): chi (1, 1/2),
+# rho (1, 3/2), the lapse integral (2, 1) and fermi_speed's i2 (2, 2).
+_CHI, _RHO, _LAPSE, _I2 = (1, 0.5), (1, 1.5), (2, 1.0), (2, 2.0)
 
 # Tolerated negative radicand in the ODE route before flagging inconsistency.
 _RADICAND_SLACK = 1e-13
@@ -89,35 +112,41 @@ def t_of_sigma(cosmo: Cosmology, tau: float, sigma: float) -> float:
 
 def slice_integral(cosmo: Cosmology, tau: float, sigma: float, order: int,
                    power: float, cfg: NumericsConfig | None = None,
-                   sigma_lo: float = 1.0) -> float:
+                   a0: float | None = None) -> float:
     """Integral of b^(order)(a0/sqrt(s)) s^(-power) (s-1)^(-1/2) ds over
-    [sigma_lo, sigma].
+    [1, sigma], integrated directly, without the slice store.
 
-    a0 = a(tau), order is 1 (b') or 2 (b''), and sigma may be inf.  The
-    range is split at the table knots of interpolated models; within
-    1e-10 of sigma = 1 the leading-order value
-    2 b^(order)(a0) (sqrt(sigma-1) - sqrt(sigma_lo-1)) is returned instead.
+    a0 = a(tau), taken from the model unless given; order is 1 (b') or
+    2 (b''), and sigma may be inf.  The range is split at the table knots
+    of interpolated models; within 1e-10 of sigma = 1 the leading-order
+    value 2 b^(order)(a0) sqrt(sigma-1) is returned instead.
     """
     cfg = cfg or DEFAULT_CONFIG
     m = cosmo.model
     deriv = m.b_dot if order == 1 else m.b_ddot
-    a0 = float(m.a(tau))
+    a0 = float(m.a(tau)) if a0 is None else a0
     if sigma - 1.0 <= _SIGMA_NEAR_ONE:
-        return 2.0 * float(deriv(a0)) * (math.sqrt(max(sigma - 1.0, 0.0))
-                                         - math.sqrt(sigma_lo - 1.0))
+        return 2.0 * float(deriv(a0)) * math.sqrt(max(sigma - 1.0, 0.0))
 
     def f(s):
         return deriv(a0 / np.sqrt(s)) / (s ** power * np.sqrt(s - 1.0))
 
-    return integrate_sigma(f, sigma_lo, sigma, cfg,
+    return integrate_sigma(f, 1.0, sigma, cfg,
                            breaks=sigma_breaks(cosmo, tau, sigma, a0))
 
 
 def slice_end(cosmo: Cosmology, tau: float) -> float:
     """Usable end of the tau slice: sigma_infinity, when finite, clipped by
-    a relative 1e-12 just inside the slice; otherwise inf."""
+    a relative 1e-12 just inside the slice; otherwise inf.  A slice with
+    no room above sigma = 1 raises DomainError."""
     s_inf = sigma_infinity(cosmo, tau)
-    return s_inf * (1.0 - _SLICE_MARGIN) if math.isfinite(s_inf) else s_inf
+    if math.isinf(s_inf):
+        return s_inf
+    end = s_inf * (1.0 - _SLICE_MARGIN)
+    if not end > 1.0:
+        raise DomainError(f"the tau={tau:g} slice ends at sigma_infinity="
+                          f"{s_inf:.17g}, too close to 1 to integrate")
+    return end
 
 
 def _map_slope(cosmo: Cosmology, a0: float, u: float, power: float,
@@ -129,125 +158,249 @@ def _map_slope(cosmo: Cosmology, a0: float, u: float, power: float,
     return 2.0 * scale * bd * s ** -power
 
 
-def invert_slice_map(cosmo: Cosmology, tau: float, target: float,
-                     power: float, scale: float,
-                     cfg: NumericsConfig | None = None,
-                     reach: float | None = None) -> float:
-    """sigma at which F = scale * slice_integral(order 1, power) hits target.
+class _Track:
+    """The pieces of one store track so far, and their panels end to end:
+    start, end and sigma at the end of every panel, and per component the
+    running totals, summed in extended precision panel by panel from the
+    start, whenever each piece was added.  A component that some piece
+    lacks is dropped."""
 
-    rho_of_sigma is power 3/2, scale a(tau)/2; chi_of_sigma is power 1/2,
-    scale 1/2.  Newton's method runs in u = sqrt(sigma - 1) from u = 0
-    with the exact slope F'(u) = 2 scale b'(a0/sqrt(sigma)) sigma^(-power),
-    one model call.  F is concave in u when b is convex, so the iterates
-    climb to the root from below; a step that leaves the bracket [lo, hi]
-    known so far bisects instead, and while no upper end is known a step
-    at most doubles u (or goes to u = 1).  Each value F(u) is integrated
-    only from the nearest u already reached in this call.  On a finite
-    slice the end u_top of slice_end is integrated only if a step
-    reaches it.
+    def __init__(self):
+        self.pieces, self.starts, self.done = [], [], False
+        self.a = self.b = self.sig = np.empty(0)
+        self.cum, self.carry = {}, {}
 
-    reach, when given, is the supremum of F over the slice (the slice
-    radius for rho) and target must lie below it; it is then F(u_top)
-    and no reach test is made.  Without it (chi, whose comoving reach has
-    no cheap closed form) a target above F(u_top), or one that doubling
-    shows F saturates below, raises DomainError.  Iteration stops at
-    |du| <= root_tol/2 * max(1, u), find_root_monotone's rule;
-    cfg.max_iter steps or _GROWTH_CAP doublings raise AccuracyError.
+    def add(self, piece) -> None:
+        vals, _, a, b, sig, self.done = piece
+        self.starts.append(self.a.size)
+        self.pieces.append(piece)
+        self.a, self.b, self.sig = (np.concatenate(pair) for pair in (
+            (self.a, a), (self.b, b), (self.sig, sig)))
+        for c in list(self.cum if len(self.pieces) > 1 else vals):
+            if c not in vals:
+                del self.cum[c], self.carry[c]
+                continue
+            run = np.cumsum(np.concatenate(([self.carry.get(c, 0.0)],
+                                            vals[c])), dtype=np.longdouble)
+            self.carry[c] = run[-1]
+            self.cum[c] = np.concatenate((self.cum.get(c, ()),
+                                          run[1:].astype(float)))
+
+    def panel(self, j: int, c=None):
+        """(start, end, u flag, node values of component c) of panel j."""
+        k = bisect.bisect_right(self.starts, j) - 1
+        return (float(self.a[j]), float(self.b[j]), k == 0,
+                c and self.pieces[k][1][c][j - self.starts[k]])
+
+
+class Slice:
+    """Stored slice integrals of one (cosmo, tau, cfg) slice.
+
+    The main track holds pieces u in [0, 1], then dyadic pieces s in
+    [s/2, s] from s = 1/sqrt(2) down to the slice end (without end on an
+    unbounded slice), each built on first use and integrating chi, rho,
+    the lapse integral and i2 at once.  The radial track, for rho alone,
+    shares the first 1 + _SHARED_PIECES of them and ends with one piece
+    to the slice end, s = 0 on an unbounded slice, where the rho integral
+    converges.  Each piece is split at the table knots and refined on its
+    own by numerics._adaptive, so the panels depend on (cosmo, tau, cfg)
+    alone.  Panels run in sigma order: s panels from high s to low, with
+    the sign of the integrand flipped to match.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    s_end = slice_end(cosmo, tau)   # validates tau before a(tau) is taken
-    a0 = float(cosmo.model.a(tau))
-    known = [(0.0, 0.0)]            # (u, F(u)) integrated in this call
-    lo, hi, f_hi = 0.0, math.inf, None
-    if math.isfinite(s_end):
-        hi, f_hi = math.sqrt(s_end - 1.0), reach
-        if reach is not None:
-            known.append((hi, reach))
 
-    def value(x: float) -> float:
-        u_k, f = min(known, key=lambda p: abs(p[0] - x))
-        s, s_k = 1.0 + x * x, 1.0 + u_k * u_k
-        if s > s_k:
-            f += scale * slice_integral(cosmo, tau, s, 1, power, cfg, s_k)
-        elif s < s_k:
-            f -= scale * slice_integral(cosmo, tau, s_k, 1, power, cfg, s)
-        known.append((x, f))
+    def __init__(self, cosmo: Cosmology, tau: float, cfg: NumericsConfig):
+        self.cosmo, self.tau, self.cfg = cosmo, tau, cfg
+        self.end = slice_end(cosmo, tau)   # validates tau
+        self.a0 = float(cosmo.model.a(tau))
+        self.knots = sigma_breaks(cosmo, tau, self.end, self.a0)
+        self.tol = (0.5 * cfg.quad_rel_tol, 0.5 * cfg.quad_abs_tol,
+                    cfg.max_iter)
+        self.pieces: dict = {}    # (k, last radial piece) -> panels
+        self.tracks = {False: _Track(), True: _Track()}   # by radial
+
+    def integrand(self, comps, is_u: bool, weights=None):
+        """Transformed integrands of the (order, power) comps in u or s,
+        one row each, or their sum with the given weights as one row."""
+        m = self.cosmo.model
+        derivs = {o: (m.b_dot, m.b_ddot)[o - 1] for o, _ in comps}
+        a0, n = self.a0, np.array([p for _, p in comps])[:, None]
+        w = None if weights is None else np.array(weights)
+
+        def f(x):
+            if is_u:
+                s = 1.0 + x * x
+                arg, scale = a0 / np.sqrt(s), 2.0 * s ** -n
+            else:
+                arg = a0 * x
+                scale = -2.0 * x ** (2.0 * n - 2.0) / np.sqrt(1.0 - x * x)
+            d = {o: deriv(arg) for o, deriv in derivs.items()}
+            rows = np.array([d[o] for o, _ in comps]) * scale
+            return rows if w is None else (w[:, None] * rows).sum(axis=0)
         return f
 
-    def beyond(what: str) -> DomainError:
-        return DomainError(f"{target:g} is beyond the comoving reach of "
-                           f"the tau={tau:g} slice ({what})")
+    def _piece(self, k: int, radial: bool):
+        """Piece k of a track, built on first use: ({comp: values},
+        {comp: node values, chi and rho only}, starts, ends, sigma ends,
+        whether the piece ends the track)."""
+        s_end = 1.0 / math.sqrt(self.end)
+        tail = radial and k > _SHARED_PIECES
+        if k == 0:
+            lo, hi = 0.0, min(1.0, math.sqrt(self.end - 1.0))
+            last, ends = self.end <= 2.0, (1.0, 1.0 + hi * hi)
+        else:
+            lo = 2.0 ** (0.5 - k)
+            hi = s_end if tail else max(0.5 * lo, s_end)
+            last, ends = hi == s_end, (lo ** -2.0, 1.0 / (hi * hi) if hi
+                                        else math.inf)
+        if (k, tail) not in self.pieces:
+            comps = (_RHO,) if tail else (_CHI, _RHO, _LAPSE, _I2)
+            knots = _clean_breaks(self.knots, *ends)
+            x = np.sqrt(knots - 1.0) if k == 0 else 1.0 / np.sqrt(knots)
+            if not x.size:
+                # Without knots, start from two panels, or on the way to
+                # s = 0 from panels halving toward it: what bisection
+                # makes of the first panel on analytic models anyway.
+                x = lo * 0.5 ** np.arange(1, 8) if hi == 0.0 else \
+                    np.array([0.5 * (lo + hi)])
+            _, a, b, vals, ys = _adaptive(
+                self.integrand(comps, k == 0), np.concatenate(([lo], x, [hi])),
+                *self.tol, panels=True)
+            with np.errstate(divide="ignore"):
+                sig = 1.0 + b * b if k == 0 else 1.0 / (b * b)
+            self.pieces[(k, tail)] = (
+                dict(zip(comps, vals)),
+                {c: y.copy() for c, y in zip(comps, ys) if c[0] == 1},
+                a, b, sig, last)
+        return self.pieces[(k, tail)]
 
-    u = f = 0.0
-    growths = stalls = 0
-    prev_inc = None
-    for _ in range(cfg.max_iter):
-        slope = _map_slope(cosmo, a0, u, power, scale)
-        x = u + (target - f) / slope if slope > 0.0 else math.inf
-        fx = None
-        growing = math.isinf(hi) and not x < max(2.0 * u, 1.0)
-        if growing:
-            growths += 1
-            if growths > _GROWTH_CAP:
-                raise AccuracyError(
-                    f"sigma bracket growth cap {_GROWTH_CAP} reached for "
-                    f"target {target:g}", estimate=1.0 + u * u)
-            x = max(2.0 * u, 1.0)
-        elif f_hi is None and x >= hi:
-            x, fx = hi, value(hi)
-            if fx < target:
-                raise beyond(f"it ends at {fx:g}")
-        elif not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        if abs(x - u) <= 0.5 * cfg.root_tol * max(1.0, u):
-            return 1.0 + x * x
-        if fx is None:
-            fx = value(x)
-        if growing and reach is None and u >= 0.5:
-            # Doublings with increments that stall or decay geometrically
-            # bound what F can still gain; a target past that bound is
-            # beyond the slice though each doubling still makes progress.
-            inc = fx - f
-            if inc <= 1e-12 * max(1.0, target):
-                stalls += 1
-                if stalls >= 2:
-                    raise beyond(f"it saturates near {fx:g}")
-            else:
-                stalls = 0
-                if prev_inc is not None and inc < 0.9 * prev_inc:
-                    ratio = inc / prev_inc
-                    limit = fx + 1.5 * inc * ratio / (1.0 - ratio)
-                    if limit < target:
-                        raise beyond(f"it saturates near {limit:g}")
-            prev_inc = inc
-        else:
-            prev_inc, stalls = None, 0
-        if fx == target:    # an exact hit: u would fall on the bracket end
-            return 1.0 + x * x
-        if fx < target:
-            lo = x
-        else:
-            hi, f_hi = x, fx
-        u, f = x, fx
-    raise AccuracyError(
-        f"inversion iteration cap {cfg.max_iter} reached near "
-        f"sigma={1.0 + u * u:.17g}", estimate=1.0 + u * u)
+    def track(self, radial: bool, sigma: float) -> _Track:
+        """The main or radial track, grown until it reaches sigma or
+        ends."""
+        tr = self.tracks[radial]
+        while not tr.done and (not tr.pieces or tr.sig[-1] < sigma):
+            tr.add(self._piece(len(tr.pieces), radial))
+        return tr
+
+    def radius(self) -> float:
+        """Proper radius rho_M: the whole radial track."""
+        return 0.5 * self.a0 * float(self.track(True, math.inf).cum[_RHO][-1])
+
+    def integral(self, weights: dict, sigma: float,
+                 radial: bool = False) -> float:
+        """Sum of w * slice_integral(order, n) over weights {(order, n): w}
+        at sigma: whole panels from the running totals, then one polish
+        integral from the start of the panel holding sigma."""
+        if sigma == 1.0:
+            return 0.0
+        tr = self.track(radial, sigma)
+        j = min(int(np.searchsorted(tr.sig, sigma)), tr.sig.size - 1)
+        lo, _, is_u, _ = tr.panel(j)
+        x = math.sqrt(sigma - 1.0) if is_u else 1.0 / math.sqrt(sigma)
+        f = self.integrand(tuple(weights), is_u, tuple(weights.values()))
+        return _adaptive(f, [lo, x], *self.tol) + (math.fsum(
+            w * float(tr.cum[c][j - 1]) for c, w in weights.items()) if j
+            else 0.0)
+
+    def invert(self, comp: tuple, target: float, scale: float,
+               radial: bool = False) -> float:
+        """sigma at which scale * slice_integral(*comp) reaches target,
+        comp = _CHI or _RHO.
+
+        The track's pieces are walked from the start, each built on first
+        use, until the running total passes target.  Newton's method on
+        the node polynomial of the panel that holds it
+        (numerics._panel_root) then places sigma with no model call, and
+        one polish integral with one Newton step in u = sqrt(sigma - 1),
+        whose slope comes from the model in closed form, corrects it.
+
+        A target beyond a finite slice raises DomainError.  On an
+        unbounded slice (chi only) each dyadic piece doubles u; increments
+        that stall or decay geometrically bound what chi can still gain,
+        a target past that bound raises DomainError, and more than
+        _GROWTH_CAP pieces raise AccuracyError.
+        """
+        tr = self.track(radial, 1.0)
+        saturates = math.isinf(self.end) and not radial
+        f, prev_inc, stalls, count = 0.0, None, 0, 0
+        for k in itertools.count():
+            if k == len(tr.pieces):
+                if tr.done:
+                    raise self._beyond(target, f"it ends at {f:g}")
+                if k > _GROWTH_CAP:
+                    raise AccuracyError(
+                        f"sigma bracket growth cap {_GROWTH_CAP} reached for "
+                        f"target {target:g}", estimate=float(tr.sig[-1]))
+                tr.add(self._piece(k, radial))
+            count += tr.pieces[k][2].size
+            fx = scale * float(tr.cum[comp][count - 1])
+            if fx >= target:
+                break
+            if saturates and k > 1:
+                # Doublings with increments that stall or decay
+                # geometrically bound what F can still gain; a target past
+                # that bound is beyond the slice though each doubling
+                # still makes progress.
+                inc = fx - f
+                if inc <= 1e-12 * max(1.0, target):
+                    stalls += 1
+                    if stalls >= 2:
+                        raise self._beyond(target, f"it saturates near {fx:g}")
+                else:
+                    stalls = 0
+                    if prev_inc is not None and inc < 0.9 * prev_inc:
+                        ratio = inc / prev_inc
+                        limit = fx + 1.5 * inc * ratio / (1.0 - ratio)
+                        if limit < target:
+                            raise self._beyond(
+                                target, f"it saturates near {limit:g}")
+                prev_inc = inc
+            f = fx
+        r = target / scale
+        j = int(np.searchsorted(tr.cum[comp], r))
+        rem = r - float(tr.cum[comp][j - 1]) if j else r
+        lo, hi, is_u, ys = tr.panel(j, comp)
+        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _panel_root(
+            ys, 0.5 * (hi - lo), rem, self.cfg.max_iter)
+        polish = _adaptive(self.integrand((comp,), is_u, (1.0,)), [lo, x],
+                           *self.tol)
+        if not (is_u or x > 0.0):
+            raise AccuracyError(f"{target:g} is within rounding of the end "
+                                f"of the tau={self.tau:g} slice")
+        u = x if is_u else math.sqrt(1.0 / (x * x) - 1.0)
+        u += (scale * (rem - polish)
+              / _map_slope(self.cosmo, self.a0, u, comp[1], scale))
+        return 1.0 + u * u
+
+    def _beyond(self, target: float, what: str) -> DomainError:
+        return DomainError(f"{target:g} is beyond the comoving reach of "
+                           f"the tau={self.tau:g} slice ({what})")
+
+
+@functools.lru_cache(maxsize=_CACHED_SLICES)
+def _cached_store(cosmo: Cosmology, tau: float, cfg: NumericsConfig) -> Slice:
+    return Slice(cosmo, tau, cfg)
+
+
+def store(cosmo: Cosmology, tau: float,
+          cfg: NumericsConfig | None = None) -> Slice:
+    """The Slice of (cosmo, tau, cfg), from a cache of the last
+    _CACHED_SLICES."""
+    return _cached_store(cosmo, tau, cfg or DEFAULT_CONFIG)
 
 
 def lapse_bracket(cosmo: Cosmology, tau: float, sigma: float,
                   cfg: NumericsConfig | None = None) -> float:
     """B = b'(a0/sqrt(sigma)) + a0 sqrt(sigma-1)/(2 sqrt(sigma)) * I.
 
-    I is slice_integral of order 2 and power 1.  The lapse is
-    g_tau_tau = -(a'(tau) B)^2 and the chart Jacobian is
+    I is the slice integral of order 2 and power 1, read from the store.
+    The lapse is g_tau_tau = -(a'(tau) B)^2 and the chart Jacobian is
     a'(tau) b'(a0/sqrt(sigma)) B / (2 sigma sqrt(sigma-1)).
     """
-    m = cosmo.model
-    a0 = float(m.a(tau))
+    st = store(cosmo, tau, cfg)
     root = math.sqrt(sigma)
-    inner = slice_integral(cosmo, tau, sigma, 2, 1.0, cfg)
-    return (float(m.b_dot(a0 / root))
-            + a0 * math.sqrt(sigma - 1.0) / (2.0 * root) * inner)
+    inner = st.integral({_LAPSE: 1.0}, sigma)
+    return (float(cosmo.model.b_dot(st.a0 / root))
+            + st.a0 * math.sqrt(sigma - 1.0) / (2.0 * root) * inner)
 
 
 def chi_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
@@ -257,7 +410,7 @@ def chi_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
     chi = (1/2) * integral_1^sigma b'(a(tau)/sqrt(s)) / (sqrt(s) sqrt(s-1)) ds
     """
     tau, sigma = _check_slice(cosmo, tau, sigma)
-    return 0.5 * slice_integral(cosmo, tau, sigma, 1, 0.5, cfg)
+    return 0.5 * store(cosmo, tau, cfg).integral({_CHI: 1.0}, sigma)
 
 
 def rho_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
@@ -268,8 +421,8 @@ def rho_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
           / (s^(3/2) sqrt(s-1)) ds
     """
     tau, sigma = _check_slice(cosmo, tau, sigma)
-    a0 = float(cosmo.model.a(tau))
-    return 0.5 * a0 * slice_integral(cosmo, tau, sigma, 1, 1.5, cfg)
+    st = store(cosmo, tau, cfg)
+    return 0.5 * st.a0 * st.integral({_RHO: 1.0}, sigma, radial=True)
 
 
 def sample_geodesic(cosmo: Cosmology, tau: float, sigma_max: float, n: int,

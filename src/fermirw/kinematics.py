@@ -10,7 +10,6 @@ be arbitrarily large.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +17,7 @@ import numpy as np
 
 from .cosmology import Cosmology, _check_time, hubble, make_power_law
 from .errors import DomainError
-from .geodesics import (invert_slice_map, rho_of_sigma, slice_end,
-                        slice_integral)
+from .geodesics import _CHI, _I2, _LAPSE, _RHO, rho_of_sigma, store
 from .numerics import DEFAULT_CONFIG, NumericsConfig, integrate_sigma
 
 __all__ = [
@@ -66,8 +64,8 @@ def sigma_of_chi(cosmo: Cosmology, tau: float, chi0: float,
                  cfg: NumericsConfig | None = None) -> float:
     """Stretch sigma0 at which the tau-slice geodesic meets comoving chi0.
 
-    geodesics.invert_slice_map solves it by bracketed Newton in
-    u = sqrt(sigma - 1), at about the cost of one chi_of_sigma.  Raises
+    geodesics.Slice.invert solves it by Newton's method on the slice
+    store's panel polynomials and one polish integral.  Raises
     DomainError when chi0 lies beyond the comoving reach of the slice
     (past the end of a finite slice, or where chi saturates on an
     unbounded one), AccuracyError when the iteration or its bracket
@@ -77,7 +75,7 @@ def sigma_of_chi(cosmo: Cosmology, tau: float, chi0: float,
     tau = _check_time(tau)
     if chi0 == 0.0:
         return 1.0
-    return invert_slice_map(cosmo, tau, chi0, 0.5, 0.5, cfg)
+    return store(cosmo, tau, cfg).invert(_CHI, chi0, 0.5)
 
 
 def fermi_speed(cosmo: Cosmology, tau: float, chi0: float,
@@ -86,7 +84,9 @@ def fermi_speed(cosmo: Cosmology, tau: float, chi0: float,
 
     v_fermi = (a'(tau)/2) [ I1 + a(tau) I2 - (a(tau)/sigma0) I3 ]
     with I1, I2, I3 the sigma integrals of b'(.)/(s^(3/2) sqrt(s-1)),
-    b''(.)/(s^2 sqrt(s-1)), and b''(.)/(s sqrt(s-1)) up to sigma0.
+    b''(.)/(s^2 sqrt(s-1)), and b''(.)/(s sqrt(s-1)) up to sigma0, read
+    from the slice store in one pass: I1 from the b' panels, and
+    a(tau) (I2 - I3/sigma0) from the b'' panels with one polish integral.
     """
     cfg = cfg or DEFAULT_CONFIG
     chi0 = _check_chi(chi0)
@@ -94,12 +94,11 @@ def fermi_speed(cosmo: Cosmology, tau: float, chi0: float,
     if chi0 == 0.0:
         return VelocityReport(tau, 0.0, 1.0, 0.0, 0.0, 0.0)
     sigma0 = sigma_of_chi(cosmo, tau, chi0, cfg)
-    m = cosmo.model
-    a0 = float(m.a(tau))
-    i1 = slice_integral(cosmo, tau, sigma0, 1, 1.5, cfg)
-    i2 = slice_integral(cosmo, tau, sigma0, 2, 2.0, cfg)
-    i3 = slice_integral(cosmo, tau, sigma0, 2, 1.0, cfg)
-    v_f = 0.5 * float(m.a_dot(tau)) * (i1 + a0 * i2 - a0 / sigma0 * i3)
+    st = store(cosmo, tau, cfg)
+    a0 = st.a0
+    i1 = st.integral({_RHO: 1.0}, sigma0, radial=True)
+    rest = st.integral({_I2: a0, _LAPSE: -a0 / sigma0}, sigma0)
+    v_f = 0.5 * float(cosmo.model.a_dot(tau)) * (i1 + rest)
     return VelocityReport(tau, chi0, sigma0, 0.5 * a0 * i1, v_f, v_h)
 
 
@@ -149,19 +148,11 @@ def proper_radius(cosmo: Cosmology, tau: float,
 
     (a(tau)/2) * integral_1^sigma_infinity b'(a/sqrt(s)) / (s^(3/2)
     sqrt(s-1)) ds; finite sigma_infinity is clipped just inside the slice.
-    Always at most the Hubble radius 1/H(tau).  The last few slices'
-    radii are memoised per (cosmo, tau, cfg), so the rows of one slice
-    integrate its full sigma range once.
+    Always at most the Hubble radius 1/H(tau).  It is the total of the
+    slice store's radial track, so the rows of one slice integrate its
+    full sigma range once.
     """
-    return _proper_radius(cosmo, _check_time(tau), cfg or DEFAULT_CONFIG)
-
-
-@functools.lru_cache(maxsize=16)
-def _proper_radius(cosmo: Cosmology, tau: float,
-                   cfg: NumericsConfig) -> float:
-    a0 = float(cosmo.model.a(tau))
-    return 0.5 * a0 * slice_integral(cosmo, tau, slice_end(cosmo, tau), 1,
-                                     1.5, cfg)
+    return store(cosmo, _check_time(tau), cfg).radius()
 
 
 def proper_radius_power_law(alpha: float, tau: float) -> float:

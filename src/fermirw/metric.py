@@ -85,6 +85,13 @@ def _ang(cosmo: Cosmology, tau: float, sigma: float,
     return a0 * a0 * s_k(cosmo.k, chi) ** 2 / sigma
 
 
+def _polar_at(cosmo: Cosmology, tau: float, sigma: float,
+              cfg: NumericsConfig) -> PolarMetric:
+    """metric_polar at the stretch sigma of the event."""
+    return PolarMetric(_g_tau_tau_at(cosmo, tau, sigma, cfg), 1.0,
+                       _ang(cosmo, tau, sigma, cfg))
+
+
 def metric_polar(cosmo: Cosmology, tau: float, rho: float,
                  cfg: NumericsConfig | None = None) -> PolarMetric:
     """All polar metric components at (tau, rho).
@@ -93,15 +100,29 @@ def metric_polar(cosmo: Cosmology, tau: float, rho: float,
     the 2-sphere through the event.
     """
     cfg = cfg or DEFAULT_CONFIG
-    sigma = sigma_of_rho(cosmo, tau, rho, cfg)
-    return PolarMetric(_g_tau_tau_at(cosmo, tau, sigma, cfg), 1.0,
-                       _ang(cosmo, tau, sigma, cfg))
+    return _polar_at(cosmo, tau, sigma_of_rho(cosmo, tau, rho, cfg), cfg)
 
 
-def _lambda_direct(cosmo: Cosmology, tau: float, rho: float,
-                   cfg: NumericsConfig) -> float:
-    ang = _ang(cosmo, tau, sigma_of_rho(cosmo, tau, rho, cfg), cfg)
-    return (ang - rho * rho) / rho ** 4
+def _lambda_at(cosmo: Cosmology, tau: float, rho: float, sigma: float,
+               cfg: NumericsConfig) -> float:
+    """The direct form (ang/rho^2 - 1)/rho^2 at the event's stretch sigma,
+    which never forms rho^4: that underflows for tau below about 1e-77."""
+    r2 = rho * rho
+    lam = (_ang(cosmo, tau, sigma, cfg) / r2 - 1.0) / r2 if r2 else math.inf
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda_k is out of range at tau={tau:g}")
+    return lam
+
+
+def _lambda_near_zero(cosmo: Cosmology, tau: float,
+                      cfg: NumericsConfig) -> float:
+    """Richardson extrapolation of the direct form to rho = 0 from
+    rho_eps = _LAMBDA_RHO_FRACTION * tau and 2 rho_eps."""
+    lam1, lam2 = (_lambda_at(cosmo, tau, r, sigma_of_rho(cosmo, tau, r, cfg),
+                             cfg)
+                  for r in (_LAMBDA_RHO_FRACTION * tau,
+                            2.0 * _LAMBDA_RHO_FRACTION * tau))
+    return (4.0 * lam1 - lam2) / 3.0
 
 
 def lambda_k(cosmo: Cosmology, tau: float, rho: float,
@@ -116,12 +137,10 @@ def lambda_k(cosmo: Cosmology, tau: float, rho: float,
     tau = _check_time(tau)
     if not (math.isfinite(rho) and rho >= 0.0):
         raise DomainError(f"rho must be nonnegative and finite, got {rho}")
-    rho_eps = _LAMBDA_RHO_FRACTION * tau
-    if rho > rho_eps:
-        return _lambda_direct(cosmo, tau, rho, cfg)
-    lam1 = _lambda_direct(cosmo, tau, rho_eps, cfg)
-    lam2 = _lambda_direct(cosmo, tau, 2.0 * rho_eps, cfg)
-    return (4.0 * lam1 - lam2) / 3.0
+    if rho > _LAMBDA_RHO_FRACTION * tau:
+        return _lambda_at(cosmo, tau, rho, sigma_of_rho(cosmo, tau, rho, cfg),
+                          cfg)
+    return _lambda_near_zero(cosmo, tau, cfg)
 
 
 def metric_cartesian(cosmo: Cosmology, tau: float, x: float, y: float,
@@ -132,14 +151,18 @@ def metric_cartesian(cosmo: Cosmology, tau: float, x: float, y: float,
     g_00 = g_tau_tau, g_0i = 0, and
     g_ij = delta_ij + lambda (rho^2 delta_ij - x_i x_j), so the spatial
     block is delta_ij along the radial direction and (ang/rho^2) delta_ij
-    transversally.
+    transversally.  One sigma_of_rho serves the lapse and lambda, except
+    where lambda takes its Richardson form near the origin.
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = np.array([x, y, z], dtype=float)
     rho = float(np.sqrt(xs @ xs))
+    sigma = sigma_of_rho(cosmo, tau, rho, cfg)
     g = np.diag([-1.0, 1.0, 1.0, 1.0])
-    g[0, 0] = g_tau_tau(cosmo, tau, rho, cfg)
+    g[0, 0] = _g_tau_tau_at(cosmo, tau, sigma, cfg)
     if rho > 0.0:
-        lam = lambda_k(cosmo, tau, rho, cfg)
+        lam = (_lambda_at(cosmo, tau, rho, sigma, cfg)
+               if rho > _LAMBDA_RHO_FRACTION * tau
+               else _lambda_near_zero(cosmo, tau, cfg))
         g[1:, 1:] += lam * (rho * rho * np.eye(3) - np.outer(xs, xs))
     return g

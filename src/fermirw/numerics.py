@@ -9,9 +9,9 @@ adaptive Gauss-Kronrod (G7, K15) kernel.  None of the Kronrod nodes sit on
 an interval endpoint, so transformed integrands are never evaluated at the
 singular points themselves.  A panel whose value is not finite raises
 AccuracyError rather than passing NaN on as converged.  The model slice
-integrals all go through ``geodesics.slice_integral``, which splits every
-range at the knots of tabulated models (``cosmology.sigma_breaks`` finds
-them by bisection on the knot table).
+integrals, in ``geodesics.slice_integral`` and the slice store
+``geodesics.Slice``, split every range at the knots of tabulated models
+(``cosmology.sigma_breaks`` finds them by bisection on the knot table).
 
 The u range (sigma below 2) and the s range (sigma above 2, up to a finite
 sigma_hi or to s = 0) each run one adaptive driver, ``_adaptive``, which
@@ -22,7 +22,10 @@ max(abs_tol, rel_tol |total|, 50 eps resabs).  Only if that test fails
 does it bisect, worst panel of any piece first off a heap, with at most
 cfg.max_iter bisections for the whole range.  A single piece, as on
 analytic models, runs the scalar kernel throughout, which is cheaper for
-one panel.
+one panel.  The same driver integrates several integrands at once for
+the slice store and hands back its accepted panels; ``_panel_root``
+inverts the integral of one panel's node polynomial without calling
+the integrand.
 
 ``gamma_fn`` and ``hyp2f1`` are thin wrappers over ``math.gamma`` and
 ``scipy.special.hyp2f1`` that map their domain failures to DomainError.
@@ -116,6 +119,41 @@ _EPS = np.finfo(float).eps
 _NO_BREAKS = np.empty(0)
 
 
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of a small, well-conditioned matrix by Gauss-Jordan with
+    partial pivoting, in elementwise numpy.  numpy.linalg, like any
+    matrix product, would start BLAS, which on its own grows a process's
+    peak memory by about 0.7 MB."""
+    n = len(m)
+    a = np.hstack((m, np.eye(n)))
+    for c in range(n):
+        column = np.abs(a[:, c]).tolist()
+        p = max(range(c, n), key=column.__getitem__)
+        a[[c, p]] = a[[p, c]]
+        a[c] /= a[c, c]
+        factor = a[:, c].copy()
+        factor[c] = 0.0
+        a -= factor[:, None] * a[c]
+    return a[:, n:]
+
+
+# (k + 1) P_(k+1) = (2k + 1) t P_k - k P_(k-1): the two factors, k = 1..14.
+_RECURRENCE = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, 15)]
+_LEGENDRE = [np.ones(15), _NODES]
+for _r1, _r0 in _RECURRENCE[:-1]:
+    _LEGENDRE.append(_r1 * _NODES * _LEGENDRE[-1] - _r0 * _LEGENDRE[-2])
+# G7/K15 node values of a panel -> Legendre coefficients on [-1, 1] of
+# their degree-14 interpolant (_TO_LEG) and of its integral from -1
+# (_TO_INT), by int P_k = (P_(k+1) - P_(k-1))/(2k + 1), int P_0 = P_1 + P_0.
+_TO_LEG = _inverse(np.array(_LEGENDRE).T)
+_INT = np.zeros((16, 15))
+_INT[0, 0] = _INT[1, 0] = 1.0
+for _k in range(1, 15):
+    _INT[_k + 1, _k] = 1.0 / (2 * _k + 1)
+    _INT[_k - 1, _k] = -1.0 / (2 * _k + 1)
+_TO_INT = (_INT[:, :, None] * _TO_LEG).sum(axis=1)
+
+
 def _panel(f: Callable, a: float, b: float) -> tuple[float, float, float]:
     """One G7/K15 panel on [a, b]: (kronrod value, error estimate, resabs)."""
     half = 0.5 * (b - a)
@@ -137,30 +175,34 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
     """G7/K15 panels on every [a[i], b[i]] from one call of f.
 
     The vector form of _panel: f sees the (pieces x 15) node matrix
-    flattened, and the result is the arrays (kronrod value, error
-    estimate, resabs), one entry per piece.
+    flattened and returns one value per node, or a (components x nodes)
+    array.  The result is the arrays (kronrod value, error estimate,
+    resabs, node values), each with any component axis first and then
+    one entry per piece.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid[:, None] + half[:, None] * _NODES
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    knd = half * (y @ _WK)
-    gss = half * (y @ _WG)
-    resabs = np.abs(half) * (np.abs(y) @ _WK)
+    y = np.asarray(f(x.ravel()), dtype=float)
+    y = y.reshape(y.shape[:-1] + x.shape)
+    # Sums, not matrix products: see _inverse.
+    knd = half * (y * _WK).sum(axis=-1)
+    gss = half * (y * _WG).sum(axis=-1)
+    resabs = np.abs(half) * (np.abs(y) * _WK).sum(axis=-1)
     delta = np.abs(knd - gss)
-    bad = ~np.isfinite(delta)
+    bad = ~np.isfinite(delta.reshape(-1, a.size)).all(axis=0)
     if bad.any():
         i = int(np.argmax(bad))
         raise AccuracyError(
             f"integrand not finite on the panel [{a[i]:.17g}, {b[i]:.17g}]",
-            estimate=float(knd[i]))
+            estimate=float(knd.reshape(-1, a.size)[0, i]))
     with np.errstate(over="ignore"):
         err = np.minimum(delta, (200.0 * delta) ** 1.5)
-    return knd, err, resabs
+    return knd, err, resabs, y
 
 
 def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
-              max_iter: int) -> float:
+              max_iter: int, panels: bool = False):
     """Integral of f from nodes[0] to nodes[-1], split at every node.
 
     QUADPACK's qagp scheme: the first G7/K15 panel of every piece (the
@@ -169,45 +211,114 @@ def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
     bisection of the worst panel of any piece, at most max_iter times in
     all.  The worst panel comes off a heap keyed on (-error, insertion
     count), so ties go to the oldest panel.
+
+    panels=True runs only the batched kernel, f may return a (components
+    x nodes) array, and the result is the per-component totals with the
+    accepted panels in range order: (totals, starts, ends, values, node
+    values), component axis first.  The worst panel is the one with the
+    largest component error, as in scipy's quad_vec(norm="max"); but the
+    range passes only when every component passes the test on its own
+    total, so a small integral is not judged against a large one.
     """
-    if len(nodes) == 2:
+    if len(nodes) == 2 and not panels:
         if nodes[0] == nodes[1]:
             return 0.0
         a, b = float(nodes[0]), float(nodes[1])
         total, total_err, total_resabs = _panel(f, a, b)
-        heap = [(-total_err, 0, a, b, total)]
+        heap = [(-total_err, 0, a, b, total, total_err, None)]
     else:
         nodes = np.asarray(nodes, dtype=float)
-        vals, errs, resabs = _panels(f, nodes[:-1], nodes[1:])
+        vals, errs, resabs, ys = _panels(f, nodes[:-1], nodes[1:])
         # cumsum adds in piece order, as a running total would.
-        total = float(np.cumsum(vals)[-1])
-        total_err, total_resabs = float(errs.sum()), float(resabs.sum())
+        total = np.cumsum(vals, axis=-1)[..., -1]
+        total_err, total_resabs = errs.sum(axis=-1), resabs.sum(axis=-1)
+        if not panels:
+            total, total_err = float(total), float(total_err)
+            total_resabs = float(total_resabs)
         heap = None
     count, splits = len(nodes) - 1, 0
-    while total_err > max(abs_tol, rel_tol * abs(total),
-                          50.0 * _EPS * total_resabs):
+    while (np.any(total_err > np.maximum(np.maximum(
+            abs_tol, rel_tol * np.abs(total)), 50.0 * _EPS * total_resabs))
+           if panels else total_err > max(abs_tol, rel_tol * abs(total),
+                                          50.0 * _EPS * total_resabs)):
         if splits == max_iter:
             raise AccuracyError(
                 f"quadrature did not converge after {max_iter} subdivisions "
-                f"(estimate {total:.17g}, error bound {total_err:.3g})",
-                estimate=total, bound=total_err)
+                f"(estimate {np.max(total):.17g}, error bound "
+                f"{np.max(total_err):.3g})",
+                estimate=float(np.max(total)),
+                bound=float(np.max(total_err)))
         if heap is None:
-            heap = list(zip((-errs).tolist(), range(count),
+            norm = errs.max(axis=0) if panels else errs
+            heap = list(zip((-norm).tolist(), range(count),
                             nodes[:-1].tolist(), nodes[1:].tolist(),
-                            vals.tolist()))
+                            vals.T.tolist() if not panels else list(vals.T),
+                            errs.T.tolist() if not panels else list(errs.T),
+                            list(np.moveaxis(ys, -2, 0))))
             heapq.heapify(heap)
-        nerr, _, wa, wb, wval = heapq.heappop(heap)
+        _, _, wa, wb, wval, werr, _ = heapq.heappop(heap)
         m = 0.5 * (wa + wb)
-        lv, le, lr = _panel(f, wa, m)
-        rv, re, rr = _panel(f, m, wb)
-        heapq.heappush(heap, (-le, count, wa, m, lv))
-        heapq.heappush(heap, (-re, count + 1, m, wb, rv))
+        if panels:
+            v, e, r, y = _panels(f, np.array([wa, m]), np.array([m, wb]))
+            halves = [(v[:, j], e[:, j], r[:, j], y[:, j]) for j in (0, 1)]
+        else:
+            halves = [_panel(f, wa, m) + (None,), _panel(f, m, wb) + (None,)]
+        (lv, le, lr, ly), (rv, re, rr, ry) = halves
+        heapq.heappush(heap, (-(le.max() if panels else le), count, wa, m,
+                              lv, le, ly))
+        heapq.heappush(heap, (-(re.max() if panels else re), count + 1, m,
+                              wb, rv, re, ry))
         count += 2
         splits += 1
-        total += lv + rv - wval
-        total_err += le + re + nerr
-        total_resabs += lr + rr
-    return total
+        total = total + (lv + rv - wval)
+        total_err = total_err + (le + re - werr)
+        total_resabs = total_resabs + (lr + rr)
+    if not panels:
+        return total
+    if heap is None:
+        return total, nodes[:-1], nodes[1:], vals, ys
+    heap.sort(key=lambda p: abs(p[2] - nodes[0]))
+    return (total, np.array([p[2] for p in heap]),
+            np.array([p[3] for p in heap]),
+            np.stack([p[4] for p in heap], axis=-1),
+            np.stack([p[6] for p in heap], axis=-2))
+
+
+def _panel_root(y: np.ndarray, half: float, target: float,
+                max_iter: int) -> float:
+    """t in [-1, 1] with half * integral_-1^t p = target, p the degree-14
+    interpolant of one panel's node values y, with no integrand call.
+
+    Newton's method from the linear guess, bisecting whenever a step
+    would leave the bracket known so far (where p wiggles below zero near
+    an integrable singularity, say); stops at a step of 8 eps.
+    """
+    coef = list(zip((_TO_INT * y).sum(axis=1).tolist(),
+                    (_TO_LEG * y).sum(axis=1).tolist() + [0.0]))
+    lo, hi = -1.0, 1.0
+    t = min(hi, max(lo, 2.0 * target / (half * math.fsum(
+        c for c, _ in coef)) - 1.0))
+    for _ in range(max_iter):
+        # Both Legendre series at once, P_k(t) by the recurrence.
+        p0, p1 = 1.0, t
+        f, slope = coef[0][0] + coef[1][0] * t, coef[0][1] + coef[1][1] * t
+        for (c_f, c_s), (r1, r0) in zip(coef[2:], _RECURRENCE):
+            p0, p1 = p1, r1 * t * p1 - r0 * p0
+            f += c_f * p1
+            slope += c_s * p1
+        f = half * f - target
+        if f == 0.0:
+            return t
+        lo, hi = (t, hi) if f < 0.0 else (lo, t)
+        x = t - f / (half * slope) if half * slope > 0.0 else lo
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        if abs(x - t) <= 8.0 * _EPS:
+            return x
+        t = x
+    raise AccuracyError(
+        f"panel root iteration cap {max_iter} reached near t={t:.17g}",
+        estimate=t)
 
 
 def _clean_breaks(breaks, lo: float, hi: float) -> np.ndarray:

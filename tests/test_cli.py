@@ -138,6 +138,20 @@ def test_sweep_metric_de_sitter(capsys):
         assert float(row["g_rho_rho"]) == 1.0
 
 
+def test_sweep_metric_rows_are_metric_polar(capsys):
+    # The sweep reuses its row's sigma; the fields must still be exactly
+    # what metric_polar, which inverts sigma(rho) itself, returns.
+    code, out, _ = run_cli(capsys, "sweep", "metric", "--model", "matter",
+                           "--tau", "1.3", "--start", "0", "--stop", "1.2",
+                           "--samples", "5")
+    assert code == 0
+    cosmo = fermirw.Cosmology(fermirw.make_power_law(2.0 / 3.0), k=0)
+    for row in parse_csv(out):
+        pm = fermirw.metric_polar(cosmo, 1.3, float(row["rho"]))
+        assert (row["g_tau_tau"], row["ang"]) == (
+            f"{pm.g_tau_tau:.17g}", f"{pm.ang:.17g}")
+
+
 def test_sweep_out_of_range_rows_continue(capsys):
     code, out, _ = run_cli(capsys, "sweep", "metric", "--model", "milne",
                            "--tau", "1", "--start", "0", "--stop", "1.5",

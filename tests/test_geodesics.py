@@ -303,19 +303,25 @@ def test_table_slice_integral_batches_model_calls():
     assert 0 < calls[0] <= 4
 
 
-def test_table_slice_integral_builds_no_heap(monkeypatch):
-    # Every range passes the global test on its batched first pass, so
-    # the scalar kernel, used only for one-piece ranges and bisection,
-    # never runs.
-    calls = [0]
-    panel = numerics._panel
+def test_table_store_builds_no_heap(monkeypatch):
+    # Every piece of a table store passes on its batched first pass: one
+    # batched call per piece and no bisection, and the read ends in one
+    # scalar polish panel.
+    calls = {"_panel": 0, "_panels": 0}
+    for name in calls:
+        kernel = getattr(numerics, name)
 
-    def counting(*args):
-        calls[0] += 1
-        return panel(*args)
-    monkeypatch.setattr(numerics, "_panel", counting)
-    rho_of_sigma(TABLE, 1.0, 16.0, TABLE_CFG)
-    assert calls[0] == 0
+        def counting(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(numerics, name, counting)
+    # A new b_dot callable makes a new cache key, so the store is cold.
+    b_dot = TABLE.model.b_dot
+    cosmo = Cosmology(replace(TABLE.model, b_dot=lambda x: b_dot(x)), k=0)
+    rho_of_sigma(cosmo, 1.0, 16.0, TABLE_CFG)
+    built = len(geodesics.store(cosmo, 1.0, TABLE_CFG).pieces)
+    assert built == 3        # u in [0, 1] and two dyadic s pieces
+    assert calls == {"_panel": 1, "_panels": built}
 
 
 def _piece_by_piece(adaptive):
