@@ -30,10 +30,6 @@ __all__ = [
     "comoving_flow_fermi",
 ]
 
-# Relative rounding allowed for the slice radius at the chart edge.
-_RADIUS_ROUNDING = 1e-15
-
-
 @dataclass(frozen=True)
 class RWEvent:
     """Event in expanding Robertson-Walker coordinates."""
@@ -75,8 +71,8 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
 
     geodesics.Slice.invert solves it by Newton's method on the slice
     store's panel polynomials and one polish integral.  rho at or beyond
-    the slice radius (proper_radius), up to its rounding, raises
-    OutOfChartError carrying that radius.
+    the slice radius (proper_radius) raises OutOfChartError carrying that
+    radius.
     """
     cfg = cfg or DEFAULT_CONFIG
     tau = _check_time(tau)
@@ -85,9 +81,7 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
     if rho == 0.0:
         return 1.0
     rho_max = proper_radius(cosmo, tau, cfg)
-    # rho_M is a sum over many stored panels and carries a few ulps of
-    # their rounding: within _RADIUS_ROUNDING of it, rho is on the edge.
-    if rho >= rho_max * (1.0 - _RADIUS_ROUNDING):
+    if rho >= rho_max:
         raise OutOfChartError(
             f"rho={rho:g} is not inside the tau={tau:g} slice; "
             f"the slice proper radius is rho_M={rho_max:.12g}",

@@ -9,17 +9,18 @@ integral of b'(a(tau)/sqrt(s)) or b''(a(tau)/sqrt(s)) against
 s^(-n) (s-1)^(-1/2) over the same range.
 
 One store per slice, Slice, keeps the accepted G7/K15 panels of those
-integrals, built piece by piece (u = sqrt(sigma - 1) in [0, 1], then
-dyadic pieces s in [s/2, s] of s = 1/sqrt(sigma), then a last piece to
-the slice end) as queries reach them; the last few (cosmo, tau, cfg)
-stores are cached.  A value is a prefix sum over whole panels plus one
-polish integral over the last partial panel, and the inverse maps
-sigma(rho) and sigma(chi) run Newton's method on the stored panel
-polynomials before one polish, so every value depends on its arguments
-alone, not on the queries before it.  slice_integral integrates directly
+integrals, built piece by piece (u = sqrt(sigma - 1) up to sigma = 2,
+then dyadic pieces s in [s/2, s] of s = 1/sqrt(sigma), then for rho a
+last piece to the slice end) as queries reach them; the store of the
+last (cosmo, tau, cfg) slice asked for is kept.  A value is a prefix
+sum over whole panels plus one polish integral over the last partial
+panel, and the inverse maps sigma(rho) and sigma(chi) run Newton's
+method on the stored panel polynomials before one polish, so every
+value depends on its arguments alone, not on the queries before it.
+slice_integral integrates directly with the same substituted integrands
 and serves fermi_from_rw's search over slices, which would otherwise
-build a store per iterate.  An independent route integrates the geodesic
-equation in rho directly and is used as a cross-check.
+build a store per iterate.  An independent route integrates the
+geodesic equation in rho directly and is used as a cross-check.
 """
 
 from __future__ import annotations
@@ -30,13 +31,15 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import numerics
 from .cosmology import Cosmology, hubble, sigma_breaks, sigma_infinity
 from .errors import AccuracyError, DomainError
-from .numerics import (DEFAULT_CONFIG, NumericsConfig, _adaptive,
-                       _clean_breaks, _panel_root, integrate_sigma)
+from .numerics import (DEFAULT_CONFIG, NumericsConfig, _clean_breaks,
+                       _panel_root, _s_nodes, _u_nodes)
 
 __all__ = [
     "GeodesicPoint",
@@ -57,13 +60,23 @@ _SIGMA_NEAR_ONE = 1e-10
 # Fraction of sigma_infinity treated as the usable end of a finite slice.
 _SLICE_MARGIN = 1e-12
 
+# The seam at sigma = 2 between u = sqrt(sigma - 1) and s = 1/sqrt(sigma):
+# s = 2^(-1/2) as rounded and the u that maps onto it in floating point.
+# With u = 1 the two ranges would overlap by about 5e-17 in s, and the
+# slice radius would come out about one ulp high.
+_S_SEAM = 2.0 ** -0.5
+_U_SEAM = math.sqrt(_S_SEAM ** -2.0 - 1.0)
+
 # Doublings allowed while a search has no upper bracket end: of u in an
-# inversion (one dyadic store piece each), of tau in fermi_from_rw.
+# inversion on an unbounded slice (one dyadic store piece each), of tau
+# in fermi_from_rw.
 _GROWTH_CAP = 60
 
-# Slice stores kept by store(); one on an 800-knot table holds about
-# 110 kB, so more of them would show in a sweep's peak memory.
-_CACHED_SLICES = 4
+# Slice stores kept by store().  On all three benchmark workloads every
+# lookup is of the last slice used or of a new one, and 1, 2 and 4 ran
+# at the same rows/s; a table store holds about 110 kB, and 4 of them
+# raised sweep-tabulated's peak RSS from 84.55 to 84.92 MB.
+_CACHED_SLICES = 1
 
 # Dyadic s pieces the radial store track shares with the main one before
 # its last piece; they reach sigma = 32.
@@ -110,6 +123,33 @@ def t_of_sigma(cosmo: Cosmology, tau: float, sigma: float) -> float:
     return float(m.b(float(m.a(tau)) / math.sqrt(sigma)))
 
 
+def _integrand(model, a0: float, comps, is_u: bool, weights=None):
+    """The integrands of slice_integral for the (order, power) comps after
+    the substitution sigma = 1 + x^2 (is_u) or sigma = x^-2, one row
+    each, or their sum with the given weights as one row.  The s form
+    carries the sign of integration toward larger sigma, that is toward
+    smaller s."""
+    derivs = {o: (model.b_dot, model.b_ddot)[o - 1] for o, _ in comps}
+
+    def f(x):
+        if is_u:
+            s = 1.0 + x * x
+            arg = a0 / np.sqrt(s)
+            d = {o: 2.0 * deriv(arg) for o, deriv in derivs.items()}
+            rows = [d[o] * s ** -p for o, p in comps]
+        else:
+            arg, lead = a0 * x, -2.0 / np.sqrt(1.0 - x * x)
+            d = {o: lead * deriv(arg) for o, deriv in derivs.items()}
+            rows = [d[o] * x ** (2.0 * p - 2.0) for o, p in comps]
+        if weights is None:
+            return np.array(rows)
+        total = weights[0] * rows[0]
+        for w, row in zip(weights[1:], rows[1:]):
+            total += w * row
+        return total
+    return f
+
+
 def slice_integral(cosmo: Cosmology, tau: float, sigma: float, order: int,
                    power: float, cfg: NumericsConfig | None = None,
                    a0: float | None = None) -> float:
@@ -117,22 +157,30 @@ def slice_integral(cosmo: Cosmology, tau: float, sigma: float, order: int,
     [1, sigma], integrated directly, without the slice store.
 
     a0 = a(tau), taken from the model unless given; order is 1 (b') or
-    2 (b''), and sigma may be inf.  The range is split at the table knots
-    of interpolated models; within 1e-10 of sigma = 1 the leading-order
-    value 2 b^(order)(a0) sqrt(sigma-1) is returned instead.
+    2 (b''), and sigma may be inf where the integral converges.  The
+    range is a u range up to the seam at sigma = 2 and an s range beyond
+    it, the substitutions of the store's pieces, each split at the table
+    knots of interpolated models.  Within 1e-10 of sigma = 1 the
+    leading-order value 2 b^(order)(a0) sqrt(sigma-1) is returned instead.
     """
     cfg = cfg or DEFAULT_CONFIG
     m = cosmo.model
-    deriv = m.b_dot if order == 1 else m.b_ddot
     a0 = float(m.a(tau)) if a0 is None else a0
     if sigma - 1.0 <= _SIGMA_NEAR_ONE:
+        deriv = m.b_dot if order == 1 else m.b_ddot
         return 2.0 * float(deriv(a0)) * math.sqrt(max(sigma - 1.0, 0.0))
-
-    def f(s):
-        return deriv(a0 / np.sqrt(s)) / (s ** power * np.sqrt(s - 1.0))
-
-    return integrate_sigma(f, 1.0, sigma, cfg,
-                           breaks=sigma_breaks(cosmo, tau, sigma, a0))
+    knots = _clean_breaks(sigma_breaks(cosmo, tau, sigma, a0), 1.0, sigma)
+    comp, seam = ((order, power),), _S_SEAM ** -2.0
+    tol = (0.5 * cfg.quad_rel_tol, 0.5 * cfg.quad_abs_tol, cfg.max_iter)
+    # The numerics module's driver, looked up per call, so that a test
+    # can swap it for a reference.
+    total = numerics._adaptive(_integrand(m, a0, comp, True, (1.0,)),
+                               _u_nodes(1.0, knots, min(sigma, seam)), *tol)
+    if sigma > seam:
+        # From s at the seam (1/sqrt(seam) rounds to _S_SEAM) down.
+        total += numerics._adaptive(_integrand(m, a0, comp, False, (1.0,)),
+                                    _s_nodes(sigma, knots, seam)[::-1], *tol)
+    return total
 
 
 def slice_end(cosmo: Cosmology, tau: float) -> float:
@@ -158,39 +206,55 @@ def _map_slope(cosmo: Cosmology, a0: float, u: float, power: float,
     return 2.0 * scale * bd * s ** -power
 
 
+def _block(k: int) -> range:
+    """The store pieces built together with piece k: pieces 1 to 4 one
+    by one, then pieces 2^j + 1 to 2^(j+1).  Fixed blocks keep the panels
+    a function of the slice alone; doubling ones let a walk deep into a
+    finite slice (about 1.44 h0 tau pieces on de Sitter) make one
+    integrand call per block, and build at most about twice the pieces
+    it needs."""
+    if k <= 4:
+        return range(k, k + 1)
+    j = (k - 1).bit_length()
+    return range(2 ** (j - 1) + 1, 2 ** j + 1)
+
+
+class _Piece(NamedTuple):
+    """One built store piece: its (order, power) comps, their panel
+    values (comps x panels), the node values of its order-1 comps by
+    comp, and per panel its start and end in u or s and sigma at its
+    end; last when it ends its track."""
+
+    comps: tuple
+    vals: np.ndarray
+    ys: dict
+    a: np.ndarray
+    b: np.ndarray
+    sig: np.ndarray
+    last: bool
+
+
 class _Track:
-    """The pieces of one store track so far, and their panels end to end:
-    start, end and sigma at the end of every panel, and per component the
-    running totals, summed in extended precision panel by panel from the
-    start, whenever each piece was added.  A component that some piece
-    lacks is dropped."""
+    """The pieces of one store track so far, sigma at the end of each,
+    and per piece and comp the running totals at the piece's start and
+    at the end of each of its panels, summed in extended precision from
+    the start of the track."""
 
     def __init__(self):
-        self.pieces, self.starts, self.done = [], [], False
-        self.a = self.b = self.sig = np.empty(0)
-        self.cum, self.carry = {}, {}
+        self.pieces, self.ends, self.cums, self.carry = [], [], [], {}
 
-    def add(self, piece) -> None:
-        vals, _, a, b, sig, self.done = piece
-        self.starts.append(self.a.size)
+    @property
+    def done(self) -> bool:
+        return bool(self.pieces) and self.pieces[-1].last
+
+    def add(self, piece: _Piece) -> None:
+        run = np.cumsum(np.column_stack((
+            [self.carry.get(c, 0.0) for c in piece.comps], piece.vals)),
+            axis=1, dtype=np.longdouble)
+        self.carry.update(zip(piece.comps, run[:, -1]))
         self.pieces.append(piece)
-        self.a, self.b, self.sig = (np.concatenate(pair) for pair in (
-            (self.a, a), (self.b, b), (self.sig, sig)))
-        for c in list(self.cum if len(self.pieces) > 1 else vals):
-            if c not in vals:
-                del self.cum[c], self.carry[c]
-                continue
-            run = np.cumsum(np.concatenate(([self.carry.get(c, 0.0)],
-                                            vals[c])), dtype=np.longdouble)
-            self.carry[c] = run[-1]
-            self.cum[c] = np.concatenate((self.cum.get(c, ()),
-                                          run[1:].astype(float)))
-
-    def panel(self, j: int, c=None):
-        """(start, end, u flag, node values of component c) of panel j."""
-        k = bisect.bisect_right(self.starts, j) - 1
-        return (float(self.a[j]), float(self.b[j]), k == 0,
-                c and self.pieces[k][1][c][j - self.starts[k]])
+        self.ends.append(float(piece.sig[-1]))
+        self.cums.append(dict(zip(piece.comps, run.astype(float))))
 
 
 class Slice:
@@ -198,14 +262,18 @@ class Slice:
 
     The main track holds pieces u in [0, 1], then dyadic pieces s in
     [s/2, s] from s = 1/sqrt(2) down to the slice end (without end on an
-    unbounded slice), each built on first use and integrating chi, rho,
-    the lapse integral and i2 at once.  The radial track, for rho alone,
-    shares the first 1 + _SHARED_PIECES of them and ends with one piece
-    to the slice end, s = 0 on an unbounded slice, where the rho integral
-    converges.  Each piece is split at the table knots and refined on its
-    own by numerics._adaptive, so the panels depend on (cosmo, tau, cfg)
-    alone.  Panels run in sigma order: s panels from high s to low, with
-    the sign of the integrand flipped to match.
+    unbounded slice), built on first use in the blocks of _block and
+    integrating chi, rho, the lapse integral and i2 at once.  The radial
+    track, for rho alone, shares the first 1 + _SHARED_PIECES of them and
+    ends with one piece to the slice end, s = 0 on an unbounded slice,
+    where the rho integral converges.  The main track cannot end that
+    way: chi, the lapse integral and i2 may grow by orders of magnitude
+    toward the end of a finite slice, and a piece bounds its error only
+    relative to its own total, so a read inside one long last piece
+    could miss by all of its value.  Each piece is split at the table
+    knots and refined on its own by numerics._adaptive_panels, so the
+    panels depend on (cosmo, tau, cfg) alone.  Panels run in sigma order:
+    s panels from high s to low.
     """
 
     def __init__(self, cosmo: Cosmology, tau: float, cfg: NumericsConfig):
@@ -215,75 +283,66 @@ class Slice:
         self.knots = sigma_breaks(cosmo, tau, self.end, self.a0)
         self.tol = (0.5 * cfg.quad_rel_tol, 0.5 * cfg.quad_abs_tol,
                     cfg.max_iter)
-        self.pieces: dict = {}    # (k, last radial piece) -> panels
+        self.pieces: dict = {}    # (k, last radial piece) -> _Piece
         self.tracks = {False: _Track(), True: _Track()}   # by radial
 
-    def integrand(self, comps, is_u: bool, weights=None):
-        """Transformed integrands of the (order, power) comps in u or s,
-        one row each, or their sum with the given weights as one row."""
-        m = self.cosmo.model
-        derivs = {o: (m.b_dot, m.b_ddot)[o - 1] for o, _ in comps}
-        a0, n = self.a0, np.array([p for _, p in comps])[:, None]
-        w = None if weights is None else np.array(weights)
-
-        def f(x):
-            if is_u:
-                s = 1.0 + x * x
-                arg, scale = a0 / np.sqrt(s), 2.0 * s ** -n
-            else:
-                arg = a0 * x
-                scale = -2.0 * x ** (2.0 * n - 2.0) / np.sqrt(1.0 - x * x)
-            d = {o: deriv(arg) for o, deriv in derivs.items()}
-            rows = np.array([d[o] for o, _ in comps]) * scale
-            return rows if w is None else (w[:, None] * rows).sum(axis=0)
-        return f
-
-    def _piece(self, k: int, radial: bool):
-        """Piece k of a track, built on first use: ({comp: values},
-        {comp: node values, chi and rho only}, starts, ends, sigma ends,
-        whether the piece ends the track)."""
-        s_end = 1.0 / math.sqrt(self.end)
+    def _piece(self, k: int, radial: bool) -> _Piece:
+        """Piece k of a track, built on first use with the rest of its
+        block (_block) in one numerics._adaptive_panels call."""
         tail = radial and k > _SHARED_PIECES
-        if k == 0:
-            lo, hi = 0.0, min(1.0, math.sqrt(self.end - 1.0))
-            last, ends = self.end <= 2.0, (1.0, 1.0 + hi * hi)
-        else:
-            lo = 2.0 ** (0.5 - k)
-            hi = s_end if tail else max(0.5 * lo, s_end)
-            last, ends = hi == s_end, (lo ** -2.0, 1.0 / (hi * hi) if hi
-                                        else math.inf)
         if (k, tail) not in self.pieces:
+            s_end = 1.0 / math.sqrt(self.end)
+            ks = [k] if tail else [i for i in _block(k) if i == k
+                                   or _S_SEAM * 2.0 ** (1 - i) > s_end]
             comps = (_RHO,) if tail else (_CHI, _RHO, _LAPSE, _I2)
-            knots = _clean_breaks(self.knots, *ends)
-            x = np.sqrt(knots - 1.0) if k == 0 else 1.0 / np.sqrt(knots)
-            if not x.size:
-                # Without knots, start from two panels, or on the way to
-                # s = 0 from panels halving toward it: what bisection
-                # makes of the first panel on analytic models anyway.
-                x = lo * 0.5 ** np.arange(1, 8) if hi == 0.0 else \
-                    np.array([0.5 * (lo + hi)])
-            _, a, b, vals, ys = _adaptive(
-                self.integrand(comps, k == 0), np.concatenate(([lo], x, [hi])),
-                *self.tol, panels=True)
-            with np.errstate(divide="ignore"):
-                sig = 1.0 + b * b if k == 0 else 1.0 / (b * b)
-            self.pieces[(k, tail)] = (
-                dict(zip(comps, vals)),
-                {c: y.copy() for c, y in zip(comps, ys) if c[0] == 1},
-                a, b, sig, last)
+            starts = [self._nodes(i, tail) for i in ks]
+            built = numerics._adaptive_panels(
+                _integrand(self.cosmo.model, self.a0, comps, k == 0),
+                [nodes for nodes, _ in starts], *self.tol)
+            for i, (_, last), (a, b, vals, ys) in zip(ks, starts, built):
+                with np.errstate(divide="ignore"):
+                    sig = 1.0 + b * b if i == 0 else 1.0 / (b * b)
+                self.pieces[(i, tail)] = _Piece(
+                    comps, vals,
+                    {c: y.copy() for c, y in zip(comps, ys) if c[0] == 1},
+                    a, b, sig, last)
         return self.pieces[(k, tail)]
+
+    def _nodes(self, k: int, tail: bool):
+        """The starting nodes of piece k in u or s, its ends and the
+        table knots between them, and whether it ends its track."""
+        s_end = 1.0 / math.sqrt(self.end)
+        if k == 0:
+            top = math.sqrt(self.end - 1.0)
+            lo, hi = 0.0, min(_U_SEAM, top)
+            last, ends = top <= _U_SEAM, (1.0, 1.0 + hi * hi)
+        else:
+            lo = _S_SEAM * 2.0 ** (1 - k)
+            hi = s_end if tail else max(0.5 * lo, s_end)
+            last, ends = hi == s_end, (1.0 / (lo * lo), 1.0 / (hi * hi)
+                                       if hi else math.inf)
+        knots = _clean_breaks(self.knots, *ends)
+        x = np.sqrt(knots - 1.0) if k == 0 else 1.0 / np.sqrt(knots)
+        if not x.size:
+            # Without knots, start from two panels, or on the way to s = 0
+            # from panels halving toward it: what bisection makes of the
+            # first panel on analytic models anyway.
+            x = lo * 0.5 ** np.arange(1, 8) if hi == 0.0 else \
+                np.array([0.5 * (lo + hi)])
+        return np.concatenate(([lo], x, [hi])), last
 
     def track(self, radial: bool, sigma: float) -> _Track:
         """The main or radial track, grown until it reaches sigma or
         ends."""
         tr = self.tracks[radial]
-        while not tr.done and (not tr.pieces or tr.sig[-1] < sigma):
+        while not tr.done and (not tr.pieces or tr.ends[-1] < sigma):
             tr.add(self._piece(len(tr.pieces), radial))
         return tr
 
     def radius(self) -> float:
         """Proper radius rho_M: the whole radial track."""
-        return 0.5 * self.a0 * float(self.track(True, math.inf).cum[_RHO][-1])
+        return 0.5 * self.a0 * float(
+            self.track(True, math.inf).cums[-1][_RHO][-1])
 
     def integral(self, weights: dict, sigma: float,
                  radial: bool = False) -> float:
@@ -293,13 +352,15 @@ class Slice:
         if sigma == 1.0:
             return 0.0
         tr = self.track(radial, sigma)
-        j = min(int(np.searchsorted(tr.sig, sigma)), tr.sig.size - 1)
-        lo, _, is_u, _ = tr.panel(j)
-        x = math.sqrt(sigma - 1.0) if is_u else 1.0 / math.sqrt(sigma)
-        f = self.integrand(tuple(weights), is_u, tuple(weights.values()))
-        return _adaptive(f, [lo, x], *self.tol) + (math.fsum(
-            w * float(tr.cum[c][j - 1]) for c, w in weights.items()) if j
-            else 0.0)
+        k = min(bisect.bisect_left(tr.ends, sigma), len(tr.ends) - 1)
+        sig = tr.pieces[k].sig
+        j = min(int(np.searchsorted(sig, sigma)), sig.size - 1)
+        x = math.sqrt(sigma - 1.0) if k == 0 else 1.0 / math.sqrt(sigma)
+        f = _integrand(self.cosmo.model, self.a0, tuple(weights), k == 0,
+                       tuple(weights.values()))
+        return numerics._adaptive(
+            f, [float(tr.pieces[k].a[j]), x], *self.tol) + math.fsum(
+                w * float(tr.cums[k][c][j]) for c, w in weights.items())
 
     def invert(self, comp: tuple, target: float, scale: float,
                radial: bool = False) -> float:
@@ -321,18 +382,17 @@ class Slice:
         """
         tr = self.track(radial, 1.0)
         saturates = math.isinf(self.end) and not radial
-        f, prev_inc, stalls, count = 0.0, None, 0, 0
+        f, prev_inc, stalls = 0.0, None, 0
         for k in itertools.count():
             if k == len(tr.pieces):
                 if tr.done:
                     raise self._beyond(target, f"it ends at {f:g}")
-                if k > _GROWTH_CAP:
+                if saturates and k > _GROWTH_CAP:
                     raise AccuracyError(
                         f"sigma bracket growth cap {_GROWTH_CAP} reached for "
-                        f"target {target:g}", estimate=float(tr.sig[-1]))
+                        f"target {target:g}", estimate=tr.ends[-1])
                 tr.add(self._piece(k, radial))
-            count += tr.pieces[k][2].size
-            fx = scale * float(tr.cum[comp][count - 1])
+            fx = scale * float(tr.cums[k][comp][-1])
             if fx >= target:
                 break
             if saturates and k > 1:
@@ -355,14 +415,15 @@ class Slice:
                                 target, f"it saturates near {limit:g}")
                 prev_inc = inc
             f = fx
-        r = target / scale
-        j = int(np.searchsorted(tr.cum[comp], r))
-        rem = r - float(tr.cum[comp][j - 1]) if j else r
-        lo, hi, is_u, ys = tr.panel(j, comp)
+        piece, cum, r = tr.pieces[k], tr.cums[k][comp], target / scale
+        j = min(max(int(np.searchsorted(cum, r)) - 1, 0), cum.size - 2)
+        lo, hi, is_u = float(piece.a[j]), float(piece.b[j]), k == 0
+        rem = r - float(cum[j])
         x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _panel_root(
-            ys, 0.5 * (hi - lo), rem, self.cfg.max_iter)
-        polish = _adaptive(self.integrand((comp,), is_u, (1.0,)), [lo, x],
-                           *self.tol)
+            piece.ys[comp][j], 0.5 * (hi - lo), rem, self.cfg.max_iter)
+        polish = numerics._adaptive(
+            _integrand(self.cosmo.model, self.a0, (comp,), is_u, (1.0,)),
+            [lo, x], *self.tol)
         if not (is_u or x > 0.0):
             raise AccuracyError(f"{target:g} is within rounding of the end "
                                 f"of the tau={self.tau:g} slice")
@@ -384,7 +445,7 @@ def _cached_store(cosmo: Cosmology, tau: float, cfg: NumericsConfig) -> Slice:
 def store(cosmo: Cosmology, tau: float,
           cfg: NumericsConfig | None = None) -> Slice:
     """The Slice of (cosmo, tau, cfg), from a cache of the last
-    _CACHED_SLICES."""
+    _CACHED_SLICES slices asked for."""
     return _cached_store(cosmo, tau, cfg or DEFAULT_CONFIG)
 
 

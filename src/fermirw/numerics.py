@@ -10,8 +10,10 @@ an interval endpoint, so transformed integrands are never evaluated at the
 singular points themselves.  A panel whose value is not finite raises
 AccuracyError rather than passing NaN on as converged.  The model slice
 integrals, in ``geodesics.slice_integral`` and the slice store
-``geodesics.Slice``, split every range at the knots of tabulated models
-(``cosmology.sigma_breaks`` finds them by bisection on the knot table).
+``geodesics.Slice``, make the same two substitutions in their integrands
+themselves, with the seam between them at sigma = 2, and split every
+range at the knots of tabulated models (``cosmology.sigma_breaks`` finds
+them by bisection on the knot table).
 
 The u range (sigma below 2) and the s range (sigma above 2, up to a finite
 sigma_hi or to s = 0) each run one adaptive driver, ``_adaptive``, which
@@ -22,10 +24,11 @@ max(abs_tol, rel_tol |total|, 50 eps resabs).  Only if that test fails
 does it bisect, worst panel of any piece first off a heap, with at most
 cfg.max_iter bisections for the whole range.  A single piece, as on
 analytic models, runs the scalar kernel throughout, which is cheaper for
-one panel.  The same driver integrates several integrands at once for
-the slice store and hands back its accepted panels; ``_panel_root``
-inverts the integral of one panel's node polynomial without calling
-the integrand.
+one panel.  ``_adaptive_panels`` runs the same scheme for the slice
+store on several integrands at once, over several ranges each accepted
+on its own, and hands back the accepted panels; ``_panel_root`` inverts
+the integral of one panel's node polynomial without calling the
+integrand.
 
 ``gamma_fn`` and ``hyp2f1`` are thin wrappers over ``math.gamma`` and
 ``scipy.special.hyp2f1`` that map their domain failures to DomainError.
@@ -202,7 +205,7 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
 
 
 def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
-              max_iter: int, panels: bool = False):
+              max_iter: int) -> float:
     """Integral of f from nodes[0] to nodes[-1], split at every node.
 
     QUADPACK's qagp scheme: the first G7/K15 panel of every piece (the
@@ -211,77 +214,109 @@ def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
     bisection of the worst panel of any piece, at most max_iter times in
     all.  The worst panel comes off a heap keyed on (-error, insertion
     count), so ties go to the oldest panel.
-
-    panels=True runs only the batched kernel, f may return a (components
-    x nodes) array, and the result is the per-component totals with the
-    accepted panels in range order: (totals, starts, ends, values, node
-    values), component axis first.  The worst panel is the one with the
-    largest component error, as in scipy's quad_vec(norm="max"); but the
-    range passes only when every component passes the test on its own
-    total, so a small integral is not judged against a large one.
     """
-    if len(nodes) == 2 and not panels:
+    if len(nodes) == 2:
         if nodes[0] == nodes[1]:
             return 0.0
         a, b = float(nodes[0]), float(nodes[1])
         total, total_err, total_resabs = _panel(f, a, b)
-        heap = [(-total_err, 0, a, b, total, total_err, None)]
+        heap = [(-total_err, 0, a, b, total)]
     else:
         nodes = np.asarray(nodes, dtype=float)
-        vals, errs, resabs, ys = _panels(f, nodes[:-1], nodes[1:])
+        vals, errs, resabs, _ = _panels(f, nodes[:-1], nodes[1:])
         # cumsum adds in piece order, as a running total would.
-        total = np.cumsum(vals, axis=-1)[..., -1]
-        total_err, total_resabs = errs.sum(axis=-1), resabs.sum(axis=-1)
-        if not panels:
-            total, total_err = float(total), float(total_err)
-            total_resabs = float(total_resabs)
+        total = float(np.cumsum(vals)[-1])
+        total_err, total_resabs = float(errs.sum()), float(resabs.sum())
         heap = None
     count, splits = len(nodes) - 1, 0
-    while (np.any(total_err > np.maximum(np.maximum(
-            abs_tol, rel_tol * np.abs(total)), 50.0 * _EPS * total_resabs))
-           if panels else total_err > max(abs_tol, rel_tol * abs(total),
-                                          50.0 * _EPS * total_resabs)):
-        if splits == max_iter:
-            raise AccuracyError(
-                f"quadrature did not converge after {max_iter} subdivisions "
-                f"(estimate {np.max(total):.17g}, error bound "
-                f"{np.max(total_err):.3g})",
-                estimate=float(np.max(total)),
-                bound=float(np.max(total_err)))
+    while total_err > max(abs_tol, rel_tol * abs(total),
+                          50.0 * _EPS * total_resabs):
+        _check_splits(splits, max_iter, total, total_err)
         if heap is None:
-            norm = errs.max(axis=0) if panels else errs
-            heap = list(zip((-norm).tolist(), range(count),
+            heap = list(zip((-errs).tolist(), range(count),
                             nodes[:-1].tolist(), nodes[1:].tolist(),
-                            vals.T.tolist() if not panels else list(vals.T),
-                            errs.T.tolist() if not panels else list(errs.T),
+                            vals.tolist()))
+            heapq.heapify(heap)
+        nerr, _, wa, wb, wval = heapq.heappop(heap)
+        m = 0.5 * (wa + wb)
+        lv, le, lr = _panel(f, wa, m)
+        rv, re, rr = _panel(f, m, wb)
+        heapq.heappush(heap, (-le, count, wa, m, lv))
+        heapq.heappush(heap, (-re, count + 1, m, wb, rv))
+        count += 2
+        splits += 1
+        total += lv + rv - wval
+        total_err += le + re + nerr
+        total_resabs += lr + rr
+    return total
+
+
+def _adaptive_panels(f: Callable, ranges, rel_tol: float, abs_tol: float,
+                     max_iter: int) -> list:
+    """_adaptive on each of several ranges (node lists) for an f that
+    returns a (components x nodes) array, keeping the accepted panels:
+    per range, (starts, ends, values, node values) in range order,
+    component axis first.
+
+    The first panels of all ranges come from one batched integrand call;
+    each range is then tested and bisected on its own, every panel
+    through the batched kernel, so a range's panels do not depend on the
+    ranges beside it.  The worst panel is the one with the largest
+    component error, as in scipy's quad_vec(norm="max"); but a range
+    passes only when every component passes the test on its own total,
+    so a small integral is not judged against a large one.
+    """
+    ranges = [np.asarray(r, dtype=float) for r in ranges]
+    first = _panels(f, np.concatenate([r[:-1] for r in ranges]),
+                    np.concatenate([r[1:] for r in ranges]))
+    edges = np.cumsum([0] + [r.size - 1 for r in ranges]).tolist()
+    return [_refine_panels(f, nodes, *(x[:, i:j] for x in first), rel_tol,
+                           abs_tol, max_iter)
+            for nodes, i, j in zip(ranges, edges, edges[1:])]
+
+
+def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, resabs, ys,
+                   rel_tol: float, abs_tol: float, max_iter: int):
+    """The bisection loop of _adaptive_panels on one range, from its
+    first panels."""
+    total = np.cumsum(vals, axis=-1)[:, -1]
+    total_err, total_resabs = errs.sum(axis=-1), resabs.sum(axis=-1)
+    heap, count, splits = None, len(nodes) - 1, 0
+    while np.any(total_err > np.maximum(np.maximum(
+            abs_tol, rel_tol * np.abs(total)), 50.0 * _EPS * total_resabs)):
+        _check_splits(splits, max_iter, np.max(total), np.max(total_err))
+        if heap is None:
+            heap = list(zip((-errs.max(axis=0)).tolist(), range(count),
+                            nodes[:-1].tolist(), nodes[1:].tolist(),
+                            list(vals.T), list(errs.T),
                             list(np.moveaxis(ys, -2, 0))))
             heapq.heapify(heap)
         _, _, wa, wb, wval, werr, _ = heapq.heappop(heap)
         m = 0.5 * (wa + wb)
-        if panels:
-            v, e, r, y = _panels(f, np.array([wa, m]), np.array([m, wb]))
-            halves = [(v[:, j], e[:, j], r[:, j], y[:, j]) for j in (0, 1)]
-        else:
-            halves = [_panel(f, wa, m) + (None,), _panel(f, m, wb) + (None,)]
-        (lv, le, lr, ly), (rv, re, rr, ry) = halves
-        heapq.heappush(heap, (-(le.max() if panels else le), count, wa, m,
-                              lv, le, ly))
-        heapq.heappush(heap, (-(re.max() if panels else re), count + 1, m,
-                              wb, rv, re, ry))
+        v, e, r, y = _panels(f, np.array([wa, m]), np.array([m, wb]))
+        for j, (lo, hi) in enumerate(((wa, m), (m, wb))):
+            heapq.heappush(heap, (-e[:, j].max(), count + j, lo, hi,
+                                  v[:, j], e[:, j], y[:, j]))
         count += 2
         splits += 1
-        total = total + (lv + rv - wval)
-        total_err = total_err + (le + re - werr)
-        total_resabs = total_resabs + (lr + rr)
-    if not panels:
-        return total
+        total = total + (v[:, 0] + v[:, 1] - wval)
+        total_err = total_err + (e[:, 0] + e[:, 1] - werr)
+        total_resabs = total_resabs + (r[:, 0] + r[:, 1])
     if heap is None:
-        return total, nodes[:-1], nodes[1:], vals, ys
+        return nodes[:-1], nodes[1:], vals, ys
     heap.sort(key=lambda p: abs(p[2] - nodes[0]))
-    return (total, np.array([p[2] for p in heap]),
-            np.array([p[3] for p in heap]),
+    return (np.array([p[2] for p in heap]), np.array([p[3] for p in heap]),
             np.stack([p[4] for p in heap], axis=-1),
             np.stack([p[6] for p in heap], axis=-2))
+
+
+def _check_splits(splits: int, max_iter: int, total: float,
+                  err: float) -> None:
+    if splits == max_iter:
+        raise AccuracyError(
+            f"quadrature did not converge after {max_iter} subdivisions "
+            f"(estimate {total:.17g}, error bound {err:.3g})",
+            estimate=float(total), bound=float(err))
 
 
 def _panel_root(y: np.ndarray, half: float, target: float,

@@ -177,6 +177,35 @@ def test_store_values_do_not_depend_on_query_order(name, tau, fracs):
     assert values[0] == values[1]
 
 
+@pytest.mark.parametrize("tau", [50.0, 300.0])
+def test_late_de_sitter_slice_reads_cold(tau):
+    # A finite slice holds about 1.44 h0 tau dyadic store pieces, far past
+    # the growth cap of an unbounded one.  Cold reads deep in it follow
+    # chi = sqrt(sigma - 1) exp(-tau) and rho = arccos(sigma^-1/2), and a
+    # chi past its reach (1 at this h0) is a DomainError, cold or warm.
+    for chi0 in (3e-4, 0.5):
+        want = 1.0 + (chi0 * math.exp(tau)) ** 2
+        assert sigma_of_chi(_fresh(DESITTER), tau, chi0) == pytest.approx(
+            want, rel=1e-10)
+        report = fermi_speed(_fresh(DESITTER), tau, chi0)
+        assert report.sigma0 == pytest.approx(want, rel=1e-10)
+        assert report.rho == pytest.approx(math.acos(want ** -0.5),
+                                           rel=1e-12)
+        assert abs(report.v_fermi - math.sqrt(want - 1.0) / want) < 1e-12
+    sigma = 0.999 * slice_end(DESITTER, tau)
+    cosmo = _fresh(DESITTER)
+    assert chi_of_sigma(cosmo, tau, sigma) == pytest.approx(
+        math.sqrt(sigma - 1.0) * math.exp(-tau), rel=1e-10)
+    # The same blocks of pieces, whether a walk or one read built them.
+    assert repr(sigma_of_chi(cosmo, tau, 0.5)) == repr(
+        sigma_of_chi(_fresh(DESITTER), tau, 0.5))
+    for fresh in (_fresh(DESITTER), cosmo):
+        with pytest.raises(DomainError, match="beyond the comoving reach"):
+            sigma_of_chi(fresh, tau, 2.0)
+        with pytest.raises(DomainError, match="beyond the comoving reach"):
+            fermi_speed(fresh, tau, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # FermiRWError contract
 
