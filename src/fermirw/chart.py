@@ -13,12 +13,13 @@ import math
 from dataclasses import dataclass
 
 from .cosmology import Cosmology, _check_time, sigma_infinity
-from .errors import AccuracyError, DomainError, OutOfChartError
-from .geodesics import (_GROWTH_CAP, _RHO, _check_slice, chi_of_sigma,
-                        lapse_bracket, rho_of_sigma, slice_integral, store,
-                        t_of_sigma)
+from .errors import (AccuracyError, DomainError, FermiRWError,
+                     OutOfChartError, _finite)
+from .geodesics import (_GROWTH_CAP, _RHO, _SIGMA_NEAR_ONE, _check_slice,
+                        chi_of_sigma, lapse_bracket, rho_of_sigma,
+                        slice_integral, store, t_of_sigma)
 from .kinematics import proper_radius
-from .numerics import DEFAULT_CONFIG, NumericsConfig, find_root_monotone
+from .numerics import DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
     "RWEvent",
@@ -76,9 +77,7 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
     """
     cfg = cfg or DEFAULT_CONFIG
     tau = _check_time(tau)
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise DomainError(f"rho must be nonnegative and finite, got {rho}")
-    if rho == 0.0:
+    if _finite("rho", rho, nonnegative=True) == 0.0:
         return 1.0
     rho_max = proper_radius(cosmo, tau, cfg)
     if rho >= rho_max:
@@ -103,86 +102,115 @@ def rw_from_fermi(cosmo: Cosmology, event: FermiEvent,
         event.theta, event.phi)
 
 
-def _chi_of_tau(cosmo: Cosmology, tau: float, a_target: float,
-                cfg: NumericsConfig) -> float:
-    """chi reached on the tau slice at the comoving shell a(t) = a_target,
-    integrated directly, so the search over tau builds no slice store."""
-    ratio = float(cosmo.model.a(tau)) / a_target
-    tau, sigma = _check_slice(cosmo, tau, ratio * ratio)
-    return 0.5 * slice_integral(cosmo, tau, sigma, 1, 0.5, cfg,
-                                ratio * a_target)
-
-
 def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
                   cfg: NumericsConfig | None = None) -> FermiEvent:
     """Map a Robertson-Walker event into the observer's Fermi chart.
 
-    Finds the slice time tau at which the orthogonal geodesic reaches
-    (t, chi); chi grows monotonically with tau, so the solution is unique
-    when it exists.  Events beyond a bounded chart raise OutOfChartError.
+    Searches at fixed t in u = sqrt(sigma - 1), sigma = (a(tau)/a(t))^2,
+    tau = b(a(t) sqrt(1 + u^2)), for the slice whose geodesic reaches chi,
+    unique as chi grows with u.  It starts from the Hubble law
+    w = a(t) H(t) chi: u = w/sqrt(1 - w^2) (exact on de Sitter) for
+    w < 0.9, else u = w.  One Newton step, with dchi/du = B/sqrt(sigma)
+    from the lapse bracket B, precedes secant steps; a step out of the
+    bracket in u falls back to regula falsi, and u doubles while there is
+    no upper end.  It stops when a step moves tau by at most
+    root_tol/2 * max(1, tau).  Iterates integrate chi directly; only the
+    returned tau builds a slice store.
 
-    Very close to the observer (chi below ~1e-3) rho keeps absolute
-    accuracy near cfg.root_tol but its relative error grows like
-    root_tol/chi^2; the inverse map is genuinely ill conditioned there.
+    Events beyond a bounded chart raise OutOfChartError, chi that stalls
+    on a global chart AccuracyError.  For w^2 <= 1e-10, u = w and
+    rho = a(tau) b'(a(tau)) w, to O(w^2).  Near the observer rho keeps
+    absolute accuracy near root_tol; its relative error may grow like
+    root_tol/chi^2.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if not (math.isfinite(event.t) and event.t > 0.0):
-        raise DomainError(f"t must be positive and finite, got {event.t}")
-    if not (math.isfinite(event.chi) and event.chi >= 0.0):
-        raise DomainError(f"chi must be nonnegative and finite, got {event.chi}")
-    if event.chi == 0.0:
-        return FermiEvent(float(event.t), 0.0, event.theta, event.phi)
+    t1 = _finite("t", event.t)
+    chi1 = _finite("chi", event.chi, nonnegative=True)
+    if chi1 == 0.0:
+        return FermiEvent(t1, 0.0, event.theta, event.phi)
+    m = cosmo.model
+    a1 = float(m.a(t1))
+    bd1 = float(m.b_dot(a1))
+    if not (a1 > 0.0 and bd1 > 0.0):
+        raise DomainError(f"the model is not expanding at t={t1:g}: "
+                          f"a={a1:g}, b'(a)={bd1:g}")
+    w = chi1 / bd1
 
-    t1, chi1 = float(event.t), float(event.chi)
-    a_target = float(cosmo.model.a(t1))
-
-    def grown(tp: float) -> float:
+    def tau_of(u: float) -> float:
         try:
-            return _chi_of_tau(cosmo, tp, a_target, cfg)
+            return float(m.b(a1 * math.sqrt(1.0 + u * u)))
+        except OverflowError:
+            return math.inf
+
+    if w * w <= _SIGMA_NEAR_ONE:
+        tau = max(t1, tau_of(w))
+        a0 = float(m.a(tau))
+        return FermiEvent(tau, a0 * float(m.b_dot(a0)) * w, event.theta,
+                          event.phi)
+
+    def beyond(what: str) -> FermiRWError:
+        kind = AccuracyError if m.global_chart else OutOfChartError
+        return kind(f"event (t={t1:g}, chi={chi1:g}) not reached: {what}")
+
+    def residual(u: float) -> tuple[float, float, float, float]:
+        """tau, sigma and a(tau) of the slice at u, and its chi - chi1."""
+        tau, sigma = tau_of(u), 1.0 + u * u
+        try:
+            tau, sigma = _check_slice(cosmo, tau, sigma)
+            a0 = a1 * math.sqrt(sigma)
+            return tau, sigma, a0, 0.5 * slice_integral(
+                cosmo, tau, sigma, 1, 0.5, cfg, a0) - chi1
         except DomainError:
             # A slice too late to evaluate (sigma_infinity overflows).
-            if cosmo.model.global_chart:
+            if m.global_chart:
                 raise
-            raise OutOfChartError(
-                f"event (t={t1:g}, chi={chi1:g}) lies outside the "
-                f"observer's Fermi chart; the tau={tp:g} slice is out of "
-                f"range before chi reaches it") from None
+            raise beyond(f"the tau={tau:g} slice is out of range before "
+                         f"chi reaches it") from None
 
-    lo, hi = t1, 2.0 * t1
-    prev = grown(hi)
-    stalls = 0
-    for _ in range(_GROWTH_CAP):
-        if prev >= chi1:
+    u = w / math.sqrt(1.0 - w * w) if w < 0.9 else w
+    tau, sigma, a0, f = residual(u)
+    slope = (bd1 + 0.5 * a1 * u * slice_integral(
+        cosmo, tau, sigma, 2, 1.0, cfg, a0)) / math.sqrt(sigma)
+    lo, f_lo, hi, f_hi, stalls = 0.0, -chi1, None, None, 0
+    for i in range(cfg.max_iter):
+        if f == 0.0:
             break
-        lo, hi = hi, 2.0 * hi
-        cur = grown(hi)
-        if cur - prev <= 1e-12 * max(1.0, chi1):
-            stalls += 1
-            if stalls >= 2:
-                if not cosmo.model.global_chart:
-                    raise OutOfChartError(
-                        f"event (t={t1:g}, chi={chi1:g}) lies outside the "
-                        f"observer's Fermi chart; reachable chi saturates "
-                        f"near {cur:g}")
-                raise AccuracyError(
-                    f"chi growth stalled near {cur:g} below target {chi1:g}",
-                    estimate=cur)
+        if f < 0.0:
+            lo, f_lo = u, f
         else:
+            hi, f_hi = u, f
+        # chi grows with u: a slope that is not positive gives no step.
+        x = u - f / slope if slope > 0.0 else math.nan
+        if hi is None:
+            if i == _GROWTH_CAP:
+                raise beyond(f"u growth cap {_GROWTH_CAP} reached")
+            if not x > u:
+                x = 2.0 * u
+        elif not lo < x < hi:
+            x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+        tau_x = tau_of(x)
+        if abs(tau_x - tau) <= 0.5 * cfg.root_tol * max(1.0, tau_x):
+            u, tau = x, tau_x
+            break
+        prev_u, prev_f, u = u, f, x
+        tau, sigma, a0, f = residual(u)
+        slope = (f - prev_f) / (u - prev_u)
+        # Stalls: u at least doubled and chi barely moved.
+        if hi is not None or f >= 0.0 or u < 2.0 * prev_u or \
+                f - prev_f > 1e-12 * max(1.0, chi1):
             stalls = 0
-        prev = cur
+        else:
+            stalls += 1
+            if stalls == 2:
+                raise beyond(f"reachable chi saturates near {f + chi1:g}")
     else:
-        if not cosmo.model.global_chart:
-            raise OutOfChartError(
-                f"event (t={t1:g}, chi={chi1:g}) not reached within the "
-                f"bracket growth cap; chart is not global")
         raise AccuracyError(
-            f"tau bracket growth cap {_GROWTH_CAP} reached for chi={chi1:g}")
-
-    tau = find_root_monotone(
-        lambda tp: _chi_of_tau(cosmo, tp, a_target, cfg) - chi1, lo, hi, cfg)
-    sigma = (float(cosmo.model.a(tau)) / a_target) ** 2
-    rho = rho_of_sigma(cosmo, tau, max(sigma, 1.0), cfg)
-    return FermiEvent(tau, rho, event.theta, event.phi)
+            f"slice search iteration cap {cfg.max_iter} reached for "
+            f"chi={chi1:g}", estimate=tau)
+    return FermiEvent(tau, rho_of_sigma(cosmo, tau, 1.0 + u * u, cfg),
+                      event.theta, event.phi)
 
 
 def jacobian_F(cosmo: Cosmology, tau: float, sigma: float,

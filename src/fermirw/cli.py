@@ -12,13 +12,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .chart import FermiEvent, RWEvent, fermi_from_rw, rw_from_fermi
+from .chart import RWEvent, fermi_from_rw
 from .chart import sigma_of_rho as _sigma_of_rho
 from .cosmology import (Cosmology, hubble, load_table, make_exponential,
                         make_power_law, make_tabulated)
@@ -129,12 +128,10 @@ def build_parser() -> _Parser:
 
 def _resolve_model(args, parser: _Parser) -> tuple[Cosmology, dict]:
     name = args.model
-    if args.alpha is not None and name != "power-law":
-        parser.error("--alpha applies only to --model power-law")
-    if args.h0 is not None and name != "de-sitter":
-        parser.error("--h0 applies only to --model de-sitter")
-    if args.table is not None and name != "tabulated":
-        parser.error("--table applies only to --model tabulated")
+    for flag, family in (("alpha", "power-law"), ("h0", "de-sitter"),
+                         ("table", "tabulated")):
+        if getattr(args, flag) is not None and name != family:
+            parser.error(f"--{flag} applies only to --model {family}")
 
     if name in _FIXED_POWER:
         alpha, k = _FIXED_POWER[name]
@@ -163,15 +160,9 @@ def _resolve_model(args, parser: _Parser) -> tuple[Cosmology, dict]:
 
 
 def _resolve_numerics(args) -> NumericsConfig:
-    overrides = {}
-    for flag, field_name in (("quad_rel_tol", "quad_rel_tol"),
-                             ("quad_abs_tol", "quad_abs_tol"),
-                             ("root_tol", "root_tol"),
-                             ("max_iter", "max_iter"),
-                             ("sigma_cap", "sigma_cap")):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field_name] = value
+    overrides = {name: getattr(args, name) for name in (
+        "quad_rel_tol", "quad_abs_tol", "root_tol", "max_iter", "sigma_cap")
+        if getattr(args, name) is not None}
     return replace(DEFAULT_CONFIG, **overrides) if overrides \
         else DEFAULT_CONFIG
 
@@ -261,51 +252,44 @@ def cmd_sweep(args, rc: RunConfig, parser: _Parser) -> int:
     elif args.tau is not None:
         parser.error("sweep radius sweeps tau itself; drop --tau")
 
+    tau = args.tau
+
+    def geodesic(row, s):
+        row.update(t=t_of_sigma(cosmo, tau, s),
+                   chi=chi_of_sigma(cosmo, tau, s, cfg),
+                   rho=rho_of_sigma(cosmo, tau, s, cfg))
+
+    def metric(row, r):
+        row["sigma"] = _sigma_of_rho(cosmo, tau, r, cfg)
+        pm = _polar_at(cosmo, tau, row["sigma"], cfg)
+        row.update(g_tau_tau=pm.g_tau_tau, g_rho_rho=pm.g_rho_rho,
+                   ang=pm.ang)
+
+    def velocity(row, chi0):
+        rep = fermi_speed(cosmo, tau, chi0, cfg)
+        row.update(sigma0=rep.sigma0, rho=rep.rho, v_fermi=rep.v_fermi,
+                   v_hubble=rep.v_hubble)
+
+    def radius(row, tau_row):
+        row.update(rho_slice=proper_radius(cosmo, tau_row, cfg),
+                   hubble_radius=1.0 / hubble(cosmo, tau_row))
+
+    schema, fill = {
+        "geodesic": (["sigma", "t", "chi", "rho", "error"], geodesic),
+        "metric": (["rho", "sigma", "g_tau_tau", "g_rho_rho", "ang",
+                    "error"], metric),
+        "velocity": (["chi0", "sigma0", "rho", "v_fermi", "v_hubble",
+                      "error"], velocity),
+        "radius": (["tau", "rho_slice", "hubble_radius", "error"], radius),
+    }[args.quantity]
     rows: list[dict] = []
-    if args.quantity == "geodesic":
-        schema = ["sigma", "t", "chi", "rho", "error"]
-        for s in values:
-            row: dict = {"sigma": s}
-            try:
-                row.update(t=t_of_sigma(cosmo, args.tau, s),
-                           chi=chi_of_sigma(cosmo, args.tau, s, cfg),
-                           rho=rho_of_sigma(cosmo, args.tau, s, cfg))
-            except DomainError as exc:
-                row["error"] = str(exc)
-            rows.append(row)
-    elif args.quantity == "metric":
-        schema = ["rho", "sigma", "g_tau_tau", "g_rho_rho", "ang", "error"]
-        for r in values:
-            row = {"rho": r}
-            try:
-                row["sigma"] = _sigma_of_rho(cosmo, args.tau, r, cfg)
-                pm = _polar_at(cosmo, args.tau, row["sigma"], cfg)
-                row.update(g_tau_tau=pm.g_tau_tau, g_rho_rho=pm.g_rho_rho,
-                           ang=pm.ang)
-            except DomainError as exc:
-                row["error"] = str(exc)
-            rows.append(row)
-    elif args.quantity == "velocity":
-        schema = ["chi0", "sigma0", "rho", "v_fermi", "v_hubble", "error"]
-        for chi0 in values:
-            row = {"chi0": chi0}
-            try:
-                rep = fermi_speed(cosmo, args.tau, chi0, cfg)
-                row.update(sigma0=rep.sigma0, rho=rep.rho,
-                           v_fermi=rep.v_fermi, v_hubble=rep.v_hubble)
-            except DomainError as exc:
-                row["error"] = str(exc)
-            rows.append(row)
-    else:
-        schema = ["tau", "rho_slice", "hubble_radius", "error"]
-        for tau in values:
-            row = {"tau": tau}
-            try:
-                row.update(rho_slice=proper_radius(cosmo, tau, cfg),
-                           hubble_radius=1.0 / hubble(cosmo, tau))
-            except DomainError as exc:
-                row["error"] = str(exc)
-            rows.append(row)
+    for value in values:
+        row = {schema[0]: value}
+        try:
+            fill(row, value)
+        except DomainError as exc:
+            row["error"] = str(exc)
+        rows.append(row)
     _emit(rc, schema, rows)
     return _EX_OK
 
@@ -315,16 +299,12 @@ def cmd_verify(args, rc: RunConfig, parser: _Parser) -> int:
     if rc.cosmology is not None:
         if args.suite not in ("ode-oracle", "all"):
             parser.error("--model applies to the ode-oracle suite only")
-        cosmo = rc.cosmology
-        if cosmo.name == "de-sitter":
-            tau, margin = 3.0 / rc.model_desc["h0"], 0.95
-        elif cosmo.name == "milne":
-            tau, margin = 2.0, 0.99
-        else:
-            tau, margin = 1.0, 0.99
-        label = cosmo.name
-        if cosmo.name == "power-law":
-            label = f"power-law-{rc.model_desc['alpha']:.2f}"
+        cosmo, desc = rc.cosmology, rc.model_desc
+        # The slice time and radius margin of verify.default_ode_specs.
+        tau, margin = {"de-sitter": (3.0 / desc.get("h0", 1.0), 0.95),
+                       "milne": (2.0, 0.99)}.get(cosmo.name, (1.0, 0.99))
+        label = (f"power-law-{desc['alpha']:.2f}" if cosmo.name == "power-law"
+                 else cosmo.name)
         specs = [(label, cosmo, tau, margin)]
     results = run_suite(args.suite, rc.numerics, specs)
     if rc.fmt == "json":

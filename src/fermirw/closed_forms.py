@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cosmology import Cosmology, make_exponential, make_power_law
-from .errors import DomainError, OutOfChartError
+from .errors import DomainError, OutOfChartError, _finite
 from .numerics import DEFAULT_CONFIG, find_root_monotone, gamma_fn, hyp2f1
 
 __all__ = [
@@ -58,9 +58,7 @@ class ClosedFormModel:
 
 
 def _check_tau(tau: float) -> float:
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise DomainError(f"tau must be positive and finite, got {tau}")
-    return float(tau)
+    return _finite("tau", tau)
 
 
 def _check_sigma(sigma: float, sigma_inf: float = math.inf) -> float:
@@ -72,19 +70,21 @@ def _check_sigma(sigma: float, sigma_inf: float = math.inf) -> float:
     return float(sigma)
 
 
-def _invert_monotone_rho(rho_fn: Callable[[float, float], float], tau: float,
-                         rho: float, rho_max: float) -> float:
-    """Invert an increasing, saturating rho(tau, .) by bracketed root find."""
-    tau = _check_tau(tau)
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise DomainError(f"rho must be nonnegative and finite, got {rho}")
-    if rho == 0.0:
-        return 1.0
-    if rho >= rho_max:
+def _check_rho(tau: float, rho: float, rho_max: float) -> float:
+    if _finite("rho", rho, nonnegative=True) >= rho_max:
         raise OutOfChartError(
             f"rho={rho:g} is not inside the tau={tau:g} slice; "
             f"the slice proper radius is rho_M={rho_max:.12g}",
             rho_max=rho_max)
+    return float(rho)
+
+
+def _invert_monotone_rho(rho_fn: Callable[[float, float], float], tau: float,
+                         rho: float, rho_max: float) -> float:
+    """Invert an increasing, saturating rho(tau, .) by bracketed root find."""
+    tau = _check_tau(tau)
+    if _check_rho(tau, rho, rho_max) == 0.0:
+        return 1.0
     u_hi = 1.0
     for _ in range(_INVERT_CAP):
         if rho_fn(tau, 1.0 + u_hi * u_hi) > rho:
@@ -123,14 +123,7 @@ def milne() -> ClosedFormModel:
 
     def sigma_of_rho(tau, rho_val):
         tau = _check_tau(tau)
-        if not (math.isfinite(rho_val) and rho_val >= 0.0):
-            raise DomainError(
-                f"rho must be nonnegative and finite, got {rho_val}")
-        if rho_val >= tau:
-            raise OutOfChartError(
-                f"rho={rho_val:g} is not inside the tau={tau:g} slice; "
-                f"the slice proper radius is rho_M={tau:.12g}", rho_max=tau)
-        x = rho_val / tau
+        x = _check_rho(tau, rho_val, tau) / tau
         return 1.0 / (1.0 - x * x)
 
     def g_tau_tau(tau, sigma):
@@ -157,8 +150,7 @@ def de_sitter(h0: float) -> ClosedFormModel:
     radius is arccos(exp(-h0 tau))/h0 < pi/(2 h0), and the Fermi speed
     sqrt(sigma - 1)/sigma peaks at 1/2 when sigma = 2.
     """
-    if not (math.isfinite(h0) and h0 > 0.0):
-        raise DomainError(f"h0 must be positive and finite, got {h0}")
+    h0 = _finite("h0", h0)
     cosmo = Cosmology(make_exponential(h0), k=0, name="de-sitter")
 
     def s_inf(tau):
@@ -183,16 +175,8 @@ def de_sitter(h0: float) -> ClosedFormModel:
 
     def sigma_of_rho(tau, rho_val):
         tau = _check_tau(tau)
-        if not (math.isfinite(rho_val) and rho_val >= 0.0):
-            raise DomainError(
-                f"rho must be nonnegative and finite, got {rho_val}")
-        rho_max = rho_slice(tau)
-        if rho_val >= rho_max:
-            raise OutOfChartError(
-                f"rho={rho_val:g} is not inside the tau={tau:g} slice; "
-                f"the slice proper radius is rho_M={rho_max:.12g}",
-                rho_max=rho_max)
-        return 1.0 / math.cos(h0 * rho_val) ** 2
+        return 1.0 / math.cos(h0 * _check_rho(tau, rho_val,
+                                              rho_slice(tau))) ** 2
 
     def g_tau_tau(tau, sigma):
         tau = _check_tau(tau)

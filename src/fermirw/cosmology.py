@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, TableError, UnsupportedCurvatureError
+from .errors import (DomainError, TableError, UnsupportedCurvatureError,
+                     _finite)
 
 __all__ = [
     "ScaleFactorModel",
@@ -209,9 +210,7 @@ def load_table(path: str | Path) -> list[tuple[float, float]]:
 
 
 def _check_time(tau: float) -> float:
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise DomainError(f"time must be positive and finite, got {tau}")
-    return float(tau)
+    return _finite("time", tau)
 
 
 def hubble(cosmo: Cosmology, tau: float) -> float:

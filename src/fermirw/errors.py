@@ -8,6 +8,8 @@ AccuracyError to exit code 3.
 
 from __future__ import annotations
 
+import math
+
 
 class FermiRWError(Exception):
     """Base class for all package errors."""
@@ -39,6 +41,15 @@ class BracketError(DomainError):
 
 class TableError(DomainError):
     """Tabulated scale-factor samples failed validation."""
+
+
+def _finite(name: str, value: float, nonnegative: bool = False) -> float:
+    """value as a float; DomainError unless finite and positive (or >= 0)."""
+    if not (math.isfinite(value)
+            and (value >= 0.0 if nonnegative else value > 0.0)):
+        sign = "nonnegative" if nonnegative else "positive"
+        raise DomainError(f"{name} must be {sign} and finite, got {value}")
+    return float(value)
 
 
 class AccuracyError(FermiRWError, RuntimeError):

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import numerics
 from .cosmology import Cosmology, hubble, sigma_breaks, sigma_infinity
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _finite
 from .numerics import (DEFAULT_CONFIG, NumericsConfig, _clean_breaks,
                        _panel_root, _s_nodes, _u_nodes)
 
@@ -67,9 +67,9 @@ _SLICE_MARGIN = 1e-12
 _S_SEAM = 2.0 ** -0.5
 _U_SEAM = math.sqrt(_S_SEAM ** -2.0 - 1.0)
 
-# Doublings allowed while a search has no upper bracket end: of u in an
-# inversion on an unbounded slice (one dyadic store piece each), of tau
-# in fermi_from_rw.
+# Steps allowed while a search has no upper bracket end: doublings of u
+# in an inversion on an unbounded slice (one dyadic store piece each),
+# steps in u of fermi_from_rw.
 _GROWTH_CAP = 60
 
 # Slice stores kept by store().  On all three benchmark workloads every
@@ -103,8 +103,7 @@ class GeodesicPoint:
 
 def _check_slice(cosmo: Cosmology, tau: float, sigma: float,
                  allow_equal_one: bool = True) -> tuple[float, float]:
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise DomainError(f"tau must be positive and finite, got {tau}")
+    _finite("tau", tau)
     lo_ok = sigma >= 1.0 if allow_equal_one else sigma > 1.0
     if not lo_ok:
         raise DomainError(f"sigma must be >= 1, got {sigma}")
@@ -248,9 +247,11 @@ class _Track:
         return bool(self.pieces) and self.pieces[-1].last
 
     def add(self, piece: _Piece) -> None:
-        run = np.cumsum(np.column_stack((
-            [self.carry.get(c, 0.0) for c in piece.comps], piece.vals)),
-            axis=1, dtype=np.longdouble)
+        run = np.empty((len(piece.comps), piece.vals.shape[1] + 1),
+                       dtype=np.longdouble)
+        run[:, 0] = [self.carry.get(c, 0.0) for c in piece.comps]
+        run[:, 1:] = piece.vals
+        run.cumsum(axis=1, out=run)
         self.carry.update(zip(piece.comps, run[:, -1]))
         self.pieces.append(piece)
         self.ends.append(float(piece.sig[-1]))
@@ -322,13 +323,13 @@ class Slice:
             last, ends = hi == s_end, (1.0 / (lo * lo), 1.0 / (hi * hi)
                                        if hi else math.inf)
         knots = _clean_breaks(self.knots, *ends)
+        # Without knots, start from two panels, or on the way to s = 0
+        # from panels halving toward it: what bisection makes of the
+        # first panel on analytic models anyway.
+        if not knots.size:
+            return (np.array([lo, 0.5 * (lo + hi), hi]) if hi else
+                    np.append(lo * 0.5 ** np.arange(8), 0.0)), last
         x = np.sqrt(knots - 1.0) if k == 0 else 1.0 / np.sqrt(knots)
-        if not x.size:
-            # Without knots, start from two panels, or on the way to s = 0
-            # from panels halving toward it: what bisection makes of the
-            # first panel on analytic models anyway.
-            x = lo * 0.5 ** np.arange(1, 8) if hi == 0.0 else \
-                np.array([0.5 * (lo + hi)])
         return np.concatenate(([lo], x, [hi])), last
 
     def track(self, radial: bool, sigma: float) -> _Track:
@@ -523,13 +524,8 @@ def integrate_geodesic_ode(cosmo: Cosmology, tau: float, rho_max: float,
     start.  Independent of the quadrature maps by construction, so the two
     routes can cross-check each other.
     """
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise DomainError(f"tau must be positive and finite, got {tau}")
-    if not (math.isfinite(step) and step > 0.0):
-        raise DomainError(f"step must be positive and finite, got {step}")
-    if not (math.isfinite(rho_max) and rho_max >= 0.0):
-        raise DomainError(
-            f"rho_max must be nonnegative and finite, got {rho_max}")
+    tau, step = _finite("tau", tau), _finite("step", step)
+    rho_max = _finite("rho_max", rho_max, nonnegative=True)
     m = cosmo.model
     a0 = float(m.a(tau))
     start = GeodesicPoint(tau, 1.0, float(tau), 0.0, 0.0)

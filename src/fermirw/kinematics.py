@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosmology import Cosmology, _check_time, hubble, make_power_law
-from .errors import DomainError
+from .errors import DomainError, _finite
 from .geodesics import _CHI, _I2, _LAPSE, _RHO, rho_of_sigma, store
 from .numerics import DEFAULT_CONFIG, NumericsConfig, integrate_sigma
 
@@ -47,17 +47,13 @@ class VelocityReport:
 
 
 def _check_chi(chi0: float) -> float:
-    if not (math.isfinite(chi0) and chi0 >= 0.0):
-        raise DomainError(f"chi0 must be nonnegative and finite, got {chi0}")
-    return float(chi0)
+    return _finite("chi0", chi0, nonnegative=True)
 
 
 def hubble_speed(cosmo: Cosmology, tau: float, chi0: float) -> float:
     """Hubble velocity a'(tau) * chi0 of a comoving particle."""
     chi0 = _check_chi(chi0)
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise DomainError(f"tau must be positive and finite, got {tau}")
-    return float(cosmo.model.a_dot(tau)) * chi0
+    return float(cosmo.model.a_dot(_finite("tau", tau))) * chi0
 
 
 def sigma_of_chi(cosmo: Cosmology, tau: float, chi0: float,
@@ -157,9 +153,7 @@ def proper_radius(cosmo: Cosmology, tau: float,
 
 def proper_radius_power_law(alpha: float, tau: float) -> float:
     """Closed-form slice radius tau * sqrt(pi) G(1/(2a)+1/2)/(2a G(1/(2a)+1))."""
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise DomainError(f"tau must be positive and finite, got {tau}")
-    return tau * fermi_speed_sup(alpha)
+    return _finite("tau", tau) * fermi_speed_sup(alpha)
 
 
 def velocity_identity_residual(cosmo: Cosmology, tau: float, chi0: float,
@@ -172,9 +166,7 @@ def velocity_identity_residual(cosmo: Cosmology, tau: float, chi0: float,
     """
     cfg = cfg or DEFAULT_CONFIG
     chi0 = _check_chi(chi0)
-    if not (math.isfinite(rel_step) and rel_step > 0.0):
-        raise DomainError(
-            f"rel_step must be positive and finite, got {rel_step}")
+    _finite("rel_step", rel_step)
     tau = _check_time(tau)
     if chi0 == 0.0:
         return 0.0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chart import sigma_of_rho
 from .cosmology import Cosmology, _check_time
-from .errors import DomainError, UnsupportedCurvatureError
+from .errors import DomainError, UnsupportedCurvatureError, _finite
 from .geodesics import chi_of_sigma, lapse_bracket
 from .numerics import DEFAULT_CONFIG, NumericsConfig
 
@@ -135,9 +135,7 @@ def lambda_k(cosmo: Cosmology, tau: float, rho: float,
     """
     cfg = cfg or DEFAULT_CONFIG
     tau = _check_time(tau)
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise DomainError(f"rho must be nonnegative and finite, got {rho}")
-    if rho > _LAMBDA_RHO_FRACTION * tau:
+    if _finite("rho", rho, nonnegative=True) > _LAMBDA_RHO_FRACTION * tau:
         return _lambda_at(cosmo, tau, rho, sigma_of_rho(cosmo, tau, rho, cfg),
                           cfg)
     return _lambda_near_zero(cosmo, tau, cfg)

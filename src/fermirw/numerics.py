@@ -117,8 +117,9 @@ _WK = np.array(list(_WGK_HALF[:-1]) + [_WGK_HALF[-1]] + list(_WGK_HALF[-2::-1]))
 # Kronrod nodes.  The embedded Gauss nodes are every second entry.
 _WG = np.zeros(15)
 _WG[1:14:2] = list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(_WG_HALF[-2::-1])
+_WKG = np.stack((_WK, _WG))
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _NO_BREAKS = np.empty(0)
 
 
@@ -188,20 +189,24 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
     x = mid[:, None] + half[:, None] * _NODES
     y = np.asarray(f(x.ravel()), dtype=float)
     y = y.reshape(y.shape[:-1] + x.shape)
-    # Sums, not matrix products: see _inverse.
-    knd = half * (y * _WK).sum(axis=-1)
-    gss = half * (y * _WG).sum(axis=-1)
-    resabs = np.abs(half) * (np.abs(y) * _WK).sum(axis=-1)
+    # Sums, not matrix products: see _inverse.  Kronrod and Gauss sums
+    # come from one product with both weight rows.
+    sums = np.add.reduce(y[..., None, :] * _WKG, -1)
+    knd, gss = half * sums[..., 0], half * sums[..., 1]
+    resabs = np.abs(half) * np.add.reduce(np.abs(y) * _WK, -1)
     delta = np.abs(knd - gss)
-    bad = ~np.isfinite(delta.reshape(-1, a.size)).all(axis=0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise AccuracyError(
-            f"integrand not finite on the panel [{a[i]:.17g}, {b[i]:.17g}]",
-            estimate=float(knd.reshape(-1, a.size)[0, i]))
-    with np.errstate(over="ignore"):
-        err = np.minimum(delta, (200.0 * delta) ** 1.5)
-    return knd, err, resabs, y
+    # One reduction clears both rare cases: a value that is not finite,
+    # and one large enough that (200 delta)^1.5 overflows.
+    if not np.maximum.reduce(delta, axis=None) < 1e150:
+        bad = ~np.isfinite(delta.reshape(-1, a.size)).all(axis=0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise AccuracyError(
+                f"integrand not finite on the panel [{a[i]:.17g}, "
+                f"{b[i]:.17g}]", estimate=float(knd.reshape(-1, a.size)[0, i]))
+        with np.errstate(over="ignore"):
+            return knd, np.minimum(delta, (200.0 * delta) ** 1.5), resabs, y
+    return knd, np.minimum(delta, (200.0 * delta) ** 1.5), resabs, y
 
 
 def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
@@ -267,6 +272,10 @@ def _adaptive_panels(f: Callable, ranges, rel_tol: float, abs_tol: float,
     so a small integral is not judged against a large one.
     """
     ranges = [np.asarray(r, dtype=float) for r in ranges]
+    if len(ranges) == 1:
+        nodes = ranges[0]
+        return [_refine_panels(f, nodes, *_panels(f, nodes[:-1], nodes[1:]),
+                               rel_tol, abs_tol, max_iter)]
     first = _panels(f, np.concatenate([r[:-1] for r in ranges]),
                     np.concatenate([r[1:] for r in ranges]))
     edges = np.cumsum([0] + [r.size - 1 for r in ranges]).tolist()
@@ -279,11 +288,14 @@ def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, resabs, ys,
                    rel_tol: float, abs_tol: float, max_iter: int):
     """The bisection loop of _adaptive_panels on one range, from its
     first panels."""
-    total = np.cumsum(vals, axis=-1)[:, -1]
-    total_err, total_resabs = errs.sum(axis=-1), resabs.sum(axis=-1)
+    total = vals.cumsum(axis=-1)[:, -1]
+    total_err = np.add.reduce(errs, -1)
+    total_resabs = np.add.reduce(resabs, -1)
     heap, count, splits = None, len(nodes) - 1, 0
-    while np.any(total_err > np.maximum(np.maximum(
-            abs_tol, rel_tol * np.abs(total)), 50.0 * _EPS * total_resabs)):
+    # On Python floats: for a few components, cheaper than numpy calls.
+    while any(e > max(abs_tol, rel_tol * abs(t), 50.0 * _EPS * r)
+              for t, e, r in zip(total.tolist(), total_err.tolist(),
+                                 total_resabs.tolist())):
         _check_splits(splits, max_iter, np.max(total), np.max(total_err))
         if heap is None:
             heap = list(zip((-errs.max(axis=0)).tolist(), range(count),
@@ -534,8 +546,10 @@ def find_root_monotone(g: Callable[[float], float], lo: float, hi: float,
             else:
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / \
-                    (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)
+                # Tiny residuals can underflow the denominator: bisect.
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / denom
+                        if denom != 0.0 and math.isfinite(denom) else math.inf)
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

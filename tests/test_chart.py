@@ -150,6 +150,62 @@ def test_de_sitter_beyond_chart():
         fermi_from_rw(DESITTER, RWEvent(1.0, 0.5))
 
 
+@pytest.mark.parametrize("t", [0.4, 1.0, 2.5])
+def test_de_sitter_chart_edge(t):
+    # The reach at time t is exp(-t): w = exp(t) chi = u/sqrt(1 + u^2), so
+    # tau = t + log(1 + u^2)/2 and rho = arctan(u) = arcsin(w).  One
+    # rounding of chi moves tau by about 5e-11 this close to the edge.
+    w = 1.0 - 1e-6
+    f = fermi_from_rw(DESITTER, RWEvent(t, w * math.exp(-t)))
+    assert f.tau == pytest.approx(t - 0.5 * math.log1p(-w * w), abs=2e-10)
+    assert f.rho == pytest.approx(math.asin(w), rel=1e-12)
+    back = rw_from_fermi(DESITTER, f)
+    assert back.t == pytest.approx(t, rel=1e-7)
+    assert back.chi == pytest.approx(w * math.exp(-t), rel=1e-7)
+    with pytest.raises(OutOfChartError):
+        fermi_from_rw(DESITTER, RWEvent(t, (1.0 + 1e-6) * math.exp(-t)))
+
+
+def test_fermi_milne_huge_time():
+    # Slice integrals of order 1 here, at a(t) = 1e300.
+    t, chi = 1e300, 0.1
+    ev = fermi_from_rw(MILNE, RWEvent(t, chi))
+    assert ev.tau == pytest.approx(t * math.cosh(chi), rel=1e-12)
+    assert ev.rho == pytest.approx(t * math.sinh(chi), rel=1e-12)
+
+
+@pytest.mark.parametrize("t, chi", [(math.nan, 0.1), (math.inf, 0.1),
+                                    (-1.0, 0.1), (1.0, math.nan),
+                                    (1.0, math.inf), (1.0, -0.1)])
+def test_fermi_bad_event_is_domain_error(t, chi):
+    with pytest.raises(DomainError):
+        fermi_from_rw(MATTER, RWEvent(t, chi))
+
+
+@pytest.mark.parametrize("cosmo", [MILNE, RADIATION, MATTER, DESITTER],
+                         ids=["milne", "radiation", "matter", "de-sitter"])
+def test_fermi_leading_order_near_the_observer(cosmo):
+    # w = a(t) H(t) chi = 1e-9 (e 1e-9 on de Sitter), where sigma - 1
+    # rounds to 0.  Closed forms: Milne tau = t cosh chi,
+    # rho = t sinh chi; de Sitter rho = arcsin(w); power laws
+    # rho = a(t) chi (1 + O(w^2)).
+    t, chi = 1.0, 1e-9
+    ev = fermi_from_rw(cosmo, RWEvent(t, chi))
+    a = float(cosmo.model.a(t))
+    want = math.asin(a * chi) if cosmo is DESITTER else a * chi
+    assert ev.rho == pytest.approx(want, rel=1e-12)
+    assert ev.tau == pytest.approx(t, rel=1e-15)
+
+
+def test_fermi_leading_order_late_matter_event():
+    # w = a H chi = 3.1e-9: tau rounds to t, but rho must not round to 0.
+    t, chi = 1e10, 1e-5
+    ev = fermi_from_rw(MATTER, RWEvent(t, chi))
+    assert ev.rho == pytest.approx(t ** (2.0 / 3.0) * chi, rel=1e-12)
+    assert ev.rho == pytest.approx(46.416, rel=1e-5)
+    assert ev.tau == pytest.approx(t, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # jacobian_F
 

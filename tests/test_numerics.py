@@ -277,6 +277,14 @@ def test_no_sign_change_raises():
         find_root_monotone(lambda x: x + 10.0, 1.0, 2.0)
 
 
+def test_underflowing_interpolation_bisects():
+    # Residuals near 1e-300 underflow the inverse-quadratic denominator
+    # to 0; they round to 0 within about 2e-8 of the triple root.
+    x = find_root_monotone(lambda x: 1e-300 * (x / 1e300 - 1.3) ** 3,
+                           1e300, 2e300)
+    assert x / 1.3e300 == pytest.approx(1.0, abs=1e-7)
+
+
 @given(st.floats(min_value=-0.95, max_value=0.95))
 @settings(max_examples=50, deadline=None)
 def test_root_recovers_tanh_argument(y):

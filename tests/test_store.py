@@ -33,11 +33,14 @@ from fermirw.numerics import table_safe_config
 from fermirw.verify import _tabulated_matterlike
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
+RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
 MATTER = Cosmology(make_power_law(2.0 / 3.0), k=0, name="matter")
 DESITTER = Cosmology(make_exponential(1.0), k=0, name="de-sitter")
 TABLE = _tabulated_matterlike()
 TABLE_CFG = table_safe_config(DEFAULT_CONFIG)
-MODELS = {"milne": (MILNE, DEFAULT_CONFIG), "matter": (MATTER, DEFAULT_CONFIG),
+MODELS = {"milne": (MILNE, DEFAULT_CONFIG),
+          "radiation": (RADIATION, DEFAULT_CONFIG),
+          "matter": (MATTER, DEFAULT_CONFIG),
           "de-sitter": (DESITTER, DEFAULT_CONFIG), "table": (TABLE, TABLE_CFG)}
 
 
@@ -67,6 +70,27 @@ def test_fermi_from_rw_builds_one_store(monkeypatch, name):
     monkeypatch.setattr(geodesics, "Slice", Counted)
     fe = fermi_from_rw(cosmo, RWEvent(1.0, 0.05), cfg)
     assert built == [fe.tau]
+
+
+# Mean G7/K15 panels per fermi_from_rw on the grid below when it searched
+# over tau by bracket doubling and Brent's method.
+_TAU_SEARCH_PANELS = 82.9
+
+
+def test_fermi_from_rw_panels_per_event(count_panels):
+    # The search in u = sqrt(sigma - 1) takes one Newton step and then
+    # secant steps: it must cost at most 3/4 of the tau search.
+    counts = []
+    for name in ("milne", "radiation", "matter", "de-sitter", "table"):
+        cosmo, cfg = MODELS[name]
+        for t in (0.6, 1.7):
+            for frac in (0.05, 0.3, 0.8):
+                chi = (frac * math.exp(-t) if name == "de-sitter"
+                       else 1.5 * frac)
+                event = RWEvent(t, chi)
+                counts.append(count_panels(
+                    lambda: fermi_from_rw(_fresh(cosmo), event, cfg)))
+    assert sum(counts) / len(counts) <= 0.75 * _TAU_SEARCH_PANELS
 
 
 def test_fermi_speed_evaluates_b_ddot_once_per_node():
@@ -217,6 +241,20 @@ def test_late_de_sitter_slice_is_out_of_chart():
         sigma_infinity(DESITTER, 400.0)
     with pytest.raises(OutOfChartError):
         fermi_from_rw(DESITTER, RWEvent(50.0, 1.0))
+
+
+def test_extrapolated_table_event_is_domain_error():
+    # At t = 1e10 the table extrapolates a(t) below zero: the model has
+    # no expanding slice to map the event onto.
+    with pytest.raises(DomainError, match="not expanding"):
+        fermi_from_rw(TABLE, RWEvent(1e10, 1e-5), TABLE_CFG)
+
+
+def test_table_leading_order_near_the_observer():
+    # The matter closed form rho = a(t) chi, to the table's accuracy.
+    ev = fermi_from_rw(TABLE, RWEvent(1.0, 1e-9), TABLE_CFG)
+    assert ev.rho == pytest.approx(1e-9, rel=1e-8)
+    assert ev.tau == pytest.approx(1.0, rel=1e-8)
 
 
 def test_empty_slice_is_domain_error():
