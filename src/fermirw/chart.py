@@ -112,16 +112,16 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     w = a(t) H(t) chi: u = w/sqrt(1 - w^2) (exact on de Sitter) for
     w < 0.9, else u = w.  One Newton step, with dchi/du = B/sqrt(sigma)
     from the lapse bracket B, precedes secant steps; a step out of the
-    bracket in u falls back to regula falsi, and u doubles while there is
-    no upper end.  It stops when a step moves tau by at most
-    root_tol/2 * max(1, tau).  Iterates integrate chi directly; only the
-    returned tau builds a slice store.
+    bracket in u falls back to regula falsi.  While there is no upper
+    end, u doubles in place of a step that would climb slowly.  It stops
+    when a step moves tau by at most root_tol/2 * max(1, tau).  Iterates
+    integrate chi directly; only the returned tau builds a slice store.
 
-    Events beyond a bounded chart raise OutOfChartError, chi that stalls
-    on a global chart AccuracyError.  For w^2 <= 1e-10, u = w and
-    rho = a(tau) b'(a(tau)) w, to O(w^2).  Near the observer rho keeps
-    absolute accuracy near root_tol; its relative error may grow like
-    root_tol/chi^2.
+    Events beyond a bounded chart raise OutOfChartError; on a global
+    chart, chi that stalls or a slice time that overflows AccuracyError.
+    For w^2 <= 1e-10, u = w and rho = a(tau) b'(a(tau)) w, to O(w^2).
+    Near the observer rho keeps absolute accuracy near root_tol; its
+    relative error may grow like root_tol/chi^2.
     """
     cfg = cfg or DEFAULT_CONFIG
     t1 = _finite("t", event.t)
@@ -136,11 +136,18 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
                           f"a={a1:g}, b'(a)={bd1:g}")
     w = chi1 / bd1
 
+    def beyond(what: str) -> FermiRWError:
+        kind = AccuracyError if m.global_chart else OutOfChartError
+        return kind(f"event (t={t1:g}, chi={chi1:g}) not reached: {what}")
+
     def tau_of(u: float) -> float:
         try:
-            return float(m.b(a1 * math.sqrt(1.0 + u * u)))
+            tau = float(m.b(a1 * math.sqrt(1.0 + u * u)))
         except OverflowError:
-            return math.inf
+            tau = math.inf
+        if not math.isfinite(tau):
+            raise beyond(f"the slice time overflows at u={u:g}")
+        return tau
 
     if w * w <= _SIGMA_NEAR_ONE:
         tau = max(t1, tau_of(w))
@@ -148,13 +155,10 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         return FermiEvent(tau, a0 * float(m.b_dot(a0)) * w, event.theta,
                           event.phi)
 
-    def beyond(what: str) -> FermiRWError:
-        kind = AccuracyError if m.global_chart else OutOfChartError
-        return kind(f"event (t={t1:g}, chi={chi1:g}) not reached: {what}")
-
-    def residual(u: float) -> tuple[float, float, float, float]:
-        """tau, sigma and a(tau) of the slice at u, and its chi - chi1."""
-        tau, sigma = tau_of(u), 1.0 + u * u
+    def residual(u: float, tau: float) -> tuple[float, float, float, float]:
+        """tau, sigma and a(tau) of the slice at u, tau = tau_of(u), and
+        its chi - chi1."""
+        sigma = 1.0 + u * u
         try:
             tau, sigma = _check_slice(cosmo, tau, sigma)
             a0 = a1 * math.sqrt(sigma)
@@ -168,34 +172,46 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
                          f"chi reaches it") from None
 
     u = w / math.sqrt(1.0 - w * w) if w < 0.9 else w
-    tau, sigma, a0, f = residual(u)
+    tau, sigma, a0, f = residual(u, tau_of(u))
     slope = (bd1 + 0.5 * a1 * u * slice_integral(
         cosmo, tau, sigma, 2, 1.0, cfg, a0)) / math.sqrt(sigma)
-    lo, f_lo, hi, f_hi, stalls = 0.0, -chi1, None, None, 0
-    for i in range(cfg.max_iter):
-        if f == 0.0:
-            break
+    lo, f_lo, hi, f_hi, prev_f = 0.0, -chi1, None, None, None
+    steps = doublings = stalls = 0
+    doubled = False
+    while f != 0.0:
         if f < 0.0:
             lo, f_lo = u, f
         else:
             hi, f_hi = u, f
         # chi grows with u: a slope that is not positive gives no step.
         x = u - f / slope if slope > 0.0 else math.nan
-        if hi is None:
-            if i == _GROWTH_CAP:
+        # With no upper end, u doubles when the step does not grow it, or
+        # grows it less after a doubling or after a step that cut
+        # |chi - chi1| by less than 4x: secant steps climb a saturating
+        # chi slowly.  Doublings count toward _GROWTH_CAP, other steps
+        # toward cfg.max_iter.
+        weak = doubled or (prev_f is not None and f < 0.25 * prev_f)
+        doubled = hi is None and (not x > u or (weak and x < 2.0 * u))
+        if doubled:
+            x, doublings = 2.0 * u, doublings + 1
+            if doublings > _GROWTH_CAP:
                 raise beyond(f"u growth cap {_GROWTH_CAP} reached")
-            if not x > u:
-                x = 2.0 * u
-        elif not lo < x < hi:
-            x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-            if not lo < x < hi:
-                x = 0.5 * (lo + hi)
+        else:
+            steps += 1
+            if steps > cfg.max_iter:
+                raise AccuracyError(
+                    f"slice search iteration cap {cfg.max_iter} reached "
+                    f"for chi={chi1:g}", estimate=tau)
+            if hi is not None and not lo < x < hi:
+                x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+                if not lo < x < hi:
+                    x = 0.5 * (lo + hi)
         tau_x = tau_of(x)
         if abs(tau_x - tau) <= 0.5 * cfg.root_tol * max(1.0, tau_x):
             u, tau = x, tau_x
             break
         prev_u, prev_f, u = u, f, x
-        tau, sigma, a0, f = residual(u)
+        tau, sigma, a0, f = residual(u, tau_x)
         slope = (f - prev_f) / (u - prev_u)
         # Stalls: u at least doubled and chi barely moved.
         if hi is not None or f >= 0.0 or u < 2.0 * prev_u or \
@@ -205,10 +221,6 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
             stalls += 1
             if stalls == 2:
                 raise beyond(f"reachable chi saturates near {f + chi1:g}")
-    else:
-        raise AccuracyError(
-            f"slice search iteration cap {cfg.max_iter} reached for "
-            f"chi={chi1:g}", estimate=tau)
     return FermiEvent(tau, rho_of_sigma(cosmo, tau, 1.0 + u * u, cfg),
                       event.theta, event.phi)
 

@@ -128,10 +128,12 @@ def build_parser() -> _Parser:
 
 def _resolve_model(args, parser: _Parser) -> tuple[Cosmology, dict]:
     name = args.model
-    for flag, family in (("alpha", "power-law"), ("h0", "de-sitter"),
-                         ("table", "tabulated")):
-        if getattr(args, flag) is not None and name != family:
-            parser.error(f"--{flag} applies only to --model {family}")
+    if args.alpha is not None and name != "power-law":
+        parser.error("--alpha applies only to --model power-law")
+    if args.h0 is not None and name != "de-sitter":
+        parser.error("--h0 applies only to --model de-sitter")
+    if args.table is not None and name != "tabulated":
+        parser.error("--table applies only to --model tabulated")
 
     if name in _FIXED_POWER:
         alpha, k = _FIXED_POWER[name]
@@ -160,9 +162,15 @@ def _resolve_model(args, parser: _Parser) -> tuple[Cosmology, dict]:
 
 
 def _resolve_numerics(args) -> NumericsConfig:
-    overrides = {name: getattr(args, name) for name in (
-        "quad_rel_tol", "quad_abs_tol", "root_tol", "max_iter", "sigma_cap")
-        if getattr(args, name) is not None}
+    overrides = {}
+    for flag, field_name in (("quad_rel_tol", "quad_rel_tol"),
+                             ("quad_abs_tol", "quad_abs_tol"),
+                             ("root_tol", "root_tol"),
+                             ("max_iter", "max_iter"),
+                             ("sigma_cap", "sigma_cap")):
+        value = getattr(args, flag)
+        if value is not None:
+            overrides[field_name] = value
     return replace(DEFAULT_CONFIG, **overrides) if overrides \
         else DEFAULT_CONFIG
 
@@ -299,12 +307,16 @@ def cmd_verify(args, rc: RunConfig, parser: _Parser) -> int:
     if rc.cosmology is not None:
         if args.suite not in ("ode-oracle", "all"):
             parser.error("--model applies to the ode-oracle suite only")
-        cosmo, desc = rc.cosmology, rc.model_desc
-        # The slice time and radius margin of verify.default_ode_specs.
-        tau, margin = {"de-sitter": (3.0 / desc.get("h0", 1.0), 0.95),
-                       "milne": (2.0, 0.99)}.get(cosmo.name, (1.0, 0.99))
-        label = (f"power-law-{desc['alpha']:.2f}" if cosmo.name == "power-law"
-                 else cosmo.name)
+        cosmo = rc.cosmology
+        if cosmo.name == "de-sitter":
+            tau, margin = 3.0 / rc.model_desc["h0"], 0.95
+        elif cosmo.name == "milne":
+            tau, margin = 2.0, 0.99
+        else:
+            tau, margin = 1.0, 0.99
+        label = cosmo.name
+        if cosmo.name == "power-law":
+            label = f"power-law-{rc.model_desc['alpha']:.2f}"
         specs = [(label, cosmo, tau, margin)]
     results = run_suite(args.suite, rc.numerics, specs)
     if rc.fmt == "json":

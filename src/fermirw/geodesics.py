@@ -67,9 +67,9 @@ _SLICE_MARGIN = 1e-12
 _S_SEAM = 2.0 ** -0.5
 _U_SEAM = math.sqrt(_S_SEAM ** -2.0 - 1.0)
 
-# Steps allowed while a search has no upper bracket end: doublings of u
-# in an inversion on an unbounded slice (one dyadic store piece each),
-# steps in u of fermi_from_rw.
+# Doublings allowed while a search has no upper bracket end: of u in an
+# inversion on an unbounded slice (one dyadic store piece each), of u in
+# fermi_from_rw.
 _GROWTH_CAP = 60
 
 # Slice stores kept by store().  On all three benchmark workloads every

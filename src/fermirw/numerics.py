@@ -37,6 +37,7 @@ integrand.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -272,13 +273,10 @@ def _adaptive_panels(f: Callable, ranges, rel_tol: float, abs_tol: float,
     so a small integral is not judged against a large one.
     """
     ranges = [np.asarray(r, dtype=float) for r in ranges]
-    if len(ranges) == 1:
-        nodes = ranges[0]
-        return [_refine_panels(f, nodes, *_panels(f, nodes[:-1], nodes[1:]),
-                               rel_tol, abs_tol, max_iter)]
     first = _panels(f, np.concatenate([r[:-1] for r in ranges]),
                     np.concatenate([r[1:] for r in ranges]))
-    edges = np.cumsum([0] + [r.size - 1 for r in ranges]).tolist()
+    edges = list(itertools.accumulate((r.size - 1 for r in ranges),
+                                      initial=0))
     return [_refine_panels(f, nodes, *(x[:, i:j] for x in first), rel_tol,
                            abs_tol, max_iter)
             for nodes, i, j in zip(ranges, edges, edges[1:])]

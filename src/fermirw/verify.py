@@ -472,14 +472,16 @@ def invariants_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
 
 def run_suite(name: str, cfg: NumericsConfig | None = None,
               specs=None) -> list[CheckResult]:
-    suites = {"closed-forms": lambda: closed_forms_suite(cfg),
-              "ode-oracle": lambda: ode_oracle_suite(cfg, specs),
-              "invariants": lambda: invariants_suite(cfg)}
+    if name == "closed-forms":
+        return closed_forms_suite(cfg)
+    if name == "ode-oracle":
+        return ode_oracle_suite(cfg, specs)
+    if name == "invariants":
+        return invariants_suite(cfg)
     if name == "all":
-        return [r for run in suites.values() for r in run()]
-    if name not in suites:
-        raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return suites[name]()
+        return (closed_forms_suite(cfg) + ode_oracle_suite(cfg, specs)
+                + invariants_suite(cfg))
+    raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
 
 
 def format_report(results: list[CheckResult]) -> str:

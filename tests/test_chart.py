@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermirw import chart
 from fermirw import (
+    AccuracyError,
     Cosmology,
     DomainError,
     FermiEvent,
@@ -172,6 +174,36 @@ def test_fermi_milne_huge_time():
     ev = fermi_from_rw(MILNE, RWEvent(t, chi))
     assert ev.tau == pytest.approx(t * math.cosh(chi), rel=1e-12)
     assert ev.rho == pytest.approx(t * math.sinh(chi), rel=1e-12)
+
+
+def test_de_sitter_far_edge_climbs_by_doubling(monkeypatch):
+    # At 1 - w = 1e-10 the root u = 7.1e4 lies far above the start u = w,
+    # on a chi(u) that saturates: secant steps would grow u by about 1.3x
+    # each, so the climb doubles u instead (17 doublings).
+    calls = [0]
+    direct = chart.slice_integral
+
+    def counted(*args):
+        calls[0] += 1
+        return direct(*args)
+
+    monkeypatch.setattr(chart, "slice_integral", counted)
+    t, w = 1.0, 1.0 - 1e-10
+    f = fermi_from_rw(DESITTER, RWEvent(t, w * math.exp(-t)))
+    # One rounding of chi moves tau by about 5e-7 and rho = arcsin(w) by
+    # about 8e-12 this close to the edge.
+    assert f.tau == pytest.approx(t - 0.5 * math.log1p(-w * w), abs=1e-5)
+    assert f.rho == pytest.approx(math.asin(w), rel=1e-10)
+    assert calls[0] <= 30
+
+
+@pytest.mark.parametrize("t, chi", [(1e300, 20.0), (1e307, 100.0)])
+def test_fermi_milne_slice_time_overflows(t, chi):
+    # tau = t cosh(chi) is not a float (2.4e308 on the way, or at the
+    # start u = 100): the search must not take tau = inf for converged
+    # and blame the slice time as an input.
+    with pytest.raises(AccuracyError, match="slice time overflows"):
+        fermi_from_rw(MILNE, RWEvent(t, chi))
 
 
 @pytest.mark.parametrize("t, chi", [(math.nan, 0.1), (math.inf, 0.1),
