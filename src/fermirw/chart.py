@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cosmology import Cosmology, _check_time, sigma_infinity
+from .cosmology import Cosmology, _check_time
 from .errors import (AccuracyError, DomainError, FermiRWError,
-                     OutOfChartError, _finite)
+                     OutOfChartError, _finite, _no_overflow)
 from .geodesics import (_GROWTH_CAP, _RHO, _SIGMA_NEAR_ONE, _check_slice,
                         chi_of_sigma, lapse_bracket, rho_of_sigma,
                         slice_integral, store, t_of_sigma)
 from .kinematics import proper_radius
-from .numerics import DEFAULT_CONFIG, NumericsConfig
+from .numerics import _EPS, DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
     "RWEvent",
@@ -114,7 +114,8 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     from the lapse bracket B, precedes secant steps; a step out of the
     bracket in u falls back to regula falsi.  While there is no upper
     end, u doubles in place of a step that would climb slowly.  It stops
-    when a step moves tau by at most root_tol/2 * max(1, tau).  Iterates
+    when a step moves tau by at most root_tol/2 * max(1, tau), or when
+    |chi - chi1| reaches chi's rounding floor, 2 eps chi1.  Iterates
     integrate chi directly; only the returned tau builds a slice store.
 
     Events beyond a bounded chart raise OutOfChartError; on a global
@@ -178,7 +179,8 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     lo, f_lo, hi, f_hi, prev_f = 0.0, -chi1, None, None, None
     steps = doublings = stalls = 0
     doubled = False
-    while f != 0.0:
+    # Below 2 eps chi1 the residual's sign is rounding noise.
+    while abs(f) > 2.0 * _EPS * chi1:
         if f < 0.0:
             lo, f_lo = u, f
         else:
@@ -233,16 +235,12 @@ def jacobian_F(cosmo: Cosmology, tau: float, sigma: float,
     lapse bracket of geodesics.lapse_bracket.  Positive whenever b is
     convex, which is what makes the chart global.
     """
-    if not sigma > 1.0:
-        raise DomainError(f"sigma must exceed 1, got {sigma}")
-    s_inf = sigma_infinity(cosmo, tau)
-    if sigma >= s_inf:
-        raise DomainError(
-            f"sigma={sigma:g} is not below sigma_infinity={s_inf:g}")
+    tau, sigma = _check_slice(cosmo, tau, sigma, allow_equal_one=False)
     m = cosmo.model
     bd = float(m.b_dot(float(m.a(tau)) / math.sqrt(sigma)))
-    return (float(m.a_dot(tau)) * bd * lapse_bracket(cosmo, tau, sigma, cfg)
-            / (2.0 * sigma * math.sqrt(sigma - 1.0)))
+    return _no_overflow("the Jacobian", (
+        float(m.a_dot(tau)) * bd * lapse_bracket(cosmo, tau, sigma, cfg)
+        / (2.0 * sigma * math.sqrt(sigma - 1.0))))
 
 
 def comoving_flow_fermi(cosmo: Cosmology, event: RWEvent,

@@ -77,7 +77,6 @@ def _add_common(parser: argparse.ArgumentParser, need_model: bool) -> None:
     g.add_argument("--quad-abs-tol", type=float, metavar="TOL")
     g.add_argument("--root-tol", type=float, metavar="TOL")
     g.add_argument("--max-iter", type=int, metavar="N")
-    g.add_argument("--sigma-cap", type=float, metavar="SIGMA")
     g = parser.add_argument_group("output")
     g.add_argument("--format", choices=("csv", "json"), default="csv")
     g.add_argument("--output", metavar="PATH",
@@ -166,8 +165,7 @@ def _resolve_numerics(args) -> NumericsConfig:
     for flag, field_name in (("quad_rel_tol", "quad_rel_tol"),
                              ("quad_abs_tol", "quad_abs_tol"),
                              ("root_tol", "root_tol"),
-                             ("max_iter", "max_iter"),
-                             ("sigma_cap", "sigma_cap")):
+                             ("max_iter", "max_iter")):
         value = getattr(args, flag)
         if value is not None:
             overrides[field_name] = value

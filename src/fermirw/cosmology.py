@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (DomainError, TableError, UnsupportedCurvatureError,
-                     _finite)
+                     _finite, _no_overflow)
 
 __all__ = [
     "ScaleFactorModel",
@@ -216,7 +216,8 @@ def _check_time(tau: float) -> float:
 def hubble(cosmo: Cosmology, tau: float) -> float:
     """Hubble rate H(tau) = a'(tau)/a(tau)."""
     tau = _check_time(tau)
-    return float(cosmo.model.a_dot(tau)) / float(cosmo.model.a(tau))
+    return _no_overflow("H", float(cosmo.model.a_dot(tau))
+                        / float(cosmo.model.a(tau)))
 
 
 def sigma_infinity(cosmo: Cosmology, tau: float) -> float:

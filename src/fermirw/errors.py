@@ -52,6 +52,14 @@ def _finite(name: str, value: float, nonnegative: bool = False) -> float:
     return float(value)
 
 
+def _no_overflow(name: str, value: float) -> float:
+    """value; DomainError where it is inf or NaN, the mark of an overflow
+    on the way."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} overflows the float range (got {value})")
+    return value
+
+
 class AccuracyError(FermiRWError, RuntimeError):
     """Requested tolerance not reached.
 

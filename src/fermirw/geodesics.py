@@ -37,7 +37,7 @@ import numpy as np
 
 from . import numerics
 from .cosmology import Cosmology, hubble, sigma_breaks, sigma_infinity
-from .errors import AccuracyError, DomainError, _finite
+from .errors import AccuracyError, DomainError, _finite, _no_overflow
 from .numerics import (DEFAULT_CONFIG, NumericsConfig, _clean_breaks,
                        _panel_root, _s_nodes, _u_nodes)
 
@@ -106,7 +106,8 @@ def _check_slice(cosmo: Cosmology, tau: float, sigma: float,
     _finite("tau", tau)
     lo_ok = sigma >= 1.0 if allow_equal_one else sigma > 1.0
     if not lo_ok:
-        raise DomainError(f"sigma must be >= 1, got {sigma}")
+        raise DomainError(f"sigma must be {'>=' if allow_equal_one else '>'} "
+                          f"1, got {sigma}")
     s_inf = sigma_infinity(cosmo, tau)
     if sigma >= s_inf:
         raise DomainError(
@@ -458,11 +459,13 @@ def lapse_bracket(cosmo: Cosmology, tau: float, sigma: float,
     The lapse is g_tau_tau = -(a'(tau) B)^2 and the chart Jacobian is
     a'(tau) b'(a0/sqrt(sigma)) B / (2 sigma sqrt(sigma-1)).
     """
+    tau, sigma = _check_slice(cosmo, tau, sigma)
     st = store(cosmo, tau, cfg)
     root = math.sqrt(sigma)
     inner = st.integral({_LAPSE: 1.0}, sigma)
-    return (float(cosmo.model.b_dot(st.a0 / root))
-            + st.a0 * math.sqrt(sigma - 1.0) / (2.0 * root) * inner)
+    return _no_overflow("the lapse bracket", (
+        float(cosmo.model.b_dot(st.a0 / root))
+        + st.a0 * math.sqrt(sigma - 1.0) / (2.0 * root) * inner))
 
 
 def chi_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
@@ -532,15 +535,14 @@ def integrate_geodesic_ode(cosmo: Cosmology, tau: float, rho_max: float,
     if rho_max < step * 1e-12 or rho_max == 0.0:
         return [start]
 
-    n = max(1, round(rho_max / step))
-    h = rho_max / n
-    points = [start]
-
-    def radicand(t: float) -> float:
-        if t <= 0.0:
+    def a_of(t: float) -> float:
+        if not t > 0.0:
             raise DomainError(
                 f"geodesic integration left the model domain (t={t:g})")
-        s = (a0 / float(m.a(t))) ** 2 - 1.0
+        return float(m.a(t))
+
+    def radicand(t: float) -> float:
+        s = (a0 / a_of(t)) ** 2 - 1.0
         if s < 0.0:
             if s < -_RADICAND_SLACK:
                 raise AccuracyError(
@@ -550,7 +552,7 @@ def integrate_geodesic_ode(cosmo: Cosmology, tau: float, rho_max: float,
         return s
 
     def deriv(t: float) -> tuple[float, float]:
-        dchi = a0 / float(m.a(t)) ** 2
+        dchi = a0 / a_of(t) ** 2
         return -math.sqrt(radicand(t)), dchi
 
     # Near the observer the radicand vanishes like (H rho)^2 and the
@@ -560,29 +562,40 @@ def integrate_geodesic_ode(cosmo: Cosmology, tau: float, rho_max: float,
     #   t   = tau - H rho^2/2 - (c3/4) rho^4 - (c5/6) rho^6
     #   chi = (rho + H^2 rho^3/3 + (2 H c3/5) rho^5)/a0
     # with H', H'' estimated by central differences, then hand over to RK4.
-    hub = hubble(cosmo, tau)
-    dtau = 1e-4 * tau
-    hp = (hubble(cosmo, tau + dtau) - hubble(cosmo, tau - dtau)) / (2.0 * dtau)
-    hpp = (hubble(cosmo, tau + dtau) - 2.0 * hub
-           + hubble(cosmo, tau - dtau)) / dtau ** 2
-    c3 = (hub ** 3 - 0.5 * hp * hub) / 3.0
-    c5 = (2.0 * hub ** 2 * c3 - 0.5 * hp * hub ** 3 - 0.25 * hp * c3
-          + 0.125 * hpp * hub ** 2) / 5.0
-    rho_series = min(0.05 / hub, 0.25 * rho_max)
-    i0 = max(1, min(n, round(rho_series / h)))
-    for i in range(1, i0 + 1):
-        r = i * h
-        t = tau - 0.5 * hub * r * r - 0.25 * c3 * r ** 4 - c5 * r ** 6 / 6.0
-        chi = (r + hub * hub * r ** 3 / 3.0 + 0.4 * hub * c3 * r ** 5) / a0
-        points.append(GeodesicPoint(tau, (a0 / float(m.a(t))) ** 2, t, chi, r))
+    # A step, a series term or H'' that leaves the float range raises
+    # DomainError.
+    try:
+        n = max(1, round(rho_max / step))
+        h = rho_max / n
+        points = [start]
+        hub = hubble(cosmo, tau)
+        dtau = 1e-4 * tau
+        hp = ((hubble(cosmo, tau + dtau) - hubble(cosmo, tau - dtau))
+              / (2.0 * dtau))
+        hpp = (hubble(cosmo, tau + dtau) - 2.0 * hub
+               + hubble(cosmo, tau - dtau)) / dtau ** 2
+        c3 = (hub ** 3 - 0.5 * hp * hub) / 3.0
+        c5 = (2.0 * hub ** 2 * c3 - 0.5 * hp * hub ** 3 - 0.25 * hp * c3
+              + 0.125 * hpp * hub ** 2) / 5.0
+        rho_series = min(0.05 / hub, 0.25 * rho_max)
+        i0 = max(1, min(n, round(rho_series / h)))
+        for i in range(1, i0 + 1):
+            r = i * h
+            t = (tau - 0.5 * hub * r * r - 0.25 * c3 * r ** 4
+                 - c5 * r ** 6 / 6.0)
+            chi = (r + hub * hub * r ** 3 / 3.0 + 0.4 * hub * c3 * r ** 5) / a0
+            points.append(GeodesicPoint(tau, (a0 / a_of(t)) ** 2, t, chi, r))
 
-    for i in range(i0, n):
-        k1t, k1c = deriv(t)
-        k2t, k2c = deriv(t + 0.5 * h * k1t)
-        k3t, k3c = deriv(t + 0.5 * h * k2t)
-        k4t, k4c = deriv(t + h * k3t)
-        t += h * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
-        chi += h * (k1c + 2.0 * k2c + 2.0 * k3c + k4c) / 6.0
-        rho = (i + 1) * h
-        points.append(GeodesicPoint(tau, (a0 / float(m.a(t))) ** 2, t, chi, rho))
+        for i in range(i0, n):
+            k1t, k1c = deriv(t)
+            k2t, k2c = deriv(t + 0.5 * h * k1t)
+            k3t, k3c = deriv(t + 0.5 * h * k2t)
+            k4t, k4c = deriv(t + h * k3t)
+            t += h * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
+            chi += h * (k1c + 2.0 * k2c + 2.0 * k3c + k4c) / 6.0
+            rho = (i + 1) * h
+            points.append(GeodesicPoint(tau, (a0 / a_of(t)) ** 2, t, chi, rho))
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"geodesic integration overflows on the "
+                          f"tau={tau:g} slice to rho={rho_max:g}") from None
     return points

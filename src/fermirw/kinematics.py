@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosmology import Cosmology, _check_time, hubble, make_power_law
-from .errors import DomainError, _finite
+from .errors import DomainError, _finite, _no_overflow
 from .geodesics import _CHI, _I2, _LAPSE, _RHO, rho_of_sigma, store
 from .numerics import DEFAULT_CONFIG, NumericsConfig, integrate_sigma
 
@@ -53,7 +53,8 @@ def _check_chi(chi0: float) -> float:
 def hubble_speed(cosmo: Cosmology, tau: float, chi0: float) -> float:
     """Hubble velocity a'(tau) * chi0 of a comoving particle."""
     chi0 = _check_chi(chi0)
-    return float(cosmo.model.a_dot(_finite("tau", tau))) * chi0
+    return _no_overflow("the Hubble speed",
+                        float(cosmo.model.a_dot(_finite("tau", tau))) * chi0)
 
 
 def sigma_of_chi(cosmo: Cosmology, tau: float, chi0: float,
@@ -153,7 +154,8 @@ def proper_radius(cosmo: Cosmology, tau: float,
 
 def proper_radius_power_law(alpha: float, tau: float) -> float:
     """Closed-form slice radius tau * sqrt(pi) G(1/(2a)+1/2)/(2a G(1/(2a)+1))."""
-    return _finite("tau", tau) * fermi_speed_sup(alpha)
+    return _no_overflow("the slice radius",
+                        _finite("tau", tau) * fermi_speed_sup(alpha))
 
 
 def velocity_identity_residual(cosmo: Cosmology, tau: float, chi0: float,

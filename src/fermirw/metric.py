@@ -16,7 +16,8 @@ import numpy as np
 
 from .chart import sigma_of_rho
 from .cosmology import Cosmology, _check_time
-from .errors import DomainError, UnsupportedCurvatureError, _finite
+from .errors import (DomainError, UnsupportedCurvatureError, _finite,
+                     _no_overflow)
 from .geodesics import chi_of_sigma, lapse_bracket
 from .numerics import DEFAULT_CONFIG, NumericsConfig
 
@@ -64,7 +65,8 @@ def _g_tau_tau_at(cosmo: Cosmology, tau: float, sigma: float,
     """g_tau_tau = -(a'(tau) B)^2 on the tau slice at stretch sigma, with B
     the lapse bracket of geodesics.lapse_bracket."""
     adot = float(cosmo.model.a_dot(tau))
-    return -((adot * lapse_bracket(cosmo, tau, sigma, cfg)) ** 2)
+    return _no_overflow("g_tau_tau",
+                        -((adot * lapse_bracket(cosmo, tau, sigma, cfg)) ** 2))
 
 
 def g_tau_tau(cosmo: Cosmology, tau: float, rho: float,
@@ -82,7 +84,7 @@ def _ang(cosmo: Cosmology, tau: float, sigma: float,
         return 0.0
     chi = chi_of_sigma(cosmo, tau, sigma, cfg)
     a0 = float(cosmo.model.a(tau))
-    return a0 * a0 * s_k(cosmo.k, chi) ** 2 / sigma
+    return _no_overflow("ang", a0 * a0 * s_k(cosmo.k, chi) ** 2 / sigma)
 
 
 def _polar_at(cosmo: Cosmology, tau: float, sigma: float,

@@ -2,18 +2,20 @@
 
 The geodesic and metric maps all reduce to integrals over the stretch
 variable sigma with an integrable (sigma - 1)^(-1/2) endpoint singularity
-and, for proper radii, an infinite upper limit.  ``integrate_sigma`` removes
-the singularity with sigma = 1 + u^2 and compactifies the tail with
-s = 1/sqrt(sigma) before handing the smooth transformed integrand to an
-adaptive Gauss-Kronrod (G7, K15) kernel.  None of the Kronrod nodes sit on
-an interval endpoint, so transformed integrands are never evaluated at the
-singular points themselves.  A panel whose value is not finite raises
-AccuracyError rather than passing NaN on as converged.  The model slice
-integrals, in ``geodesics.slice_integral`` and the slice store
-``geodesics.Slice``, make the same two substitutions in their integrands
-themselves, with the seam between them at sigma = 2, and split every
-range at the knots of tabulated models (``cosmology.sigma_breaks`` finds
-them by bisection on the knot table).
+and, for slice radii and velocity suprema, an infinite upper limit.
+``integrate_sigma``, which serves the power-law velocity integrals of
+``kinematics``, removes the singularity with sigma = 1 + u^2 and
+compactifies the tail with s = 1/sqrt(sigma) before handing the smooth
+transformed integrand to an adaptive Gauss-Kronrod (G7, K15) kernel.
+None of the Kronrod nodes sit on an interval endpoint, so transformed
+integrands are never evaluated at the singular points themselves.  A
+panel whose value is not finite raises AccuracyError rather than passing
+NaN on as converged.  The model slice integrals, in
+``geodesics.slice_integral`` and the slice store ``geodesics.Slice``,
+make the same two substitutions in their integrands themselves, with the
+seam between them at sigma = 2, and split every range at the knots of
+tabulated models (``cosmology.sigma_breaks`` finds them by bisection on
+the knot table).
 
 The u range (sigma below 2) and the s range (sigma above 2, up to a finite
 sigma_hi or to s = 0) each run one adaptive driver, ``_adaptive``, which
@@ -44,7 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, BracketError, DomainError
+from .errors import (AccuracyError, BracketError, DomainError, _finite,
+                     _no_overflow)
 
 __all__ = [
     "NumericsConfig",
@@ -59,13 +62,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Shared tolerance knobs threaded through every numerical routine."""
+    """Shared tolerance knobs threaded through every numerical routine.
+
+    quad_rel_tol and quad_abs_tol bound each quadrature, root_tol each
+    root find, and max_iter caps the bisections of one quadrature range
+    and the steps of one iteration.  DomainError unless the tolerances
+    are finite and >= 0 and max_iter is an int >= 1.
+    """
 
     quad_rel_tol: float = 1e-12
     quad_abs_tol: float = 1e-14
     root_tol: float = 1e-12
     max_iter: int = 500
-    sigma_cap: float = 1e12
+
+    def __post_init__(self):
+        for name in ("quad_rel_tol", "quad_abs_tol", "root_tol"):
+            _finite(name, getattr(self, name), nonnegative=True)
+        if not (type(self.max_iter) is int and self.max_iter >= 1):
+            raise DomainError(
+                f"max_iter must be an int >= 1, got {self.max_iter!r}")
 
 
 DEFAULT_CONFIG = NumericsConfig()
@@ -385,10 +400,11 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
 
     f must accept numpy arrays of sigma values and may carry an integrable
     endpoint singularity no worse than (sigma - 1)^(-1/2) at sigma = 1.
-    Infinite upper limits are mapped through s = 1/sqrt(sigma) when the
-    integrand decays fast enough; slower tails fall back to truncation at
-    cfg.sigma_cap with a log-slope tail estimate, raising AccuracyError when
-    the estimated tail exceeds the tolerance budget.
+    An infinite upper limit is mapped through s = 1/sqrt(sigma), and a tail
+    slower than sigma^(-1.25) between sigma = 1e10 and 1e12 raises
+    AccuracyError.  Below sigma_hi - 1 = 1e-11 the result is the leading
+    order 2 g (sqrt(sigma_hi - 1) - sqrt(sigma_lo - 1)), g = f sqrt(sigma - 1)
+    at sigma_hi, good to O(sigma_hi - 1) relative.
 
     breaks lists interior sigma points where f loses smoothness (knots of
     interpolated models); the range is integrated piecewise between them,
@@ -404,26 +420,22 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
         raise DomainError(f"need sigma_lo < sigma_hi, got [{sigma_lo}, {sigma_hi}]")
 
     if math.isinf(sigma_hi):
-        cap = cfg.sigma_cap
-        probe = f(np.array([cap / 100.0, cap]))
+        # A zero or non-finite probe leaves the judging to the s panels.
+        probe = f(np.array([1e10, 1e12]))
         f_near, f_far = np.abs(np.asarray(probe, dtype=float)).tolist()
-        if f_far > 0.0 and f_near > 0.0:
+        if 0.0 < f_near < math.inf and 0.0 < f_far < math.inf:
             q = math.log(f_near / f_far) / math.log(100.0)
-        else:
-            q = math.inf    # tail numerically dead, the s map is safe
-        if q < 1.25:
-            # Slowly decaying tail: truncate and bound what was dropped.
-            partial = integrate_sigma(f, sigma_lo, cap, cfg, breaks)
-            tail = f_far * cap / (q - 1.0) if q > 1.0 else math.inf
-            budget = max(cfg.quad_abs_tol, cfg.quad_rel_tol * abs(partial))
-            if tail > budget:
+            if q < 1.25:
                 raise AccuracyError(
-                    f"tail beyond sigma_cap={cap:g} estimated at {tail:.3g}, "
-                    f"exceeding the tolerance budget {budget:.3g}",
-                    estimate=partial, bound=tail)
-            return partial
+                    f"integrand tail decays like sigma^(-{q:.3g}), slower "
+                    f"than the sigma^(-1.25) an infinite limit needs")
     elif sigma_hi - 1.0 < 1e-11:
-        return _near_one_fit(f, sigma_lo, sigma_hi)
+        root = math.sqrt(sigma_hi - 1.0)
+        g = float(f(np.array([sigma_hi]))[0]) * root
+        value = 2.0 * g * (root - math.sqrt(sigma_lo - 1.0))
+        if not math.isfinite(value):
+            raise AccuracyError(f"integrand not finite at sigma={sigma_hi!r}")
+        return value
 
     pts = _clean_breaks(breaks, sigma_lo, sigma_hi)
     rel = 0.5 * cfg.quad_rel_tol
@@ -478,25 +490,6 @@ def _u_integrand(f: Callable) -> Callable:
 def _s_integrand(f: Callable) -> Callable:
     """Transformed integrand for sigma = s^(-2), Jacobian 2 s^(-3)."""
     return lambda s: f(s ** -2.0) * 2.0 * s ** -3.0
-
-
-def _near_one_fit(f: Callable, sigma_lo: float, sigma_hi: float) -> float:
-    """Two-point fit c1/sqrt(sigma-1) + c0 for a degenerate [lo, hi] sliver.
-
-    Used when sigma_hi - 1 is so small that 1 + u^2 cannot resolve the
-    substitution; the fit error is O(sigma_hi - 1) relative.
-    """
-    width = sigma_hi - 1.0
-    m1 = 1.0 + 0.25 * width
-    m2 = 1.0 + 0.75 * width
-    y1 = float(f(np.array([m1]))[0])
-    y2 = float(f(np.array([m2]))[0])
-    r1, r2 = math.sqrt(m1 - 1.0), math.sqrt(m2 - 1.0)
-    c1 = (y1 - y2) / (1.0 / r1 - 1.0 / r2)
-    c0 = y1 - c1 / r1
-    lo_r = math.sqrt(sigma_lo - 1.0)
-    hi_r = math.sqrt(sigma_hi - 1.0)
-    return 2.0 * c1 * (hi_r - lo_r) + c0 * (sigma_hi - sigma_lo)
 
 
 def find_root_monotone(g: Callable[[float], float], lo: float, hi: float,
@@ -584,6 +577,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """
     from scipy.special import hyp2f1 as _scipy_hyp2f1
 
+    if not all(map(math.isfinite, (a, b, c, z))):
+        raise DomainError(f"2F1 needs finite arguments, got {(a, b, c, z)}")
     if c <= 0.0 and c == math.floor(c):
         raise DomainError(f"2F1 undefined at non-positive integer c={c}")
     if not 0.0 <= z <= 1.0:
@@ -591,4 +586,4 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     if z == 1.0 and c - a - b <= 0.0:
         raise DomainError(
             f"2F1 diverges at z=1 when c-a-b={c - a - b:.6g} <= 0")
-    return float(_scipy_hyp2f1(a, b, c, z))
+    return _no_overflow("2F1", float(_scipy_hyp2f1(a, b, c, z)))

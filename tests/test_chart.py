@@ -197,6 +197,27 @@ def test_de_sitter_far_edge_climbs_by_doubling(monkeypatch):
     assert calls[0] <= 30
 
 
+def test_de_sitter_edge_stops_at_chi_rounding_floor(monkeypatch):
+    # At 1 - w = 1e-12 (root u = 7.1e5) the bracketed steps reach chi's
+    # rounding floor, where the residual's sign is noise; iterating on
+    # until two iterates agreed took 38 direct integrals.
+    calls = [0]
+    direct = chart.slice_integral
+
+    def counted(*args):
+        calls[0] += 1
+        return direct(*args)
+
+    monkeypatch.setattr(chart, "slice_integral", counted)
+    t, w = 1.0, 1.0 - 1e-12
+    f = fermi_from_rw(DESITTER, RWEvent(t, w * math.exp(-t)))
+    # One rounding of chi moves tau by about 5e-5 and rho = arcsin(w) by
+    # about 5e-11 relative this close to the edge.
+    assert f.tau == pytest.approx(t - 0.5 * math.log1p(-w * w), abs=1e-3)
+    assert f.rho == pytest.approx(math.asin(w), rel=1e-9)
+    assert calls[0] <= 30
+
+
 @pytest.mark.parametrize("t, chi", [(1e300, 20.0), (1e307, 100.0)])
 def test_fermi_milne_slice_time_overflows(t, chi):
     # tau = t cosh(chi) is not a float (2.4e308 on the way, or at the

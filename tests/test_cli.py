@@ -71,6 +71,19 @@ def test_transform_accuracy_exit_3(capsys):
     assert "accuracy error" in err
 
 
+@pytest.mark.parametrize("flags", [("--max-iter", "-1"),
+                                   ("--max-iter", "0"),
+                                   ("--quad-rel-tol", "nan"),
+                                   ("--root-tol=-1e-12",)])
+def test_bad_numerics_exit_2(capsys, flags):
+    # --max-iter -1 used to leave bisection uncapped.
+    code, out, err = run_cli(capsys, "transform", "to-rw", "--model",
+                             "matter", "--tau", "1", "--rho", "0.5", *flags)
+    assert code == 2
+    assert out == ""
+    assert flags[0][2:].split("=")[0].replace("-", "_") in err
+
+
 def test_transform_round_trip_through_cli(capsys):
     code, out, _ = run_cli(capsys, "transform", "to-fermi", "--model",
                            "radiation", "--t", "0.5", "--chi",
@@ -302,6 +315,8 @@ def test_tabulated_requires_table(capsys):
     ("transform", "to-rw", "--model", "milne", "--tau", "1", "--rho", "0.5",
      "--alpha", "0.5"),                             # alpha on fixed family
     ("verify", "closed-forms", "--model", "milne"),  # model not accepted
+    ("transform", "to-rw", "--model", "milne", "--tau", "1", "--rho", "0.5",
+     "--sigma-cap", "1e12"),                        # flag removed
 ])
 def test_usage_errors_exit_64(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -146,10 +146,12 @@ def test_radiation_velocity_alternate_form():
 
 
 def test_radiation_sigma_round_trip():
-    r = radiation()
-    for sigma in (1.3, 4.0, 30.0):
-        rho = r.rho(2.0, sigma)
-        assert r.sigma_of_rho(2.0, rho) == pytest.approx(sigma, rel=1e-10)
+    # And the matter oracle's, the other inversion by bracketed root find.
+    for oracle in (radiation(), matter()):
+        for sigma in (1.3, 4.0, 30.0):
+            rho = oracle.rho(2.0, sigma)
+            assert oracle.sigma_of_rho(2.0, rho) == pytest.approx(
+                sigma, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_nonconvergence_carries_estimate():
     assert exc.value.bound > 0.0
 
 
-@pytest.mark.parametrize("sigma_hi", [2.0, 40.0, math.inf])
+@pytest.mark.parametrize("sigma_hi", [2.0, 40.0, math.inf, 1.0 + 1e-13])
 def test_nan_integrand_raises(sigma_hi):
     # A NaN Kronrod/Gauss difference must not count as a converged panel.
     with pytest.raises(AccuracyError):
@@ -241,6 +241,36 @@ def test_a_split_range_has_one_bisection_budget(monkeypatch):
         integrate_sigma(f, 1.0, 2.0, NumericsConfig(max_iter=20),
                         breaks=breaks)
     assert calls[0] == 2 * 20
+
+
+@pytest.mark.parametrize("width", [2.0 ** -52, 1e-13, 9.9e-12])
+def test_near_one_leading_order(width):
+    # Below sigma_hi - 1 = 1e-11 one integrand call gives the leading
+    # order; the two-point fit it replaced divided by zero at 1 + 2^-52.
+    hi = 1.0 + width
+    got = integrate_sigma(lambda s: 1.0 / (s ** 1.5 * np.sqrt(s - 1.0)),
+                          1.0, hi)
+    exact = 2.0 * math.sqrt((hi - 1.0) / hi)
+    assert abs(got / exact - 1.0) <= 2.0 * (hi - 1.0)
+
+
+@pytest.mark.parametrize("power", [0.5, 0.7])
+def test_slow_tail_raises(power):
+    # Tails slower than sigma^-1.25 raise, however small: sigma^-1
+    # diverges, and the s map alone returns a finite 1.6e-19 for it.
+    with pytest.raises(AccuracyError, match="decays like"):
+        integrate_sigma(lambda s: 1e-20 * s ** -power / np.sqrt(s - 1.0),
+                        1.0, math.inf)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(max_iter=-1), dict(max_iter=0), dict(max_iter=2.0),
+    dict(quad_rel_tol=math.nan), dict(quad_abs_tol=-1e-14),
+    dict(root_tol=math.inf),
+])
+def test_config_rejects_bad_fields(fields):
+    with pytest.raises(DomainError):
+        NumericsConfig(**fields)
 
 
 def test_degenerate_interval():
