@@ -114,9 +114,10 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     from the lapse bracket B, precedes secant steps; a step out of the
     bracket in u falls back to regula falsi.  While there is no upper
     end, u doubles in place of a step that would climb slowly.  It stops
-    when a step moves tau by at most root_tol/2 * max(1, tau), or when
-    |chi - chi1| reaches chi's rounding floor, 2 eps chi1.  Iterates
-    integrate chi directly; only the returned tau builds a slice store.
+    when a step moves tau by at most root_tol/2 * tau, relative at every
+    scale, or when |chi - chi1| reaches chi's rounding floor, 2 eps chi1.
+    Iterates integrate chi directly; only the returned tau builds a slice
+    store.
 
     Events beyond a bounded chart raise OutOfChartError; on a global
     chart, chi that stalls or a slice time that overflows AccuracyError.
@@ -209,7 +210,7 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
                 if not lo < x < hi:
                     x = 0.5 * (lo + hi)
         tau_x = tau_of(x)
-        if abs(tau_x - tau) <= 0.5 * cfg.root_tol * max(1.0, tau_x):
+        if abs(tau_x - tau) <= 0.5 * cfg.root_tol * tau_x:
             u, tau = x, tau_x
             break
         prev_u, prev_f, u = u, f, x

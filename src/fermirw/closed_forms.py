@@ -10,12 +10,13 @@ every model here).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .cosmology import Cosmology, make_exponential, make_power_law
-from .errors import DomainError, OutOfChartError, _finite
+from .errors import DomainError, OutOfChartError, _finite, _no_overflow
 from .numerics import DEFAULT_CONFIG, find_root_monotone, gamma_fn, hyp2f1
 
 __all__ = [
@@ -41,7 +42,9 @@ class ClosedFormModel:
     t, chi, rho, g_tau_tau, ang: functions of (tau, sigma).
     sigma_of_rho: function of (tau, rho); raises OutOfChartError beyond
     the slice radius.  v_f: function of sigma0.  rho_slice: function of
-    tau.  v_sup is the supremum of v_f.
+    tau.  v_sup is the supremum of v_f.  Each map returns a finite float
+    or raises a FermiRWError: an overflow on the way, raised or returned
+    as inf or NaN, raises DomainError.
     """
 
     family: str
@@ -55,6 +58,25 @@ class ClosedFormModel:
     ang: Callable[[float, float], float]
     v_f: Callable[[float], float]
     rho_slice: Callable[[float], float]
+
+    def __post_init__(self):
+        for name in ("t", "chi", "rho", "sigma_of_rho", "g_tau_tau", "ang",
+                     "v_f", "rho_slice"):
+            object.__setattr__(self, name, _guard_overflow(
+                f"{self.family} {name}", getattr(self, name)))
+
+
+def _guard_overflow(name: str, fn: Callable) -> Callable:
+    """fn, with an overflow on the way to its value a DomainError."""
+    @functools.wraps(fn)
+    def guarded(*args):
+        try:
+            value = fn(*args)
+        except OverflowError:
+            raise DomainError(
+                f"{name}{args} overflows the float range") from None
+        return _no_overflow(f"{name}{args}", value)
+    return guarded
 
 
 def _check_tau(tau: float) -> float:

@@ -126,12 +126,100 @@ def make_exponential(h0: float) -> ScaleFactorModel:
     )
 
 
+class _PPoly:
+    """A piecewise polynomial on ascending knots x, in the layout of
+    scipy.interpolate.PPoly: c[m, i] multiplies (t - x_i)^(k - m) on
+    [x_i, x_i+1), k = len(c) - 1.
+
+    Evaluation repeats scipy's arithmetic, so values agree bit for bit:
+    t picks the piece [x_i, x_i+1) (the last piece also holds x_n, and the
+    end pieces extrapolate), and the sum runs over rising powers of
+    s = t - x_i, each power the previous one times s.  A Python int or
+    float (np.float64 included) goes through bisect on lists and returns
+    a float; anything else goes through numpy and returns an array.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x, self.c = x, c
+        self._inner = x[1:-1]
+        self._rows = c[::-1]    # constant term first
+        # The scalar path: lists index faster than arrays, and bisect
+        # takes them.
+        self._knots = x.tolist()
+        self._inner_list = self._knots[1:-1]
+        self._row_lists = [row.tolist() for row in self._rows]
+
+    def derivative(self) -> "_PPoly":
+        """The derivative: row m times its power k - m, as PPoly does."""
+        k = len(self.c) - 1
+        return _PPoly(self.x, self.c[:-1] * np.arange(k, 0, -1)[:, None])
+
+    def __call__(self, t):
+        if isinstance(t, (int, float)):
+            t = float(t)
+            i = bisect.bisect_right(self._inner_list, t)
+            s = t - self._knots[i]
+            rows = self._row_lists
+            y, z = rows[0][i], 1.0
+            for row in rows[1:]:
+                z *= s
+                y += row[i] * z
+            return y
+        t = np.asarray(t, dtype=float)
+        i = self._inner.searchsorted(t, side="right")
+        s = t - self.x.take(i)
+        y, z = self._rows[0].take(i), None
+        for row in self._rows[1:]:
+            z = s if z is None else z * s
+            y = y + row.take(i) * z
+        return y
+
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> _PPoly:
+    """The monotone cubic Hermite interpolant of scipy's PchipInterpolator.
+
+    Slopes are the Fritsch-Butland weighted harmonic means of the secant
+    slopes (Fritsch and Carlson, SIAM J. Numer. Anal. 17, 1980; Fritsch
+    and Butland, SIAM J. Sci. Stat. Comput. 5, 1984), zero where the
+    secants change sign or vanish, with Moler's one-sided end rule
+    (Numerical Computing with MATLAB, sec. 3.6).  Each operation is
+    scipy's, in scipy's order, so the pieces are bit-identical to
+    PchipInterpolator(x, y)'s.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    flat = ((np.sign(m[1:]) != np.sign(m[:-1]))
+            | (m[1:] == 0.0) | (m[:-1] == 0.0))
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:])
+                                             / (w1 + w2)))
+
+    def end(h0, h1, m0, m1):
+        e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return e
+
+    d[0] = end(h[0], h[1], m[0], m[1])
+    d[-1] = end(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return _PPoly(x, np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])))
+
+
 def make_tabulated(samples: Sequence[tuple[float, float]]) -> ScaleFactorModel:
     """Monotone shape-preserving cubic model through (t, a) samples.
 
-    b comes from interpolating the swapped (a, t) pairs, not from inverting
-    the a interpolant, so the two curves are each exact at the knots.
-    Second derivatives of the interpolant are only O(h) accurate.
+    a and b are PCHIP interpolants (see _pchip), bit-identical to
+    scipy.interpolate.PchipInterpolator's; a', b' and b'' are their
+    derivative polynomials.  b comes from interpolating the swapped (a, t)
+    pairs, not from inverting the a interpolant, so the two curves are
+    each exact at the knots.  Second derivatives of the interpolant are
+    only O(h) accurate.
     """
     if len(samples) < MIN_TABLE_SAMPLES:
         raise TableError(
@@ -148,17 +236,13 @@ def make_tabulated(samples: Sequence[tuple[float, float]]) -> ScaleFactorModel:
     if avals[0] <= 0.0:
         raise TableError(f"sample 0 has a={avals[0]:g}; scale factor must be positive")
 
-    # Imported here: scipy.interpolate takes longer to import than the
-    # rest of the package, and only tabulated models need it.
-    from scipy.interpolate import PchipInterpolator
+    a_interp = _pchip(ts, avals)
+    b_interp = _pchip(avals, ts)
+    a_dot = a_interp.derivative()
+    b_dot = b_interp.derivative()
+    b_ddot = b_dot.derivative()
 
-    a_interp = PchipInterpolator(ts, avals, extrapolate=True)
-    b_interp = PchipInterpolator(avals, ts, extrapolate=True)
-    a_dot = a_interp.derivative(1)
-    b_dot = b_interp.derivative(1)
-    b_ddot = b_interp.derivative(2)
-
-    a_inf = max(0.0, float(a_interp(0.0)))
+    a_inf = max(0.0, a_interp(0.0))
     probe = np.linspace(avals[0], avals[-1], 257)
     curv = b_ddot(probe)
     scale = float(np.max(np.abs(curv))) or 1.0

@@ -176,6 +176,16 @@ def test_fermi_milne_huge_time():
     assert ev.rho == pytest.approx(t * math.sinh(chi), rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [1e-12, 1e-9])
+def test_fermi_milne_tiny_time_is_relative(t):
+    # The search stops on a relative change in tau at every scale: a
+    # stopping rule absolute below tau = 1 took the first Newton step at
+    # t = 1e-12 and left tau 3.7e-3 and rho 6.3e-3 relative too low.
+    ev = fermi_from_rw(MILNE, RWEvent(t, 1.0))
+    assert ev.tau == pytest.approx(t * math.cosh(1.0), rel=1e-10)
+    assert ev.rho == pytest.approx(t * math.sinh(1.0), rel=1e-10)
+
+
 def test_de_sitter_far_edge_climbs_by_doubling(monkeypatch):
     # At 1 - w = 1e-10 the root u = 7.1e4 lies far above the start u = w,
     # on a chi(u) that saturates: secant steps would grow u by about 1.3x

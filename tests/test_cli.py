@@ -332,13 +332,23 @@ def test_console_script_entry_point():
     assert "fermirw" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # Only tabulated models need PchipInterpolator; make_tabulated imports
-    # it, so analytic-model runs do not pay for scipy.interpolate.
+def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
+    # Tabulated models use the package's own PCHIP interpolant, so no
+    # fermirw run, analytic or tabulated, imports scipy.interpolate.
+    ts = np.geomspace(0.05, 100.0, 60)
+    table = tmp_path / "scale.csv"
+    table.write_text("t,a\n" + "\n".join(
+        f"{t:.17g},{t ** (2.0 / 3.0):.17g}" for t in ts) + "\n")
     env = {**os.environ,
            "PYTHONPATH": str(Path(fermirw.__file__).resolve().parents[1])}
-    code = ("import sys, fermirw.cli; "
-            "sys.exit('scipy.interpolate' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    code = (
+        "import sys, fermirw, fermirw.cli\n"
+        "fermirw.make_tabulated(fermirw.load_table(sys.argv[1]))\n"
+        "code = fermirw.cli.main(['transform', 'to-fermi', '--model', "
+        "'tabulated', '--table', sys.argv[1], '--t', '8', '--chi', '0.05'])\n"
+        "assert code == 0, code\n"
+        "sys.exit('scipy.interpolate' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(table)], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("t,chi,")

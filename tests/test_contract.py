@@ -2,7 +2,7 @@
 # or raises a FermiRWError subclass, never a NaN, an inf or a stray
 # exception.  A deterministic grid of hostile arguments drives every
 # public numeric function, the model-bound ones over Milne, matter, de
-# Sitter and a 60-knot table.
+# Sitter and a 60-knot table, and the maps of the closed-form bundles.
 
 import dataclasses
 import itertools
@@ -51,6 +51,7 @@ from fermirw import (
     t_of_sigma,
     velocity_identity_residual,
 )
+from fermirw import closed_forms
 from fermirw.geodesics import lapse_bracket
 from fermirw.numerics import table_safe_config
 
@@ -187,3 +188,18 @@ def test_hyp2f1():
             a[i], a[j] = x, y
             args.append(tuple(a))
     _assert_contract(hyp2f1, args)
+
+
+BUNDLES = {b.family: b for b in (closed_forms.milne(),
+                                 closed_forms.de_sitter(1.0),
+                                 closed_forms.radiation(),
+                                 closed_forms.matter())}
+
+
+@pytest.mark.parametrize("family", BUNDLES)
+def test_closed_form_bundles(family):
+    bundle = BUNDLES[family]
+    for name in ("t", "chi", "rho", "sigma_of_rho", "g_tau_tau", "ang"):
+        _assert_contract(getattr(bundle, name), PAIRS)
+    _assert_contract(bundle.v_f, [(x,) for x in GRID])
+    _assert_contract(bundle.rho_slice, [(x,) for x in GRID])

@@ -17,7 +17,7 @@ from fermirw import (
     make_tabulated,
     sigma_infinity,
 )
-from fermirw.cosmology import sigma_breaks
+from fermirw.cosmology import _pchip, sigma_breaks
 
 
 def _cosmo(model, k=0, name="test"):
@@ -156,6 +156,105 @@ def test_tabulated_matterlike_is_global():
     ts = np.geomspace(0.05, 100.0, 400)
     m = make_tabulated(list(zip(ts, ts ** (2.0 / 3.0))))
     assert m.global_chart is True
+
+
+# ---------------------------------------------------------------------------
+# the PCHIP interpolant against scipy's
+
+def _matterlike(n):
+    ts = np.geomspace(0.05, 100.0, n)
+    return ts, ts ** (2.0 / 3.0)
+
+
+# (x, y) of each interpolant: the a and b curves of the 800- and 60-knot
+# tables, and a short curve with a flat piece and a turn, where slopes
+# are zero and the end rule clips.
+PCHIP_CASES = {
+    "a-800": _matterlike(800),
+    "b-800": _matterlike(800)[::-1],
+    "a-60": _matterlike(60),
+    "b-60": _matterlike(60)[::-1],
+    "flat": (np.array([0.1, 0.5, 1.0, 2.0, 3.0]),
+             np.array([0.0, 1.0, 1.0, 2.0, 1.5])),
+}
+
+
+def _pchip_points(x):
+    """Random points across the knots and beyond both ends, each knot,
+    its neighbouring floats and t = 0."""
+    span = x[-1] - x[0]
+    rng = np.random.default_rng(7)
+    return np.concatenate([
+        rng.uniform(x[0] - 0.3 * span, x[-1] + 0.3 * span, 5000), x,
+        np.nextafter(x, -np.inf), np.nextafter(x, np.inf), [0.0]])
+
+
+def _pchip_pairs(case):
+    """(ours, scipy's) for the interpolant, its first and second
+    derivatives."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    x, y = PCHIP_CASES[case]
+    ref = interpolate.PchipInterpolator(x, y, extrapolate=True)
+    ours = _pchip(x, y)
+    return [(ours, ref), (ours.derivative(), ref.derivative(1)),
+            (ours.derivative().derivative(), ref.derivative(2))]
+
+
+@pytest.mark.parametrize("case", PCHIP_CASES)
+def test_pchip_matches_scipy(case):
+    # 1e-14 relative to each curve's scale, so that a scipy release that
+    # reorders its arithmetic still passes.
+    t = _pchip_points(PCHIP_CASES[case][0])
+    for order, (ours, ref) in enumerate(_pchip_pairs(case)):
+        want = ref(t)
+        np.testing.assert_allclose(
+            ours(t), want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)),
+            err_msg=f"derivative {order}")
+
+
+@pytest.mark.parametrize("case", PCHIP_CASES)
+def test_pchip_bit_identical_to_scipy(case):
+    import scipy
+    t = _pchip_points(PCHIP_CASES[case][0])
+    for order, (ours, ref) in enumerate(_pchip_pairs(case)):
+        if not np.array_equal(ours(t), ref(t)):
+            pytest.skip(f"scipy {scipy.__version__} rounds derivative "
+                        f"{order} differently; test_pchip_matches_scipy "
+                        f"still bounds the difference")
+
+
+@pytest.mark.parametrize("case", PCHIP_CASES)
+def test_pchip_scalar_path_is_the_array_path(case):
+    x, y = PCHIP_CASES[case]
+    t = _pchip_points(x)
+    p = _pchip(x, y)
+    for f in (p, p.derivative(), p.derivative().derivative()):
+        scalars = [f(float(v)) for v in t]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(scalars, f(t))
+        # np.float64 and int arguments take the scalar path too.
+        assert type(f(t[0])) is float and f(1) == f(1.0)
+
+
+def test_pchip_is_exact_at_the_knots():
+    x, y = PCHIP_CASES["b-800"]
+    p = _pchip(x, y)
+    assert np.array_equal(p(x[:-1]), y[:-1])
+    assert [p(v) for v in x[:-1].tolist()] == y[:-1].tolist()
+
+
+def test_tabulated_derivatives_frozen():
+    # Values of scipy 1.17.1's PchipInterpolator model of this table,
+    # inside it and extrapolated below (a = 0.1) and above (a = 25).
+    ts, avals = _matterlike(800)
+    m = make_tabulated(list(zip(ts, avals)))
+    assert repr(m.b_dot(0.1)) == "0.48253939319683997"
+    assert repr(m.b_dot(1.3)) == "1.7102634276534012"
+    assert repr(m.b_dot(25.0)) == "7.53407683030385"
+    assert repr(m.b_ddot(0.1)) == "1.8947546685085355"
+    assert repr(m.b_ddot(1.3)) == "0.6582575409636658"
+    assert repr(m.b_ddot(25.0)) == "0.16868041821061894"
+    assert repr(m.a_dot(2.0)) == "0.5291337071779321"
 
 
 # ---------------------------------------------------------------------------
