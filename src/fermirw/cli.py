@@ -26,7 +26,7 @@ from .geodesics import chi_of_sigma, rho_of_sigma, t_of_sigma
 from .kinematics import fermi_speed, proper_radius
 from .metric import _polar_at
 from .numerics import DEFAULT_CONFIG, NumericsConfig, table_safe_config
-from .verify import SUITE_NAMES, format_report, run_suite
+from .verify import SUITE_NAMES, format_report, ode_spec, run_suite
 
 __all__ = ["main", "RunConfig"]
 
@@ -305,17 +305,8 @@ def cmd_verify(args, rc: RunConfig, parser: _Parser) -> int:
     if rc.cosmology is not None:
         if args.suite not in ("ode-oracle", "all"):
             parser.error("--model applies to the ode-oracle suite only")
-        cosmo = rc.cosmology
-        if cosmo.name == "de-sitter":
-            tau, margin = 3.0 / rc.model_desc["h0"], 0.95
-        elif cosmo.name == "milne":
-            tau, margin = 2.0, 0.99
-        else:
-            tau, margin = 1.0, 0.99
-        label = cosmo.name
-        if cosmo.name == "power-law":
-            label = f"power-law-{rc.model_desc['alpha']:.2f}"
-        specs = [(label, cosmo, tau, margin)]
+        specs = [ode_spec(rc.cosmology, rc.model_desc.get("h0"),
+                          rc.model_desc.get("alpha"))]
     results = run_suite(args.suite, rc.numerics, specs)
     if rc.fmt == "json":
         schema = ["name", "residual", "tolerance", "passed", "detail"]

@@ -226,6 +226,11 @@ def make_tabulated(samples: Sequence[tuple[float, float]]) -> ScaleFactorModel:
             f"need at least {MIN_TABLE_SAMPLES} samples, got {len(samples)}")
     ts = np.array([float(s[0]) for s in samples])
     avals = np.array([float(s[1]) for s in samples])
+    for name, vals in (("t", ts), ("a", avals)):
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise TableError(f"{name} sample at index {bad[0]} is "
+                             f"{vals[bad[0]]:g}; samples must be finite")
     if ts[0] <= 0.0:
         raise TableError(f"sample 0 has t={ts[0]:g}; times must be positive")
     for i in range(1, len(ts)):
@@ -270,7 +275,11 @@ def load_table(path: str | Path) -> list[tuple[float, float]]:
         for i, row in enumerate(raw):
             if not isinstance(row, (list, tuple)) or len(row) != 2:
                 raise TableError(f"{path}: entry {i} is not a [t, a] pair")
-            out.append((float(row[0]), float(row[1])))
+            try:
+                out.append((float(row[0]), float(row[1])))
+            except (TypeError, ValueError) as exc:
+                raise TableError(f"{path}: entry {i} ({row!r}) is not a pair "
+                                 f"of numbers") from exc
         return out
     with path.open(newline="") as fh:
         reader = csv.reader(fh)

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .cosmology import Cosmology, hubble, sigma_breaks, sigma_infinity
+from .cosmology import Cosmology, sigma_breaks, sigma_infinity
 from .errors import AccuracyError, DomainError, _finite, _no_overflow
 from .numerics import (DEFAULT_CONFIG, NumericsConfig, _clean_breaks,
                        _panel_root, _s_nodes, _u_nodes)
@@ -85,10 +85,6 @@ _SHARED_PIECES = 2
 # The slice integrals the store keeps, as (order, power): chi (1, 1/2),
 # rho (1, 3/2), the lapse integral (2, 1) and fermi_speed's i2 (2, 2).
 _CHI, _RHO, _LAPSE, _I2 = (1, 0.5), (1, 1.5), (2, 1.0), (2, 2.0)
-
-# Tolerated negative radicand in the ODE route before flagging inconsistency.
-_RADICAND_SLACK = 1e-13
-
 
 @dataclass(frozen=True)
 class GeodesicPoint:
@@ -520,12 +516,14 @@ def integrate_geodesic_ode(cosmo: Cosmology, tau: float, rho_max: float,
                            step: float) -> list[GeodesicPoint]:
     """Integrate the geodesic ODE outward in proper distance rho.
 
-    dt/drho = -sqrt((a0/a(t))^2 - 1),  dchi/drho = a0/a(t)^2,  a0 = a(tau).
-
-    Fixed-step classical Runge-Kutta; the first step uses the near-origin
-    series t(rho) ~ tau - H rho^2/2 because the radicand vanishes at the
-    start.  Independent of the quadrature maps by construction, so the two
-    routes can cross-check each other.
+    With a0 = a(tau) and u = sqrt(sigma - 1) = -dt/drho, the regular system
+        dt/drho = -u,  du/drho = (1 + u^2) H(t),  dchi/drho = a0/a(t)^2
+    runs from (t, u, chi) = (tau, 0, 0) by fixed-step classical Runge-Kutta.
+    dt/drho = -sqrt((a0/a(t))^2 - 1) alone is not Lipschitz at the
+    observer (t = tau also solves it); this right-hand side is smooth
+    there, so no special start is needed and the error is discretisation
+    alone.  Only a and a' enter, never b or a slice integral, so the route
+    cross-checks the quadrature maps independently.
     """
     tau, step = _finite("tau", tau), _finite("step", step)
     rho_max = _finite("rho_max", rho_max, nonnegative=True)
@@ -541,57 +539,23 @@ def integrate_geodesic_ode(cosmo: Cosmology, tau: float, rho_max: float,
                 f"geodesic integration left the model domain (t={t:g})")
         return float(m.a(t))
 
-    def radicand(t: float) -> float:
-        s = (a0 / a_of(t)) ** 2 - 1.0
-        if s < 0.0:
-            if s < -_RADICAND_SLACK:
-                raise AccuracyError(
-                    f"radicand {s:.3g} below tolerance; step too large "
-                    f"or inconsistent state", estimate=s)
-            s = 0.0
-        return s
+    def deriv(t: float, u: float) -> tuple[float, float, float]:
+        a = a_of(t)
+        return -u, (1.0 + u * u) * float(m.a_dot(t)) / a, a0 / (a * a)
 
-    def deriv(t: float) -> tuple[float, float]:
-        dchi = a0 / a_of(t) ** 2
-        return -math.sqrt(radicand(t)), dchi
-
-    # Near the observer the radicand vanishes like (H rho)^2 and the
-    # right-hand side is not Lipschitz in t, which would degrade the
-    # Runge-Kutta order.  Cover a short initial region with the series
-    # solution of u' = H(t)(1 + u^2), u = sqrt(sigma - 1), integrated to
-    #   t   = tau - H rho^2/2 - (c3/4) rho^4 - (c5/6) rho^6
-    #   chi = (rho + H^2 rho^3/3 + (2 H c3/5) rho^5)/a0
-    # with H', H'' estimated by central differences, then hand over to RK4.
-    # A step, a series term or H'' that leaves the float range raises
-    # DomainError.
+    # A step that leaves the float range raises DomainError.
     try:
         n = max(1, round(rho_max / step))
         h = rho_max / n
+        t, u, chi = float(tau), 0.0, 0.0
         points = [start]
-        hub = hubble(cosmo, tau)
-        dtau = 1e-4 * tau
-        hp = ((hubble(cosmo, tau + dtau) - hubble(cosmo, tau - dtau))
-              / (2.0 * dtau))
-        hpp = (hubble(cosmo, tau + dtau) - 2.0 * hub
-               + hubble(cosmo, tau - dtau)) / dtau ** 2
-        c3 = (hub ** 3 - 0.5 * hp * hub) / 3.0
-        c5 = (2.0 * hub ** 2 * c3 - 0.5 * hp * hub ** 3 - 0.25 * hp * c3
-              + 0.125 * hpp * hub ** 2) / 5.0
-        rho_series = min(0.05 / hub, 0.25 * rho_max)
-        i0 = max(1, min(n, round(rho_series / h)))
-        for i in range(1, i0 + 1):
-            r = i * h
-            t = (tau - 0.5 * hub * r * r - 0.25 * c3 * r ** 4
-                 - c5 * r ** 6 / 6.0)
-            chi = (r + hub * hub * r ** 3 / 3.0 + 0.4 * hub * c3 * r ** 5) / a0
-            points.append(GeodesicPoint(tau, (a0 / a_of(t)) ** 2, t, chi, r))
-
-        for i in range(i0, n):
-            k1t, k1c = deriv(t)
-            k2t, k2c = deriv(t + 0.5 * h * k1t)
-            k3t, k3c = deriv(t + 0.5 * h * k2t)
-            k4t, k4c = deriv(t + h * k3t)
+        for i in range(n):
+            k1t, k1u, k1c = deriv(t, u)
+            k2t, k2u, k2c = deriv(t + 0.5 * h * k1t, u + 0.5 * h * k1u)
+            k3t, k3u, k3c = deriv(t + 0.5 * h * k2t, u + 0.5 * h * k2u)
+            k4t, k4u, k4c = deriv(t + h * k3t, u + h * k3u)
             t += h * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
+            u += h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
             chi += h * (k1c + 2.0 * k2c + 2.0 * k3c + k4c) / 6.0
             rho = (i + 1) * h
             points.append(GeodesicPoint(tau, (a0 / a_of(t)) ** 2, t, chi, rho))

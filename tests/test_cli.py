@@ -84,6 +84,22 @@ def test_bad_numerics_exit_2(capsys, flags):
     assert flags[0][2:].split("=")[0].replace("-", "_") in err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ('[[1, 1], [2, 1.5], ["a", 1], [4, 2.2]]', "entry 2"),
+    ("[[1, 1], [2, 1.5], [3, 1.9], [4, NaN]]", "a sample at index 3"),
+], ids=["not-a-number", "nan"])
+def test_transform_bad_table_is_domain_error(capsys, tmp_path, rows,
+                                             message):
+    p = tmp_path / "bad.json"
+    p.write_text(rows)
+    code, out, err = run_cli(capsys, "transform", "to-fermi", "--model",
+                             "tabulated", "--table", str(p), "--t", "2",
+                             "--chi", "0.5")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_transform_round_trip_through_cli(capsys):
     code, out, _ = run_cli(capsys, "transform", "to-fermi", "--model",
                            "radiation", "--t", "0.5", "--chi",

@@ -331,6 +331,32 @@ def test_load_table_bad_json(tmp_path):
         load_table(p)
 
 
+@pytest.mark.parametrize("entry", [["a", 1], [1, None]])
+def test_load_table_json_entry_not_numbers(tmp_path, entry):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps([[1.0, 1.0], [2.0, 1.5], entry, [4.0, 2.2]]))
+    with pytest.raises(TableError, match="entry 2"):
+        load_table(p)
+
+
+# JSON NaN and 1e400 (read as inf) and CSV nan load as floats; the model
+# rejects them, an inf in the last row included, which no later sample is
+# compared with.
+@pytest.mark.parametrize("name, text, match", [
+    ("t.json", "[[1, 1], [2, 1.5], [NaN, 1.9], [4, 2.2]]",
+     "t sample at index 2"),
+    ("t.json", "[[1, 1], [2, 1.5], [3, 1.9], [4, 1e400]]",
+     "a sample at index 3"),
+    ("t.csv", "t,a\n1,1\n2,nan\n3,1.9\n4,2.2\n", "a sample at index 1"),
+    ("t.csv", "t,a\n1,1\n2,1.5\n3,1.9\ninf,2.2\n", "t sample at index 3"),
+], ids=["json-nan-t", "json-inf-a", "csv-nan-a", "csv-inf-t"])
+def test_tabulated_rejects_non_finite_samples(tmp_path, name, text, match):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(TableError, match=match):
+        make_tabulated(load_table(p))
+
+
 # ---------------------------------------------------------------------------
 # sigma_breaks
 

@@ -1,10 +1,12 @@
 # Self-check suites: each check must test what its name says.
 
 import dataclasses
+import re
 
 import pytest
 
-from fermirw import DomainError, verify
+from fermirw import (Cosmology, DomainError, make_exponential, make_power_law,
+                     verify)
 
 
 def test_pullback_checks_every_model(monkeypatch):
@@ -27,3 +29,31 @@ def test_pullback_checks_every_model(monkeypatch):
 def test_unknown_suite_is_domain_error():
     with pytest.raises(DomainError, match="unknown suite 'bogus'"):
         verify.run_suite("bogus")
+
+
+ODE_SPECS = verify.default_ode_specs() + [
+    verify.ode_spec(Cosmology(make_power_law(0.1), k=0, name="power-law"),
+                    alpha=0.1),
+    ("de-sitter-tau-0.2",
+     Cosmology(make_exponential(1.0), k=0, name="de-sitter"), 0.2, 0.95),
+]
+
+
+@pytest.mark.parametrize("spec", ODE_SPECS, ids=lambda spec: spec[0])
+def test_ode_oracle_error_is_its_discretisation(spec):
+    # The geodesic ODE has no start of its own to get wrong, so step
+    # halving bounds its whole error: the residual against the
+    # quadrature maps stays within twice the coarse-to-fine drift.
+    (result,) = verify.ode_oracle_suite(specs=[spec])
+    drift = float(re.search(r"drift (\S+)", result.detail)[1])
+    assert result.residual <= 2.0 * drift + 1e-14, result
+
+
+def test_ode_spec_per_family():
+    specs = {label: (tau, margin)
+             for label, _, tau, margin in verify.default_ode_specs()}
+    assert specs == {"milne": (2.0, 0.99), "de-sitter": (3.0, 0.95),
+                     "radiation": (1.0, 0.99), "matter": (1.0, 0.99),
+                     "power-law-0.33": (1.0, 0.99)}
+    ds = Cosmology(make_exponential(2.0), k=0, name="de-sitter")
+    assert verify.ode_spec(ds, h0=2.0)[2:] == (1.5, 0.95)
