@@ -73,20 +73,28 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
     geodesics.Slice.invert solves it by Newton's method on the slice
     store's panel polynomials and one polish integral.  rho at or beyond
     the slice radius (proper_radius) raises OutOfChartError carrying that
-    radius.
+    radius.  The radius, which builds the radial track out to the slice
+    end, is computed only when rho lies beyond the radial pieces already
+    built: a rho below their running total lies inside the slice, and
+    its inversion reads built pieces alone.  So an inversion after a
+    rho_of_sigma read on the same slice, as rw_from_fermi's after
+    fermi_from_rw, builds no tail, while one that must integrate builds
+    the whole track at once.
     """
     cfg = cfg or DEFAULT_CONFIG
     tau = _check_time(tau)
     if _finite("rho", rho, nonnegative=True) == 0.0:
         return 1.0
-    rho_max = proper_radius(cosmo, tau, cfg)
-    if rho >= rho_max:
-        raise OutOfChartError(
-            f"rho={rho:g} is not inside the tau={tau:g} slice; "
-            f"the slice proper radius is rho_M={rho_max:.12g}",
-            rho_max=rho_max)
     st = store(cosmo, tau, cfg)
-    return st.invert(_RHO, rho, 0.5 * st.a0, radial=True)
+    scale, built = 0.5 * st.a0, st.tracks[True].cums
+    if not (built and rho < scale * float(built[-1][_RHO][-1])):
+        rho_max = proper_radius(cosmo, tau, cfg)
+        if rho >= rho_max:
+            raise OutOfChartError(
+                f"rho={rho:g} is not inside the tau={tau:g} slice; "
+                f"the slice proper radius is rho_M={rho_max:.12g}",
+                rho_max=rho_max)
+    return st.invert(_RHO, rho, scale, radial=True)
 
 
 def rw_from_fermi(cosmo: Cosmology, event: FermiEvent,
@@ -115,7 +123,9 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     bracket in u falls back to regula falsi.  While there is no upper
     end, u doubles in place of a step that would climb slowly.  It stops
     when a step moves tau by at most root_tol/2 * tau, relative at every
-    scale, or when |chi - chi1| reaches chi's rounding floor, 2 eps chi1.
+    scale; once the ratio of successive steps shrinks below 1, when the
+    next step predicted from it, this one times that ratio, would; or
+    when |chi - chi1| reaches chi's rounding floor, 2 eps chi1.
     Iterates integrate chi directly; only the returned tau builds a slice
     store.
 
@@ -180,6 +190,7 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     lo, f_lo, hi, f_hi, prev_f = 0.0, -chi1, None, None, None
     steps = doublings = stalls = 0
     doubled = False
+    prev_step = prev_ratio = None
     # Below 2 eps chi1 the residual's sign is rounding noise.
     while abs(f) > 2.0 * _EPS * chi1:
         if f < 0.0:
@@ -195,6 +206,7 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         # toward cfg.max_iter.
         weak = doubled or (prev_f is not None and f < 0.25 * prev_f)
         doubled = hi is None and (not x > u or (weak and x < 2.0 * u))
+        step = None
         if doubled:
             x, doublings = 2.0 * u, doublings + 1
             if doublings > _GROWTH_CAP:
@@ -209,10 +221,23 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
                 x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
                 if not lo < x < hi:
                     x = 0.5 * (lo + hi)
+            else:
+                step = x - u
         tau_x = tau_of(x)
-        if abs(tau_x - tau) <= 0.5 * cfg.root_tol * tau_x:
+        # Once the ratio of successive steps falls below 1 and below the
+        # one before it, the iteration converges superlinearly, and the
+        # next step, about this one times that ratio, bounds what one more
+        # integral could still move tau.
+        ratio = None if step is None or prev_step is None else abs(
+            step / prev_step)
+        move = abs(tau_x - tau)
+        if ratio is not None and prev_ratio is not None and \
+                ratio < min(1.0, prev_ratio):
+            move *= ratio
+        if move <= 0.5 * cfg.root_tol * tau_x:
             u, tau = x, tau_x
             break
+        prev_step, prev_ratio = step, ratio
         prev_u, prev_f, u = u, f, x
         tau, sigma, a0, f = residual(u, tau_x)
         slope = (f - prev_f) / (u - prev_u)

@@ -221,11 +221,18 @@ def make_tabulated(samples: Sequence[tuple[float, float]]) -> ScaleFactorModel:
     each exact at the knots.  Second derivatives of the interpolant are
     only O(h) accurate.
     """
-    if len(samples) < MIN_TABLE_SAMPLES:
+    pairs = []
+    try:
+        for s in samples:
+            pairs.append((float(s[0]), float(s[1])))
+    except (TypeError, ValueError, IndexError):
+        raise TableError(f"samples must be (t, a) pairs of numbers; the one "
+                         f"at index {len(pairs)} is not") from None
+    if len(pairs) < MIN_TABLE_SAMPLES:
         raise TableError(
-            f"need at least {MIN_TABLE_SAMPLES} samples, got {len(samples)}")
-    ts = np.array([float(s[0]) for s in samples])
-    avals = np.array([float(s[1]) for s in samples])
+            f"need at least {MIN_TABLE_SAMPLES} samples, got {len(pairs)}")
+    ts = np.array([t for t, _ in pairs])
+    avals = np.array([a for _, a in pairs])
     for name, vals in (("t", ts), ("a", avals)):
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:

@@ -12,7 +12,10 @@ One store per slice, Slice, keeps the accepted G7/K15 panels of those
 integrals, built piece by piece (u = sqrt(sigma - 1) up to sigma = 2,
 then dyadic pieces s in [s/2, s] of s = 1/sqrt(sigma), then for rho a
 last piece to the slice end) as queries reach them; the store of the
-last (cosmo, tau, cfg) slice asked for is kept.  A value is a prefix
+last (cosmo, tau, cfg) slice asked for is kept.  That last rho piece,
+the radial tail, is built by a read past the pieces before it and by
+the slice radius, which sigma_of_rho asks for only when its target
+lies beyond the radial pieces already built.  A value is a prefix
 sum over whole panels plus one polish integral over the last partial
 panel, and the inverse maps sigma(rho) and sigma(chi) run Newton's
 method on the stored panel polynomials before one polish, so every
@@ -264,14 +267,15 @@ class Slice:
     integrating chi, rho, the lapse integral and i2 at once.  The radial
     track, for rho alone, shares the first 1 + _SHARED_PIECES of them and
     ends with one piece to the slice end, s = 0 on an unbounded slice,
-    where the rho integral converges.  The main track cannot end that
-    way: chi, the lapse integral and i2 may grow by orders of magnitude
-    toward the end of a finite slice, and a piece bounds its error only
-    relative to its own total, so a read inside one long last piece
-    could miss by all of its value.  Each piece is split at the table
-    knots and refined on its own by numerics._adaptive_panels, so the
-    panels depend on (cosmo, tau, cfg) alone.  Panels run in sigma order:
-    s panels from high s to low.
+    where the rho integral converges; that tail is built by radius() or
+    by a read or an inversion past the shared pieces.  The main track
+    cannot end that way: chi, the lapse integral and i2 may grow by
+    orders of magnitude toward the end of a finite slice, and a piece
+    bounds its error only relative to its own total, so a read inside
+    one long last piece could miss by all of its value.  Each piece is
+    split at the table knots and refined on its own by
+    numerics._adaptive_panels, so the panels depend on (cosmo, tau, cfg)
+    alone.  Panels run in sigma order: s panels from high s to low.
     """
 
     def __init__(self, cosmo: Cosmology, tau: float, cfg: NumericsConfig):

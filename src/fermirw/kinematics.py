@@ -147,7 +147,9 @@ def proper_radius(cosmo: Cosmology, tau: float,
     sqrt(s-1)) ds; finite sigma_infinity is clipped just inside the slice.
     Always at most the Hubble radius 1/H(tau).  It is the total of the
     slice store's radial track, so the rows of one slice integrate its
-    full sigma range once.
+    full sigma range once.  It builds the track's tail to the slice end,
+    which chart.sigma_of_rho asks for only when its target lies beyond
+    the radial pieces already built.
     """
     return store(cosmo, _check_time(tau), cfg).radius()
 

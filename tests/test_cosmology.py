@@ -142,6 +142,11 @@ def test_tabulated_nonmonotone_names_index():
     rows = [(1.0, 1.0), (2.0, 1.5), (1.5, 1.8), (4.0, 2.0)]
     with pytest.raises(TableError, match="index 2"):
         make_tabulated(rows)
+    # Malformed rows given directly, not through load_table.
+    for bad in [(3.0, "x"), (3.0, None), (3.0,)]:
+        rows = [(1.0, 1.0), (2.0, 1.5), bad, (4.0, 2.0)]
+        with pytest.raises(TableError, match="index 2"):
+            make_tabulated(rows)
 
 
 def test_tabulated_records_grid():

@@ -27,7 +27,7 @@ from fermirw import (
     sigma_of_chi,
     sigma_of_rho,
 )
-from fermirw import geodesics, metric
+from fermirw import closed_forms, geodesics, metric
 from fermirw.geodesics import lapse_bracket, slice_end, slice_integral
 from fermirw.numerics import table_safe_config
 from fermirw.verify import _tabulated_matterlike
@@ -228,6 +228,55 @@ def test_late_de_sitter_slice_reads_cold(tau):
             sigma_of_chi(fresh, tau, 2.0)
         with pytest.raises(DomainError, match="beyond the comoving reach"):
             fermi_speed(fresh, tau, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the slice radius is computed only for a target beyond the built pieces
+
+
+@pytest.mark.parametrize("name, tau", [("milne", 2.0), ("de-sitter", 1.0),
+                                       ("de-sitter", 3.0)])
+def test_sigma_of_rho_at_the_edge_cold_and_warm(name, tau):
+    # The radial track of de Sitter at tau = 1 (sigma_infinity = e^2) ends
+    # inside the pieces it shares with the main track, at tau = 3 past
+    # them; Milne's is unbounded.  A cold inversion, one after
+    # proper_radius and one after a read near the top of the slice agree
+    # on either side of rho_M.
+    cosmo, cfg = MODELS[name]
+    rho_m = proper_radius(_fresh(cosmo), tau, cfg)
+    top = min(16.0, 0.999 * slice_end(cosmo, tau))
+
+    def fresh(state):
+        c = _fresh(cosmo)
+        if state == "radius":
+            proper_radius(c, tau, cfg)
+        elif state == "read":
+            rho_of_sigma(c, tau, top, cfg)
+        return c
+    states = ("cold", "radius", "read")
+    for rho in (math.nextafter(rho_m, 0.0), rho_m * (1.0 - 1e-9)):
+        assert len({repr(sigma_of_rho(fresh(state), tau, rho, cfg))
+                    for state in states}) == 1
+    for rho in (rho_m, rho_m * (1.0 + 1e-7)):
+        for state in states:
+            with pytest.raises(OutOfChartError) as exc:
+                sigma_of_rho(fresh(state), tau, rho, cfg)
+            assert exc.value.rho_max == rho_m
+
+
+def test_sigma_of_rho_inside_the_built_pieces_builds_no_tail():
+    # After a read at sigma = 16, in the last piece the radial track shares
+    # with the main one, an inversion below it needs no radius and so no
+    # tail to s = 0; a cold one builds the whole track with the radius.
+    cosmo = _fresh(MILNE)
+    rho_of_sigma(cosmo, 2.0, 16.0)
+    sigma_of_rho(cosmo, 2.0, closed_forms.milne().rho(2.0, 9.0))
+    radial = geodesics.store(cosmo, 2.0).tracks[True]
+    assert len(radial.pieces) == 1 + geodesics._SHARED_PIECES
+    assert not radial.done
+    cosmo = _fresh(MILNE)
+    sigma_of_rho(cosmo, 2.0, closed_forms.milne().rho(2.0, 9.0))
+    assert geodesics.store(cosmo, 2.0).tracks[True].done
 
 
 # ---------------------------------------------------------------------------
