@@ -24,7 +24,7 @@ from .cosmology import (Cosmology, hubble, load_table, make_exponential,
 from .errors import AccuracyError, DomainError
 from .geodesics import chi_of_sigma, rho_of_sigma, t_of_sigma
 from .kinematics import fermi_speed, proper_radius
-from .metric import _polar_at
+from .metric import metric_polar
 from .numerics import DEFAULT_CONFIG, NumericsConfig, table_safe_config
 from .verify import SUITE_NAMES, format_report, ode_spec, run_suite
 
@@ -267,7 +267,7 @@ def cmd_sweep(args, rc: RunConfig, parser: _Parser) -> int:
 
     def metric(row, r):
         row["sigma"] = _sigma_of_rho(cosmo, tau, r, cfg)
-        pm = _polar_at(cosmo, tau, row["sigma"], cfg)
+        pm = metric_polar(cosmo, tau, r, cfg)
         row.update(g_tau_tau=pm.g_tau_tau, g_rho_rho=pm.g_rho_rho,
                    ang=pm.ang)
 

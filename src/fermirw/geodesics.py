@@ -20,6 +20,8 @@ sum over whole panels plus one polish integral over the last partial
 panel, and the inverse maps sigma(rho) and sigma(chi) run Newton's
 method on the stored panel polynomials before one polish, so every
 value depends on its arguments alone, not on the queries before it.
+The store also keeps its last answer per kind of read or inversion, so
+a call that repeats the last one's arguments exactly costs nothing.
 slice_integral integrates directly with the same substituted integrands
 and serves fermi_from_rw's search over slices, which would otherwise
 build a store per iterate.  An independent route integrates the
@@ -276,6 +278,16 @@ class Slice:
     split at the table knots and refined on its own by
     numerics._adaptive_panels, so the panels depend on (cosmo, tau, cfg)
     alone.  Panels run in sigma order: s panels from high s to low.
+
+    The store keeps the last answer of invert per (comp, radial) and of
+    integral per (integrals read, radial), with the other arguments
+    (target and scale, or sigma and the weights) it was computed for.  A
+    call with equal arguments returns it, exactly what computing it again
+    would return since the panels are the slice's alone; any other call
+    computes and replaces that entry, and a call that raises stores
+    nothing.  The weights are compared, not keyed on (fermi_speed's
+    change with every chi0), so the memo holds one entry per kind of
+    call its callers make, however many rows the slice serves.
     """
 
     def __init__(self, cosmo: Cosmology, tau: float, cfg: NumericsConfig):
@@ -287,6 +299,7 @@ class Slice:
                     cfg.max_iter)
         self.pieces: dict = {}    # (k, last radial piece) -> _Piece
         self.tracks = {False: _Track(), True: _Track()}   # by radial
+        self.last: dict = {}      # key -> (other arguments, last answer)
 
     def _piece(self, k: int, radial: bool) -> _Piece:
         """Piece k of a track, built on first use with the rest of its
@@ -353,16 +366,22 @@ class Slice:
         integral from the start of the panel holding sigma."""
         if sigma == 1.0:
             return 0.0
+        comps, ws = tuple(weights), tuple(weights.values())
+        key, args = (comps, radial), (sigma, ws)
+        last = self.last.get(key)
+        if last is not None and last[0] == args:
+            return last[1]
         tr = self.track(radial, sigma)
         k = min(bisect.bisect_left(tr.ends, sigma), len(tr.ends) - 1)
         sig = tr.pieces[k].sig
         j = min(int(np.searchsorted(sig, sigma)), sig.size - 1)
         x = math.sqrt(sigma - 1.0) if k == 0 else 1.0 / math.sqrt(sigma)
-        f = _integrand(self.cosmo.model, self.a0, tuple(weights), k == 0,
-                       tuple(weights.values()))
-        return numerics._adaptive(
+        f = _integrand(self.cosmo.model, self.a0, comps, k == 0, ws)
+        value = numerics._adaptive(
             f, [float(tr.pieces[k].a[j]), x], *self.tol) + math.fsum(
                 w * float(tr.cums[k][c][j]) for c, w in weights.items())
+        self.last[key] = args, value
+        return value
 
     def invert(self, comp: tuple, target: float, scale: float,
                radial: bool = False) -> float:
@@ -382,6 +401,10 @@ class Slice:
         a target past that bound raises DomainError, and more than
         _GROWTH_CAP pieces raise AccuracyError.
         """
+        key, args = (comp, radial), (target, scale)
+        last = self.last.get(key)
+        if last is not None and last[0] == args:
+            return last[1]
         tr = self.track(radial, 1.0)
         saturates = math.isinf(self.end) and not radial
         f, prev_inc, stalls = 0.0, None, 0
@@ -432,7 +455,9 @@ class Slice:
         u = x if is_u else math.sqrt(1.0 / (x * x) - 1.0)
         u += (scale * (rem - polish)
               / _map_slope(self.cosmo, self.a0, u, comp[1], scale))
-        return 1.0 + u * u
+        sigma = 1.0 + u * u
+        self.last[key] = args, sigma
+        return sigma
 
     def _beyond(self, target: float, what: str) -> DomainError:
         return DomainError(f"{target:g} is beyond the comoving reach of "

@@ -87,13 +87,6 @@ def _ang(cosmo: Cosmology, tau: float, sigma: float,
     return _no_overflow("ang", a0 * a0 * s_k(cosmo.k, chi) ** 2 / sigma)
 
 
-def _polar_at(cosmo: Cosmology, tau: float, sigma: float,
-              cfg: NumericsConfig) -> PolarMetric:
-    """metric_polar at the stretch sigma of the event."""
-    return PolarMetric(_g_tau_tau_at(cosmo, tau, sigma, cfg), 1.0,
-                       _ang(cosmo, tau, sigma, cfg))
-
-
 def metric_polar(cosmo: Cosmology, tau: float, rho: float,
                  cfg: NumericsConfig | None = None) -> PolarMetric:
     """All polar metric components at (tau, rho).
@@ -102,7 +95,9 @@ def metric_polar(cosmo: Cosmology, tau: float, rho: float,
     the 2-sphere through the event.
     """
     cfg = cfg or DEFAULT_CONFIG
-    return _polar_at(cosmo, tau, sigma_of_rho(cosmo, tau, rho, cfg), cfg)
+    sigma = sigma_of_rho(cosmo, tau, rho, cfg)
+    return PolarMetric(_g_tau_tau_at(cosmo, tau, sigma, cfg), 1.0,
+                       _ang(cosmo, tau, sigma, cfg))
 
 
 def _lambda_at(cosmo: Cosmology, tau: float, rho: float, sigma: float,

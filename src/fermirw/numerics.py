@@ -351,7 +351,12 @@ def _panel_root(y: np.ndarray, half: float, target: float,
 
     Newton's method from the linear guess, bisecting whenever a step
     would leave the bracket known so far (where p wiggles below zero near
-    an integrable singularity, say); stops at a step of 8 eps.
+    an integrable singularity, say, or where the slope is not positive).
+    It stops at a Newton step of 8 eps, tested before the bracket: a
+    converged step that rounds onto the bracket's end is kept (clipped to
+    the bracket), not sent to the midpoint to bisect down to 8 eps.  A
+    bisection step of 8 eps stops it too, which ends the iteration at a
+    bracket that has shrunk to a point.
     """
     coef = list(zip((_TO_INT * y).sum(axis=1).tolist(),
                     (_TO_LEG * y).sum(axis=1).tolist() + [0.0]))
@@ -370,11 +375,16 @@ def _panel_root(y: np.ndarray, half: float, target: float,
         if f == 0.0:
             return t
         lo, hi = (t, hi) if f < 0.0 else (lo, t)
-        x = t - f / (half * slope) if half * slope > 0.0 else lo
+        if half * slope > 0.0:
+            x = t - f / (half * slope)
+            if abs(x - t) <= 8.0 * _EPS:
+                return min(max(x, lo), hi)
+        else:
+            x = lo
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        if abs(x - t) <= 8.0 * _EPS:
-            return x
+            if abs(x - t) <= 8.0 * _EPS:
+                return x
         t = x
     raise AccuracyError(
         f"panel root iteration cap {max_iter} reached near t={t:.17g}",

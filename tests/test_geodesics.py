@@ -281,7 +281,10 @@ def test_inversions_cost_about_one_slice_integral(count_panels):
     rho = rho_of_sigma(cosmo, 1.0, 16.0, cfg)
     chi = chi_of_sigma(cosmo, 1.0, 16.0, cfg)
     proper_radius(cosmo, 1.0, cfg)    # the slice radius is memoised
-    one = count_panels(lambda: rho_of_sigma(cosmo, 1.0, 16.0, cfg))
+    # The unit is a read next to sigma = 16: a repeat of the read at 16
+    # would come from the store's memo of last answers, with no panel.
+    one = count_panels(lambda: rho_of_sigma(
+        cosmo, 1.0, math.nextafter(16.0, 0.0), cfg))
     assert one > 0
     assert count_panels(lambda: sigma_of_rho(cosmo, 1.0, rho, cfg)) <= 2 * one
     assert count_panels(lambda: sigma_of_chi(cosmo, 1.0, chi, cfg)) <= 2 * one
@@ -427,10 +430,35 @@ def test_inversions_survive_a_wrong_slope(monkeypatch, cosmo, cfg, factor):
     chi = chi_of_sigma(cosmo, 1.0, sigma, cfg)
     want = (sigma_of_rho(cosmo, 1.0, rho, cfg),
             sigma_of_chi(cosmo, 1.0, chi, cfg))
-    slope = geodesics._map_slope
-    monkeypatch.setattr(geodesics, "_map_slope",
-                        lambda *args: factor * slope(*args))
+    # A fresh store, so that the calls below invert rather than repeat
+    # the last answers of the one above.
+    geodesics._cached_store.cache_clear()
+    slope, calls = geodesics._map_slope, [0]
+
+    def wrong(*args):
+        calls[0] += 1
+        return factor * slope(*args)
+    monkeypatch.setattr(geodesics, "_map_slope", wrong)
     assert sigma_of_rho(cosmo, 1.0, rho, cfg) == pytest.approx(want[0],
                                                                rel=1e-10)
     assert sigma_of_chi(cosmo, 1.0, chi, cfg) == pytest.approx(want[1],
                                                                rel=1e-10)
+    assert calls[0] == 2
+
+
+def test_panel_root_stops_once_newton_converges(monkeypatch):
+    # In these two inversions Newton's last step rounds onto the end of
+    # its bracket; a bracket test before the convergence test sent it to
+    # the midpoint and bisected down to 8 eps, 27 and 38 steps.  Each
+    # call runs on a new model, and so on a cold slice store.
+    calls = (lambda c: sigma_of_rho(c, 0.6040636250624591,
+                                    0.7795109709992786),
+             lambda c: sigma_of_chi(c, 0.8305781375076663,
+                                    2.244821792356391))
+    want = [repr(call(Cosmology(make_power_law(2.0 / 3.0), k=0)))
+            for call in calls]
+    root = geodesics._panel_root
+    monkeypatch.setattr(geodesics, "_panel_root",
+                        lambda y, half, target, _: root(y, half, target, 6))
+    assert [repr(call(Cosmology(make_power_law(2.0 / 3.0), k=0)))
+            for call in calls] == want

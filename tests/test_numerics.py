@@ -322,6 +322,15 @@ def test_root_recovers_tanh_argument(y):
     assert abs(math.tanh(x) - y) < 1e-12
 
 
+def test_panel_root_bisects_where_the_slope_is_not_positive():
+    # p = 3t^2 - 1/2 dips below zero on |t| < 0.41.  The linear guess
+    # t = 0.2 lies in the dip, below the target: no Newton step, and no
+    # stop there, though the fallback step to the bracket end is zero.
+    y = 3.0 * numerics._NODES ** 2 - 0.5
+    t = numerics._panel_root(y, 1.0, 0.6, 100)
+    assert abs(t ** 3 - 0.5 * t + 0.5 - 0.6) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # gamma_fn
 

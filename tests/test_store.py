@@ -280,6 +280,79 @@ def test_sigma_of_rho_inside_the_built_pieces_builds_no_tail():
 
 
 # ---------------------------------------------------------------------------
+# a slice keeps its last answers: a repeat is free and exact
+
+
+def _repeats(cosmo, cfg, tau):
+    """(label, call of a cosmology) for every read and inversion of the
+    slice at sigma = 9, or half way into a finite slice."""
+    sigma = min(9.0, 0.5 * (1.0 + slice_end(cosmo, tau)))
+    rho = rho_of_sigma(cosmo, tau, sigma, cfg)
+    chi = chi_of_sigma(cosmo, tau, sigma, cfg)
+    return [
+        ("sigma_of_rho", lambda c: sigma_of_rho(c, tau, rho, cfg)),
+        ("sigma_of_chi", lambda c: sigma_of_chi(c, tau, chi, cfg)),
+        ("chi_of_sigma", lambda c: chi_of_sigma(c, tau, sigma, cfg)),
+        ("rho_of_sigma", lambda c: rho_of_sigma(c, tau, sigma, cfg)),
+        ("lapse_bracket", lambda c: lapse_bracket(c, tau, sigma, cfg)),
+        ("fermi_speed", lambda c: fermi_speed(c, tau, chi, cfg)),
+    ]
+
+
+@pytest.mark.parametrize("name", ["matter", "de-sitter", "table"])
+def test_a_repeated_query_is_exact_and_free(monkeypatch, count_panels, name):
+    cosmo, cfg = MODELS[name]
+    roots = [0]
+    panel_root = geodesics._panel_root
+
+    def counting(*args):
+        roots[0] += 1
+        return panel_root(*args)
+    monkeypatch.setattr(geodesics, "_panel_root", counting)
+    for label, call in _repeats(cosmo, cfg, 1.0):
+        c = _fresh(cosmo)
+        cold = repr(call(c))
+        roots[0], got = 0, []
+        assert count_panels(lambda: got.append(repr(call(c)))) == 0, label
+        assert roots[0] == 0, label
+        assert got == [cold], label
+
+
+def test_the_memo_holds_one_entry_per_key():
+    # fermi_speed's weights change with every chi0; they are compared,
+    # not keyed on, so the memo does not grow with the rows of a slice.
+    cosmo = _fresh(MATTER)
+    for chi0 in [0.001 * i for i in range(1, 1001)]:
+        fermi_speed(cosmo, 1.0, chi0)
+    memo = geodesics.store(cosmo, 1.0).last
+    assert set(memo) == {(geodesics._CHI, False),
+                         ((geodesics._RHO,), True),
+                         ((geodesics._I2, geodesics._LAPSE), False)}
+
+
+@pytest.mark.parametrize("name", ["matter", "de-sitter", "table"])
+def test_a_failing_query_raises_again(name):
+    # Exceptions are not kept: a repeat of a failing query, before or
+    # after a good one on the same slice, fails again.
+    cosmo, cfg = MODELS[name]
+    c = _fresh(cosmo)
+    rho_m = proper_radius(c, 1.0, cfg)
+    good = repr(sigma_of_rho(c, 1.0, 0.5 * rho_m, cfg))
+    for _ in range(2):
+        with pytest.raises(OutOfChartError):
+            sigma_of_rho(c, 1.0, rho_m * (1.0 + 1e-7), cfg)
+        assert repr(sigma_of_rho(c, 1.0, 0.5 * rho_m, cfg)) == good
+    # Past the end of de Sitter's finite slice, or where chi saturates
+    # on the unbounded matter slices.
+    end = slice_end(c, 1.0)
+    beyond = 1e6 if math.isinf(end) else 2.0 * chi_of_sigma(
+        c, 1.0, 0.999 * end, cfg)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="beyond the comoving reach"):
+            sigma_of_chi(c, 1.0, beyond, cfg)
+
+
+# ---------------------------------------------------------------------------
 # FermiRWError contract
 
 
