@@ -18,7 +18,6 @@ from .errors import (AccuracyError, DomainError, FermiRWError,
 from .geodesics import (_GROWTH_CAP, _RHO, _SIGMA_NEAR_ONE, _check_slice,
                         chi_of_sigma, lapse_bracket, rho_of_sigma,
                         slice_integral, store, t_of_sigma)
-from .kinematics import proper_radius
 from .numerics import _EPS, DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
@@ -70,31 +69,13 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
                  cfg: NumericsConfig | None = None) -> float:
     """Invert the proper-distance map: sigma with rho_of_sigma = rho.
 
-    geodesics.Slice.invert solves it by Newton's method on the slice
-    store's panel polynomials and one polish integral.  rho at or beyond
-    the slice radius (proper_radius) raises OutOfChartError carrying that
-    radius.  The radius, which builds the radial track out to the slice
-    end, is computed only when rho lies beyond the radial pieces already
-    built: a rho below their running total lies inside the slice, and
-    its inversion reads built pieces alone.  So an inversion after a
-    rho_of_sigma read on the same slice, as rw_from_fermi's after
-    fermi_from_rw, builds no tail, while one that must integrate builds
-    the whole track at once.
+    geodesics.Slice.invert solves it, and raises OutOfChartError carrying
+    the slice radius for rho at or beyond it (see geodesics.Slice).
     """
-    cfg = cfg or DEFAULT_CONFIG
     tau = _check_time(tau)
     if _finite("rho", rho, nonnegative=True) == 0.0:
         return 1.0
-    st = store(cosmo, tau, cfg)
-    scale, built = 0.5 * st.a0, st.tracks[True].cums
-    if not (built and rho < scale * float(built[-1][_RHO][-1])):
-        rho_max = proper_radius(cosmo, tau, cfg)
-        if rho >= rho_max:
-            raise OutOfChartError(
-                f"rho={rho:g} is not inside the tau={tau:g} slice; "
-                f"the slice proper radius is rho_M={rho_max:.12g}",
-                rho_max=rho_max)
-    return st.invert(_RHO, rho, scale, radial=True)
+    return store(cosmo, tau, cfg).invert(_RHO, rho)
 
 
 def rw_from_fermi(cosmo: Cosmology, event: FermiEvent,

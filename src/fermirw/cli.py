@@ -331,8 +331,6 @@ def main(argv=None) -> int:
         cosmo, desc = (None, {})
         if args.model is not None:
             cosmo, desc = _resolve_model(args, parser)
-        elif args.command != "verify":
-            parser.error("--model is required")
         numerics = _resolve_numerics(args)
         if (desc.get("family") == "tabulated"
                 and args.quad_rel_tol is None and args.quad_abs_tol is None):

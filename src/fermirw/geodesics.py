@@ -12,14 +12,13 @@ One store per slice, Slice, keeps the accepted G7/K15 panels of those
 integrals, built piece by piece (u = sqrt(sigma - 1) up to sigma = 2,
 then dyadic pieces s in [s/2, s] of s = 1/sqrt(sigma), then for rho a
 last piece to the slice end) as queries reach them; the store of the
-last (cosmo, tau, cfg) slice asked for is kept.  That last rho piece,
-the radial tail, is built by a read past the pieces before it and by
-the slice radius, which sigma_of_rho asks for only when its target
-lies beyond the radial pieces already built.  A value is a prefix
-sum over whole panels plus one polish integral over the last partial
-panel, and the inverse maps sigma(rho) and sigma(chi) run Newton's
-method on the stored panel polynomials before one polish, so every
-value depends on its arguments alone, not on the queries before it.
+last (cosmo, tau, cfg) slice asked for is kept.  The store owns the
+slice radius, the chart edge of sigma(rho); Slice says when the radius
+and the radial tail are built.  A value is a prefix sum over whole
+panels plus one polish integral over the last partial panel, and the
+inverse maps sigma(rho) and sigma(chi) run Newton's method on the
+stored panel polynomials before one polish, so every value depends on
+its arguments alone, not on the queries before it.
 The store also keeps its last answer per kind of read or inversion, so
 a call that repeats the last one's arguments exactly costs nothing.
 slice_integral integrates directly with the same substituted integrands
@@ -42,7 +41,8 @@ import numpy as np
 
 from . import numerics
 from .cosmology import Cosmology, sigma_breaks, sigma_infinity
-from .errors import AccuracyError, DomainError, _finite, _no_overflow
+from .errors import (AccuracyError, DomainError, OutOfChartError, _finite,
+                     _no_overflow)
 from .numerics import (DEFAULT_CONFIG, NumericsConfig, _clean_breaks,
                        _panel_root, _s_nodes, _u_nodes)
 
@@ -279,15 +279,24 @@ class Slice:
     numerics._adaptive_panels, so the panels depend on (cosmo, tau, cfg)
     alone.  Panels run in sigma order: s panels from high s to low.
 
-    The store keeps the last answer of invert per (comp, radial) and of
-    integral per (integrals read, radial), with the other arguments
-    (target and scale, or sigma and the weights) it was computed for.  A
-    call with equal arguments returns it, exactly what computing it again
-    would return since the panels are the slice's alone; any other call
-    computes and replaces that entry, and a call that raises stores
-    nothing.  The weights are compared, not keyed on (fermi_speed's
-    change with every chi0), so the memo holds one entry per kind of
-    call its callers make, however many rows the slice serves.
+    Callers name integrals alone: rho (_RHO) is read and inverted on the
+    radial track, the others on the main track.  The slice radius rho_M,
+    radius(), is the radial track's total; invert raises OutOfChartError
+    carrying it for rho at or beyond it, and computes it, building the
+    radial tail, only for rho not below the running total of the radial
+    pieces already built.  A lower rho lies inside the slice and needs
+    built pieces alone, so rw_from_fermi after fermi_from_rw builds no
+    tail, while a cold inversion builds the whole track at once.
+
+    The store keeps the last answer of invert per comp and of integral
+    per tuple of integrals read, with the other arguments (the target,
+    or sigma and the weights) it was computed for.  A call with equal
+    arguments returns it, exactly what computing it again would return
+    since the panels are the slice's alone; any other call computes and
+    replaces that entry, and a call that raises stores nothing.  The
+    weights are compared, not keyed on (fermi_speed's change with every
+    chi0), so the memo holds one entry per kind of call, however many
+    rows the slice serves.
     """
 
     def __init__(self, cosmo: Cosmology, tau: float, cfg: NumericsConfig):
@@ -346,7 +355,7 @@ class Slice:
         x = np.sqrt(knots - 1.0) if k == 0 else 1.0 / np.sqrt(knots)
         return np.concatenate(([lo], x, [hi])), last
 
-    def track(self, radial: bool, sigma: float) -> _Track:
+    def _track(self, radial: bool, sigma: float) -> _Track:
         """The main or radial track, grown until it reaches sigma or
         ends."""
         tr = self.tracks[radial]
@@ -357,36 +366,33 @@ class Slice:
     def radius(self) -> float:
         """Proper radius rho_M: the whole radial track."""
         return 0.5 * self.a0 * float(
-            self.track(True, math.inf).cums[-1][_RHO][-1])
+            self._track(True, math.inf).cums[-1][_RHO][-1])
 
-    def integral(self, weights: dict, sigma: float,
-                 radial: bool = False) -> float:
+    def integral(self, weights: dict, sigma: float) -> float:
         """Sum of w * slice_integral(order, n) over weights {(order, n): w}
         at sigma: whole panels from the running totals, then one polish
         integral from the start of the panel holding sigma."""
         if sigma == 1.0:
             return 0.0
-        comps, ws = tuple(weights), tuple(weights.values())
-        key, args = (comps, radial), (sigma, ws)
-        last = self.last.get(key)
+        comps, args = tuple(weights), (sigma, tuple(weights.values()))
+        last = self.last.get(comps)
         if last is not None and last[0] == args:
             return last[1]
-        tr = self.track(radial, sigma)
+        tr = self._track(comps == (_RHO,), sigma)
         k = min(bisect.bisect_left(tr.ends, sigma), len(tr.ends) - 1)
         sig = tr.pieces[k].sig
         j = min(int(np.searchsorted(sig, sigma)), sig.size - 1)
         x = math.sqrt(sigma - 1.0) if k == 0 else 1.0 / math.sqrt(sigma)
-        f = _integrand(self.cosmo.model, self.a0, comps, k == 0, ws)
+        f = _integrand(self.cosmo.model, self.a0, comps, k == 0, args[1])
         value = numerics._adaptive(
             f, [float(tr.pieces[k].a[j]), x], *self.tol) + math.fsum(
                 w * float(tr.cums[k][c][j]) for c, w in weights.items())
-        self.last[key] = args, value
+        self.last[comps] = args, value
         return value
 
-    def invert(self, comp: tuple, target: float, scale: float,
-               radial: bool = False) -> float:
-        """sigma at which scale * slice_integral(*comp) reaches target,
-        comp = _CHI or _RHO.
+    def invert(self, comp: tuple, target: float) -> float:
+        """sigma at which F = scale * slice_integral(*comp) reaches target:
+        chi (comp _CHI, scale 1/2) or rho (_RHO, scale a(tau)/2).
 
         The track's pieces are walked from the start, each built on first
         use, until the running total passes target.  Newton's method on
@@ -395,17 +401,28 @@ class Slice:
         one polish integral with one Newton step in u = sqrt(sigma - 1),
         whose slope comes from the model in closed form, corrects it.
 
-        A target beyond a finite slice raises DomainError.  On an
-        unbounded slice (chi only) each dyadic piece doubles u; increments
-        that stall or decay geometrically bound what chi can still gain,
-        a target past that bound raises DomainError, and more than
+        rho at or beyond the slice radius raises OutOfChartError, any
+        other target beyond a finite slice DomainError.  On an unbounded
+        slice (chi only) each dyadic piece doubles u; increments that
+        stall or decay geometrically bound what chi can still gain, a
+        target past that bound raises DomainError, and more than
         _GROWTH_CAP pieces raise AccuracyError.
         """
-        key, args = (comp, radial), (target, scale)
-        last = self.last.get(key)
-        if last is not None and last[0] == args:
+        last = self.last.get(comp)
+        if last is not None and last[0] == target:
             return last[1]
-        tr = self.track(radial, 1.0)
+        radial = comp == _RHO
+        scale = 0.5 * self.a0 if radial else 0.5
+        built = self.tracks[radial].cums
+        if radial and not (built and
+                           target < scale * float(built[-1][_RHO][-1])):
+            rho_max = self.radius()
+            if target >= rho_max:
+                raise OutOfChartError(
+                    f"rho={target:g} is not inside the tau={self.tau:g} "
+                    f"slice; the slice proper radius is rho_M={rho_max:.12g}",
+                    rho_max=rho_max)
+        tr = self._track(radial, 1.0)
         saturates = math.isinf(self.end) and not radial
         f, prev_inc, stalls = 0.0, None, 0
         for k in itertools.count():
@@ -456,7 +473,7 @@ class Slice:
         u += (scale * (rem - polish)
               / _map_slope(self.cosmo, self.a0, u, comp[1], scale))
         sigma = 1.0 + u * u
-        self.last[key] = args, sigma
+        self.last[comp] = target, sigma
         return sigma
 
     def _beyond(self, target: float, what: str) -> DomainError:
@@ -512,7 +529,7 @@ def rho_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
     """
     tau, sigma = _check_slice(cosmo, tau, sigma)
     st = store(cosmo, tau, cfg)
-    return 0.5 * st.a0 * st.integral({_RHO: 1.0}, sigma, radial=True)
+    return 0.5 * st.a0 * st.integral({_RHO: 1.0}, sigma)
 
 
 def sample_geodesic(cosmo: Cosmology, tau: float, sigma_max: float, n: int,

@@ -13,12 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cosmology import Cosmology, _check_time, hubble, make_power_law
 from .errors import DomainError, _finite, _no_overflow
 from .geodesics import _CHI, _I2, _LAPSE, _RHO, rho_of_sigma, store
-from .numerics import DEFAULT_CONFIG, NumericsConfig, integrate_sigma
+from .numerics import DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
     "VelocityReport",
@@ -72,7 +70,7 @@ def sigma_of_chi(cosmo: Cosmology, tau: float, chi0: float,
     tau = _check_time(tau)
     if chi0 == 0.0:
         return 1.0
-    return store(cosmo, tau, cfg).invert(_CHI, chi0, 0.5)
+    return store(cosmo, tau, cfg).invert(_CHI, chi0)
 
 
 def fermi_speed(cosmo: Cosmology, tau: float, chi0: float,
@@ -93,22 +91,30 @@ def fermi_speed(cosmo: Cosmology, tau: float, chi0: float,
     sigma0 = sigma_of_chi(cosmo, tau, chi0, cfg)
     st = store(cosmo, tau, cfg)
     a0 = st.a0
-    i1 = st.integral({_RHO: 1.0}, sigma0, radial=True)
+    i1 = st.integral({_RHO: 1.0}, sigma0)
     rest = st.integral({_I2: a0, _LAPSE: -a0 / sigma0}, sigma0)
     v_f = 0.5 * float(cosmo.model.a_dot(tau)) * (i1 + rest)
     return VelocityReport(tau, chi0, sigma0, 0.5 * a0 * i1, v_f, v_h)
 
 
-def fermi_speed_power_law(alpha: float, sigma0: float,
-                          cfg: NumericsConfig | None = None) -> float:
+def _power_integral(q: float, sigma0: float) -> float:
+    """J(q) = int_1^sigma0 s^(-q) (s-1)^(-1/2) ds, q > 1/2, sigma0 >= 1:
+    B(q - 1/2, 1/2) I_y(1/2, q - 1/2), y = (sigma0 - 1)/sigma0 (1 at inf;
+    1 - 1/sigma0 would lose digits near 1).  For q near 1/2 at large
+    sigma0 it loses digits (1.3e-7 relative at q = 0.6, sigma0 = 1e12);
+    both callers weight it by 1/sigma0, which keeps v at rounding level."""
+    from scipy.special import beta, betainc
+
+    y = 1.0 if math.isinf(sigma0) else (sigma0 - 1.0) / sigma0
+    return float(beta(q - 0.5, 0.5) * betainc(0.5, q - 0.5, y))
+
+
+def fermi_speed_power_law(alpha: float, sigma0: float) -> float:
     """Fermi velocity for a(t) = t**alpha as a function of sigma0 alone.
 
-    v = (1/(2 alpha)) [ int_1^s0 s^(-1/(2a)-1) (s-1)^(-1/2) ds
-        + ((alpha-1)/s0) int_1^s0 s^(-1/(2a)) (s-1)^(-1/2) ds ]
-
-    Independent of tau; sigma0 may be inf, giving the supremum.
+    v = p [J(p + 1) + ((alpha - 1)/sigma0) J(p)], p = 1/(2 alpha), with
+    J of _power_integral.  Independent of tau; sigma0 may be inf.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"power-law exponent must be in (0, 1], got {alpha}")
     if not sigma0 >= 1.0:
@@ -116,13 +122,10 @@ def fermi_speed_power_law(alpha: float, sigma0: float,
     if sigma0 == 1.0:
         return 0.0
     p = 1.0 / (2.0 * alpha)
-    first = integrate_sigma(
-        lambda s: s ** (-p - 1.0) / np.sqrt(s - 1.0), 1.0, sigma0, cfg)
-    if alpha == 1.0 or math.isinf(sigma0):
-        return p * first
-    second = integrate_sigma(
-        lambda s: s ** (-p) / np.sqrt(s - 1.0), 1.0, sigma0, cfg)
-    return p * (first + (alpha - 1.0) / sigma0 * second)
+    v = p * _power_integral(p + 1.0, sigma0)
+    if alpha < 1.0 and not math.isinf(sigma0):
+        v += p * (alpha - 1.0) / sigma0 * _power_integral(p, sigma0)
+    return _no_overflow("the power-law Fermi speed", v)
 
 
 def fermi_speed_sup(alpha: float) -> float:
@@ -147,9 +150,8 @@ def proper_radius(cosmo: Cosmology, tau: float,
     sqrt(s-1)) ds; finite sigma_infinity is clipped just inside the slice.
     Always at most the Hubble radius 1/H(tau).  It is the total of the
     slice store's radial track, so the rows of one slice integrate its
-    full sigma range once.  It builds the track's tail to the slice end,
-    which chart.sigma_of_rho asks for only when its target lies beyond
-    the radial pieces already built.
+    full sigma range once; geodesics.Slice says when sigma_of_rho needs
+    it.
     """
     return store(cosmo, _check_time(tau), cfg).radius()
 
@@ -191,20 +193,18 @@ def velocity_identity_residual(cosmo: Cosmology, tau: float, chi0: float,
 def power_law_geometry_relation(alpha: float, tau: float, sigma0: float,
                                 cfg: NumericsConfig | None = None
                                 ) -> tuple[float, float]:
-    """Both sides of v = rho/tau + ((alpha-1)/(2 alpha sigma0)) * I.
+    """Both sides of v = rho/tau + ((alpha-1)/(2 alpha sigma0)) * J.
 
-    lhs is the direct Fermi velocity, rhs re-expresses it through the
-    proper distance; I is the integral of s^(-1/(2 alpha)) (s-1)^(-1/2).
-    Both sides are computed by independent quadratures.
+    lhs is the closed-form Fermi velocity, rhs re-expresses it through
+    the proper distance, a slice-store quadrature; J (_power_integral of
+    1/(2 alpha)) enters only for alpha < 1, where it is finite.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not sigma0 > 1.0:
         raise DomainError(f"sigma0 must exceed 1, got {sigma0}")
-    lhs = fermi_speed_power_law(alpha, sigma0, cfg)
+    lhs = fermi_speed_power_law(alpha, sigma0)
     cosmo = Cosmology(make_power_law(alpha), k=0)
-    rho = rho_of_sigma(cosmo, tau, sigma0, cfg)
-    p = 1.0 / (2.0 * alpha)
-    tail = integrate_sigma(
-        lambda s: s ** (-p) / np.sqrt(s - 1.0), 1.0, sigma0, cfg)
-    rhs = rho / tau + (alpha - 1.0) / (2.0 * alpha * sigma0) * tail
+    rhs = rho_of_sigma(cosmo, tau, sigma0, cfg) / tau
+    if alpha < 1.0:
+        rhs += (alpha - 1.0) / (2.0 * alpha * sigma0) * _power_integral(
+            1.0 / (2.0 * alpha), sigma0)
     return lhs, rhs

@@ -3,10 +3,10 @@
 The geodesic and metric maps all reduce to integrals over the stretch
 variable sigma with an integrable (sigma - 1)^(-1/2) endpoint singularity
 and, for slice radii and velocity suprema, an infinite upper limit.
-``integrate_sigma``, which serves the power-law velocity integrals of
-``kinematics``, removes the singularity with sigma = 1 + u^2 and
-compactifies the tail with s = 1/sqrt(sigma) before handing the smooth
-transformed integrand to an adaptive Gauss-Kronrod (G7, K15) kernel.
+``integrate_sigma``, public but with no caller inside the package,
+removes the singularity with sigma = 1 + u^2 and compactifies the tail
+with s = 1/sqrt(sigma) before handing the smooth transformed integrand
+to an adaptive Gauss-Kronrod (G7, K15) kernel.
 None of the Kronrod nodes sit on an interval endpoint, so transformed
 integrands are never evaluated at the singular points themselves.  A
 panel whose value is not finite raises AccuracyError rather than passing

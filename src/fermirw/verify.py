@@ -152,14 +152,17 @@ def closed_forms_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
                     - 0.5 * math.pi * tau) for tau in (1.0, 2.0, 5.0))
     out.append(_result("radiation-radius", worst, 1e-9, "rho_M = (pi/2) tau"))
 
-    worst = max(abs(fermi_speed_power_law(0.5, s0, cfg) - rad.v_f(s0))
+    # Both the beta-function formula and the quadrature pipeline.
+    worst = max(max(abs(fermi_speed_power_law(0.5, s0) - rad.v_f(s0)),
+                    abs(fermi_speed(rad.cosmology, 1.0, rad.chi(1.0, s0),
+                                    cfg).v_fermi - rad.v_f(s0)))
                 for s0 in (1.0 + 1e-6, 1.5, 2.0, 4.0, 16.0, 1e2, 1e4))
     out.append(_result("radiation-velocity", worst, 1e-9,
                        "v vs closed form on sigma0 in [1, 1e4]"))
 
     out.append(_result(
         "radiation-velocity-limit",
-        abs(fermi_speed_power_law(0.5, 1e6, cfg) - 0.5 * math.pi), 1e-5,
+        abs(fermi_speed_power_law(0.5, 1e6) - 0.5 * math.pi), 1e-5,
         "v(1e6) approaches pi/2"))
 
     ev = rw_from_fermi(rad.cosmology, FermiEvent(1.0, 0.5 + 0.25 * math.pi),
@@ -424,7 +427,7 @@ def invariants_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
     for alpha in (1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0):
         prev = -math.inf
         for s0 in np.geomspace(1.0 + 1e-6, 1e4, 25):
-            v = fermi_speed_power_law(alpha, float(s0), cfg)
+            v = fermi_speed_power_law(alpha, float(s0))
             drop = max(drop, prev - v)
             prev = v
     out.append(_result("velocity-monotone", max(drop, 0.0), 1e-12,

@@ -271,6 +271,27 @@ def test_meta_header_lines(capsys):
     assert float(rows[0]["sigma"]) == pytest.approx(4.0 / 3.0, rel=1e-9)
 
 
+def test_json_meta(capsys):
+    code, out, _ = run_cli(capsys, "transform", "to-rw", "--model", "milne",
+                           "--tau", "2", "--rho", "1", "--format", "json",
+                           "--meta")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["generator"] == f"fermirw {fermirw.__version__}"
+    assert doc["meta"]["invocation"].startswith("transform to-rw ")
+    assert doc["rows"][0]["sigma"] == pytest.approx(4.0 / 3.0, rel=1e-9)
+
+
+def test_verify_output_file(tmp_path, capsys):
+    dest = tmp_path / "report.txt"
+    code, out, _ = run_cli(capsys, "verify", "closed-forms", "--output",
+                           str(dest))
+    assert code == 0
+    assert out == ""
+    lines = dest.read_text().splitlines()
+    assert lines and lines[0].startswith("PASS")
+
+
 def test_output_file(tmp_path, capsys):
     dest = tmp_path / "table.csv"
     code, out, _ = run_cli(capsys, "sweep", "radius", "--model", "milne",
@@ -333,6 +354,15 @@ def test_tabulated_requires_table(capsys):
     ("verify", "closed-forms", "--model", "milne"),  # model not accepted
     ("transform", "to-rw", "--model", "milne", "--tau", "1", "--rho", "0.5",
      "--sigma-cap", "1e12"),                        # flag removed
+    ("transform", "to-rw", "--model", "milne", "--tau", "1", "--rho", "0.5",
+     "--h0", "2"),                                  # h0 on another family
+    ("transform", "to-rw", "--model", "matter", "--tau", "1", "--rho", "0.5",
+     "--table", "t.csv"),                           # table, not tabulated
+    ("transform", "to-rw", "--model", "milne", "--tau", "1", "--rho", "0.5",
+     "--k", "0"),                                   # milne fixes k = -1
+    ("transform", "to-rw", "--model", "de-sitter", "--tau", "1", "--rho",
+     "0.5", "--k", "-1"),                           # de Sitter fixes k = 0
+    ("transform", "to-rw", "--tau", "1", "--rho", "0.5"),  # no --model
 ])
 def test_usage_errors_exit_64(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -346,6 +376,20 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "fermirw" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # Importing scipy.special alone costs more than the rest of the CLI's
+    # set-up, so the package imports scipy only inside the functions that
+    # call it.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(fermirw.__file__).resolve().parents[1])}
+    code = ("import sys, fermirw.cli\n"
+            "sys.exit(sorted(m for m in sys.modules\n"
+            "                if m.split('.')[0] == 'scipy') or None)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):

@@ -10,6 +10,7 @@ from fermirw import (
     Cosmology,
     DomainError,
     TableError,
+    UnsupportedCurvatureError,
     hubble,
     load_table,
     make_exponential,
@@ -181,6 +182,10 @@ PCHIP_CASES = {
     "b-60": _matterlike(60)[::-1],
     "flat": (np.array([0.1, 0.5, 1.0, 2.0, 3.0]),
              np.array([0.0, 1.0, 1.0, 2.0, 1.5])),
+    # The end rule's clamps: the left slope changes sign and becomes 0,
+    # the right one exceeds 3 times its secant next to a turn.
+    "clamps": (np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
+               np.array([0.0, 0.1, 2.0, 7.0, 6.0])),
 }
 
 
@@ -284,6 +289,11 @@ def test_hubble_tabulated_matterlike():
     assert hubble(c, 3.0) == pytest.approx(2.0 / 9.0, abs=1e-4)
 
 
+def test_closed_curvature_unsupported():
+    with pytest.raises(UnsupportedCurvatureError, match="k=1"):
+        _cosmo(make_power_law(0.5), k=1)
+
+
 def test_hubble_domain():
     c = _cosmo(make_power_law(1.0))
     with pytest.raises(DomainError):
@@ -336,7 +346,7 @@ def test_load_table_bad_json(tmp_path):
         load_table(p)
 
 
-@pytest.mark.parametrize("entry", [["a", 1], [1, None]])
+@pytest.mark.parametrize("entry", [["a", 1], [1, None], [1, 2, 3], 5])
 def test_load_table_json_entry_not_numbers(tmp_path, entry):
     p = tmp_path / "t.json"
     p.write_text(json.dumps([[1.0, 1.0], [2.0, 1.5], entry, [4.0, 2.2]]))
@@ -346,7 +356,9 @@ def test_load_table_json_entry_not_numbers(tmp_path, entry):
 
 # JSON NaN and 1e400 (read as inf) and CSV nan load as floats; the model
 # rejects them, an inf in the last row included, which no later sample is
-# compared with.
+# compared with.  The loader rejects malformed files itself and skips a
+# blank CSV line, which then takes no sample index; the model rejects a
+# first sample at t <= 0 or a <= 0.
 @pytest.mark.parametrize("name, text, match", [
     ("t.json", "[[1, 1], [2, 1.5], [NaN, 1.9], [4, 2.2]]",
      "t sample at index 2"),
@@ -354,7 +366,17 @@ def test_load_table_json_entry_not_numbers(tmp_path, entry):
      "a sample at index 3"),
     ("t.csv", "t,a\n1,1\n2,nan\n3,1.9\n4,2.2\n", "a sample at index 1"),
     ("t.csv", "t,a\n1,1\n2,1.5\n3,1.9\ninf,2.2\n", "t sample at index 3"),
-], ids=["json-nan-t", "json-inf-a", "csv-nan-a", "csv-inf-t"])
+    ("t.json", "[[1, 1], [2, 1.5", "invalid JSON"),
+    ("t.csv", "", "empty file"),
+    ("t.csv", "t,a\n\n1,1\n2,nan\n3,1.9\n4,2.2\n", "a sample at index 1"),
+    ("t.csv", "t,a\n1,1\n2,1.5,0\n", "line 3 does not have two columns"),
+    ("t.csv", "t,a\n1,1\n2,x\n", "line 3"),
+    ("t.csv", "t,a\n0,1\n2,1.5\n3,1.9\n4,2.2\n", "times must be positive"),
+    ("t.csv", "t,a\n1,0\n2,1.5\n3,1.9\n4,2.2\n",
+     "scale factor must be positive"),
+], ids=["json-nan-t", "json-inf-a", "csv-nan-a", "csv-inf-t", "json-invalid",
+        "csv-empty", "csv-blank-line", "csv-three-columns", "csv-not-a-number",
+        "t0-zero", "a0-zero"])
 def test_tabulated_rejects_non_finite_samples(tmp_path, name, text, match):
     p = tmp_path / name
     p.write_text(text)

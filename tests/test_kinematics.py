@@ -153,6 +153,19 @@ def test_radiation_speed_approaches_half_pi():
     assert math.pi / 2.0 - v < 1e-5
 
 
+def test_power_law_speed_at_huge_sigma0_is_the_sup():
+    # s ** -(p + 1) on quadrature nodes near s = 1e300 used to overflow.
+    v = fermi_speed_power_law(0.999999, 1e300)
+    assert math.isfinite(v)
+    assert v == pytest.approx(fermi_speed_sup(0.999999), rel=1e-12)
+
+
+def test_power_law_speed_small_alpha_near_the_observer():
+    # Reference: 40-digit mpmath quadrature of the two integrals.
+    assert fermi_speed_power_law(0.02, 1.0 + 2.0 ** -40) == pytest.approx(
+        9.536743164270666817116e-7, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # fermi_speed_sup
 
