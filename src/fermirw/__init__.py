@@ -79,6 +79,7 @@ __all__ = [
     "power_law_geometry_relation",
     "proper_radius",
     "proper_radius_power_law",
+    "radiation",
     "rho_of_sigma",
     "rw_from_fermi",
     "s_k",

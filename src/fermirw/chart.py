@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .cosmology import Cosmology, _check_time
 from .errors import (AccuracyError, DomainError, FermiRWError,
                      OutOfChartError, _finite, _no_overflow)
-from .geodesics import (_GROWTH_CAP, _RHO, _SIGMA_NEAR_ONE, _check_slice,
-                        chi_of_sigma, lapse_bracket, rho_of_sigma,
-                        slice_integral, store, t_of_sigma)
+from .geodesics import (_CHI, _GROWTH_CAP, _RHO, _SIGMA_NEAR_ONE,
+                        _check_slice, chi_of_sigma, lapse_bracket,
+                        rho_of_sigma, slice_integral, store, t_of_sigma)
 from .numerics import _EPS, DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
@@ -251,24 +251,28 @@ def jacobian_F(cosmo: Cosmology, tau: float, sigma: float,
 
 
 def comoving_flow_fermi(cosmo: Cosmology, event: RWEvent,
-                        cfg: NumericsConfig | None = None,
-                        rel_step: float = 1e-5) -> tuple[float, float]:
+                        cfg: NumericsConfig | None = None
+                        ) -> tuple[float, float]:
     """(dtau/dt, drho/dt) of the comoving worldline through the event.
 
-    Central finite differences of fermi_from_rw in t at fixed chi with
-    step rel_step * t, 0 < rel_step < 1.  Step underflow raises
-    AccuracyError.
+    At fixed chi, dtau/dt = (dchi/dsigma)/J = sqrt(sigma0)/(a'(tau) B),
+    J of jacobian_F and B the lapse bracket; t is proper time and the
+    metric diagonal with g_rho_rho = 1, so drho/dt = u = sqrt(sigma0 - 1).
+    One fermi_from_rw finds tau, and sigma0 inverts chi on its store.
+    Where sigma0 - 1 <= 1e-10 has lost its digits, u = w = chi/b'(a(t)),
+    fermi_from_rw's value there, good to O(w^2).  A lapse a'(tau) B that
+    is not positive (lost to cancellation) raises AccuracyError.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if not 0.0 < rel_step < 1.0:
-        raise DomainError(f"rel_step must lie in (0, 1), got {rel_step}")
+    tau = fermi_from_rw(cosmo, event, cfg).tau
     if event.chi == 0.0:
         return 1.0, 0.0
-    h = rel_step * float(event.t)
-    if h == 0.0 or event.t - h <= 0.0:
-        raise AccuracyError(
-            f"finite-difference step underflow at t={event.t:g}")
-    plus = fermi_from_rw(cosmo, RWEvent(event.t + h, event.chi), cfg)
-    minus = fermi_from_rw(cosmo, RWEvent(event.t - h, event.chi), cfg)
-    return ((plus.tau - minus.tau) / (2.0 * h),
-            (plus.rho - minus.rho) / (2.0 * h))
+    m = cosmo.model
+    sigma0 = store(cosmo, tau, cfg).invert(_CHI, event.chi)
+    lapse = float(m.a_dot(tau)) * lapse_bracket(cosmo, tau, sigma0, cfg)
+    if not lapse > 0.0:
+        raise AccuracyError(f"the lapse a'(tau) B={lapse:g} at tau={tau:g}, "
+                            f"sigma={sigma0:g} is not positive")
+    u = (math.sqrt(sigma0 - 1.0) if sigma0 - 1.0 > _SIGMA_NEAR_ONE
+         else event.chi / float(m.b_dot(float(m.a(event.t)))))
+    return _no_overflow("dtau/dt", math.sqrt(sigma0) / lapse), u

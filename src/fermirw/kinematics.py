@@ -131,15 +131,24 @@ def fermi_speed_power_law(alpha: float, sigma0: float) -> float:
 def fermi_speed_sup(alpha: float) -> float:
     """Least upper bound of the power-law Fermi velocity over all sigma0.
 
-    sqrt(pi) Gamma(1/(2 alpha) + 1/2) / (2 alpha Gamma(1/(2 alpha) + 1)),
-    which is at most 1/alpha with equality only for alpha = 1.  The gamma
-    ratio is taken through lgamma so that small alpha cannot overflow.
+    sqrt(pi) Gamma(p + 1/2) / (2 alpha Gamma(p + 1)), p = 1/(2 alpha),
+    which is at most 1/alpha with equality only for alpha = 1.  For
+    p < 170 math.gamma takes the ratio (Gamma(p + 1) overflows past
+    171.6); beyond, sqrt(p) Gamma(p + 1/2)/Gamma(p + 1) is its asymptotic
+    series in 1/p = 2 alpha, whose first omitted term is below 1e-18
+    there, times sqrt(pi)/sqrt(2 alpha), so that p never overflows.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"power-law exponent must be in (0, 1], got {alpha}")
-    p = 1.0 / (2.0 * alpha)
-    ratio = math.exp(math.lgamma(p + 0.5) - math.lgamma(p + 1.0))
-    return math.sqrt(math.pi) * ratio / (2.0 * alpha)
+    x = 2.0 * alpha
+    if x > 1.0 / 170.0:
+        p = 1.0 / x
+        return math.sqrt(math.pi) * math.gamma(p + 0.5) / (
+            x * math.gamma(p + 1.0))
+    series = 1.0 + x * (-1.0 / 8.0 + x * (1.0 / 128.0 + x * (
+        5.0 / 1024.0 + x * (-21.0 / 32768.0 + x * (
+            -399.0 / 262144.0 + x * (869.0 / 4194304.0))))))
+    return math.sqrt(math.pi) / math.sqrt(x) * series
 
 
 def proper_radius(cosmo: Cosmology, tau: float,

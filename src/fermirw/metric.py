@@ -30,9 +30,8 @@ __all__ = [
     "metric_cartesian",
 ]
 
-# Below this fraction of tau the direct (ang - rho^2)/rho^4 form loses
-# digits, so lambda_k switches to Richardson extrapolation toward rho=0.
-_LAMBDA_RHO_FRACTION = 1e-3
+# Switch radius of lambda, times sqrt of its curvature scale (see _lambda).
+_LAMBDA_SWITCH = 2.5e-3
 
 
 @dataclass(frozen=True)
@@ -100,42 +99,40 @@ def metric_polar(cosmo: Cosmology, tau: float, rho: float,
                        _ang(cosmo, tau, sigma, cfg))
 
 
-def _lambda_at(cosmo: Cosmology, tau: float, rho: float, sigma: float,
-               cfg: NumericsConfig) -> float:
-    """The direct form (ang/rho^2 - 1)/rho^2 at the event's stretch sigma,
-    which never forms rho^4: that underflows for tau below about 1e-77."""
-    r2 = rho * rho
-    lam = (_ang(cosmo, tau, sigma, cfg) / r2 - 1.0) / r2 if r2 else math.inf
+def _lambda(cosmo: Cosmology, tau: float, rho: float,
+            cfg: NumericsConfig, sigma: float | None = None) -> float:
+    """lambda at rho; sigma = sigma_of_rho(rho), computed if not given and
+    needed.  Within the switch, the limit -C/3, C = H^2 + k/a^2, of
+    g_ij = delta_ij - (1/3) R_ikjl x^k x^l (Manasse & Misner 1963);
+    beyond it (ang/rho^2 - 1)/rho^2 (noise ~ 1/rho^2).  lambda's rho^2 term
+    is (2/45) C^2 + (1/5) H^2 (a''/a - C) (fitted to 4 digits on power laws
+    and de Sitter), so the switch scale is max(|C|, H sqrt|a''/a - C|)."""
+    a0, adot = float(cosmo.model.a(tau)), float(cosmo.model.a_dot(tau))
+    h, r2 = adot / a0, rho * rho
+    curv = _no_overflow("H^2 + k/a^2", h * h + cosmo.k / a0 / a0)
+    # a''/a - C, with a''/a = -b''(a) a'^3 / a as b inverts a.
+    drift = _no_overflow("a''/a", -float(cosmo.model.b_ddot(a0)) * a0
+                         * adot * h * h - curv)
+    if r2 * max(abs(curv), h * math.sqrt(abs(drift))) <= _LAMBDA_SWITCH ** 2:
+        return -curv / 3.0
+    if sigma is None:
+        sigma = sigma_of_rho(cosmo, tau, rho, cfg)
+    lam = (_ang(cosmo, tau, sigma, cfg) / r2 - 1.0) / r2
     if not math.isfinite(lam):
         raise DomainError(f"lambda_k is out of range at tau={tau:g}")
     return lam
-
-
-def _lambda_near_zero(cosmo: Cosmology, tau: float,
-                      cfg: NumericsConfig) -> float:
-    """Richardson extrapolation of the direct form to rho = 0 from
-    rho_eps = _LAMBDA_RHO_FRACTION * tau and 2 rho_eps."""
-    lam1, lam2 = (_lambda_at(cosmo, tau, r, sigma_of_rho(cosmo, tau, r, cfg),
-                             cfg)
-                  for r in (_LAMBDA_RHO_FRACTION * tau,
-                            2.0 * _LAMBDA_RHO_FRACTION * tau))
-    return (4.0 * lam1 - lam2) / 3.0
 
 
 def lambda_k(cosmo: Cosmology, tau: float, rho: float,
              cfg: NumericsConfig | None = None) -> float:
     """Anisotropy coefficient lambda = (ang - rho^2) / rho^4.
 
-    Finite as rho -> 0; small radii (below 1e-3 tau) are handled by
-    Richardson extrapolation of the direct form, which is what makes the
-    Cartesian metric smooth through the origin.
+    Near the observer it is its exact limit there, -(H^2 + k/a^2)/3,
+    which is 0 at every rho on Milne; farther out the direct form.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    tau = _check_time(tau)
-    if _finite("rho", rho, nonnegative=True) > _LAMBDA_RHO_FRACTION * tau:
-        return _lambda_at(cosmo, tau, rho, sigma_of_rho(cosmo, tau, rho, cfg),
-                          cfg)
-    return _lambda_near_zero(cosmo, tau, cfg)
+    return _lambda(cosmo, _check_time(tau),
+                   _finite("rho", rho, nonnegative=True),
+                   cfg or DEFAULT_CONFIG)
 
 
 def metric_cartesian(cosmo: Cosmology, tau: float, x: float, y: float,
@@ -146,8 +143,8 @@ def metric_cartesian(cosmo: Cosmology, tau: float, x: float, y: float,
     g_00 = g_tau_tau, g_0i = 0, and
     g_ij = delta_ij + lambda (rho^2 delta_ij - x_i x_j), so the spatial
     block is delta_ij along the radial direction and (ang/rho^2) delta_ij
-    transversally.  One sigma_of_rho serves the lapse and lambda, except
-    where lambda takes its Richardson form near the origin.
+    transversally.  One sigma_of_rho serves the lapse and lambda, which
+    is its curvature limit near the origin (see lambda_k).
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = np.array([x, y, z], dtype=float)
@@ -156,8 +153,6 @@ def metric_cartesian(cosmo: Cosmology, tau: float, x: float, y: float,
     g = np.diag([-1.0, 1.0, 1.0, 1.0])
     g[0, 0] = _g_tau_tau_at(cosmo, tau, sigma, cfg)
     if rho > 0.0:
-        lam = (_lambda_at(cosmo, tau, rho, sigma, cfg)
-               if rho > _LAMBDA_RHO_FRACTION * tau
-               else _lambda_near_zero(cosmo, tau, cfg))
-        g[1:, 1:] += lam * (rho * rho * np.eye(3) - np.outer(xs, xs))
+        g[1:, 1:] += _lambda(cosmo, tau, rho, cfg, sigma) * (
+            rho * rho * np.eye(3) - np.outer(xs, xs))
     return g

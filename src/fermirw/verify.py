@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_forms as cf
-from .chart import FermiEvent, RWEvent, fermi_from_rw, jacobian_F, rw_from_fermi
+from .chart import (FermiEvent, RWEvent, comoving_flow_fermi, fermi_from_rw,
+                    jacobian_F, rw_from_fermi)
 from .chart import sigma_of_rho as chart_sigma_of_rho
 from .cosmology import Cosmology, hubble, make_power_law, make_tabulated
 from .errors import DomainError
@@ -26,7 +27,7 @@ from .geodesics import (chi_of_sigma, integrate_geodesic_ode, rho_of_sigma,
 from .kinematics import (fermi_speed, fermi_speed_power_law, fermi_speed_sup,
                          power_law_geometry_relation, proper_radius,
                          sigma_of_chi, velocity_identity_residual)
-from .metric import g_tau_tau, lambda_k, metric_cartesian, metric_polar
+from .metric import g_tau_tau, metric_cartesian, metric_polar
 from .numerics import (DEFAULT_CONFIG, NumericsConfig, gamma_fn, hyp2f1,
                        table_safe_config)
 
@@ -110,10 +111,12 @@ def closed_forms_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
     out.append(_result("milne-sigma-of-rho", worst, 1e-10,
                        "vs 1/(1-(rho/tau)^2)"))
 
-    worst = max(abs(lambda_k(milne.cosmology, 2.0, rho, cfg))
-                for rho in (0.0, 0.5, 1.5))
+    worst = 0.0
+    for rho in (0.05, 0.5, 1.5):
+        ang = metric_polar(milne.cosmology, 2.0, rho, cfg).ang
+        worst = max(worst, abs((ang / (rho * rho) - 1.0) / (rho * rho)))
     out.append(_result("milne-lambda-flat", worst, 1e-4,
-                       "anisotropy vanishes identically"))
+                       "(ang/rho^2 - 1)/rho^2 vanishes identically"))
 
     worst = 0.0
     for h0 in (0.5, 1.0, 2.0):
@@ -309,26 +312,41 @@ def _roundtrip_models() -> list[Cosmology]:
     ]
 
 
+def _chart_events(cfg: NumericsConfig):
+    """(cosmo, its cfg, t, chi) of the chart checks: four events on each
+    round-trip model and three inside de Sitter's bounded chart."""
+    for cosmo in _roundtrip_models():
+        mcfg = _model_cfg(cosmo, cfg)
+        for i, t1 in enumerate((0.8, 1.4, 2.2, 3.0)):
+            yield cosmo, mcfg, t1, 0.15 + 0.55 * ((i * 2 + 1) % 4)
+    ds = cf.de_sitter(1.0).cosmology
+    for t1, frac in ((1.0, 0.3), (2.0, 0.7), (3.0, 0.9)):
+        yield ds, cfg, t1, frac * math.exp(-t1)
+
+
 def invariants_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
     cfg = cfg or DEFAULT_CONFIG
     out: list[CheckResult] = []
     ds = cf.de_sitter(1.0)
 
     worst = 0.0
-    for cosmo in _roundtrip_models():
-        mcfg = _model_cfg(cosmo, cfg)
-        for i, t1 in enumerate((0.8, 1.4, 2.2, 3.0)):
-            chi1 = 0.15 + 0.55 * ((i * 2 + 1) % 4)
-            fe = fermi_from_rw(cosmo, RWEvent(t1, chi1), mcfg)
-            ev = rw_from_fermi(cosmo, fe, mcfg)
-            worst = max(worst, abs(ev.t - t1) / t1, abs(ev.chi - chi1) / chi1)
-    for t1, frac in ((1.0, 0.3), (2.0, 0.7), (3.0, 0.9)):
-        chi1 = frac * math.exp(-t1)
-        fe = fermi_from_rw(ds.cosmology, RWEvent(t1, chi1), cfg)
-        ev = rw_from_fermi(ds.cosmology, fe, cfg)
+    for cosmo, mcfg, t1, chi1 in _chart_events(cfg):
+        fe = fermi_from_rw(cosmo, RWEvent(t1, chi1), mcfg)
+        ev = rw_from_fermi(cosmo, fe, mcfg)
         worst = max(worst, abs(ev.t - t1) / t1, abs(ev.chi - chi1) / chi1)
     out.append(_result("round-trip", worst, 1e-7,
                        "fermi_from_rw then rw_from_fermi"))
+
+    # The flow reads b'(x) and the lapse integral I3, fermi_speed I1, I2
+    # and I3: v_F = a'(tau) B sqrt(1 - 1/sigma0) ties the two routes.
+    worst = 0.0
+    for cosmo, mcfg, t1, chi1 in _chart_events(cfg):
+        tau = fermi_from_rw(cosmo, RWEvent(t1, chi1), mcfg).tau
+        dtau, drho = comoving_flow_fermi(cosmo, RWEvent(t1, chi1), mcfg)
+        v = fermi_speed(cosmo, tau, chi1, mcfg).v_fermi
+        worst = max(worst, abs(drho / dtau - v) / v)
+    out.append(_result("comoving-flow-velocity", worst, 1e-9,
+                       "drho/dtau of the comoving flow vs fermi_speed"))
 
     neg = 0.0
     for cosmo in _roundtrip_models():

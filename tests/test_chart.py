@@ -316,22 +316,45 @@ def test_flow_milne():
     assert drho == pytest.approx(math.sinh(c), abs=1e-6)
 
 
-def test_flow_step_halving_richardson():
-    # second-order differences: halving the step shrinks the change by 4
-    ev = RWEvent(1.0, 0.5)
-    d1 = comoving_flow_fermi(RADIATION, ev, rel_step=4e-4)[1]
-    d2 = comoving_flow_fermi(RADIATION, ev, rel_step=2e-4)[1]
-    d3 = comoving_flow_fermi(RADIATION, ev, rel_step=1e-4)[1]
-    ratio = (d1 - d2) / (d2 - d3)
-    assert 3.0 < ratio < 5.0
+def test_flow_milne_closed_form():
+    # Milne is Minkowski space, where the comoving worldline at chi has
+    # rapidity chi.
+    for t, chi in ((0.5, 0.1), (1.0, 0.8), (3.0, 2.0)):
+        dtau, drho = comoving_flow_fermi(MILNE, RWEvent(t, chi))
+        assert dtau == pytest.approx(math.cosh(chi), rel=1e-13)
+        assert drho == pytest.approx(math.sinh(chi), rel=1e-13)
 
 
-@pytest.mark.parametrize("rel_step",
-                         [0.0, -1e-5, 1.0, 2.0, math.inf, math.nan])
-def test_flow_bad_step_is_domain_error(rel_step):
-    # 0, 2 and inf used to report a step underflow, nan a bad time.
-    with pytest.raises(DomainError, match="rel_step"):
-        comoving_flow_fermi(MATTER, RWEvent(1.0, 0.5), rel_step=rel_step)
+@pytest.mark.parametrize("h0", [0.5, 1.0, 2.0])
+def test_flow_de_sitter_closed_form(h0):
+    # w = h0 e^(h0 t) chi: dtau/dt = 1/(1 - w^2), drho/dt = w/sqrt(1 - w^2).
+    ds = Cosmology(make_exponential(h0), k=0, name="de-sitter")
+    for t, w in ((0.5, 0.5), (1.0, 0.3), (2.0, 0.7), (3.0, 0.9)):
+        chi = w / (h0 * math.exp(h0 * t))
+        dtau, drho = comoving_flow_fermi(ds, RWEvent(t, chi))
+        assert dtau == pytest.approx(1.0 / (1.0 - w * w), rel=1e-13)
+        assert drho == pytest.approx(w / math.sqrt(1.0 - w * w), rel=1e-13)
+
+
+@pytest.mark.parametrize("chi", [1e-6, 1e-9, 1e-12])
+def test_flow_near_the_observer_keeps_its_digits(chi):
+    # sqrt(sigma0 - 1) would round to 0 here; u = a(t) H(t) chi does not.
+    dtau, drho = comoving_flow_fermi(MILNE, RWEvent(1.0, chi))
+    assert dtau == pytest.approx(math.cosh(chi), rel=1e-13)
+    assert drho == pytest.approx(math.sinh(chi), rel=1e-10)
+
+
+def test_flow_makes_one_chart_search(monkeypatch):
+    calls = []
+    search = chart.fermi_from_rw
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(chart, "fermi_from_rw", counting)
+    comoving_flow_fermi(RADIATION, RWEvent(1.0, 0.5))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -412,3 +414,37 @@ def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("t,chi,")
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+def _readme_commands():
+    """The argument lists of the `fermirw ...` lines in README.md's sh
+    blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [shlex.split(line)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for line in block.splitlines() if line.startswith("fermirw ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_has_commands():
+    assert len(README_COMMANDS) >= 5
+    assert ["verify", "all"] in README_COMMANDS
+
+
+# `verify all` runs in CI on its own.
+@pytest.mark.parametrize("argv", [a for a in README_COMMANDS
+                                  if a != ["verify", "all"]],
+                         ids=lambda argv: "-".join(argv[:2]))
+def test_readme_command_exits_0(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ts = np.geomspace(0.05, 100.0, 400)
+    (tmp_path / "scale.csv").write_text("t,a\n" + "\n".join(
+        f"{t:.17g},{t ** (2.0 / 3.0):.17g}" for t in ts) + "\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out

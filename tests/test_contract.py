@@ -7,6 +7,7 @@
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from fermirw import (
     t_of_sigma,
     velocity_identity_residual,
 )
+import fermirw
 from fermirw import closed_forms
 from fermirw.geodesics import lapse_bracket
 from fermirw.numerics import table_safe_config
@@ -63,8 +65,9 @@ GRID = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e-12, 1.0,
         1.0 + 2.0 ** -52, 1.5, 1e6, 1e300)
 PAIRS = list(itertools.product(GRID, GRID))
 # For wrappers, each call of which makes several calls the full grid
-# already drives: samples of the slice maps, and finite differences of
-# fermi_from_rw and fermi_speed.
+# already drives: samples of the slice maps, finite differences of the
+# slice maps around fermi_speed, and the comoving flow's fermi_from_rw
+# with a chi inversion and a lapse read.
 COARSE_PAIRS = list(itertools.product(
     (math.nan, math.inf, -1.0, 0.0, 1e-300, 1.0, 1.5, 1e300), repeat=2))
 
@@ -161,7 +164,10 @@ def test_model_slice_functions(model):
 
 def test_model_free_functions():
     _assert_contract(gamma_fn, [(x,) for x in GRID])
-    _assert_contract(fermi_speed_sup, [(x,) for x in GRID])
+    # Subnormal alpha, where p = 1/(2 alpha) overflows, and the least
+    # normal ones.
+    _assert_contract(fermi_speed_sup,
+                     [(x,) for x in GRID + (5e-324, 1e-310, 2e-308)])
     _assert_contract(s_k, [(k, x) for k in (0, -1, 1, 0.5) for x in GRID]
                      + PAIRS)
     _assert_contract(proper_radius_power_law, PAIRS)
@@ -175,6 +181,14 @@ def test_model_free_functions():
             lambda s: s ** -1.5 / np.sqrt(s - 1.0), lo, hi), PAIRS)
     _assert_contract(
         lambda lo, hi: find_root_monotone(lambda x: x - 0.5, lo, hi), PAIRS)
+
+
+def test_all_lists_every_public_name():
+    public = {name for name, value in vars(fermirw).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public <= set(fermirw.__all__)
+    assert all(hasattr(fermirw, name) for name in fermirw.__all__)
 
 
 def test_hyp2f1():

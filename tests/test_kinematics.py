@@ -193,6 +193,21 @@ def test_sup_small_alpha_asymptote(alpha):
     assert fermi_speed_sup(alpha) == pytest.approx(want, rel=1e-6)
 
 
+# 400-digit values of the supremum at the float nearest each alpha.
+SUP_REFERENCES = [(1e-3, 39.623365897903641595),
+                  (1e-6, 1253.3138239870051168),
+                  (1e-12, 1253314.1373151869353),
+                  (1e-300, 1.2533141373155002355e150)]
+
+
+@pytest.mark.parametrize("alpha,want", SUP_REFERENCES)
+def test_sup_small_alpha_to_rounding(alpha, want):
+    # A difference of lgamma values at p = 1/(2 alpha) would cancel here.
+    assert fermi_speed_sup(alpha) == pytest.approx(want, rel=1e-15)
+    assert proper_radius_power_law(alpha, 2.0) == pytest.approx(
+        2.0 * want, rel=1e-15)
+
+
 def test_radius_power_law_small_alpha():
     assert proper_radius_power_law(0.001, 1.0) == pytest.approx(39.6234,
                                                                 rel=1e-6)

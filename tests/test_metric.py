@@ -11,9 +11,11 @@ from fermirw import (
     FermiEvent,
     UnsupportedCurvatureError,
     g_tau_tau,
+    hubble,
     lambda_k,
     make_exponential,
     make_power_law,
+    make_tabulated,
     metric_cartesian,
     metric_polar,
     rho_of_sigma,
@@ -175,16 +177,142 @@ def test_worldline_rejects_a_bad_tau(tau, call):
 
 
 def test_lambda_extrapolation_joins_direct_branch():
-    # Direct evaluation near the switch point divides a difference of
-    # O(rho^2) quantities by rho^4, so its noise floor there is a few
-    # 1e-3 in lambda units.  The extrapolated branch must agree with the
-    # well-conditioned direct value farther out to better than that.
+    # The curvature limit -(H^2 + k/a^2)/3 serves rho = 1e-4 tau and
+    # 1.001e-3 tau (H rho <= 6.7e-4 on matter); it must agree with the
+    # well-conditioned direct form (ang/rho^2 - 1)/rho^2 at 0.05 tau,
+    # where lambda has moved by O((H rho)^2) from its limit.
     tau = 1.0
     extrapolated = lambda_k(MATTER, tau, 1e-4 * tau)
     direct = lambda_k(MATTER, tau, 0.05 * tau)
     assert extrapolated == pytest.approx(direct, abs=5e-3)
     near_switch = lambda_k(MATTER, tau, 1.001e-3 * tau)
     assert extrapolated == pytest.approx(near_switch, abs=2e-2)
+
+
+_TS = np.geomspace(0.05, 100.0, 800)
+TABLE = Cosmology(make_tabulated(list(zip(_TS, _TS ** (2.0 / 3.0)))), k=0,
+                  name="tabulated")
+
+
+@pytest.mark.parametrize("cosmo,want", [
+    (MILNE, lambda tau: 0.0),
+    (DESITTER, lambda tau: -1.0 / 3.0),
+    (RADIATION, lambda tau: -1.0 / (12.0 * tau * tau)),
+    (MATTER, lambda tau: -4.0 / (27.0 * tau * tau)),
+    (TABLE, lambda tau: -hubble(TABLE, tau) ** 2 / 3.0),
+], ids=["milne", "de-sitter", "radiation", "matter", "table"])
+def test_lambda_at_the_observer_is_the_curvature(cosmo, want):
+    # g_ij = delta_ij - (1/3) R_ikjl x^k x^l: lambda(0) = -(H^2 + k/a^2)/3.
+    for tau in (0.3, 1.3, 7.0):
+        scale = hubble(cosmo, tau) ** 2 / 3.0
+        assert abs(lambda_k(cosmo, tau, 0.0) - want(tau)) <= 4.0 * math.ulp(
+            scale)
+
+
+def test_lambda_below_the_switch_inverts_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sigma_of_rho called")
+
+    monkeypatch.setattr(metric, "sigma_of_rho", refuse)
+    # H = 1/2.6 on radiation at tau = 1.3, where a''/a - C = -2 H^2: the
+    # switch is at H rho = 2.5e-3/2^(1/4) = 2.1e-3, rho = 5.47e-3.
+    for rho in (0.0, 1e-9, 1e-4, 5.4e-3):
+        assert lambda_k(RADIATION, 1.3, rho) == lambda_k(RADIATION, 1.3, 0.0)
+
+
+def test_lambda_switch_reads_the_tidal_curvature():
+    # a = t^(1/2) with k = -1 at tau = 1/4: H^2 = 4 cancels k/a^2 = -4, so
+    # lambda(0) = 0, but a''/a = -4 and lambda moves as rho^2 off the
+    # observer.  The switch must still hand H rho = 0.1 and 5e-3 to the
+    # direct form.
+    open_rad = Cosmology(make_power_law(0.5), k=-1)
+    tau = 0.25
+    assert lambda_k(open_rad, tau, 0.0) == 0.0
+    for rho in (0.05, 2.5e-3):
+        ang = metric_polar(open_rad, tau, rho).ang
+        direct = (ang / rho ** 2 - 1.0) / rho ** 2
+        assert direct < -1e-5
+        assert lambda_k(open_rad, tau, rho) == direct
+    # rho sqrt(H sqrt|a''/a - C|) = 2.4e-3 is inside the switch.
+    assert lambda_k(open_rad, tau, 1.2e-3) == 0.0
+
+
+def _lambda_rho2(cosmo, tau):
+    # (2/45) C^2 + (1/5) H^2 (a''/a - C), C = H^2 + k/a^2.
+    a, adot = cosmo.model.a(tau), cosmo.model.a_dot(tau)
+    h = adot / a
+    c = h * h + cosmo.k / (a * a)
+    return 2.0 / 45.0 * c * c + 0.2 * h * h * (
+        -cosmo.model.b_ddot(a) * adot ** 3 / a - c)
+
+
+@pytest.mark.parametrize("cosmo,tau", [
+    (DESITTER, 1.3), (RADIATION, 1.3),
+    (Cosmology(make_power_law(0.05), k=0), 1.3),
+    (Cosmology(make_power_law(0.5), k=-1), 0.25),
+    (Cosmology(make_power_law(0.7), k=-1), 3.0),
+], ids=["de-sitter", "radiation", "alpha-0.05", "open-rad", "open-0.7"])
+def test_lambda_rho2_term(cosmo, tau):
+    # The rho^2 term that sets the switch scale, from the direct form at
+    # rho and rho/2 with the rho^4 term eliminated.
+    want = _lambda_rho2(cosmo, tau)
+    lam0 = lambda_k(cosmo, tau, 0.0)
+    rho = 0.1 / abs(want) ** 0.25
+    f = [(lambda_k(cosmo, tau, r) - lam0) / (r * r) for r in (rho, rho / 2)]
+    assert (4.0 * f[1] - f[0]) / 3.0 == pytest.approx(want, rel=1e-3)
+
+
+def test_lambda_slow_expansion_near_the_observer():
+    # a = t^0.1 at tau = 0.7: H rho <= 2e-3, where lambda varies by
+    # O((H rho)^2).
+    slow = Cosmology(make_power_law(0.1), k=0)
+    tau = 0.7
+    lam0 = lambda_k(slow, tau, 0.0)
+    for frac in np.geomspace(1e-6, 0.02, 12):
+        assert abs(lambda_k(slow, tau, frac * tau) / lam0 - 1.0) <= 1e-4
+
+
+def test_lambda_very_slow_expansion():
+    # a = t^0.05 at tau = 1.3: |a''/a| = 19 H^2, and the direct form is
+    # noisier than on radiation.  Against lambda(0) + (rho^2 term) rho^2
+    # over H rho up to 4e-3, on both sides of the switch.
+    slow = Cosmology(make_power_law(0.05), k=0)
+    tau = 1.3
+    h = hubble(slow, tau)
+    lam0, lam2 = lambda_k(slow, tau, 0.0), _lambda_rho2(slow, tau)
+    for hr in np.geomspace(1e-5, 4e-3, 40):
+        rho = hr / h
+        want = lam0 + lam2 * rho * rho
+        assert abs(lambda_k(slow, tau, rho) / want - 1.0) <= 1e-4
+
+
+# 50-digit values of lambda at tau = 1.3 against H rho: de Sitter (h0 = 1)
+# (sin^2 rho - rho^2)/rho^4, radiation from its closed-form maps.
+H_RHO = (1e-4, 3e-4, 1e-3, 2e-3, 2.4e-3, 2.6e-3, 5e-3, 1e-2, 3e-2, 0.1, 0.3)
+LAMBDA_REFERENCES = {
+    "de-sitter": (-0.33333333288888888921, -0.33333332933333335905,
+                  -0.33333328888889206349, -0.3333331555556063492,
+                  -0.33333307733343865902, -0.33333303288903396059,
+                  -0.333332222224206347, -0.33332888892063477954,
+                  -0.33329333590465905042, -0.33288920620815562098,
+                  -0.32935894504187020006),
+    "radiation": (-0.049309665220249841364, -0.049309669428008353621,
+                  -0.049309717291313045995, -0.049309875083099468907,
+                  -0.04930996765476082199, -0.049310020252453813788,
+                  -0.049310979654481177568, -0.049314924964845525438,
+                  -0.049357048428507949828, -0.049841431299437192713,
+                  -0.054562162262147912389),
+}
+
+
+@pytest.mark.parametrize("cosmo", [DESITTER, RADIATION],
+                         ids=lambda c: c.name)
+def test_lambda_against_50_digit_values(cosmo):
+    # Both sides of the switch, where the direct form cancels worst.
+    tau = 1.3
+    h = hubble(cosmo, tau)
+    for hr, want in zip(H_RHO, LAMBDA_REFERENCES[cosmo.name]):
+        assert lambda_k(cosmo, tau, hr / h) == pytest.approx(want, rel=2e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from fermirw import (Cosmology, DomainError, make_exponential, make_power_law,
-                     verify)
+from fermirw import (Cosmology, DomainError, chart, make_exponential,
+                     make_power_law, verify)
 
 
 def test_pullback_checks_every_model(monkeypatch):
@@ -24,6 +24,22 @@ def test_pullback_checks_every_model(monkeypatch):
     results = {r.name: r for r in verify.invariants_suite()}
     assert not results["metric-pullback"].passed
     assert results["metric-pullback"].residual > 5e-4
+
+
+@pytest.mark.parametrize("name", ["milne", "tabulated", "de-sitter"])
+def test_flow_velocity_checks_every_model(monkeypatch, name):
+    # Perturb the lapse the comoving flow reads on one model only; the
+    # check covers every round-trip model and de Sitter, so it must fail.
+    bracket = chart.lapse_bracket
+
+    def perturbed(cosmo, tau, sigma, cfg=None):
+        value = bracket(cosmo, tau, sigma, cfg)
+        return value * (1.0 + 1e-6) if cosmo.name == name else value
+
+    monkeypatch.setattr(chart, "lapse_bracket", perturbed)
+    results = {r.name: r for r in verify.invariants_suite()}
+    assert not results["comoving-flow-velocity"].passed
+    assert results["comoving-flow-velocity"].residual > 5e-7
 
 
 def test_unknown_suite_is_domain_error():
