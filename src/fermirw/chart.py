@@ -10,14 +10,14 @@ geodesic reaches the requested comoving radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cosmology import Cosmology, _check_time
 from .errors import (AccuracyError, DomainError, FermiRWError,
                      OutOfChartError, _finite, _no_overflow)
-from .geodesics import (_CHI, _GROWTH_CAP, _RHO, _SIGMA_NEAR_ONE,
-                        _check_slice, chi_of_sigma, lapse_bracket,
-                        rho_of_sigma, slice_integral, store, t_of_sigma)
+from .geodesics import (_CHI, _GROWTH_CAP, _LAPSE, _RHO, _SIGMA_NEAR_ONE,
+                        _check_slice, _slice_integrals, chi_of_sigma,
+                        lapse_bracket, rho_of_sigma, store, t_of_sigma)
 from .numerics import _EPS, DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
@@ -98,17 +98,25 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     Searches at fixed t in u = sqrt(sigma - 1), sigma = (a(tau)/a(t))^2,
     tau = b(a(t) sqrt(1 + u^2)), for the slice whose geodesic reaches chi,
     unique as chi grows with u.  It starts from the Hubble law
-    w = a(t) H(t) chi: u = w/sqrt(1 - w^2) (exact on de Sitter) for
-    w < 0.9, else u = w.  One Newton step, with dchi/du = B/sqrt(sigma)
-    from the lapse bracket B, precedes secant steps; a step out of the
-    bracket in u falls back to regula falsi.  While there is no upper
-    end, u doubles in place of a step that would climb slowly.  It stops
-    when a step moves tau by at most root_tol/2 * tau, relative at every
-    scale; once the ratio of successive steps shrinks below 1, when the
-    next step predicted from it, this one times that ratio, would; or
-    when |chi - chi1| reaches chi's rounding floor, 2 eps chi1.
-    Iterates integrate chi directly; only the returned tau builds a slice
-    store.
+    w = a(t) H(t) chi: u = w/sqrt(1 - w^2), exact on de Sitter, for
+    every w < 1 on a bounded chart and for w < 0.9 on a global one, else
+    u = w.  Each step is a Newton step with dchi/du = B/sqrt(sigma), B
+    the lapse bracket b'(a(t)) + a(t) u I/2: one direct pass integrates
+    chi and sums the lapse integral I over chi's own panels
+    (geodesics._slice_integrals).  A slope not within 2x of the secant
+    through the last two iterates, as where B cancels late on de Sitter
+    slices, gives way to that secant; a step out of the bracket in u
+    falls back to regula falsi.  Every pass resolves chi to quad_rel_tol
+    relative to chi, with quad_abs_tol at most quad_rel_tol * chi.
+    While there is no upper end, u doubles in place of a step that would
+    climb slowly.  It stops when a step moves tau by at most
+    root_tol/2 * tau, relative at every scale, or when the next step
+    predicted would: once the ratio of successive steps shrinks below 1,
+    this one times that ratio; after two Newton steps on lapse slopes,
+    Newton's error |f''|/(2 f') step^2, with f'' from those two slopes,
+    once the step before kept within twice its own such bound.  It also
+    stops when |chi - chi1| reaches chi's rounding floor, 2 eps chi1.
+    Only the returned tau builds a slice store.
 
     Events beyond a bounded chart raise OutOfChartError; on a global
     chart, chi that stalls or a slice time that overflows AccuracyError.
@@ -148,30 +156,39 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         return FermiEvent(tau, a0 * float(m.b_dot(a0)) * w, event.theta,
                           event.phi)
 
-    def residual(u: float, tau: float) -> tuple[float, float, float, float]:
-        """tau, sigma and a(tau) of the slice at u, tau = tau_of(u), and
-        its chi - chi1."""
+    # chi resolved relative to the event: an absolute floor above chi1
+    # would accept a pass that has not resolved chi at all.
+    pass_cfg = replace(cfg, quad_abs_tol=min(cfg.quad_abs_tol,
+                                             cfg.quad_rel_tol * chi1))
+
+    def residual(u: float, tau: float) -> tuple[float, float, float]:
+        """tau of the slice at u, tau = tau_of(u), its chi - chi1 and
+        dchi/du = (b'(a1) + a1 u I / 2)/sqrt(sigma), I the lapse integral,
+        both from one pass over the chi integral's panels."""
         sigma = 1.0 + u * u
         try:
             tau, sigma = _check_slice(cosmo, tau, sigma)
-            a0 = a1 * math.sqrt(sigma)
-            return tau, sigma, a0, 0.5 * slice_integral(
-                cosmo, tau, sigma, 1, 0.5, cfg, a0) - chi1
+            chi, lapse = _slice_integrals(cosmo, tau, sigma, (_CHI, _LAPSE),
+                                          pass_cfg, a1 * math.sqrt(sigma))
         except DomainError:
             # A slice too late to evaluate (sigma_infinity overflows).
             if m.global_chart:
                 raise
             raise beyond(f"the tau={tau:g} slice is out of range before "
                          f"chi reaches it") from None
+        return (tau, 0.5 * chi - chi1,
+                (bd1 + 0.5 * a1 * u * lapse) / math.sqrt(sigma))
 
-    u = w / math.sqrt(1.0 - w * w) if w < 0.9 else w
-    tau, sigma, a0, f = residual(u, tau_of(u))
-    slope = (bd1 + 0.5 * a1 * u * slice_integral(
-        cosmo, tau, sigma, 2, 1.0, cfg, a0)) / math.sqrt(sigma)
+    # u = w/sqrt(1 - w^2) is de Sitter's root, where w < 1 bounds the
+    # chart; a global chart starts at u = w from w = 0.9 on.
+    u = (w / math.sqrt(1.0 - w * w)
+         if w < (0.9 if m.global_chart else 1.0) else w)
+    tau, f, slope = residual(u, tau_of(u))
+    newton = slope > 0.0      # a lapse slope to step on, not a secant
     lo, f_lo, hi, f_hi, prev_f = 0.0, -chi1, None, None, None
     steps = doublings = stalls = 0
     doubled = False
-    prev_step = prev_ratio = None
+    prev_step = prev_ratio = curv = guess = None
     # Below 2 eps chi1 the residual's sign is rounding noise.
     while abs(f) > 2.0 * _EPS * chi1:
         if f < 0.0:
@@ -215,16 +232,31 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         if ratio is not None and prev_ratio is not None and \
                 ratio < min(1.0, prev_ratio):
             move *= ratio
+        # A Newton step leaves an error of about curv step^2, curv =
+        # |f''|/(2 f') from the last two lapse slopes.  Once the step
+        # before kept to its own such bound, this one's bounds the next.
+        bound = guess
+        guess = None if step is None or curv is None else curv * step * step
+        if guess is not None and bound is not None and \
+                abs(step) <= 2.0 * bound:
+            move = min(move, abs(tau_x - tau) * curv * abs(step))
         if move <= 0.5 * cfg.root_tol * tau_x:
             u, tau = x, tau_x
             break
         prev_step, prev_ratio = step, ratio
-        prev_u, prev_f, u = u, f, x
-        tau, sigma, a0, f = residual(u, tau_x)
-        slope = (f - prev_f) / (u - prev_u)
+        prev_u, prev_f, prev_slope, was_newton, u = u, f, slope, newton, x
+        tau, f, slope = residual(u, tau_x)
+        # The lapse slope cancels late on de Sitter slices: it is taken
+        # only within 2x of the secant through the last two iterates.
+        secant = (f - prev_f) / (u - prev_u)
+        newton = 0.0 < 0.5 * secant <= slope <= 2.0 * secant
+        if not newton:
+            slope = secant
+        curv = (abs(slope - prev_slope) / (2.0 * slope * abs(u - prev_u))
+                if newton and was_newton else None)
         # Stalls: u at least doubled and chi barely moved.
         if hi is not None or f >= 0.0 or u < 2.0 * prev_u or \
-                f - prev_f > 1e-12 * max(1.0, chi1):
+                f - prev_f > 1e-12 * chi1:
             stalls = 0
         else:
             stalls += 1

@@ -21,10 +21,13 @@ stored panel polynomials before one polish, so every value depends on
 its arguments alone, not on the queries before it.
 The store also keeps its last answer per kind of read or inversion, so
 a call that repeats the last one's arguments exactly costs nothing.
-slice_integral integrates directly with the same substituted integrands
-and serves fermi_from_rw's search over slices, which would otherwise
-build a store per iterate.  An independent route integrates the
-geodesic equation in rho directly and is used as a cross-check.
+slice_integral integrates directly with the same substituted integrands.
+It is the one-integral case of _slice_integrals, which serves
+fermi_from_rw's search over slices (a store per iterate would cost
+more): one pass integrates chi and sums the lapse integral over chi's
+own panels, so the search's Newton slope costs no extra integral.  An
+independent route integrates the geodesic equation in rho directly and
+is used as a cross-check.
 """
 
 from __future__ import annotations
@@ -141,10 +144,13 @@ def _integrand(model, a0: float, comps, is_u: bool, weights=None):
         else:
             arg, lead = a0 * x, -2.0 / np.sqrt(1.0 - x * x)
             d = {o: lead * deriv(arg) for o, deriv in derivs.items()}
-            rows = [d[o] * x ** (2.0 * p - 2.0) for o, p in comps]
+            # Power 1 multiplies by x^0 = 1: the row is d itself.
+            rows = [d[o] * x ** (2.0 * p - 2.0) if p != 1.0 else d[o]
+                    for o, p in comps]
         if weights is None:
             return np.array(rows)
-        total = weights[0] * rows[0]
+        # A first weight of 1 leaves its row as it is.
+        total = rows[0] if weights[0] == 1.0 else weights[0] * rows[0]
         for w, row in zip(weights[1:], rows[1:]):
             total += w * row
         return total
@@ -164,24 +170,45 @@ def slice_integral(cosmo: Cosmology, tau: float, sigma: float, order: int,
     knots of interpolated models.  Within 1e-10 of sigma = 1 the
     leading-order value 2 b^(order)(a0) sqrt(sigma-1) is returned instead.
     """
-    cfg = cfg or DEFAULT_CONFIG
     m = cosmo.model
     a0 = float(m.a(tau)) if a0 is None else a0
+    return _slice_integrals(cosmo, tau, sigma, ((order, power),),
+                            cfg or DEFAULT_CONFIG, a0)[0]
+
+
+def _slice_integrals(cosmo: Cosmology, tau: float, sigma: float, comps,
+                     cfg: NumericsConfig, a0: float) -> tuple:
+    """slice_integral of each (order, power) of comps, from one pass.
+
+    comps[0] alone sets the panels, tested and bisected exactly as
+    slice_integral does it alone, so its value is the same float; every
+    later comp is summed over the same panels, at the cost of one
+    weighted sum per panel (numerics._adaptive).
+    """
+    m = cosmo.model
     if sigma - 1.0 <= _SIGMA_NEAR_ONE:
-        deriv = m.b_dot if order == 1 else m.b_ddot
-        return 2.0 * float(deriv(a0)) * math.sqrt(max(sigma - 1.0, 0.0))
+        root = math.sqrt(max(sigma - 1.0, 0.0))
+        return tuple(2.0 * float((m.b_dot, m.b_ddot)[order - 1](a0)) * root
+                     for order, _ in comps)
     knots = _clean_breaks(sigma_breaks(cosmo, tau, sigma, a0), 1.0, sigma)
-    comp, seam = ((order, power),), _S_SEAM ** -2.0
+    seam = _S_SEAM ** -2.0
     tol = (0.5 * cfg.quad_rel_tol, 0.5 * cfg.quad_abs_tol, cfg.max_iter)
+    # One comp integrates as a vector, which numerics._adaptive sums to a
+    # float, several as a (rows x nodes) array, summed to a tuple.
+    weights = (1.0,) if len(comps) == 1 else None
     # The numerics module's driver, looked up per call, so that a test
     # can swap it for a reference.
-    total = numerics._adaptive(_integrand(m, a0, comp, True, (1.0,)),
-                               _u_nodes(1.0, knots, min(sigma, seam)), *tol)
-    if sigma > seam:
-        # From s at the seam (1/sqrt(seam) rounds to _S_SEAM) down.
-        total += numerics._adaptive(_integrand(m, a0, comp, False, (1.0,)),
-                                    _s_nodes(sigma, knots, seam)[::-1], *tol)
-    return total
+    sums = [numerics._adaptive(_integrand(m, a0, comps, True, weights),
+                               _u_nodes(1.0, knots, min(sigma, seam)), *tol)]
+    # From s at the seam (1/sqrt(seam) rounds to _S_SEAM) down; an s
+    # range that rounds to zero width adds nothing.
+    if 1.0 / math.sqrt(sigma) < _S_SEAM:
+        sums.append(numerics._adaptive(
+            _integrand(m, a0, comps, False, weights),
+            _s_nodes(sigma, knots, seam)[::-1], *tol))
+    if weights:
+        return (sum(sums),)
+    return tuple(map(sum, zip(*sums)))
 
 
 def slice_end(cosmo: Cosmology, tau: float) -> float:

@@ -26,7 +26,10 @@ max(abs_tol, rel_tol |total|, 50 eps resabs).  Only if that test fails
 does it bisect, worst panel of any piece first off a heap, with at most
 cfg.max_iter bisections for the whole range.  A single piece, as on
 analytic models, runs the scalar kernel throughout, which is cheaper for
-one panel.  ``_adaptive_panels`` runs the same scheme for the slice
+one panel.  An integrand may return several rows: row 0 is tested and
+bisected exactly as it would be alone, and each later row is summed
+over row 0's accepted panels, one weighted sum per panel, with no error
+test of its own.  ``_adaptive_panels`` runs the same scheme for the slice
 store on several integrands at once, over several ranges each accepted
 on its own, and hands back the accepted panels; ``_panel_root`` inverts
 the integral of one panel's node polynomial without calling the
@@ -174,21 +177,31 @@ for _k in range(1, 15):
 _TO_INT = (_INT[:, :, None] * _TO_LEG).sum(axis=1)
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple[float, float, float]:
-    """One G7/K15 panel on [a, b]: (kronrod value, error estimate, resabs)."""
+def _panel(f: Callable, a: float, b: float) -> tuple:
+    """One G7/K15 panel on [a, b]: (kronrod value, error estimate, resabs).
+
+    For an f that returns (rows x nodes), these are of row 0, followed by
+    the kronrod value of each later row.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     y = np.asarray(f(mid + half * _NODES), dtype=float)
-    knd = half * float(np.dot(_WK, y))
-    gss = half * float(np.dot(_WG, y))
-    resabs = abs(half) * float(np.dot(_WK, np.abs(y)))
+    rows = ()
+    if y.ndim == 2:
+        # One weighted sum per later row, as for row 0: a dot product of
+        # two vectors, not a matrix product (see _inverse).
+        rows = tuple([half * _WK.dot(y[i]) for i in range(1, len(y))])
+        y = y[0]
+    knd = half * float(_WK.dot(y))
+    gss = half * float(_WG.dot(y))
+    resabs = abs(half) * float(_WK.dot(np.abs(y)))
     delta = abs(knd - gss)
     if not math.isfinite(delta):
         raise AccuracyError(
             f"integrand not finite on the panel [{a:.17g}, {b:.17g}]",
             estimate=knd)
     err = min(delta, (200.0 * delta) ** 1.5) if delta > 0.0 else 0.0
-    return knd, err, resabs
+    return (knd, err, resabs) + rows
 
 
 def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
@@ -226,7 +239,7 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
 
 
 def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
-              max_iter: int) -> float:
+              max_iter: int):
     """Integral of f from nodes[0] to nodes[-1], split at every node.
 
     QUADPACK's qagp scheme: the first G7/K15 panel of every piece (the
@@ -235,16 +248,27 @@ def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
     bisection of the worst panel of any piece, at most max_iter times in
     all.  The worst panel comes off a heap keyed on (-error, insertion
     count), so ties go to the oldest panel.
+
+    An f that returns several rows, (rows x nodes), gives a tuple of
+    integrals, one per row.  Row 0 alone is tested and bisected, with
+    the operations of a one-row f, so its integral is the same float;
+    each later row is summed over row 0's accepted panels, so it rides
+    along at the cost of one weighted sum per panel, without an error
+    test of its own.
     """
     if len(nodes) == 2:
         if nodes[0] == nodes[1]:
             return 0.0
         a, b = float(nodes[0]), float(nodes[1])
-        total, total_err, total_resabs = _panel(f, a, b)
-        heap = [(-total_err, 0, a, b, total)]
+        total, total_err, total_resabs, *rows = _panel(f, a, b)
+        heap, ride = [(-total_err, 0, a, b, total, rows)], len(rows)
     else:
         nodes = np.asarray(nodes, dtype=float)
         vals, errs, resabs, _ = _panels(f, nodes[:-1], nodes[1:])
+        rows, ride = itertools.repeat(()), 0
+        if vals.ndim == 2:
+            rows, ride = vals[1:].T.tolist(), len(vals) - 1
+            vals, errs, resabs = vals[0], errs[0], resabs[0]
         # cumsum adds in piece order, as a running total would.
         total = float(np.cumsum(vals)[-1])
         total_err, total_resabs = float(errs.sum()), float(resabs.sum())
@@ -256,20 +280,24 @@ def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
         if heap is None:
             heap = list(zip((-errs).tolist(), range(count),
                             nodes[:-1].tolist(), nodes[1:].tolist(),
-                            vals.tolist()))
+                            vals.tolist(), rows))
             heapq.heapify(heap)
-        nerr, _, wa, wb, wval = heapq.heappop(heap)
+        nerr, _, wa, wb, wval, _ = heapq.heappop(heap)
         m = 0.5 * (wa + wb)
-        lv, le, lr = _panel(f, wa, m)
-        rv, re, rr = _panel(f, m, wb)
-        heapq.heappush(heap, (-le, count, wa, m, lv))
-        heapq.heappush(heap, (-re, count + 1, m, wb, rv))
+        lv, le, lr, *lrows = _panel(f, wa, m)
+        rv, re, rr, *rrows = _panel(f, m, wb)
+        heapq.heappush(heap, (-le, count, wa, m, lv, lrows))
+        heapq.heappush(heap, (-re, count + 1, m, wb, rv, rrows))
         count += 2
         splits += 1
         total += lv + rv - wval
         total_err += le + re + nerr
         total_resabs += lr + rr
-    return total
+    if not ride:
+        return total
+    if heap is not None:
+        rows = [p[5] for p in heap]
+    return (total, *(math.fsum(r) for r in zip(*rows)))
 
 
 def _adaptive_panels(f: Callable, ranges, rel_tol: float, abs_tol: float,

@@ -150,6 +150,20 @@ def closed_forms_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
     out.append(_result("desitter-radius", worst, 1e-9,
                        "rho_M = arccos(exp(-h0 tau))/h0"))
 
+    # Late slices, where chi = w exp(-t) is far below quad_abs_tol, and
+    # events next to the chart edge w = 1.
+    worst = 0.0
+    for t1 in (1.0, 10.0, 20.0, 30.0):
+        for w in (0.5, 0.999, 0.99999):
+            fe = fermi_from_rw(ds.cosmology, RWEvent(t1, w * math.exp(-t1)),
+                               cfg)
+            tau = t1 - 0.5 * math.log1p(-w * w)
+            worst = max(worst, abs(fe.tau - tau) / tau,
+                        abs(fe.rho - math.asin(w)) / math.asin(w))
+    out.append(_result("desitter-edge-search", worst, 1e-10,
+                       "fermi_from_rw: tau = t - log(1 - w^2)/2, "
+                       "rho = arcsin(w)"))
+
     rad = cf.radiation()
     worst = max(abs(proper_radius(rad.cosmology, tau, cfg)
                     - 0.5 * math.pi * tau) for tau in (1.0, 2.0, 5.0))

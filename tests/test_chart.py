@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermirw import chart
+from fermirw import closed_forms as cf
 from fermirw import (
     AccuracyError,
     Cosmology,
@@ -186,46 +187,98 @@ def test_fermi_milne_tiny_time_is_relative(t):
     assert ev.rho == pytest.approx(t * math.sinh(1.0), rel=1e-10)
 
 
-def test_de_sitter_far_edge_climbs_by_doubling(monkeypatch):
-    # At 1 - w = 1e-10 the root u = 7.1e4 lies far above the start u = w,
-    # on a chi(u) that saturates: secant steps would grow u by about 1.3x
-    # each, so the climb doubles u instead (17 doublings).
-    calls = [0]
-    direct = chart.slice_integral
+@pytest.fixture
+def passes(monkeypatch):
+    """sigma of each direct (chi, lapse) pass fermi_from_rw makes."""
+    sigmas = []
+    direct = chart._slice_integrals
 
     def counted(*args):
-        calls[0] += 1
+        sigmas.append(args[2])
         return direct(*args)
 
-    monkeypatch.setattr(chart, "slice_integral", counted)
+    monkeypatch.setattr(chart, "_slice_integrals", counted)
+    return sigmas
+
+
+def test_de_sitter_far_edge_starts_at_the_root(passes):
+    # At 1 - w = 1e-10 the root u = 7.1e4 lies far above u = w; a start
+    # there climbed a saturating chi(u) in 25 direct integrals.  A
+    # bounded chart starts at u = w/sqrt(1 - w^2), de Sitter's root.
     t, w = 1.0, 1.0 - 1e-10
     f = fermi_from_rw(DESITTER, RWEvent(t, w * math.exp(-t)))
     # One rounding of chi moves tau by about 5e-7 and rho = arcsin(w) by
     # about 8e-12 this close to the edge.
     assert f.tau == pytest.approx(t - 0.5 * math.log1p(-w * w), abs=1e-5)
     assert f.rho == pytest.approx(math.asin(w), rel=1e-10)
-    assert calls[0] <= 30
+    assert len(passes) <= 2     # 1 measured
 
 
-def test_de_sitter_edge_stops_at_chi_rounding_floor(monkeypatch):
-    # At 1 - w = 1e-12 (root u = 7.1e5) the bracketed steps reach chi's
-    # rounding floor, where the residual's sign is noise; iterating on
-    # until two iterates agreed took 38 direct integrals.
-    calls = [0]
-    direct = chart.slice_integral
-
-    def counted(*args):
-        calls[0] += 1
-        return direct(*args)
-
-    monkeypatch.setattr(chart, "slice_integral", counted)
+def test_de_sitter_edge_stops_at_chi_rounding_floor(passes):
+    # At 1 - w = 1e-12 (root u = 7.1e5) the residual at the start is
+    # within chi's rounding floor, where its sign is noise: the search
+    # stops there.  Iterating on until two iterates agreed took 38
+    # direct integrals.
     t, w = 1.0, 1.0 - 1e-12
     f = fermi_from_rw(DESITTER, RWEvent(t, w * math.exp(-t)))
     # One rounding of chi moves tau by about 5e-5 and rho = arcsin(w) by
     # about 5e-11 relative this close to the edge.
     assert f.tau == pytest.approx(t - 0.5 * math.log1p(-w * w), abs=1e-3)
     assert f.rho == pytest.approx(math.asin(w), rel=1e-9)
-    assert calls[0] <= 30
+    assert len(passes) <= 2     # 1 measured
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0])
+@pytest.mark.parametrize("w", [0.9, 0.99, 1.0 - 1e-6])
+def test_bounded_chart_starts_at_the_root(passes, t, w):
+    # w = e^t chi >= 0.9 started at u = w and took 9 to 19 direct
+    # integrals.
+    f = fermi_from_rw(DESITTER, RWEvent(t, w * math.exp(-t)))
+    assert f.tau == pytest.approx(t - 0.5 * math.log1p(-w * w), abs=2e-10)
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("t", [10.0, 15.0, 20.0, 22.0, 25.0, 30.0])
+@pytest.mark.parametrize("w", [0.5, 0.95, 0.999, 0.9999, 0.99999])
+def test_late_de_sitter_search(passes, t, w):
+    # chi = w e^-t lies far below quad_abs_tol = 1e-14 here.  With chi
+    # resolved only to that absolute floor, and a stall rule absolute
+    # below chi = 1, 9 of these 30 events raised OutOfChartError and 4
+    # came back 8e-10 to 2.3e-6 off.
+    f = fermi_from_rw(DESITTER, RWEvent(t, w * math.exp(-t)))
+    tau = t - 0.5 * math.log1p(-w * w)
+    assert f.tau == pytest.approx(tau, rel=1e-11)
+    assert len(passes) <= 5
+
+
+@pytest.mark.parametrize("name, most", [("milne", 36), ("radiation", 27),
+                                        ("matter", 28)])
+def test_search_stops_on_newtons_error_bound(passes, name, most):
+    # Eight events on two slices.  Newton's error bound stops the search
+    # a pass early on most events (measured 34, 24 and 26 passes; 36,
+    # 32 and 28 without it, 52, 46 and 44 for secant steps), and tau
+    # still lands within root_tol.
+    o = getattr(cf, name)()
+    for tau in (0.7, 1.9):
+        for sigma in (1.3, 3.0, 9.0, 15.0):
+            ev = RWEvent(o.t(tau, sigma), o.chi(tau, sigma))
+            assert fermi_from_rw(o.cosmology, ev).tau == pytest.approx(
+                tau, rel=1e-12)
+    assert len(passes) <= most
+
+
+def test_milne_far_event_climbs_by_doubling(passes):
+    # A global chart starts at u = w = 10 for a root u = sinh(10) = 1.1e4
+    # and climbs: u doubles where a step would grow it less after a
+    # doubling or a weak step.
+    t, chi = 1.0, 10.0
+    f = fermi_from_rw(MILNE, RWEvent(t, chi))
+    assert f.tau == pytest.approx(t * math.cosh(chi), rel=1e-13)
+    assert f.rho == pytest.approx(t * math.sinh(chi), rel=1e-13)
+    us = [math.sqrt(s - 1.0) for s in passes]
+    assert any(b == pytest.approx(2.0 * a, rel=1e-12)
+               for a, b in zip(us, us[1:]))
+    assert len(passes) <= 13    # 11 measured; 14 direct integrals before
 
 
 @pytest.mark.parametrize("t, chi", [(1e300, 20.0), (1e307, 100.0)])

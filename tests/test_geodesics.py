@@ -358,6 +358,24 @@ def test_one_heap_matches_a_piece_by_piece_loop(name, tau, frac, kind):
                                     + cfg.quad_abs_tol)
 
 
+@pytest.mark.parametrize("name, tau", [("matter", 1.3), ("de-sitter", 2.5),
+                                       ("table", 1.7)])
+@pytest.mark.parametrize("sigma", [1.5, 2.0, 6.0, 30.0])
+def test_lapse_rides_on_the_chi_panels(name, tau, sigma):
+    # fermi_from_rw's pass: chi sets the panels, as in slice_integral
+    # alone, and the lapse integral is summed over them.  The table
+    # splits the range at its knots (the batched first pass).
+    cosmo, cfg = {"table": (TABLE, TABLE_CFG), "matter": (MATTER, None),
+                  "de-sitter": (DESITTER, None)}[name]
+    cfg = cfg or DEFAULT_CONFIG
+    a0 = float(cosmo.model.a(tau))
+    chi, lapse = geodesics._slice_integrals(
+        cosmo, tau, sigma, ((1, 0.5), (2, 1.0)), cfg, a0)
+    assert repr(chi) == repr(slice_integral(cosmo, tau, sigma, 1, 0.5, cfg))
+    want = slice_integral(cosmo, tau, sigma, 2, 1.0, cfg)
+    assert lapse == pytest.approx(want, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # invert_slice_map through sigma_of_rho and sigma_of_chi
 

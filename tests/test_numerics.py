@@ -214,6 +214,19 @@ def test_heap_breaks_ties_like_the_scan(monkeypatch):
     assert numerics._adaptive(f, [0.0, 1.0], 0.0, 1e-3, 500) == want
 
 
+@pytest.mark.parametrize("nodes", [[0.0, 1.0], [0.0, 0.5, 1.0]])
+def test_later_rows_ride_on_row_0s_panels(nodes):
+    # Row 0 needs about 30 bisections; row 1 is smooth.  Row 0's value is
+    # the one-row value, and row 1 is summed over row 0's panels.  Two
+    # pieces and more take the batched first pass.
+    f = lambda x: np.sqrt(np.abs(x - 0.3)) + np.abs(x - 0.71) ** 0.25
+    g = lambda x: np.exp(x)
+    both = numerics._adaptive(lambda x: np.array([f(x), g(x)]), nodes,
+                              1e-12, 1e-14, 500)
+    assert both[0] == numerics._adaptive(f, nodes, 1e-12, 1e-14, 500)
+    assert both[1] == pytest.approx(math.e - 1.0, rel=1e-14)
+
+
 def test_pieces_that_fail_their_first_panel_are_bisected():
     # cos(30 u) spans several periods on each piece, so no piece passes
     # on its first panel: integral of 2 cos(30 u) du over [0, 3].

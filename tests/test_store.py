@@ -72,14 +72,12 @@ def test_fermi_from_rw_builds_one_store(monkeypatch, name):
     assert built == [fe.tau]
 
 
-# Mean G7/K15 panels per fermi_from_rw on the grid below when it searched
-# over tau by bracket doubling and Brent's method.
-_TAU_SEARCH_PANELS = 82.9
-
-
 def test_fermi_from_rw_panels_per_event(count_panels):
-    # The search in u = sqrt(sigma - 1) takes one Newton step and then
-    # secant steps: it must cost at most 3/4 of the tau search.
+    # The search in u = sqrt(sigma - 1) takes Newton steps, each slope
+    # riding on the chi integral's panels: 27.8 G7/K15 panels per event
+    # here, with the store of the returned slice.  One Newton step from
+    # a separate lapse integral, then secant steps, took 36.3, and the
+    # search over tau by bracket doubling and Brent's method 82.9.
     counts = []
     for name in ("milne", "radiation", "matter", "de-sitter", "table"):
         cosmo, cfg = MODELS[name]
@@ -90,7 +88,7 @@ def test_fermi_from_rw_panels_per_event(count_panels):
                 event = RWEvent(t, chi)
                 counts.append(count_panels(
                     lambda: fermi_from_rw(_fresh(cosmo), event, cfg)))
-    assert sum(counts) / len(counts) <= 0.75 * _TAU_SEARCH_PANELS
+    assert sum(counts) / len(counts) <= 31.0
 
 
 def test_fermi_speed_evaluates_b_ddot_once_per_node():

@@ -73,3 +73,17 @@ def test_ode_spec_per_family():
                      "power-law-0.33": (1.0, 0.99)}
     ds = Cosmology(make_exponential(2.0), k=0, name="de-sitter")
     assert verify.ode_spec(ds, h0=2.0)[2:] == (1.5, 0.95)
+
+
+def test_edge_search_check_reads_the_search(monkeypatch):
+    # A 1e-9 relative error in the chi the search integrates moves tau by
+    # about w^2/(1 - w^2) 1e-9, and must fail the check.
+    direct = chart._slice_integrals
+
+    def perturbed(cosmo, tau, sigma, comps, cfg, a0):
+        chi, *rest = direct(cosmo, tau, sigma, comps, cfg, a0)
+        return (chi * (1.0 + 1e-9), *rest)
+
+    monkeypatch.setattr(chart, "_slice_integrals", perturbed)
+    results = {r.name: r for r in verify.closed_forms_suite()}
+    assert not results["desitter-edge-search"].passed
