@@ -169,6 +169,10 @@ def slice_integral(cosmo: Cosmology, tau: float, sigma: float, order: int,
     it, the substitutions of the store's pieces, each split at the table
     knots of interpolated models.  Within 1e-10 of sigma = 1 the
     leading-order value 2 b^(order)(a0) sqrt(sigma-1) is returned instead.
+    A tiny integral is accepted at the absolute floor cfg.quad_abs_tol:
+    on de Sitter h0 = 1 at tau = 30 the chi integral (order 1, power 1/2)
+    at sigma = 1e3 is 6.5e-5 relative off 2 sqrt(sigma - 1) e^-tau, where
+    the store's chi_of_sigma is good to rounding.
     """
     m = cosmo.model
     a0 = float(m.a(tau)) if a0 is None else a0
@@ -249,9 +253,9 @@ def _block(k: int) -> range:
 
 class _Piece(NamedTuple):
     """One built store piece: its (order, power) comps, their panel
-    values (comps x panels), the node values of its order-1 comps by
-    comp, and per panel its start and end in u or s and sigma at its
-    end; last when it ends its track."""
+    values (comps x panels), the node values of its comps by comp, and
+    per panel its start and end in u or s and sigma at its end; last
+    when it ends its track."""
 
     comps: tuple
     vals: np.ndarray
@@ -264,27 +268,31 @@ class _Piece(NamedTuple):
 
 class _Track:
     """The pieces of one store track so far, sigma at the end of each,
-    and per piece and comp the running totals at the piece's start and
-    at the end of each of its panels, summed in extended precision from
-    the start of the track."""
+    and per piece and comp the running totals at its start and panel
+    ends, summed in extended precision from the track's start, and those
+    sums at its end (totals).  add sums a block of pieces in one pass."""
 
     def __init__(self):
-        self.pieces, self.ends, self.cums, self.carry = [], [], [], {}
+        self.pieces, self.ends, self.cums, self.totals = [], [], [], []
 
     @property
     def done(self) -> bool:
         return bool(self.pieces) and self.pieces[-1].last
 
-    def add(self, piece: _Piece) -> None:
-        run = np.empty((len(piece.comps), piece.vals.shape[1] + 1),
-                       dtype=np.longdouble)
-        run[:, 0] = [self.carry.get(c, 0.0) for c in piece.comps]
-        run[:, 1:] = piece.vals
+    def add(self, pieces: list) -> None:
+        comps = pieces[0].comps
+        carry = self.totals[-1] if self.totals else {}
+        run = np.concatenate([[[carry.get(c, 0.0)] for c in comps]]
+                             + [p.vals for p in pieces], axis=1,
+                             dtype=np.longdouble)
         run.cumsum(axis=1, out=run)
-        self.carry.update(zip(piece.comps, run[:, -1]))
-        self.pieces.append(piece)
-        self.ends.append(float(piece.sig[-1]))
-        self.cums.append(dict(zip(piece.comps, run.astype(float))))
+        cums, j = run.astype(float), 0
+        for p in pieces:
+            i, j = j, j + p.vals.shape[1]
+            self.pieces.append(p)
+            self.ends.append(float(p.sig[-1]))
+            self.cums.append(dict(zip(comps, cums[:, i:j + 1])))
+            self.totals.append(dict(zip(comps, run[:, j])))
 
 
 class Slice:
@@ -292,19 +300,21 @@ class Slice:
 
     The main track holds pieces u in [0, 1], then dyadic pieces s in
     [s/2, s] from s = 1/sqrt(2) down to the slice end (without end on an
-    unbounded slice), built on first use in the blocks of _block and
-    integrating chi, rho, the lapse integral and i2 at once.  The radial
-    track, for rho alone, shares the first 1 + _SHARED_PIECES of them and
-    ends with one piece to the slice end, s = 0 on an unbounded slice,
-    where the rho integral converges; that tail is built by radius() or
-    by a read or an inversion past the shared pieces.  The main track
-    cannot end that way: chi, the lapse integral and i2 may grow by
-    orders of magnitude toward the end of a finite slice, and a piece
-    bounds its error only relative to its own total, so a read inside
-    one long last piece could miss by all of its value.  Each piece is
-    split at the table knots and refined on its own by
-    numerics._adaptive_panels, so the panels depend on (cosmo, tau, cfg)
-    alone.  Panels run in sigma order: s panels from high s to low.
+    unbounded slice), built on first use in the blocks of _block, each
+    block from one numerics._adaptive_panels call and summed in one
+    pass.  They integrate chi, the lapse integral and i2, and on the
+    head, the first 1 + _SHARED_PIECES pieces, rho too.  The radial
+    track, for rho alone, takes the head with its running totals from
+    the main track, so the head is summed once, and ends with one piece
+    to the slice end, s = 0 on an unbounded slice, where the rho
+    integral converges; that tail is built by radius() or by a read or
+    an inversion past the head.  The main track cannot end that way:
+    chi, the lapse integral and i2 may grow by orders of magnitude toward
+    the end of a finite slice, and a piece bounds its error only relative
+    to its own total, so a read inside one long last piece could miss by
+    all of its value.  Each piece is split at the table knots and refined
+    on its own, so the panels depend on (cosmo, tau, cfg) alone.  Panels
+    run in sigma order: s panels from high s to low.
 
     Callers name integrals alone: rho (_RHO) is read and inverted on the
     radial track, the others on the main track.  The slice radius rho_M,
@@ -333,31 +343,39 @@ class Slice:
         self.knots = sigma_breaks(cosmo, tau, self.end, self.a0)
         self.tol = (0.5 * cfg.quad_rel_tol, 0.5 * cfg.quad_abs_tol,
                     cfg.max_iter)
-        self.pieces: dict = {}    # (k, last radial piece) -> _Piece
         self.tracks = {False: _Track(), True: _Track()}   # by radial
         self.last: dict = {}      # key -> (other arguments, last answer)
 
-    def _piece(self, k: int, radial: bool) -> _Piece:
-        """Piece k of a track, built on first use with the rest of its
-        block (_block) in one numerics._adaptive_panels call."""
-        tail = radial and k > _SHARED_PIECES
-        if (k, tail) not in self.pieces:
-            s_end = 1.0 / math.sqrt(self.end)
-            ks = [k] if tail else [i for i in _block(k) if i == k
-                                   or _S_SEAM * 2.0 ** (1 - i) > s_end]
-            comps = (_RHO,) if tail else (_CHI, _RHO, _LAPSE, _I2)
-            starts = [self._nodes(i, tail) for i in ks]
-            built = numerics._adaptive_panels(
-                _integrand(self.cosmo.model, self.a0, comps, k == 0),
-                [nodes for nodes, _ in starts], *self.tol)
-            for i, (_, last), (a, b, vals, ys) in zip(ks, starts, built):
-                with np.errstate(divide="ignore"):
-                    sig = 1.0 + b * b if i == 0 else 1.0 / (b * b)
-                self.pieces[(i, tail)] = _Piece(
-                    comps, vals,
-                    {c: y.copy() for c, y in zip(comps, ys) if c[0] == 1},
-                    a, b, sig, last)
-        return self.pieces[(k, tail)]
+    def _grow(self, radial: bool) -> None:
+        """Add the next block of a track: a head piece of the main track,
+        with its sums, to the radial one, else pieces from one
+        _adaptive_panels call."""
+        tr = self.tracks[radial]
+        k = len(tr.pieces)
+        if radial and k <= _SHARED_PIECES:
+            main = self.tracks[False]
+            while len(main.pieces) <= k:
+                self._grow(False)
+            for name in ("pieces", "ends", "cums", "totals"):
+                getattr(tr, name).append(getattr(main, name)[k])
+            return
+        s_end = 1.0 / math.sqrt(self.end)
+        ks = [k] if radial else [i for i in _block(k) if i == k
+                                 or _S_SEAM * 2.0 ** (1 - i) > s_end]
+        comps = ((_RHO,) if radial else (_CHI, _RHO, _LAPSE, _I2)
+                 if k <= _SHARED_PIECES else (_CHI, _LAPSE, _I2))
+        starts = [self._nodes(i, radial) for i in ks]
+        built = numerics._adaptive_panels(
+            _integrand(self.cosmo.model, self.a0, comps, k == 0),
+            [nodes for nodes, _ in starts], *self.tol)
+        pieces = []
+        for i, (_, last), (a, b, vals, ys) in zip(ks, starts, built):
+            # sigma at the panel ends; the radial tail may end at s = 0.
+            sig = (1.0 + b * b if i == 0 else 1.0 / (b * b) if b[-1] else
+                   np.append(1.0 / (b[:-1] * b[:-1]), math.inf))
+            pieces.append(_Piece(comps, vals, dict(zip(comps, ys)), a, b,
+                                 sig, last))
+        tr.add(pieces)
 
     def _nodes(self, k: int, tail: bool):
         """The starting nodes of piece k in u or s, its ends and the
@@ -387,7 +405,7 @@ class Slice:
         ends."""
         tr = self.tracks[radial]
         while not tr.done and (not tr.pieces or tr.ends[-1] < sigma):
-            tr.add(self._piece(len(tr.pieces), radial))
+            self._grow(radial)
         return tr
 
     def radius(self) -> float:
@@ -453,14 +471,14 @@ class Slice:
         saturates = math.isinf(self.end) and not radial
         f, prev_inc, stalls = 0.0, None, 0
         for k in itertools.count():
+            if saturates and k > _GROWTH_CAP:
+                raise AccuracyError(
+                    f"sigma bracket growth cap {_GROWTH_CAP} reached for "
+                    f"target {target:g}", estimate=tr.ends[k - 1])
             if k == len(tr.pieces):
                 if tr.done:
                     raise self._beyond(target, f"it ends at {f:g}")
-                if saturates and k > _GROWTH_CAP:
-                    raise AccuracyError(
-                        f"sigma bracket growth cap {_GROWTH_CAP} reached for "
-                        f"target {target:g}", estimate=tr.ends[-1])
-                tr.add(self._piece(k, radial))
+                self._grow(radial)
             fx = scale * float(tr.cums[k][comp][-1])
             if fx >= target:
                 break

@@ -214,16 +214,18 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
     one entry per piece.
     """
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid[:, None] + half[:, None] * _NODES
+    h = half[:, None]
+    x = (0.5 * (a + b))[:, None] + h * _NODES
     y = np.asarray(f(x.ravel()), dtype=float)
     y = y.reshape(y.shape[:-1] + x.shape)
-    # Sums, not matrix products: see _inverse.  Kronrod and Gauss sums
-    # come from one product with both weight rows.
-    sums = np.add.reduce(y[..., None, :] * _WKG, -1)
-    knd, gss = half * sums[..., 0], half * sums[..., 1]
-    resabs = np.abs(half) * np.add.reduce(np.abs(y) * _WK, -1)
-    delta = np.abs(knd - gss)
+    # Sums, not matrix products: see _inverse.  One product with both
+    # weight rows gives the Kronrod and Gauss sums, and resabs too, since
+    # |y w| = |y| w exactly for w >= 0.
+    prod = y[..., None, :] * _WKG
+    sums = np.add.reduce(prod, -1) * h
+    knd = sums[..., 0]
+    resabs = np.abs(half) * np.add.reduce(np.abs(prod[..., 0, :]), -1)
+    delta = np.abs(knd - sums[..., 1])
     # One reduction clears both rare cases: a value that is not finite,
     # and one large enough that (200 delta)^1.5 overflows.
     if not np.maximum.reduce(delta, axis=None) < 1e150:
@@ -302,7 +304,7 @@ def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
 
 def _adaptive_panels(f: Callable, ranges, rel_tol: float, abs_tol: float,
                      max_iter: int) -> list:
-    """_adaptive on each of several ranges (node lists) for an f that
+    """_adaptive on each of several ranges (node arrays) for an f that
     returns a (components x nodes) array, keeping the accepted panels:
     per range, (starts, ends, values, node values) in range order,
     component axis first.
@@ -315,7 +317,10 @@ def _adaptive_panels(f: Callable, ranges, rel_tol: float, abs_tol: float,
     passes only when every component passes the test on its own total,
     so a small integral is not judged against a large one.
     """
-    ranges = [np.asarray(r, dtype=float) for r in ranges]
+    if len(ranges) == 1:
+        nodes = ranges[0]
+        return [_refine_panels(f, nodes, *_panels(f, nodes[:-1], nodes[1:]),
+                               rel_tol, abs_tol, max_iter)]
     first = _panels(f, np.concatenate([r[:-1] for r in ranges]),
                     np.concatenate([r[1:] for r in ranges]))
     edges = list(itertools.accumulate((r.size - 1 for r in ranges),

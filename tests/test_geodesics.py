@@ -322,7 +322,7 @@ def test_table_store_builds_no_heap(monkeypatch):
     b_dot = TABLE.model.b_dot
     cosmo = Cosmology(replace(TABLE.model, b_dot=lambda x: b_dot(x)), k=0)
     rho_of_sigma(cosmo, 1.0, 16.0, TABLE_CFG)
-    built = len(geodesics.store(cosmo, 1.0, TABLE_CFG).pieces)
+    built = len(geodesics.store(cosmo, 1.0, TABLE_CFG).tracks[False].pieces)
     assert built == 3        # u in [0, 1] and two dyadic s pieces
     assert calls == {"_panel": 1, "_panels": built}
 

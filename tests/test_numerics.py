@@ -227,6 +227,19 @@ def test_later_rows_ride_on_row_0s_panels(nodes):
     assert both[1] == pytest.approx(math.e - 1.0, rel=1e-14)
 
 
+def test_a_block_keeps_each_ranges_own_panels():
+    # A block of ranges, one of which fails its first panels and is
+    # bisected, gives each range the panels it gets alone.
+    f = lambda x: np.array([np.cos(x), np.sqrt(x)])
+    ranges = [np.array([1.0, 1.5, 2.0]), np.array([2.0, 2.5, 3.0]),
+              np.array([3.0, 10.0, 60.0]), np.array([60.0, 61.0, 62.0])]
+    block = numerics._adaptive_panels(f, ranges, 1e-12, 1e-14, 500)
+    for r, got in zip(ranges, block):
+        alone = numerics._adaptive_panels(f, [r], 1e-12, 1e-14, 500)[0]
+        assert all(np.array_equal(x, y) for x, y in zip(got, alone))
+    assert len(block[2][0]) > 2 and len(block[0][0]) == 2
+
+
 def test_pieces_that_fail_their_first_panel_are_bisected():
     # cos(30 u) spans several periods on each piece, so no piece passes
     # on its first panel: integral of 2 cos(30 u) du over [0, 3].

@@ -27,7 +27,7 @@ from fermirw import (
     sigma_of_chi,
     sigma_of_rho,
 )
-from fermirw import closed_forms, geodesics, metric
+from fermirw import closed_forms, geodesics, metric, numerics
 from fermirw.geodesics import lapse_bracket, slice_end, slice_integral
 from fermirw.numerics import table_safe_config
 from fermirw.verify import _tabulated_matterlike
@@ -89,6 +89,53 @@ def test_fermi_from_rw_panels_per_event(count_panels):
                 counts.append(count_panels(
                     lambda: fermi_from_rw(_fresh(cosmo), event, cfg)))
     assert sum(counts) / len(counts) <= 31.0
+
+
+def _work(monkeypatch):
+    """Counts, from this call on, of running-total passes (_Track.add)
+    and of batched kernel calls (numerics._panels)."""
+    counts = {"sums": 0, "batches": 0}
+    add, panels = geodesics._Track.add, numerics._panels
+
+    def counted_add(self, pieces):
+        counts["sums"] += 1
+        return add(self, pieces)
+
+    def counted_panels(*args):
+        counts["batches"] += 1
+        return panels(*args)
+    monkeypatch.setattr(geodesics._Track, "add", counted_add)
+    monkeypatch.setattr(numerics, "_panels", counted_panels)
+    return counts
+
+
+def test_a_cold_head_is_summed_once(monkeypatch, count_panels):
+    # Cold rho, chi and lapse reads at sigma = 10 build the head, pieces 0
+    # to 2: one batched first pass per piece, each accepted without a
+    # bisection, and one running-total pass per piece, which the radial
+    # track takes over as it stands.  Each piece was summed twice, once
+    # per track.
+    counts = _work(monkeypatch)
+    cosmo = _fresh(MATTER)
+    assert count_panels(lambda: (
+        rho_of_sigma(cosmo, 1.0, 10.0), chi_of_sigma(cosmo, 1.0, 10.0),
+        lapse_bracket(cosmo, 1.0, 10.0))) == 2 * 3 + 3
+    assert counts == {"sums": 3, "batches": 3}
+    tracks = geodesics.store(cosmo, 1.0).tracks
+    assert len(tracks[True].cums) == 1 + geodesics._SHARED_PIECES
+    assert all(r is m for r, m in zip(tracks[True].cums, tracks[False].cums))
+
+
+def test_a_deep_walk_sums_once_per_block(monkeypatch):
+    # A cold read at 0.999 of the tau = 20 de Sitter slice walks 30
+    # pieces in 8 blocks (pieces 0 to 4 alone, then 5-8, 9-16 and 17-29):
+    # one batched pass and one running-total pass per block, where the
+    # totals took one pass per piece.
+    counts = _work(monkeypatch)
+    cosmo = _fresh(DESITTER)
+    chi_of_sigma(cosmo, 20.0, 0.999 * slice_end(cosmo, 20.0))
+    assert counts == {"sums": 8, "batches": 8}
+    assert len(geodesics.store(cosmo, 20.0).tracks[False].pieces) == 30
 
 
 def test_fermi_speed_evaluates_b_ddot_once_per_node():
@@ -226,6 +273,41 @@ def test_late_de_sitter_slice_reads_cold(tau):
             sigma_of_chi(fresh, tau, 2.0)
         with pytest.raises(DomainError, match="beyond the comoving reach"):
             fermi_speed(fresh, tau, 2.0)
+
+
+@pytest.mark.parametrize("name, tau", [("matter", 1.0), ("table", 2.0)])
+def test_rho_across_the_end_of_the_head(name, tau):
+    # Near sigma = 32 the radial track passes from the head, summed on
+    # the main track, to its own tail, whose totals start from the head's.
+    # rho and its inverse there match the direct integrals, read in either
+    # order.
+    cosmo, cfg = MODELS[name]
+    a0 = float(cosmo.model.a(tau))
+    geodesics._cached_store.cache_clear()
+    rho_of_sigma(cosmo, tau, 16.0, cfg)
+    end = geodesics.store(cosmo, tau, cfg).tracks[True].ends[-1]
+    assert end == pytest.approx(32.0, rel=1e-15)
+    sigmas = [end * (1.0 - 1e-9), math.nextafter(end, 0.0), end,
+              math.nextafter(end, math.inf), 32.0, end * (1.0 + 1e-9)]
+
+    def direct(sigma):
+        return 0.5 * a0 * slice_integral(cosmo, tau, sigma, 1, 1.5, cfg)
+
+    def close(got, want):
+        assert abs(got - want) <= cfg.quad_rel_tol * abs(want)
+
+    runs = []
+    for order in (sigmas, sigmas[::-1]):
+        geodesics._cached_store.cache_clear()
+        got = {}
+        for sigma in order:
+            rho = rho_of_sigma(cosmo, tau, sigma, cfg)
+            close(rho, direct(sigma))
+            back = sigma_of_rho(cosmo, tau, rho, cfg)
+            close(direct(back), rho)
+            got[sigma] = repr(rho), repr(back)
+        runs.append(got)
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
