@@ -2,9 +2,9 @@
 
 An event is either (t, chi, theta, phi) in the comoving chart or
 (tau, rho, theta, phi) in the observer's Fermi chart; angles pass through
-unchanged.  Forward (Fermi to RW) evaluation composes sigma_of_rho with
-the geodesic maps; the inverse solves for the unique slice time tau whose
-geodesic reaches the requested comoving radius.
+unchanged.  Forward (Fermi to RW) evaluation inverts rho for u and reads
+the geodesic maps there; the inverse solves for the unique slice time
+tau whose geodesic reaches the requested comoving radius.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 from .cosmology import Cosmology, _check_time
 from .errors import (AccuracyError, DomainError, FermiRWError,
                      OutOfChartError, _finite, _no_overflow)
-from .geodesics import (_CHI, _GROWTH_CAP, _LAPSE, _RHO, _SIGMA_NEAR_ONE,
-                        _check_slice, _slice_integrals, chi_of_sigma,
-                        lapse_bracket, rho_of_sigma, store, t_of_sigma)
+from .geodesics import (_CHI, _GROWTH_CAP, _LAPSE, _RHO, _check_slice,
+                        _slice_integrals, _u_of, store, t_of_sigma)
 from .numerics import _EPS, DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
@@ -72,22 +71,19 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
     geodesics.Slice.invert solves it, and raises OutOfChartError carrying
     the slice radius for rho at or beyond it (see geodesics.Slice).
     """
-    tau = _check_time(tau)
-    if _finite("rho", rho, nonnegative=True) == 0.0:
-        return 1.0
-    return store(cosmo, tau, cfg).invert(_RHO, rho)
+    u = _u_of(cosmo, tau, _RHO, rho, cfg)
+    return 1.0 + u * u
 
 
 def rw_from_fermi(cosmo: Cosmology, event: FermiEvent,
                   cfg: NumericsConfig | None = None) -> RWEvent:
     """Map a Fermi-chart event to Robertson-Walker coordinates."""
-    cfg = cfg or DEFAULT_CONFIG
     if event.rho == 0.0:
         return RWEvent(_check_time(event.tau), 0.0, event.theta, event.phi)
-    sigma = sigma_of_rho(cosmo, event.tau, event.rho, cfg)
+    u = _u_of(cosmo, event.tau, _RHO, event.rho, cfg)
     return RWEvent(
-        t_of_sigma(cosmo, event.tau, sigma),
-        chi_of_sigma(cosmo, event.tau, sigma, cfg),
+        t_of_sigma(cosmo, event.tau, 1.0 + u * u),
+        0.5 * store(cosmo, event.tau, cfg).integral({_CHI: 1.0}, u),
         event.theta, event.phi)
 
 
@@ -118,11 +114,9 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     stops when |chi - chi1| reaches chi's rounding floor, 2 eps chi1.
     Only the returned tau builds a slice store.
 
+    Near the observer rho, read at u, keeps its relative accuracy.
     Events beyond a bounded chart raise OutOfChartError; on a global
     chart, chi that stalls or a slice time that overflows AccuracyError.
-    For w^2 <= 1e-10, u = w and rho = a(tau) b'(a(tau)) w, to O(w^2).
-    Near the observer rho keeps absolute accuracy near root_tol; its
-    relative error may grow like root_tol/chi^2.
     """
     cfg = cfg or DEFAULT_CONFIG
     t1 = _finite("t", event.t)
@@ -148,13 +142,8 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
             tau = math.inf
         if not math.isfinite(tau):
             raise beyond(f"the slice time overflows at u={u:g}")
-        return tau
-
-    if w * w <= _SIGMA_NEAR_ONE:
-        tau = max(t1, tau_of(w))
-        a0 = float(m.a(tau))
-        return FermiEvent(tau, a0 * float(m.b_dot(a0)) * w, event.theta,
-                          event.phi)
+        # b(a(t1)) may round below t1, where the slice is never earlier.
+        return max(t1, tau)
 
     # chi resolved relative to the event: an absolute floor above chi1
     # would accept a pass that has not resolved chi at all.
@@ -165,19 +154,18 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         """tau of the slice at u, tau = tau_of(u), its chi - chi1 and
         dchi/du = (b'(a1) + a1 u I / 2)/sqrt(sigma), I the lapse integral,
         both from one pass over the chi integral's panels."""
-        sigma = 1.0 + u * u
+        root = math.sqrt(1.0 + u * u)
         try:
-            tau, sigma = _check_slice(cosmo, tau, sigma)
-            chi, lapse = _slice_integrals(cosmo, tau, sigma, (_CHI, _LAPSE),
-                                          pass_cfg, a1 * math.sqrt(sigma))
+            tau = _check_slice(cosmo, tau, 1.0 + u * u)[0]
+            chi, lapse = _slice_integrals(cosmo, tau, u, (_CHI, _LAPSE),
+                                          pass_cfg, a1 * root)
         except DomainError:
             # A slice too late to evaluate (sigma_infinity overflows).
             if m.global_chart:
                 raise
             raise beyond(f"the tau={tau:g} slice is out of range before "
                          f"chi reaches it") from None
-        return (tau, 0.5 * chi - chi1,
-                (bd1 + 0.5 * a1 * u * lapse) / math.sqrt(sigma))
+        return tau, 0.5 * chi - chi1, (bd1 + 0.5 * a1 * u * lapse) / root
 
     # u = w/sqrt(1 - w^2) is de Sitter's root, where w < 1 bounds the
     # chart; a global chart starts at u = w from w = 0.9 on.
@@ -262,7 +250,8 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
             stalls += 1
             if stalls == 2:
                 raise beyond(f"reachable chi saturates near {f + chi1:g}")
-    return FermiEvent(tau, rho_of_sigma(cosmo, tau, 1.0 + u * u, cfg),
+    st = store(cosmo, tau, cfg)
+    return FermiEvent(tau, 0.5 * st.a0 * st.integral({_RHO: 1.0}, u),
                       event.theta, event.phi)
 
 
@@ -274,12 +263,11 @@ def jacobian_F(cosmo: Cosmology, tau: float, sigma: float,
     lapse bracket of geodesics.lapse_bracket.  Positive whenever b is
     convex, which is what makes the chart global.
     """
-    tau, sigma = _check_slice(cosmo, tau, sigma, allow_equal_one=False)
-    m = cosmo.model
-    bd = float(m.b_dot(float(m.a(tau)) / math.sqrt(sigma)))
-    return _no_overflow("the Jacobian", (
-        float(m.a_dot(tau)) * bd * lapse_bracket(cosmo, tau, sigma, cfg)
-        / (2.0 * sigma * math.sqrt(sigma - 1.0))))
+    tau, u = _check_slice(cosmo, tau, sigma, allow_equal_one=False)
+    st = store(cosmo, tau, cfg)
+    bd = float(cosmo.model.b_dot(st.a0 / math.sqrt(sigma)))
+    return _no_overflow("the Jacobian", float(cosmo.model.a_dot(tau)) * bd
+                        * st.lapse(u) / (2.0 * sigma * u))
 
 
 def comoving_flow_fermi(cosmo: Cosmology, event: RWEvent,
@@ -290,21 +278,17 @@ def comoving_flow_fermi(cosmo: Cosmology, event: RWEvent,
     At fixed chi, dtau/dt = (dchi/dsigma)/J = sqrt(sigma0)/(a'(tau) B),
     J of jacobian_F and B the lapse bracket; t is proper time and the
     metric diagonal with g_rho_rho = 1, so drho/dt = u = sqrt(sigma0 - 1).
-    One fermi_from_rw finds tau, and sigma0 inverts chi on its store.
-    Where sigma0 - 1 <= 1e-10 has lost its digits, u = w = chi/b'(a(t)),
-    fermi_from_rw's value there, good to O(w^2).  A lapse a'(tau) B that
-    is not positive (lost to cancellation) raises AccuracyError.
+    One fermi_from_rw finds tau, and u inverts chi on its store.  A lapse
+    a'(tau) B that is not positive (lost to cancellation) raises
+    AccuracyError.
     """
-    cfg = cfg or DEFAULT_CONFIG
     tau = fermi_from_rw(cosmo, event, cfg).tau
     if event.chi == 0.0:
         return 1.0, 0.0
-    m = cosmo.model
-    sigma0 = store(cosmo, tau, cfg).invert(_CHI, event.chi)
-    lapse = float(m.a_dot(tau)) * lapse_bracket(cosmo, tau, sigma0, cfg)
+    st = store(cosmo, tau, cfg)
+    u = st.invert(_CHI, event.chi)
+    lapse = float(cosmo.model.a_dot(tau)) * st.lapse(u)
     if not lapse > 0.0:
         raise AccuracyError(f"the lapse a'(tau) B={lapse:g} at tau={tau:g}, "
-                            f"sigma={sigma0:g} is not positive")
-    u = (math.sqrt(sigma0 - 1.0) if sigma0 - 1.0 > _SIGMA_NEAR_ONE
-         else event.chi / float(m.b_dot(float(m.a(event.t)))))
-    return _no_overflow("dtau/dt", math.sqrt(sigma0) / lapse), u
+                            f"u={u:g} is not positive")
+    return _no_overflow("dtau/dt", math.sqrt(1.0 + u * u) / lapse), u

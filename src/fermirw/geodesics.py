@@ -6,7 +6,9 @@ geodesic are labelled by the stretch sigma = (a(tau)/a(t))^2 >= 1, and the
 three maps below give cosmological time t, comoving radius chi, and proper
 distance rho as functions of sigma.  Every other slice quantity is an
 integral of b'(a(tau)/sqrt(s)) or b''(a(tau)/sqrt(s)) against
-s^(-n) (s-1)^(-1/2) over the same range.
+s^(-n) (s-1)^(-1/2) over the same range, smooth in u = sqrt(sigma - 1).
+Near the observer sigma - 1 has lost its digits, so reads and inversions
+take and return u; the public maps take sigma and convert at the edge.
 
 One store per slice, Slice, keeps the accepted G7/K15 panels of those
 integrals, built piece by piece (u = sqrt(sigma - 1) up to sigma = 2,
@@ -43,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .cosmology import Cosmology, sigma_breaks, sigma_infinity
+from .cosmology import Cosmology, _check_time, sigma_breaks, sigma_infinity
 from .errors import (AccuracyError, DomainError, OutOfChartError, _finite,
                      _no_overflow)
 from .numerics import (DEFAULT_CONFIG, NumericsConfig, _clean_breaks,
@@ -60,10 +62,6 @@ __all__ = [
     "sample_geodesic",
     "integrate_geodesic_ode",
 ]
-
-# Below this, sigma - 1 is too small for quadrature; leading-order
-# expressions are accurate to O(sigma - 1) relative.
-_SIGMA_NEAR_ONE = 1e-10
 
 # Fraction of sigma_infinity treated as the usable end of a finite slice.
 _SLICE_MARGIN = 1e-12
@@ -107,6 +105,7 @@ class GeodesicPoint:
 
 def _check_slice(cosmo: Cosmology, tau: float, sigma: float,
                  allow_equal_one: bool = True) -> tuple[float, float]:
+    """tau and u = sqrt(sigma - 1) of a sigma on the tau slice."""
     _finite("tau", tau)
     lo_ok = sigma >= 1.0 if allow_equal_one else sigma > 1.0
     if not lo_ok:
@@ -117,12 +116,12 @@ def _check_slice(cosmo: Cosmology, tau: float, sigma: float,
         raise DomainError(
             f"sigma={sigma:g} is not below sigma_infinity={s_inf:g} "
             f"on the tau={tau:g} slice")
-    return float(tau), float(sigma)
+    return float(tau), math.sqrt(sigma - 1.0)
 
 
 def t_of_sigma(cosmo: Cosmology, tau: float, sigma: float) -> float:
     """Cosmological time t = b(a(tau)/sqrt(sigma)) at stretch sigma."""
-    tau, sigma = _check_slice(cosmo, tau, sigma)
+    tau = _check_slice(cosmo, tau, sigma)[0]
     m = cosmo.model
     return float(m.b(float(m.a(tau)) / math.sqrt(sigma)))
 
@@ -158,31 +157,27 @@ def _integrand(model, a0: float, comps, is_u: bool, weights=None):
 
 
 def slice_integral(cosmo: Cosmology, tau: float, sigma: float, order: int,
-                   power: float, cfg: NumericsConfig | None = None,
-                   a0: float | None = None) -> float:
+                   power: float, cfg: NumericsConfig | None = None) -> float:
     """Integral of b^(order)(a0/sqrt(s)) s^(-power) (s-1)^(-1/2) ds over
     [1, sigma], integrated directly, without the slice store.
 
-    a0 = a(tau), taken from the model unless given; order is 1 (b') or
-    2 (b''), and sigma may be inf where the integral converges.  The
-    range is a u range up to the seam at sigma = 2 and an s range beyond
-    it, the substitutions of the store's pieces, each split at the table
-    knots of interpolated models.  Within 1e-10 of sigma = 1 the
-    leading-order value 2 b^(order)(a0) sqrt(sigma-1) is returned instead.
+    a0 = a(tau); order is 1 (b') or 2 (b''), and sigma may be inf where
+    the integral converges.  The range is a u range up to the seam at
+    sigma = 2 and an s range beyond it, the substitutions of the store's
+    pieces, each split at the table knots of interpolated models.
     A tiny integral is accepted at the absolute floor cfg.quad_abs_tol:
     on de Sitter h0 = 1 at tau = 30 the chi integral (order 1, power 1/2)
     at sigma = 1e3 is 6.5e-5 relative off 2 sqrt(sigma - 1) e^-tau, where
     the store's chi_of_sigma is good to rounding.
     """
-    m = cosmo.model
-    a0 = float(m.a(tau)) if a0 is None else a0
-    return _slice_integrals(cosmo, tau, sigma, ((order, power),),
-                            cfg or DEFAULT_CONFIG, a0)[0]
+    return _slice_integrals(cosmo, tau, math.sqrt(max(sigma - 1.0, 0.0)),
+                            ((order, power),), cfg or DEFAULT_CONFIG,
+                            float(cosmo.model.a(tau)))[0]
 
 
-def _slice_integrals(cosmo: Cosmology, tau: float, sigma: float, comps,
+def _slice_integrals(cosmo: Cosmology, tau: float, u: float, comps,
                      cfg: NumericsConfig, a0: float) -> tuple:
-    """slice_integral of each (order, power) of comps, from one pass.
+    """slice_integral of each (order, power) of comps to u, one pass.
 
     comps[0] alone sets the panels, tested and bisected exactly as
     slice_integral does it alone, so its value is the same float; every
@@ -190,10 +185,7 @@ def _slice_integrals(cosmo: Cosmology, tau: float, sigma: float, comps,
     weighted sum per panel (numerics._adaptive).
     """
     m = cosmo.model
-    if sigma - 1.0 <= _SIGMA_NEAR_ONE:
-        root = math.sqrt(max(sigma - 1.0, 0.0))
-        return tuple(2.0 * float((m.b_dot, m.b_ddot)[order - 1](a0)) * root
-                     for order, _ in comps)
+    sigma = 1.0 + u * u
     knots = _clean_breaks(sigma_breaks(cosmo, tau, sigma, a0), 1.0, sigma)
     seam = _S_SEAM ** -2.0
     tol = (0.5 * cfg.quad_rel_tol, 0.5 * cfg.quad_abs_tol, cfg.max_iter)
@@ -203,7 +195,7 @@ def _slice_integrals(cosmo: Cosmology, tau: float, sigma: float, comps,
     # The numerics module's driver, looked up per call, so that a test
     # can swap it for a reference.
     sums = [numerics._adaptive(_integrand(m, a0, comps, True, weights),
-                               _u_nodes(1.0, knots, min(sigma, seam)), *tol)]
+                               _u_nodes(0.0, knots, min(u, _U_SEAM)), *tol)]
     # From s at the seam (1/sqrt(seam) rounds to _S_SEAM) down; an s
     # range that rounds to zero width adds nothing.
     if 1.0 / math.sqrt(sigma) < _S_SEAM:
@@ -231,7 +223,7 @@ def slice_end(cosmo: Cosmology, tau: float) -> float:
 
 def _map_slope(cosmo: Cosmology, a0: float, u: float, power: float,
                scale: float) -> float:
-    """dF/du of F = scale * slice_integral(order 1, power) at sigma = 1 + u^2:
+    """dF/du of F = scale * slice_integral(order 1, power) at u:
     2 scale b'(a0/sqrt(sigma)) sigma^(-power), one model call."""
     s = 1.0 + u * u
     bd = float(cosmo.model.b_dot(a0 / math.sqrt(s)))
@@ -253,16 +245,16 @@ def _block(k: int) -> range:
 
 class _Piece(NamedTuple):
     """One built store piece: its (order, power) comps, their panel
-    values (comps x panels), the node values of its comps by comp, and
-    per panel its start and end in u or s and sigma at its end; last
-    when it ends its track."""
+    values (comps x panels), the node values of its comps by comp, per
+    panel its start and end in u or s, and sigma at its end; last when
+    it ends its track."""
 
     comps: tuple
     vals: np.ndarray
     ys: dict
     a: np.ndarray
     b: np.ndarray
-    sig: np.ndarray
+    end: float
     last: bool
 
 
@@ -290,7 +282,7 @@ class _Track:
         for p in pieces:
             i, j = j, j + p.vals.shape[1]
             self.pieces.append(p)
-            self.ends.append(float(p.sig[-1]))
+            self.ends.append(p.end)
             self.cums.append(dict(zip(comps, cums[:, i:j + 1])))
             self.totals.append(dict(zip(comps, run[:, j])))
 
@@ -327,7 +319,7 @@ class Slice:
 
     The store keeps the last answer of invert per comp and of integral
     per tuple of integrals read, with the other arguments (the target,
-    or sigma and the weights) it was computed for.  A call with equal
+    or u and the weights) it was computed for.  A call with equal
     arguments returns it, exactly what computing it again would return
     since the panels are the slice's alone; any other call computes and
     replaces that entry, and a call that raises stores nothing.  The
@@ -367,19 +359,13 @@ class Slice:
         starts = [self._nodes(i, radial) for i in ks]
         built = numerics._adaptive_panels(
             _integrand(self.cosmo.model, self.a0, comps, k == 0),
-            [nodes for nodes, _ in starts], *self.tol)
-        pieces = []
-        for i, (_, last), (a, b, vals, ys) in zip(ks, starts, built):
-            # sigma at the panel ends; the radial tail may end at s = 0.
-            sig = (1.0 + b * b if i == 0 else 1.0 / (b * b) if b[-1] else
-                   np.append(1.0 / (b[:-1] * b[:-1]), math.inf))
-            pieces.append(_Piece(comps, vals, dict(zip(comps, ys)), a, b,
-                                 sig, last))
-        tr.add(pieces)
+            [nodes for nodes, _, _ in starts], *self.tol)
+        tr.add([_Piece(comps, vals, dict(zip(comps, ys)), a, b, end, last)
+                for (_, last, end), (a, b, vals, ys) in zip(starts, built)])
 
     def _nodes(self, k: int, tail: bool):
         """The starting nodes of piece k in u or s, its ends and the
-        table knots between them, and whether it ends its track."""
+        table knots between them, whether it ends its track, its end."""
         s_end = 1.0 / math.sqrt(self.end)
         if k == 0:
             top = math.sqrt(self.end - 1.0)
@@ -396,9 +382,9 @@ class Slice:
         # first panel on analytic models anyway.
         if not knots.size:
             return (np.array([lo, 0.5 * (lo + hi), hi]) if hi else
-                    np.append(lo * 0.5 ** np.arange(8), 0.0)), last
+                    np.append(lo * 0.5 ** np.arange(8), 0.0)), last, ends[1]
         x = np.sqrt(knots - 1.0) if k == 0 else 1.0 / np.sqrt(knots)
-        return np.concatenate(([lo], x, [hi])), last
+        return np.concatenate(([lo], x, [hi])), last, ends[1]
 
     def _track(self, radial: bool, sigma: float) -> _Track:
         """The main or radial track, grown until it reaches sigma or
@@ -413,21 +399,24 @@ class Slice:
         return 0.5 * self.a0 * float(
             self._track(True, math.inf).cums[-1][_RHO][-1])
 
-    def integral(self, weights: dict, sigma: float) -> float:
+    def integral(self, weights: dict, u: float) -> float:
         """Sum of w * slice_integral(order, n) over weights {(order, n): w}
-        at sigma: whole panels from the running totals, then one polish
-        integral from the start of the panel holding sigma."""
-        if sigma == 1.0:
+        at u: whole panels from the running totals, then one polish
+        integral from the start of the panel holding u (s past the seam)."""
+        if u == 0.0:
             return 0.0
-        comps, args = tuple(weights), (sigma, tuple(weights.values()))
+        comps, args = tuple(weights), (u, tuple(weights.values()))
         last = self.last.get(comps)
         if last is not None and last[0] == args:
             return last[1]
+        sigma = 1.0 + u * u
         tr = self._track(comps == (_RHO,), sigma)
         k = min(bisect.bisect_left(tr.ends, sigma), len(tr.ends) - 1)
-        sig = tr.pieces[k].sig
-        j = min(int(np.searchsorted(sig, sigma)), sig.size - 1)
-        x = math.sqrt(sigma - 1.0) if k == 0 else 1.0 / math.sqrt(sigma)
+        b = tr.pieces[k].b
+        x = u if k == 0 else 1.0 / math.sqrt(sigma)
+        # The first panel whose end reaches x; s falls along the panels.
+        j = int(np.searchsorted(b, x) if k == 0 else np.searchsorted(-b, -x))
+        j = min(j, b.size - 1)
         f = _integrand(self.cosmo.model, self.a0, comps, k == 0, args[1])
         value = numerics._adaptive(
             f, [float(tr.pieces[k].a[j]), x], *self.tol) + math.fsum(
@@ -436,15 +425,15 @@ class Slice:
         return value
 
     def invert(self, comp: tuple, target: float) -> float:
-        """sigma at which F = scale * slice_integral(*comp) reaches target:
+        """u at which F = scale * slice_integral(*comp) reaches target:
         chi (comp _CHI, scale 1/2) or rho (_RHO, scale a(tau)/2).
 
         The track's pieces are walked from the start, each built on first
         use, until the running total passes target.  Newton's method on
         the node polynomial of the panel that holds it
         (numerics._panel_root) then places sigma with no model call, and
-        one polish integral with one Newton step in u = sqrt(sigma - 1),
-        whose slope comes from the model in closed form, corrects it.
+        one polish integral with one Newton step in u, whose slope comes
+        from the model in closed form, corrects it.
 
         rho at or beyond the slice radius raises OutOfChartError, any
         other target beyond a finite slice DomainError.  On an unbounded
@@ -517,9 +506,16 @@ class Slice:
         u = x if is_u else math.sqrt(1.0 / (x * x) - 1.0)
         u += (scale * (rem - polish)
               / _map_slope(self.cosmo, self.a0, u, comp[1], scale))
-        sigma = 1.0 + u * u
-        self.last[comp] = target, sigma
-        return sigma
+        self.last[comp] = target, u
+        return u
+
+    def lapse(self, u: float) -> float:
+        """The lapse bracket B of lapse_bracket at u = sqrt(sigma - 1)."""
+        root = math.sqrt(1.0 + u * u)
+        inner = self.integral({_LAPSE: 1.0}, u)
+        return _no_overflow("the lapse bracket", (
+            float(self.cosmo.model.b_dot(self.a0 / root))
+            + self.a0 * u / (2.0 * root) * inner))
 
     def _beyond(self, target: float, what: str) -> DomainError:
         return DomainError(f"{target:g} is beyond the comoving reach of "
@@ -538,6 +534,17 @@ def store(cosmo: Cosmology, tau: float,
     return _cached_store(cosmo, tau, cfg or DEFAULT_CONFIG)
 
 
+def _u_of(cosmo: Cosmology, tau: float, comp: tuple, target: float,
+          cfg: NumericsConfig | None) -> float:
+    """u = sqrt(sigma - 1) where chi (comp _CHI) or rho (_RHO) reaches
+    target on the tau slice, by Slice.invert; 0 at target 0."""
+    tau = _check_time(tau)
+    name = "rho" if comp == _RHO else "chi0"
+    if _finite(name, target, nonnegative=True) == 0.0:
+        return 0.0
+    return store(cosmo, tau, cfg).invert(comp, target)
+
+
 def lapse_bracket(cosmo: Cosmology, tau: float, sigma: float,
                   cfg: NumericsConfig | None = None) -> float:
     """B = b'(a0/sqrt(sigma)) + a0 sqrt(sigma-1)/(2 sqrt(sigma)) * I.
@@ -546,13 +553,8 @@ def lapse_bracket(cosmo: Cosmology, tau: float, sigma: float,
     The lapse is g_tau_tau = -(a'(tau) B)^2 and the chart Jacobian is
     a'(tau) b'(a0/sqrt(sigma)) B / (2 sigma sqrt(sigma-1)).
     """
-    tau, sigma = _check_slice(cosmo, tau, sigma)
-    st = store(cosmo, tau, cfg)
-    root = math.sqrt(sigma)
-    inner = st.integral({_LAPSE: 1.0}, sigma)
-    return _no_overflow("the lapse bracket", (
-        float(cosmo.model.b_dot(st.a0 / root))
-        + st.a0 * math.sqrt(sigma - 1.0) / (2.0 * root) * inner))
+    tau, u = _check_slice(cosmo, tau, sigma)
+    return store(cosmo, tau, cfg).lapse(u)
 
 
 def chi_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
@@ -561,8 +563,8 @@ def chi_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
 
     chi = (1/2) * integral_1^sigma b'(a(tau)/sqrt(s)) / (sqrt(s) sqrt(s-1)) ds
     """
-    tau, sigma = _check_slice(cosmo, tau, sigma)
-    return 0.5 * store(cosmo, tau, cfg).integral({_CHI: 1.0}, sigma)
+    tau, u = _check_slice(cosmo, tau, sigma)
+    return 0.5 * store(cosmo, tau, cfg).integral({_CHI: 1.0}, u)
 
 
 def rho_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
@@ -572,34 +574,29 @@ def rho_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
     rho = (a(tau)/2) * integral_1^sigma b'(a(tau)/sqrt(s))
           / (s^(3/2) sqrt(s-1)) ds
     """
-    tau, sigma = _check_slice(cosmo, tau, sigma)
+    tau, u = _check_slice(cosmo, tau, sigma)
     st = store(cosmo, tau, cfg)
-    return 0.5 * st.a0 * st.integral({_RHO: 1.0}, sigma)
+    return 0.5 * st.a0 * st.integral({_RHO: 1.0}, u)
 
 
 def sample_geodesic(cosmo: Cosmology, tau: float, sigma_max: float, n: int,
                     cfg: NumericsConfig | None = None) -> list[GeodesicPoint]:
     """n points with geometrically spaced sigma on [1, sigma_max]."""
-    cfg = cfg or DEFAULT_CONFIG
     try:
         n = operator.index(n)
     except TypeError:
         raise DomainError(f"n must be an integer, got {n!r}") from None
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    tau, sigma_max = _check_slice(cosmo, tau, sigma_max, allow_equal_one=False)
+    tau = _check_slice(cosmo, tau, sigma_max, allow_equal_one=False)[0]
     points = []
     for i in range(n):
         sigma = sigma_max ** (i / (n - 1))
-        if i == 0:
-            points.append(GeodesicPoint(tau, 1.0, t_of_sigma(cosmo, tau, 1.0),
-                                        0.0, 0.0))
-        else:
-            points.append(GeodesicPoint(
-                tau, sigma,
-                t_of_sigma(cosmo, tau, sigma),
-                chi_of_sigma(cosmo, tau, sigma, cfg),
-                rho_of_sigma(cosmo, tau, sigma, cfg)))
+        points.append(GeodesicPoint(
+            tau, sigma,
+            t_of_sigma(cosmo, tau, sigma),
+            chi_of_sigma(cosmo, tau, sigma, cfg),
+            rho_of_sigma(cosmo, tau, sigma, cfg)))
     return points
 
 

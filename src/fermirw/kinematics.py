@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .cosmology import Cosmology, _check_time, hubble, make_power_law
 from .errors import DomainError, _finite, _no_overflow
-from .geodesics import _CHI, _I2, _LAPSE, _RHO, rho_of_sigma, store
-from .numerics import DEFAULT_CONFIG, NumericsConfig
+from .geodesics import _CHI, _I2, _LAPSE, _RHO, _u_of, rho_of_sigma, store
+from .numerics import NumericsConfig
 
 __all__ = [
     "VelocityReport",
@@ -31,6 +31,8 @@ __all__ = [
     "sigma_of_chi",
 ]
 
+_IDENTITY_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class VelocityReport:
@@ -44,13 +46,9 @@ class VelocityReport:
     v_hubble: float
 
 
-def _check_chi(chi0: float) -> float:
-    return _finite("chi0", chi0, nonnegative=True)
-
-
 def hubble_speed(cosmo: Cosmology, tau: float, chi0: float) -> float:
     """Hubble velocity a'(tau) * chi0 of a comoving particle."""
-    chi0 = _check_chi(chi0)
+    chi0 = _finite("chi0", chi0, nonnegative=True)
     return _no_overflow("the Hubble speed",
                         float(cosmo.model.a_dot(_finite("tau", tau))) * chi0)
 
@@ -66,11 +64,8 @@ def sigma_of_chi(cosmo: Cosmology, tau: float, chi0: float,
     unbounded one), AccuracyError when the iteration or its bracket
     growth exhausts its cap.
     """
-    chi0 = _check_chi(chi0)
-    tau = _check_time(tau)
-    if chi0 == 0.0:
-        return 1.0
-    return store(cosmo, tau, cfg).invert(_CHI, chi0)
+    u0 = _u_of(cosmo, tau, _CHI, chi0, cfg)
+    return 1.0 + u0 * u0
 
 
 def fermi_speed(cosmo: Cosmology, tau: float, chi0: float,
@@ -83,16 +78,16 @@ def fermi_speed(cosmo: Cosmology, tau: float, chi0: float,
     from the slice store in one pass: I1 from the b' panels, and
     a(tau) (I2 - I3/sigma0) from the b'' panels with one polish integral.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    chi0 = _check_chi(chi0)
+    chi0 = _finite("chi0", chi0, nonnegative=True)
     v_h = hubble_speed(cosmo, tau, chi0)
     if chi0 == 0.0:
         return VelocityReport(tau, 0.0, 1.0, 0.0, 0.0, 0.0)
-    sigma0 = sigma_of_chi(cosmo, tau, chi0, cfg)
+    u0 = _u_of(cosmo, tau, _CHI, chi0, cfg)
+    sigma0 = 1.0 + u0 * u0
     st = store(cosmo, tau, cfg)
     a0 = st.a0
-    i1 = st.integral({_RHO: 1.0}, sigma0)
-    rest = st.integral({_I2: a0, _LAPSE: -a0 / sigma0}, sigma0)
+    i1 = st.integral({_RHO: 1.0}, u0)
+    rest = st.integral({_I2: a0, _LAPSE: -a0 / sigma0}, u0)
     v_f = 0.5 * float(cosmo.model.a_dot(tau)) * (i1 + rest)
     return VelocityReport(tau, chi0, sigma0, 0.5 * a0 * i1, v_f, v_h)
 
@@ -172,29 +167,24 @@ def proper_radius_power_law(alpha: float, tau: float) -> float:
 
 
 def velocity_identity_residual(cosmo: Cosmology, tau: float, chi0: float,
-                               cfg: NumericsConfig | None = None,
-                               rel_step: float = 1e-4) -> float:
+                               cfg: NumericsConfig | None = None) -> float:
     """|v_fermi - (H rho + a d/dtau (rho/a))| at fixed chi0.
 
-    The tau derivative is taken by central finite differences, so the
-    residual is dominated by O(rel_step^2) discretisation error.
+    The tau derivative is a central difference of relative step
+    _IDENTITY_STEP, whose O(step^2) error dominates the residual.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    chi0 = _check_chi(chi0)
-    _finite("rel_step", rel_step)
+    chi0 = _finite("chi0", chi0, nonnegative=True)
     tau = _check_time(tau)
     if chi0 == 0.0:
         return 0.0
     rep = fermi_speed(cosmo, tau, chi0, cfg)
 
-    def rho_at(tp: float) -> float:
-        s0 = sigma_of_chi(cosmo, tp, chi0, cfg)
-        return rho_of_sigma(cosmo, tp, s0, cfg)
+    def rho_over_a(tp: float) -> float:
+        u0 = _u_of(cosmo, tp, _CHI, chi0, cfg)
+        return 0.5 * store(cosmo, tp, cfg).integral({_RHO: 1.0}, u0)
 
-    h = rel_step * tau
-    ratio_plus = rho_at(tau + h) / float(cosmo.model.a(tau + h))
-    ratio_minus = rho_at(tau - h) / float(cosmo.model.a(tau - h))
-    ddtau = (ratio_plus - ratio_minus) / (2.0 * h)
+    h = _IDENTITY_STEP * tau
+    ddtau = (rho_over_a(tau + h) - rho_over_a(tau - h)) / (2.0 * h)
     rhs = hubble(cosmo, tau) * rep.rho + float(cosmo.model.a(tau)) * ddtau
     return abs(rep.v_fermi - rhs)
 

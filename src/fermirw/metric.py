@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import sigma_of_rho
 from .cosmology import Cosmology, _check_time
 from .errors import (DomainError, UnsupportedCurvatureError, _finite,
                      _no_overflow)
-from .geodesics import chi_of_sigma, lapse_bracket
-from .numerics import DEFAULT_CONFIG, NumericsConfig
+from .geodesics import _CHI, _RHO, _u_of, store
+from .numerics import NumericsConfig
 
 __all__ = [
     "PolarMetric",
@@ -59,31 +58,28 @@ def s_k(k: int, chi: float) -> float:
         raise DomainError(f"sinh(chi) overflows at chi={chi:g}") from None
 
 
-def _g_tau_tau_at(cosmo: Cosmology, tau: float, sigma: float,
-                  cfg: NumericsConfig) -> float:
-    """g_tau_tau = -(a'(tau) B)^2 on the tau slice at stretch sigma, with B
-    the lapse bracket of geodesics.lapse_bracket."""
+def _g_tau_tau_at(cosmo: Cosmology, tau: float, u: float,
+                  cfg: NumericsConfig | None) -> float:
+    """g_tau_tau = -(a'(tau) B)^2 on the tau slice at u = sqrt(sigma - 1),
+    with B the lapse bracket of geodesics.lapse_bracket."""
     adot = float(cosmo.model.a_dot(tau))
     return _no_overflow("g_tau_tau",
-                        -((adot * lapse_bracket(cosmo, tau, sigma, cfg)) ** 2))
+                        -((adot * store(cosmo, tau, cfg).lapse(u)) ** 2))
 
 
 def g_tau_tau(cosmo: Cosmology, tau: float, rho: float,
               cfg: NumericsConfig | None = None) -> float:
     """Lapse component g_tau_tau at proper radius rho on the tau slice."""
-    cfg = cfg or DEFAULT_CONFIG
-    sigma = sigma_of_rho(cosmo, tau, rho, cfg)
-    return _g_tau_tau_at(cosmo, tau, sigma, cfg)
+    return _g_tau_tau_at(cosmo, tau, _u_of(cosmo, tau, _RHO, rho, cfg), cfg)
 
 
-def _ang(cosmo: Cosmology, tau: float, sigma: float,
-         cfg: NumericsConfig) -> float:
-    """a(tau)^2 S_k(chi)^2 / sigma on the tau slice at stretch sigma."""
-    if sigma == 1.0:
-        return 0.0
-    chi = chi_of_sigma(cosmo, tau, sigma, cfg)
-    a0 = float(cosmo.model.a(tau))
-    return _no_overflow("ang", a0 * a0 * s_k(cosmo.k, chi) ** 2 / sigma)
+def _ang(cosmo: Cosmology, tau: float, u: float,
+         cfg: NumericsConfig | None) -> float:
+    """a(tau)^2 S_k(chi)^2 / sigma on the tau slice at u = sqrt(sigma - 1)."""
+    st = store(cosmo, tau, cfg)
+    chi = 0.5 * st.integral({_CHI: 1.0}, u)
+    return _no_overflow("ang",
+                        st.a0 * st.a0 * s_k(cosmo.k, chi) ** 2 / (1.0 + u * u))
 
 
 def metric_polar(cosmo: Cosmology, tau: float, rho: float,
@@ -93,16 +89,15 @@ def metric_polar(cosmo: Cosmology, tau: float, rho: float,
     ang = a(tau)^2 S_k(chi)^2 / sigma, the squared proper area radius of
     the 2-sphere through the event.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    sigma = sigma_of_rho(cosmo, tau, rho, cfg)
-    return PolarMetric(_g_tau_tau_at(cosmo, tau, sigma, cfg), 1.0,
-                       _ang(cosmo, tau, sigma, cfg))
+    u = _u_of(cosmo, tau, _RHO, rho, cfg)
+    return PolarMetric(_g_tau_tau_at(cosmo, tau, u, cfg), 1.0,
+                       _ang(cosmo, tau, u, cfg))
 
 
 def _lambda(cosmo: Cosmology, tau: float, rho: float,
-            cfg: NumericsConfig, sigma: float | None = None) -> float:
-    """lambda at rho; sigma = sigma_of_rho(rho), computed if not given and
-    needed.  Within the switch, the limit -C/3, C = H^2 + k/a^2, of
+            cfg: NumericsConfig | None, u: float | None = None) -> float:
+    """lambda at rho; u = sqrt(sigma - 1) at rho, computed if not given
+    and needed.  Within the switch, the limit -C/3, C = H^2 + k/a^2, of
     g_ij = delta_ij - (1/3) R_ikjl x^k x^l (Manasse & Misner 1963);
     beyond it (ang/rho^2 - 1)/rho^2 (noise ~ 1/rho^2).  lambda's rho^2 term
     is (2/45) C^2 + (1/5) H^2 (a''/a - C) (fitted to 4 digits on power laws
@@ -115,9 +110,9 @@ def _lambda(cosmo: Cosmology, tau: float, rho: float,
                          * adot * h * h - curv)
     if r2 * max(abs(curv), h * math.sqrt(abs(drift))) <= _LAMBDA_SWITCH ** 2:
         return -curv / 3.0
-    if sigma is None:
-        sigma = sigma_of_rho(cosmo, tau, rho, cfg)
-    lam = (_ang(cosmo, tau, sigma, cfg) / r2 - 1.0) / r2
+    if u is None:
+        u = _u_of(cosmo, tau, _RHO, rho, cfg)
+    lam = (_ang(cosmo, tau, u, cfg) / r2 - 1.0) / r2
     if not math.isfinite(lam):
         raise DomainError(f"lambda_k is out of range at tau={tau:g}")
     return lam
@@ -131,8 +126,7 @@ def lambda_k(cosmo: Cosmology, tau: float, rho: float,
     which is 0 at every rho on Milne; farther out the direct form.
     """
     return _lambda(cosmo, _check_time(tau),
-                   _finite("rho", rho, nonnegative=True),
-                   cfg or DEFAULT_CONFIG)
+                   _finite("rho", rho, nonnegative=True), cfg)
 
 
 def metric_cartesian(cosmo: Cosmology, tau: float, x: float, y: float,
@@ -143,16 +137,15 @@ def metric_cartesian(cosmo: Cosmology, tau: float, x: float, y: float,
     g_00 = g_tau_tau, g_0i = 0, and
     g_ij = delta_ij + lambda (rho^2 delta_ij - x_i x_j), so the spatial
     block is delta_ij along the radial direction and (ang/rho^2) delta_ij
-    transversally.  One sigma_of_rho serves the lapse and lambda, which
+    transversally.  One inversion of rho serves the lapse and lambda, which
     is its curvature limit near the origin (see lambda_k).
     """
-    cfg = cfg or DEFAULT_CONFIG
     xs = np.array([x, y, z], dtype=float)
     rho = float(np.sqrt(xs @ xs))
-    sigma = sigma_of_rho(cosmo, tau, rho, cfg)
+    u = _u_of(cosmo, tau, _RHO, rho, cfg)
     g = np.diag([-1.0, 1.0, 1.0, 1.0])
-    g[0, 0] = _g_tau_tau_at(cosmo, tau, sigma, cfg)
+    g[0, 0] = _g_tau_tau_at(cosmo, tau, u, cfg)
     if rho > 0.0:
-        g[1:, 1:] += _lambda(cosmo, tau, rho, cfg, sigma) * (
+        g[1:, 1:] += _lambda(cosmo, tau, rho, cfg, u) * (
             rho * rho * np.eye(3) - np.outer(xs, xs))
     return g

@@ -259,8 +259,6 @@ def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
     test of its own.
     """
     if len(nodes) == 2:
-        if nodes[0] == nodes[1]:
-            return 0.0
         a, b = float(nodes[0]), float(nodes[1])
         total, total_err, total_resabs, *rows = _panel(f, a, b)
         heap, ride = [(-total_err, 0, a, b, total, rows)], len(rows)
@@ -389,14 +387,14 @@ def _panel_root(y: np.ndarray, half: float, target: float,
     converged step that rounds onto the bracket's end is kept (clipped to
     the bracket), not sent to the midpoint to bisect down to 8 eps.  A
     bisection step of 8 eps stops it too, which ends the iteration at a
-    bracket that has shrunk to a point.
+    bracket that has shrunk to a point.  The integral is measured from
+    its rounding at t = -1, so a target far below that rounding lands a
+    step relative to the target from t = -1.
     """
     coef = list(zip((_TO_INT * y).sum(axis=1).tolist(),
                     (_TO_LEG * y).sum(axis=1).tolist() + [0.0]))
-    lo, hi = -1.0, 1.0
-    t = min(hi, max(lo, 2.0 * target / (half * math.fsum(
-        c for c, _ in coef)) - 1.0))
-    for _ in range(max_iter):
+
+    def series(t: float) -> tuple[float, float]:
         # Both Legendre series at once, P_k(t) by the recurrence.
         p0, p1 = 1.0, t
         f, slope = coef[0][0] + coef[1][0] * t, coef[0][1] + coef[1][1] * t
@@ -404,7 +402,15 @@ def _panel_root(y: np.ndarray, half: float, target: float,
             p0, p1 = p1, r1 * t * p1 - r0 * p0
             f += c_f * p1
             slope += c_s * p1
-        f = half * f - target
+        return f, slope
+
+    start = series(-1.0)[0]
+    lo, hi = -1.0, 1.0
+    t = min(hi, max(lo, 2.0 * target / (half * math.fsum(
+        c for c, _ in coef)) - 1.0))
+    for _ in range(max_iter):
+        f, slope = series(t)
+        f = half * (f - start) - target
         if f == 0.0:
             return t
         lo, hi = (t, hi) if f < 0.0 else (lo, t)
@@ -487,7 +493,9 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
     total = 0.0
     if sigma_lo < split:
         # sigma = 1 + u^2 absorbs the sqrt singularity at the left edge.
-        total += _adaptive(_u_integrand(f), _u_nodes(sigma_lo, pts, split),
+        total += _adaptive(_u_integrand(f),
+                           _u_nodes(math.sqrt(sigma_lo - 1.0), pts,
+                                    math.sqrt(split - 1.0)),
                            rel, absb, cfg.max_iter)
     if sigma_hi > 2.0:
         # s = 1/sqrt(sigma) keeps large-sigma panels well conditioned, and
@@ -499,14 +507,16 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
 
 
 def _u_nodes(lo: float, pts: np.ndarray, hi: float):
-    """u = sqrt(sigma - 1) at lo, at the breaks pts below hi, and at hi.
+    """The u range from lo to hi, split at u = sqrt(sigma - 1) of the
+    sigma breaks pts below sigma = 1 + hi^2.
 
     Plain floats when there are no breaks, so one-piece ranges stay on
     the scalar path.
     """
     if not pts.size:
-        return [math.sqrt(lo - 1.0), math.sqrt(hi - 1.0)]
-    return np.sqrt(np.concatenate(([lo], pts[pts < hi], [hi])) - 1.0)
+        return [lo, hi]
+    return np.concatenate(([lo], np.sqrt(pts[pts < 1.0 + hi * hi] - 1.0),
+                           [hi]))
 
 
 def _s_nodes(hi: float, pts: np.ndarray, lo: float):

@@ -164,6 +164,31 @@ def closed_forms_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
                        "fermi_from_rw: tau = t - log(1 - w^2)/2, "
                        "rho = arcsin(w)"))
 
+    # chi = rho = x near the observer at t = tau = 1: Milne's chart is
+    # tau = t cosh(chi), rho = t sinh(chi); de Sitter's rho = arcsin(e chi).
+    worst = 0.0
+    for x in (1e-12, 1e-9, 1e-6, 1e-3):
+        w = math.e * x
+        for cosmo, want in (
+                (milne.cosmology, (
+                    math.cosh(x), math.sinh(x), math.sqrt((1 - x) * (1 + x)),
+                    math.atanh(x), x * x, math.tanh(x), math.tanh(x),
+                    math.cosh(x), math.sinh(x))),
+                (ds.cosmology, (
+                    1.0 - 0.5 * math.log1p(-w * w), math.asin(w),
+                    1.0 + math.log(math.cos(x)), math.tan(x) / math.e,
+                    math.sin(x) ** 2, math.atan(w), w / (1.0 + w * w),
+                    1.0 / (1.0 - w * w), w / math.sqrt(1.0 - w * w)))):
+            fe = fermi_from_rw(cosmo, RWEvent(1.0, x), cfg)
+            ev = rw_from_fermi(cosmo, FermiEvent(1.0, x), cfg)
+            rep = fermi_speed(cosmo, 1.0, x, cfg)
+            got = (fe.tau, fe.rho, ev.t, ev.chi,
+                   metric_polar(cosmo, 1.0, x, cfg).ang, rep.rho, rep.v_fermi,
+                   *comoving_flow_fermi(cosmo, RWEvent(1.0, x), cfg))
+            worst = max(worst, *(abs(g - v) / v for g, v in zip(got, want)))
+    out.append(_result("near-observer", worst, 1e-12,
+                       "Milne, de Sitter at chi, rho = 1e-12 to 1e-3"))
+
     rad = cf.radiation()
     worst = max(abs(proper_radius(rad.cosmology, tau, cfg)
                     - 0.5 * math.pi * tau) for tau in (1.0, 2.0, 5.0))

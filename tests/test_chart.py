@@ -189,7 +189,8 @@ def test_fermi_milne_tiny_time_is_relative(t):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """sigma of each direct (chi, lapse) pass fermi_from_rw makes."""
+    """u = sqrt(sigma - 1) of each direct (chi, lapse) pass fermi_from_rw
+    makes."""
     sigmas = []
     direct = chart._slice_integrals
 
@@ -275,9 +276,8 @@ def test_milne_far_event_climbs_by_doubling(passes):
     f = fermi_from_rw(MILNE, RWEvent(t, chi))
     assert f.tau == pytest.approx(t * math.cosh(chi), rel=1e-13)
     assert f.rho == pytest.approx(t * math.sinh(chi), rel=1e-13)
-    us = [math.sqrt(s - 1.0) for s in passes]
     assert any(b == pytest.approx(2.0 * a, rel=1e-12)
-               for a, b in zip(us, us[1:]))
+               for a, b in zip(passes, passes[1:]))
     assert len(passes) <= 13    # 11 measured; 14 direct integrals before
 
 
@@ -311,6 +311,21 @@ def test_fermi_leading_order_near_the_observer(cosmo):
     want = math.asin(a * chi) if cosmo is DESITTER else a * chi
     assert ev.rho == pytest.approx(want, rel=1e-12)
     assert ev.tau == pytest.approx(t, rel=1e-15)
+
+
+@pytest.mark.parametrize("cosmo", [MILNE, DESITTER], ids=["milne", "de-sitter"])
+@pytest.mark.parametrize("x", [1e-300, 1e-12, 1e-9, 1e-6, 1e-3, 0.3, 0.9])
+def test_round_trips_near_the_observer(cosmo, x):
+    # sigma - 1 = u^2 has lost its digits near the observer; both maps
+    # carry u, so rho and chi come back to rounding, down to 1e-300.
+    back = fermi_from_rw(cosmo, rw_from_fermi(cosmo, FermiEvent(1.0, x)))
+    assert back.tau == pytest.approx(1.0, rel=1e-12)
+    assert back.rho == pytest.approx(x, rel=1e-12, abs=0.0)
+    if cosmo is DESITTER and math.e * x >= 1.0:
+        return      # beyond the chart: w = e^t chi < 1
+    ev = rw_from_fermi(cosmo, fermi_from_rw(cosmo, RWEvent(1.0, x)))
+    assert ev.t == pytest.approx(1.0, rel=1e-12)
+    assert ev.chi == pytest.approx(x, rel=1e-12, abs=0.0)
 
 
 def test_fermi_leading_order_late_matter_event():

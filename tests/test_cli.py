@@ -217,7 +217,7 @@ def test_verify_all_check_count(capsys):
     code, out, _ = run_cli(capsys, "verify", "all")
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.startswith("PASS")]
-    assert len(lines) == 36
+    assert len(lines) == 37
 
 
 def test_verify_ode_oracle_custom_model(capsys):

@@ -26,6 +26,7 @@ from fermirw import (
 )
 from fermirw import geodesics, numerics
 from fermirw.geodesics import lapse_bracket, slice_end, slice_integral
+from fermirw.kinematics import _power_integral
 from fermirw.numerics import table_safe_config
 from fermirw.verify import _tabulated_matterlike
 
@@ -246,10 +247,13 @@ def test_slice_integral_radiation_radius():
 
 def test_slice_integral_near_one_leading_order():
     # sigma - 1 = 2^-40 is exact in binary, so sqrt(sigma - 1) = 2^-20.
-    a0 = float(MATTER.model.a(1.3))
-    want = 2.0 * float(MATTER.model.b_ddot(a0)) * 2.0 ** -20
-    assert slice_integral(MATTER, 1.3, 1.0 + 2.0 ** -40, 2, 1.0) == \
-        pytest.approx(want, rel=1e-14)
+    # On matter b''(x) = (3/4) x^(-1/2), and the integral is
+    # (3/4) a0^(-1/2) B(1/4, 1/2) I_y(1/2, 1/4), y = (sigma - 1)/sigma,
+    # which the leading order 2 b''(a0) 2^-20 misses by 2.3e-13.
+    sigma, a0 = 1.0 + 2.0 ** -40, float(MATTER.model.a(1.3))
+    want = 0.75 * a0 ** -0.5 * _power_integral(0.75, sigma)
+    assert slice_integral(MATTER, 1.3, sigma, 2, 1.0) == \
+        pytest.approx(want, rel=1e-14, abs=0.0)
     assert slice_integral(MATTER, 1.3, 1.0, 1, 1.5) == 0.0
 
 
@@ -370,7 +374,7 @@ def test_lapse_rides_on_the_chi_panels(name, tau, sigma):
     cfg = cfg or DEFAULT_CONFIG
     a0 = float(cosmo.model.a(tau))
     chi, lapse = geodesics._slice_integrals(
-        cosmo, tau, sigma, ((1, 0.5), (2, 1.0)), cfg, a0)
+        cosmo, tau, math.sqrt(sigma - 1.0), ((1, 0.5), (2, 1.0)), cfg, a0)
     assert repr(chi) == repr(slice_integral(cosmo, tau, sigma, 1, 0.5, cfg))
     want = slice_integral(cosmo, tau, sigma, 2, 1.0, cfg)
     assert lapse == pytest.approx(want, rel=1e-9)

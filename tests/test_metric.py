@@ -25,7 +25,7 @@ from fermirw import (
     sigma_of_rho,
     velocity_identity_residual,
 )
-from fermirw import metric
+from fermirw import geodesics, metric
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
 RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
@@ -102,6 +102,16 @@ def test_polar_milne_minkowski():
 def test_polar_de_sitter_angular():
     pm = metric_polar(DESITTER, 2.0, math.pi / 6.0)
     assert pm.ang == pytest.approx(math.sin(math.pi / 6.0) ** 2, rel=1e-8)
+
+
+@pytest.mark.parametrize("cosmo, ang", [(MILNE, lambda r: r * r),
+                                        (DESITTER, lambda r: math.sin(r) ** 2)],
+                         ids=["milne", "de-sitter"])
+def test_polar_angular_near_the_observer(cosmo, ang):
+    # At rho = 1e-9 sigma - 1 = u^2 rounds to 0, but u keeps chi's digits.
+    rho = 1e-9
+    assert metric_polar(cosmo, 1.0, rho).ang == pytest.approx(
+        ang(rho), rel=1e-12, abs=0.0)
 
 
 def test_polar_radiation_angular():
@@ -211,9 +221,9 @@ def test_lambda_at_the_observer_is_the_curvature(cosmo, want):
 
 def test_lambda_below_the_switch_inverts_nothing(monkeypatch):
     def refuse(*args):
-        raise AssertionError("sigma_of_rho called")
+        raise AssertionError("rho inverted")
 
-    monkeypatch.setattr(metric, "sigma_of_rho", refuse)
+    monkeypatch.setattr(metric, "_u_of", refuse)
     # H = 1/2.6 on radiation at tau = 1.3, where a''/a - C = -2 H^2: the
     # switch is at H rho = 2.5e-3/2^(1/4) = 2.1e-3, rho = 5.47e-3.
     for rho in (0.0, 1e-9, 1e-4, 5.4e-3):
@@ -328,13 +338,13 @@ def test_cartesian_computes_one_lapse_bracket(monkeypatch, rho):
     # lambda_k needs only the angular coefficient, so the lapse is
     # computed once, for g_tau_tau.
     calls = []
-    bracket = metric.lapse_bracket
+    bracket = geodesics.Slice.lapse
 
     def counting(*args):
         calls.append(args)
         return bracket(*args)
 
-    monkeypatch.setattr(metric, "lapse_bracket", counting)
+    monkeypatch.setattr(geodesics.Slice, "lapse", counting)
     metric_cartesian(MATTER, 1.0, rho, 0.0, 0.0)
     assert len(calls) == 1
 

@@ -161,12 +161,12 @@ def test_fermi_speed_evaluates_b_ddot_once_per_node():
 
 def test_metric_cartesian_inverts_sigma_of_rho_once(monkeypatch):
     calls = [0]
-    inverse = metric.sigma_of_rho
+    inverse = metric._u_of
 
     def counting(*args):
         calls[0] += 1
         return inverse(*args)
-    monkeypatch.setattr(metric, "sigma_of_rho", counting)
+    monkeypatch.setattr(metric, "_u_of", counting)
     metric_cartesian(MATTER, 1.3, 0.3, 0.2, -0.4)
     assert calls[0] == 1
 
@@ -208,7 +208,8 @@ def test_store_reads_match_direct_integrals(name, tau, fracs):
         close(chi, 0.5 * slice_integral(cosmo, tau, s, 1, 0.5, cfg))
         close(rho, 0.5 * a0 * slice_integral(cosmo, tau, s, 1, 1.5, cfg))
         close(geodesics.store(cosmo, tau, cfg).integral(
-            {geodesics._LAPSE: 1.0, geodesics._I2: 1.0}, s),
+            {geodesics._LAPSE: 1.0, geodesics._I2: 1.0},
+            math.sqrt(s - 1.0)),
             slice_integral(cosmo, tau, s, 2, 1.0, cfg)
             + slice_integral(cosmo, tau, s, 2, 2.0, cfg))
         # The inverses land where the direct maps give back the target.

@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from fermirw import (Cosmology, DomainError, chart, make_exponential,
-                     make_power_law, verify)
+from fermirw import (Cosmology, DomainError, chart, geodesics,
+                     make_exponential, make_power_law, verify)
 
 
 def test_pullback_checks_every_model(monkeypatch):
@@ -30,13 +30,13 @@ def test_pullback_checks_every_model(monkeypatch):
 def test_flow_velocity_checks_every_model(monkeypatch, name):
     # Perturb the lapse the comoving flow reads on one model only; the
     # check covers every round-trip model and de Sitter, so it must fail.
-    bracket = chart.lapse_bracket
+    bracket = geodesics.Slice.lapse
 
-    def perturbed(cosmo, tau, sigma, cfg=None):
-        value = bracket(cosmo, tau, sigma, cfg)
-        return value * (1.0 + 1e-6) if cosmo.name == name else value
+    def perturbed(store, u):
+        value = bracket(store, u)
+        return value * (1.0 + 1e-6) if store.cosmo.name == name else value
 
-    monkeypatch.setattr(chart, "lapse_bracket", perturbed)
+    monkeypatch.setattr(geodesics.Slice, "lapse", perturbed)
     results = {r.name: r for r in verify.invariants_suite()}
     assert not results["comoving-flow-velocity"].passed
     assert results["comoving-flow-velocity"].residual > 5e-7
@@ -87,3 +87,18 @@ def test_edge_search_check_reads_the_search(monkeypatch):
     monkeypatch.setattr(chart, "_slice_integrals", perturbed)
     results = {r.name: r for r in verify.closed_forms_suite()}
     assert not results["desitter-edge-search"].passed
+
+
+def test_near_observer_check_reads_the_inversions(monkeypatch):
+    # A 1e-9 relative error in the u of each chi and rho inversion moves
+    # chi, ang, the speed and the flow by about as much, and must fail
+    # the check.
+    invert = geodesics.Slice.invert
+
+    def perturbed(store, comp, target):
+        return invert(store, comp, target) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(geodesics.Slice, "invert", perturbed)
+    results = {r.name: r for r in verify.closed_forms_suite()}
+    assert not results["near-observer"].passed
+    assert results["near-observer"].residual > 5e-10
