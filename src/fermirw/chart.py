@@ -2,9 +2,9 @@
 
 An event is either (t, chi, theta, phi) in the comoving chart or
 (tau, rho, theta, phi) in the observer's Fermi chart; angles pass through
-unchanged.  Forward (Fermi to RW) evaluation inverts rho for u and reads
-the geodesic maps there; the inverse solves for the unique slice time
-tau whose geodesic reaches the requested comoving radius.
+unchanged.  Forward (Fermi to RW) evaluation composes sigma_of_rho with
+the geodesic maps; the inverse solves for the unique slice time tau
+whose geodesic reaches the requested comoving radius, in u.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from .cosmology import Cosmology, _check_time
 from .errors import (AccuracyError, DomainError, FermiRWError,
                      OutOfChartError, _finite, _no_overflow)
 from .geodesics import (_CHI, _GROWTH_CAP, _LAPSE, _RHO, _check_slice,
-                        _slice_integrals, _u_of, store, t_of_sigma)
+                        _slice_integrals, _u_of, chi_of_sigma, store,
+                        t_of_sigma)
 from .numerics import _EPS, DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
@@ -77,14 +78,17 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
 
 def rw_from_fermi(cosmo: Cosmology, event: FermiEvent,
                   cfg: NumericsConfig | None = None) -> RWEvent:
-    """Map a Fermi-chart event to Robertson-Walker coordinates."""
+    """Map a Fermi-chart event to Robertson-Walker coordinates.
+
+    t and chi are read at sigma_of_rho's sigma, so chi loses digits where
+    sigma - 1 = u^2 rounds (chi = 0 at rho = 1e-9 on Milne).
+    """
     if event.rho == 0.0:
         return RWEvent(_check_time(event.tau), 0.0, event.theta, event.phi)
-    u = _u_of(cosmo, event.tau, _RHO, event.rho, cfg)
-    return RWEvent(
-        t_of_sigma(cosmo, event.tau, 1.0 + u * u),
-        0.5 * store(cosmo, event.tau, cfg).integral({_CHI: 1.0}, u),
-        event.theta, event.phi)
+    sigma = sigma_of_rho(cosmo, event.tau, event.rho, cfg)
+    return RWEvent(t_of_sigma(cosmo, event.tau, sigma),
+                   chi_of_sigma(cosmo, event.tau, sigma, cfg),
+                   event.theta, event.phi)
 
 
 def fermi_from_rw(cosmo: Cosmology, event: RWEvent,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .chart import RWEvent, fermi_from_rw
+from .chart import FermiEvent, RWEvent, fermi_from_rw, rw_from_fermi
 from .chart import sigma_of_rho as _sigma_of_rho
 from .cosmology import (Cosmology, hubble, load_table, make_exponential,
                         make_power_law, make_tabulated)
@@ -218,9 +218,7 @@ def cmd_transform(args, rc: RunConfig, parser: _Parser) -> int:
     if args.direction == "to-rw":
         _require(parser, args, ["tau", "rho"], "transform to-rw")
         sigma = _sigma_of_rho(cosmo, args.tau, args.rho, cfg)
-        ev = RWEvent(t_of_sigma(cosmo, args.tau, sigma),
-                     chi_of_sigma(cosmo, args.tau, sigma, cfg),
-                     args.theta, args.phi)
+        ev = rw_from_fermi(cosmo, FermiEvent(args.tau, args.rho), cfg)
         row = {"tau": args.tau, "rho": args.rho, "theta": args.theta,
                "phi": args.phi, "sigma": sigma, "t": ev.t, "chi": ev.chi,
                "rho_slice": proper_radius(cosmo, args.tau, cfg)}

@@ -431,9 +431,9 @@ class Slice:
         The track's pieces are walked from the start, each built on first
         use, until the running total passes target.  Newton's method on
         the node polynomial of the panel that holds it
-        (numerics._panel_root) then places sigma with no model call, and
-        one polish integral with one Newton step in u, whose slope comes
-        from the model in closed form, corrects it.
+        (numerics._panel_root) then places u (piece 0) or s past the seam
+        with no model call, and one polish integral with one Newton step
+        in u, whose slope comes from the model in closed form, corrects it.
 
         rho at or beyond the slice radius raises OutOfChartError, any
         other target beyond a finite slice DomainError.  On an unbounded

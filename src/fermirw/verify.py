@@ -171,18 +171,15 @@ def closed_forms_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
         w = math.e * x
         for cosmo, want in (
                 (milne.cosmology, (
-                    math.cosh(x), math.sinh(x), math.sqrt((1 - x) * (1 + x)),
-                    math.atanh(x), x * x, math.tanh(x), math.tanh(x),
-                    math.cosh(x), math.sinh(x))),
+                    math.cosh(x), math.sinh(x), x * x, math.tanh(x),
+                    math.tanh(x), math.cosh(x), math.sinh(x))),
                 (ds.cosmology, (
                     1.0 - 0.5 * math.log1p(-w * w), math.asin(w),
-                    1.0 + math.log(math.cos(x)), math.tan(x) / math.e,
                     math.sin(x) ** 2, math.atan(w), w / (1.0 + w * w),
                     1.0 / (1.0 - w * w), w / math.sqrt(1.0 - w * w)))):
             fe = fermi_from_rw(cosmo, RWEvent(1.0, x), cfg)
-            ev = rw_from_fermi(cosmo, FermiEvent(1.0, x), cfg)
             rep = fermi_speed(cosmo, 1.0, x, cfg)
-            got = (fe.tau, fe.rho, ev.t, ev.chi,
+            got = (fe.tau, fe.rho,
                    metric_polar(cosmo, 1.0, x, cfg).ang, rep.rho, rep.v_fermi,
                    *comoving_flow_fermi(cosmo, RWEvent(1.0, x), cfg))
             worst = max(worst, *(abs(g - v) / v for g, v in zip(got, want)))

@@ -154,13 +154,14 @@ def test_model_pair_functions(model, name):
 @pytest.mark.parametrize("x", [1e-300, 1e-12])
 @pytest.mark.parametrize("model", MODELS)
 def test_model_first_order_near_the_observer(model, x):
-    # At rho = chi0 = x the maps take their first-order values: chi =
-    # rho/a, ang = rho^2 (which underflows to 0 at 1e-300) and v = a' chi0.
-    # sigma - 1 rounds to 0 there, so a map that reads sigma returns 0.
+    # At chi = rho = chi0 = x the maps take their first-order values:
+    # rho = a chi, ang = rho^2 (which underflows to 0 at 1e-300) and
+    # v = a' chi0.  sigma - 1 rounds to 0 there, so a map that reads
+    # sigma returns 0.
     cosmo, cfg = MODELS[model]
     a, adot = float(cosmo.model.a(1.0)), float(cosmo.model.a_dot(1.0))
     for got, want in (
-            (rw_from_fermi(cosmo, FermiEvent(1.0, x), cfg).chi, x / a),
+            (fermi_from_rw(cosmo, RWEvent(1.0, x), cfg).rho, a * x),
             (metric_polar(cosmo, 1.0, x, cfg).ang, x * x),
             (fermi_speed(cosmo, 1.0, x, cfg).v_fermi, adot * x)):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)

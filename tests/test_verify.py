@@ -91,8 +91,8 @@ def test_edge_search_check_reads_the_search(monkeypatch):
 
 def test_near_observer_check_reads_the_inversions(monkeypatch):
     # A 1e-9 relative error in the u of each chi and rho inversion moves
-    # chi, ang, the speed and the flow by about as much, and must fail
-    # the check.
+    # ang, the speed and the flow by about as much, and must fail the
+    # check.
     invert = geodesics.Slice.invert
 
     def perturbed(store, comp, target):
