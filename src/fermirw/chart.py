@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .cosmology import Cosmology, _check_time
 from .errors import (AccuracyError, DomainError, FermiRWError,
                      OutOfChartError, _finite, _no_overflow)
 from .geodesics import (_CHI, _GROWTH_CAP, _LAPSE, _RHO, _check_slice,
                         _slice_integrals, _u_of, chi_of_sigma, store,
                         t_of_sigma)
-from .numerics import _EPS, DEFAULT_CONFIG, NumericsConfig
+from .numerics import _EPS, _NODES, _WK, DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
     "RWEvent",
@@ -29,6 +31,21 @@ __all__ = [
     "jacobian_F",
     "comoving_flow_fermi",
 ]
+
+# Panel edges 0, 1, 2, 4, ..., 1024 of the osculating power law's
+# integral: sech y's poles lie on the imaginary axis, 3 half-widths off
+# the center of each panel [2^k, 2^(k+1)] along the real axis, so one
+# G7/K15 panel resolves each.
+_W_EDGES = np.array([0.0] + [2.0 ** k for k in range(11)])
+# The G7/K15 nodes mapped onto [0, 1].
+_UNIT_NODES = 0.5 * (1.0 + _NODES)
+# X below asinh of the largest float, 710.48: no start is taken above.
+_X_MAX = 710.0
+# Below it W_q(X) = X (1 + q X^2/3 + ...) = w to rounding, so u = w.
+_W_TINY = 1e-150
+# Up to it (a = t^p down to p = 1e-6) W_q's integrand neither overflows
+# nor underflows at every node.
+_Q_MAX = 1e6
 
 @dataclass(frozen=True)
 class RWEvent:
@@ -91,16 +108,83 @@ def rw_from_fermi(cosmo: Cosmology, event: FermiEvent,
                    event.theta, event.phi)
 
 
+def _log_w(q: float, x: float) -> tuple[float, float]:
+    """log W_q(x) and its x-derivative W_q'/W_q = 1/W_q + q tanh x, with
+    W_q(x) = int_0^x (cosh x / cosh y)^q dy.
+
+    The integrand is sech(y)^q for q >= 0 and (cosh y / cosh x)^-q for
+    q < 0, at most 1, so it never overflows; one G7/K15 panel on each of
+    [0, 1], [1, 2], [2, 4], ... up to x.
+    """
+    e = np.minimum(_W_EDGES[:max(math.frexp(x)[1], 0) + 2], x)
+    width = e[1:] - e[:-1]
+    c = np.cosh(e[:-1, None] + width[:, None] * _UNIT_NODES)
+    scale = math.cosh(x) if q < 0.0 else 1.0
+    log_cosh = x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
+    lw = max(q, 0.0) * log_cosh + math.log(
+        0.5 * float(width @ ((c / scale) ** -q @ _WK)))
+    return lw, math.exp(-lw) + q * math.tanh(x)
+
+
+def _power_law_root(w: float, q: float) -> float:
+    """u = sinh X at the root of W_q(X) = w, or w where that root is not
+    a finite float, |q| > _Q_MAX or w < _W_TINY.
+
+    W_q is chi/b'(a(t)) on the model with constant deceleration
+    q = a b''(a)/b'(a) (a = t^(1/(1 + q)), or e^(H t) at q = -1):
+    cosh(X)^q int_0^X sech^q.  It increases with X, without bound for
+    q >= 0 and up to sup W_q = -1/q for -1 <= q < 0; for q < -1 it passes
+    -1/q and peaks at the chart edge, where dW_q/dX = 1 + q W_q tanh X
+    = 0, and the start takes the root below the edge for w < -1/q.
+    Halley's method on log W_q - log w starts at the q = 0 root X = w
+    (W_q(X) >= X for q >= 0) or at atanh(-q w)/(-q), the q = -1 root.
+    """
+    if not (abs(q) <= _Q_MAX and _W_TINY <= w < math.inf) or -q * w >= 1.0:
+        return w
+    x = min(math.atanh(-q * w) / -q if q < 0.0 else w, _X_MAX)
+    # Power laws take 1 to 4 evaluations; the cap bounds edge cases near
+    # sup W_q, where a start short of the root is still a start.
+    for _ in range(10):
+        lw, slope = _log_w(q, x)
+        f = lw - math.log(w)
+        if f < 0.0 and x == _X_MAX:
+            return w
+        # |f| within the rounding of log W_q, whose integrand's exponent
+        # q (log cosh x - log cosh y) carries about eps |q| x: a step would
+        # move x by noise.
+        if abs(f) <= 4.0 * _EPS * (1.0 + abs(q) * x):
+            break
+        if slope > 0.0:
+            t = math.tanh(x)
+            # (log W_q)'' = q ((log W_q)' tanh x + sech^2 x) - (log W_q)'^2.
+            curv = q * (slope * t + 1.0 - t * t) - slope * slope
+            newton = f / slope
+            step = newton / max(0.5, 1.0 - 0.5 * newton * curv / slope)
+        else:
+            # Past the chart edge, where W_q peaks for q < -1, or where
+            # the slope's two terms cancel near sup W_q: back off.
+            step = 0.5 * x
+        x = min(x - step, _X_MAX) if step < x else 0.5 * x
+        # Halley's error is cubic in the step.
+        if abs(step) <= 1e-5 * x:
+            break
+    return math.sinh(x)
+
+
 def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
                   cfg: NumericsConfig | None = None) -> FermiEvent:
     """Map a Robertson-Walker event into the observer's Fermi chart.
 
     Searches at fixed t in u = sqrt(sigma - 1), sigma = (a(tau)/a(t))^2,
     tau = b(a(t) sqrt(1 + u^2)), for the slice whose geodesic reaches chi,
-    unique as chi grows with u.  It starts from the Hubble law
-    w = a(t) H(t) chi: u = w/sqrt(1 - w^2), exact on de Sitter, for
-    every w < 1 on a bounded chart and for w < 0.9 on a global one, else
-    u = w.  Each step is a Newton step with dchi/du = B/sqrt(sigma), B
+    unique as chi grows with u.  It starts at the root of the power law
+    that osculates the model at t, with its a, H and deceleration
+    q = a b''(a)/b'(a): chi/b'(a(t)) = W_q(X), u = sinh X, solved for
+    w = a(t) H(t) chi = chi/b'(a(t)) (_power_law_root).  That is the root
+    on Milne, de Sitter, radiation and matter, and one order closer than
+    the Hubble law elsewhere; where W_q does not reach w (q < 0 and
+    w >= -1/q) or its root is not a finite float, u = w.  Each step is
+    a Newton step with dchi/du = B/sqrt(sigma), B
     the lapse bracket b'(a(t)) + a(t) u I/2: one direct pass integrates
     chi and sums the lapse integral I over chi's own panels
     (geodesics._slice_integrals).  A slope not within 2x of the secant
@@ -171,10 +255,15 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
                          f"chi reaches it") from None
         return tau, 0.5 * chi - chi1, (bd1 + 0.5 * a1 * u * lapse) / root
 
-    # u = w/sqrt(1 - w^2) is de Sitter's root, where w < 1 bounds the
-    # chart; a global chart starts at u = w from w = 0.9 on.
-    u = (w / math.sqrt(1.0 - w * w)
-         if w < (0.9 if m.global_chart else 1.0) else w)
+    # The root of the power law with the model's a, H and deceleration q
+    # at t.  q is taken to 12 decimals, where Milne's, de Sitter's,
+    # radiation's and matter's 0, -1, 1 and 1/2 are exact: an error in q
+    # moves de Sitter's root by that error over 1 - w.
+    try:
+        q = round(a1 * float(m.b_ddot(a1)) / bd1, 12)
+    except (OverflowError, ZeroDivisionError):
+        q = math.nan
+    u = _power_law_root(w, q)
     tau, f, slope = residual(u, tau_of(u))
     newton = slope > 0.0      # a lapse slope to step on, not a secant
     lo, f_lo, hi, f_hi, prev_f = 0.0, -chi1, None, None, None

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,14 +16,17 @@ from fermirw import (
     FermiEvent,
     OutOfChartError,
     RWEvent,
+    chi_of_sigma,
     comoving_flow_fermi,
     fermi_from_rw,
     jacobian_F,
     make_exponential,
     make_power_law,
+    make_tabulated,
     rho_of_sigma,
     rw_from_fermi,
     sigma_of_rho,
+    t_of_sigma,
 )
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
@@ -252,13 +256,14 @@ def test_late_de_sitter_search(passes, t, w):
     assert len(passes) <= 5
 
 
-@pytest.mark.parametrize("name, most", [("milne", 36), ("radiation", 27),
-                                        ("matter", 28)])
+@pytest.mark.parametrize("name, most", [("milne", 8), ("radiation", 8),
+                                        ("matter", 8)])
 def test_search_stops_on_newtons_error_bound(passes, name, most):
-    # Eight events on two slices.  Newton's error bound stops the search
-    # a pass early on most events (measured 34, 24 and 26 passes; 36,
-    # 32 and 28 without it, 52, 46 and 44 for secant steps), and tau
-    # still lands within root_tol.
+    # Eight events on two slices.  The start is each power law's root, so
+    # every event stops after its first pass (8 measured; from the Hubble
+    # law 34, 24 and 26 passes with Newton's error bound, 36, 32 and 28
+    # without it), and tau still lands within root_tol.  The bound is
+    # covered on a table (test_table_events_take_no_more_passes).
     o = getattr(cf, name)()
     for tau in (0.7, 1.9):
         for sigma in (1.3, 3.0, 9.0, 15.0):
@@ -268,17 +273,174 @@ def test_search_stops_on_newtons_error_bound(passes, name, most):
     assert len(passes) <= most
 
 
-def test_milne_far_event_climbs_by_doubling(passes):
-    # A global chart starts at u = w = 10 for a root u = sinh(10) = 1.1e4
-    # and climbs: u doubles where a step would grow it less after a
-    # doubling or a weak step.
+def _table(a_of_t, lo=0.05, hi=100.0, n=800):
+    ts = np.geomspace(lo, hi, n)
+    return Cosmology(make_tabulated(list(zip(ts, a_of_t(ts)))), k=0)
+
+
+def test_far_milne_event_starts_at_the_root(passes):
+    # Milne's root u = sinh(chi) is the start: from u = w = 10 the search
+    # took 11 passes to u = 1.1e4, doubling on the way.
     t, chi = 1.0, 10.0
     f = fermi_from_rw(MILNE, RWEvent(t, chi))
     assert f.tau == pytest.approx(t * math.cosh(chi), rel=1e-13)
     assert f.rho == pytest.approx(t * math.sinh(chi), rel=1e-13)
+    assert len(passes) == 1
+
+
+def test_misleading_start_climbs_by_doubling(passes):
+    # A table joining a = t^(1/2) (q = 1) to a = (t + 1)/2 (q = 0) at
+    # t = 1.  At t = 0.5 the start is the radiation root, whose chi grows
+    # like u; past the join the slice's chi grows only like log u, so the
+    # root lies 15x above the start, and u doubles where a step would
+    # grow it less after a doubling or a weak step.
+    cosmo = _table(lambda t: np.where(t < 1.0, np.sqrt(t), 0.5 * (t + 1.0)),
+                   lo=1e-3, hi=1e3, n=400)
+    t, chi = 0.5, 10.0
+    f = fermi_from_rw(cosmo, RWEvent(t, chi))
+    sigma = (float(cosmo.model.a(f.tau)) / float(cosmo.model.a(t))) ** 2
+    assert chi_of_sigma(cosmo, f.tau, sigma) == pytest.approx(chi, rel=1e-12)
+    assert passes[-1] > 10.0 * passes[0]
     assert any(b == pytest.approx(2.0 * a, rel=1e-12)
                for a, b in zip(passes, passes[1:]))
-    assert len(passes) <= 13    # 11 measured; 14 direct integrals before
+    assert len(passes) <= 8     # 7 measured, 8 from the Hubble law
+
+
+# ---------------------------------------------------------------------------
+# fermi_from_rw's start: the root of the osculating power law
+
+# w = chi/b'(a(t)) from 1e-300 to 1e2, seven per decade.
+START_WS = np.geomspace(1e-300, 1e2, 2115)
+
+
+def test_start_is_milne_root():
+    # q = 0: W_0(X) = X, u = sinh(w).
+    for w in START_WS:
+        assert chart._power_law_root(w, 0.0) == pytest.approx(
+            math.sinh(w), rel=1e-12)
+
+
+def test_start_is_de_sitter_root():
+    # q = -1: W_-1(X) = tanh X, u = w/sqrt(1 - w^2); w >= 1 is beyond the
+    # chart, where the start falls back to u = w.
+    for w in [*START_WS[START_WS < 0.9], 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-12]:
+        assert chart._power_law_root(w, -1.0) == pytest.approx(
+            w / math.sqrt((1.0 - w) * (1.0 + w)), rel=1e-12)
+    for w in (1.0, 1.5, 1e2):
+        assert chart._power_law_root(w, -1.0) == w
+
+
+def test_start_is_radiation_root():
+    # q = 1: W_1(X) = cosh X gd X, sqrt(1 + u^2) atan(u) = w.  Its
+    # logarithmic slope in u lies in [1, 2], so w's relative error bounds
+    # u's.
+    for w in START_WS:
+        u = chart._power_law_root(w, 1.0)
+        assert math.sqrt(1.0 + u * u) * math.atan(u) == pytest.approx(
+            w, rel=1e-12)
+
+
+def test_start_is_matter_root():
+    # q = 1/2 at t = 1, where a = 1 and b'(a) = 3/2: chi = 3 w/2 on the
+    # slice tau = b(sqrt(sigma)) = sigma^(3/4).  Below w = 1e-2 the closed
+    # form's kconst - f1(1/s)/s^(1/4) cancels; there u = sinh X and W_q =
+    # X + q X^3/3 + O(X^5) give u = w (1 + (1/6 - q/3) w^2 + O(w^4)), w to
+    # rounding for q = 1/2.
+    mat = cf.matter()
+    for w in START_WS:
+        u = chart._power_law_root(w, 0.5)
+        if w < 1e-3:
+            assert u == pytest.approx(w, rel=1e-12)
+        elif w >= 1e-2:
+            s = 1.0 + u * u
+            assert mat.chi(s ** 0.75, s) == pytest.approx(1.5 * w, rel=1e-12)
+
+
+@pytest.mark.parametrize("w, q", [
+    (1e300, 0.5), (math.inf, 0.5), (5e-324, 1.0), (1e3, 0.0),
+    (709.9, 0.0), (2.0, -0.5), (1.999, -0.5), (0.5, math.nan),
+    (0.5, math.inf), (1e300, 1e6), (1e300, 1e300), (1e-150, -1e6),
+    (1e2, 1e6), (1e300, 1e-6), (1e5, 1e-2)])
+def test_start_near_overflow_is_finite_or_falls_back(w, q):
+    # A root that is not a finite float (or lies above asinh of the
+    # largest float), w past sup W_q = -1/q, a q that is not finite or
+    # beyond 1e6: the start is u = w.  Otherwise u is finite and positive.
+    # A RuntimeWarning fails the test.
+    u = chart._power_law_root(w, q)
+    assert u == w or 0.0 < u < math.inf
+
+
+@pytest.mark.parametrize("w, q", [(0.66, -1.5), (0.4999, -2.0)])
+def test_start_stays_below_the_chart_edge(w, q):
+    # For q < -1, W_q rises past -1/q, peaks at the chart edge, where
+    # dW_q/dX = 1 + q W_q tanh X = 0, and falls back toward -1/q; here the
+    # first iterate, atanh(-q w)/(-q), lies past the peak.  The start
+    # backs off to the root on the rising side.
+    u = chart._power_law_root(w, q)
+    lw, slope = chart._log_w(q, math.asinh(u))
+    assert slope > 0.0
+    assert lw == pytest.approx(math.log(w), abs=1e-14)
+
+
+def test_fermi_overflow_edge_warns_not():
+    # w = chi/b'(a(t)) overflows to inf at (t, chi) = (1e-300, 1e300) on
+    # matter; the start falls back to u = w and the slice time overflows.
+    with pytest.raises(AccuracyError, match="slice time overflows"):
+        fermi_from_rw(MATTER, RWEvent(1e-300, 1e300))
+
+
+def _grid_events(o):
+    """(t, chi) of 16 events on four slices of a closed-form model: u up
+    to sqrt(15), or to 80 % of a bounded slice's sigma range."""
+    for tau in (0.5, 1.0, 2.0, 3.0):
+        s_top = 16.0
+        if o.family == "de-sitter":
+            s_top = min(s_top, 1.0 + 0.8 * (math.exp(2.0 * tau) - 1.0))
+        for frac in (0.05, 0.3, 0.6, 1.0):
+            u = frac * math.sqrt(s_top - 1.0)
+            yield o.t(tau, 1.0 + u * u), o.chi(tau, 1.0 + u * u)
+
+
+@pytest.mark.parametrize("name", ["milne", "radiation", "matter",
+                                  "de_sitter"])
+def test_power_law_events_take_one_pass(passes, name):
+    # Each model's start is its root: 16 passes for 16 events (from the
+    # Hubble law 4.3 passes per event on Milne, 3.07 on radiation and
+    # 3.35 on matter, 1 on de Sitter).
+    o = cf.de_sitter(1.0) if name == "de_sitter" else getattr(cf, name)()
+    events = list(_grid_events(o))
+    for t, chi in events:
+        fermi_from_rw(o.cosmology, RWEvent(t, chi))
+    assert len(passes) <= 1.1 * len(events)
+
+
+# a(t) of 800-knot tables: matter, radiation plus matter, and matter plus
+# Lambda, whose deceleration falls from 1/2 toward -1.
+TABLES = {
+    "t^(2/3)": lambda t: t ** (2.0 / 3.0),
+    "t^(1/2)+t^(2/3)": lambda t: t ** 0.5 + t ** (2.0 / 3.0),
+    "sinh(1.05t)^(2/3)": lambda t: np.sinh(1.05 * t) ** (2.0 / 3.0),
+}
+
+
+@pytest.mark.parametrize("name, most", [("t^(2/3)", 36),
+                                        ("t^(1/2)+t^(2/3)", 36),
+                                        ("sinh(1.05t)^(2/3)", 49)])
+def test_table_events_take_no_more_passes(passes, name, most):
+    # Twelve events on three slices.  The start is not the root here: b''
+    # of a table is O(h) accurate, and on the Lambda table q varies along
+    # the slice.  most is the measured count, against 39, 36 and 60 from
+    # the Hubble-law start; on the Lambda table Newton's error bound stops
+    # 4 events a pass early (53 without it).  tau agrees with the table's
+    # own slice maps to within its interpolation error.
+    cosmo = _table(TABLES[name])
+    for tau in (0.7, 1.9, 5.0):
+        for sigma in (1.3, 3.0, 9.0, 15.0):
+            ev = RWEvent(t_of_sigma(cosmo, tau, sigma),
+                         chi_of_sigma(cosmo, tau, sigma))
+            assert fermi_from_rw(cosmo, ev).tau == pytest.approx(tau,
+                                                                 rel=1e-6)
+    assert len(passes) <= most
 
 
 @pytest.mark.parametrize("t, chi", [(1e300, 20.0), (1e307, 100.0)])
@@ -353,7 +515,6 @@ def test_jacobian_positive_on_grid():
 
 
 def test_jacobian_matches_finite_difference():
-    from fermirw import chi_of_sigma, t_of_sigma
     tau, sigma = 1.0, 4.0
     ht, hs = 1e-5, 4e-5
     t_tau = (t_of_sigma(RADIATION, tau + ht, sigma)
