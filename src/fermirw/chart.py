@@ -76,10 +76,19 @@ class FermiEvent:
     @classmethod
     def from_cartesian(cls, tau: float, x: float, y: float,
                        z: float) -> "FermiEvent":
-        rho = math.sqrt(x * x + y * y + z * z)
+        rho = math.hypot(x, y, z)
+        if not math.isfinite(rho):
+            raise DomainError(f"(x, y, z) = ({x}, {y}, {z}) has no finite "
+                              f"radius")
         theta = math.acos(z / rho) if rho > 0.0 else 0.0
         phi = math.atan2(y, x) % (2.0 * math.pi)
         return cls(tau, rho, theta, phi)
+
+
+def _check_angles(event: RWEvent | FermiEvent) -> None:
+    if not (math.isfinite(event.theta) and math.isfinite(event.phi)):
+        raise DomainError(f"angles must be finite, got theta={event.theta}, "
+                          f"phi={event.phi}")
 
 
 def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
@@ -100,6 +109,7 @@ def rw_from_fermi(cosmo: Cosmology, event: FermiEvent,
     t and chi are read at sigma_of_rho's sigma, so chi loses digits where
     sigma - 1 = u^2 rounds (chi = 0 at rho = 1e-9 on Milne).
     """
+    _check_angles(event)
     if event.rho == 0.0:
         return RWEvent(_check_time(event.tau), 0.0, event.theta, event.phi)
     sigma = sigma_of_rho(cosmo, event.tau, event.rho, cfg)
@@ -187,26 +197,25 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     a Newton step with dchi/du = B/sqrt(sigma), B
     the lapse bracket b'(a(t)) + a(t) u I/2: one direct pass integrates
     chi and sums the lapse integral I over chi's own panels
-    (geodesics._slice_integrals).  A slope not within 2x of the secant
-    through the last two iterates, as where B cancels late on de Sitter
-    slices, gives way to that secant; a step out of the bracket in u
-    falls back to regula falsi.  Every pass resolves chi to quad_rel_tol
-    relative to chi, with quad_abs_tol at most quad_rel_tol * chi.
-    While there is no upper end, u doubles in place of a step that would
-    climb slowly.  It stops when a step moves tau by at most
-    root_tol/2 * tau, relative at every scale, or when the next step
-    predicted would: once the ratio of successive steps shrinks below 1,
-    this one times that ratio; after two Newton steps on lapse slopes,
-    Newton's error |f''|/(2 f') step^2, with f'' from those two slopes,
-    once the step before kept within twice its own such bound.  It also
-    stops when |chi - chi1| reaches chi's rounding floor, 2 eps chi1.
-    Only the returned tau builds a slice store.
+    (geodesics._slice_integrals).  Every pass resolves chi to
+    quad_rel_tol relative to chi, with quad_abs_tol at most
+    quad_rel_tol * chi.  While there is no upper end, u doubles in place
+    of a step that would climb slowly and of a slope that is not positive,
+    as where B cancels late on accelerating slices; once there is one,
+    regula falsi replaces such a slope and a step out of the bracket.  It
+    stops when a step moves tau by at most root_tol/2 * tau, relative at
+    every scale, or when Newton's error |f''|/(2 f') step^2 says the next
+    step would, with f'' from the last two slopes, both positive, once
+    the step before kept within twice its own such bound.  It also stops
+    when |chi - chi1| reaches chi's rounding floor, 2 eps chi1.  Only the
+    returned tau builds a slice store.
 
     Near the observer rho, read at u, keeps its relative accuracy.
     Events beyond a bounded chart raise OutOfChartError; on a global
     chart, chi that stalls or a slice time that overflows AccuracyError.
     """
     cfg = cfg or DEFAULT_CONFIG
+    _check_angles(event)
     t1 = _finite("t", event.t)
     chi1 = _finite("chi", event.chi, nonnegative=True)
     if chi1 == 0.0:
@@ -265,11 +274,10 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         q = math.nan
     u = _power_law_root(w, q)
     tau, f, slope = residual(u, tau_of(u))
-    newton = slope > 0.0      # a lapse slope to step on, not a secant
     lo, f_lo, hi, f_hi, prev_f = 0.0, -chi1, None, None, None
     steps = doublings = stalls = 0
     doubled = False
-    prev_step = prev_ratio = curv = guess = None
+    curv = guess = None
     # Below 2 eps chi1 the residual's sign is rounding noise.
     while abs(f) > 2.0 * _EPS * chi1:
         if f < 0.0:
@@ -280,7 +288,7 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         x = u - f / slope if slope > 0.0 else math.nan
         # With no upper end, u doubles when the step does not grow it, or
         # grows it less after a doubling or after a step that cut
-        # |chi - chi1| by less than 4x: secant steps climb a saturating
+        # |chi - chi1| by less than 4x: Newton steps climb a saturating
         # chi slowly.  Doublings count toward _GROWTH_CAP, other steps
         # toward cfg.max_iter.
         weak = doubled or (prev_f is not None and f < 0.25 * prev_f)
@@ -303,16 +311,7 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
             else:
                 step = x - u
         tau_x = tau_of(x)
-        # Once the ratio of successive steps falls below 1 and below the
-        # one before it, the iteration converges superlinearly, and the
-        # next step, about this one times that ratio, bounds what one more
-        # integral could still move tau.
-        ratio = None if step is None or prev_step is None else abs(
-            step / prev_step)
         move = abs(tau_x - tau)
-        if ratio is not None and prev_ratio is not None and \
-                ratio < min(1.0, prev_ratio):
-            move *= ratio
         # A Newton step leaves an error of about curv step^2, curv =
         # |f''|/(2 f') from the last two lapse slopes.  Once the step
         # before kept to its own such bound, this one's bounds the next.
@@ -320,21 +319,14 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         guess = None if step is None or curv is None else curv * step * step
         if guess is not None and bound is not None and \
                 abs(step) <= 2.0 * bound:
-            move = min(move, abs(tau_x - tau) * curv * abs(step))
+            move = min(move, move * curv * abs(step))
         if move <= 0.5 * cfg.root_tol * tau_x:
             u, tau = x, tau_x
             break
-        prev_step, prev_ratio = step, ratio
-        prev_u, prev_f, prev_slope, was_newton, u = u, f, slope, newton, x
+        prev_u, prev_f, prev_slope, u = u, f, slope, x
         tau, f, slope = residual(u, tau_x)
-        # The lapse slope cancels late on de Sitter slices: it is taken
-        # only within 2x of the secant through the last two iterates.
-        secant = (f - prev_f) / (u - prev_u)
-        newton = 0.0 < 0.5 * secant <= slope <= 2.0 * secant
-        if not newton:
-            slope = secant
         curv = (abs(slope - prev_slope) / (2.0 * slope * abs(u - prev_u))
-                if newton and was_newton else None)
+                if slope > 0.0 and prev_slope > 0.0 else None)
         # Stalls: u at least doubled and chi barely moved.
         if hi is not None or f >= 0.0 or u < 2.0 * prev_u or \
                 f - prev_f > 1e-12 * chi1:

@@ -218,7 +218,8 @@ def cmd_transform(args, rc: RunConfig, parser: _Parser) -> int:
     if args.direction == "to-rw":
         _require(parser, args, ["tau", "rho"], "transform to-rw")
         sigma = _sigma_of_rho(cosmo, args.tau, args.rho, cfg)
-        ev = rw_from_fermi(cosmo, FermiEvent(args.tau, args.rho), cfg)
+        ev = rw_from_fermi(
+            cosmo, FermiEvent(args.tau, args.rho, args.theta, args.phi), cfg)
         row = {"tau": args.tau, "rho": args.rho, "theta": args.theta,
                "phi": args.phi, "sigma": sigma, "t": ev.t, "chi": ev.chi,
                "rho_slice": proper_radius(cosmo, args.tau, cfg)}

@@ -1,13 +1,14 @@
 # The Fermi chart: coordinate transforms, Jacobian, comoving flow.
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermirw import chart
+from fermirw import chart, geodesics
 from fermirw import closed_forms as cf
 from fermirw import (
     AccuracyError,
@@ -28,6 +29,7 @@ from fermirw import (
     sigma_of_rho,
     t_of_sigma,
 )
+from fermirw.numerics import DEFAULT_CONFIG
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
 RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
@@ -443,6 +445,54 @@ def test_table_events_take_no_more_passes(passes, name, most):
     assert len(passes) <= most
 
 
+# Accelerating tables, whose lapse bracket B cancels late on a slice: on
+# the exp table at tau = 25 the lapse integral is -1.2e-23, and B falls
+# to 1.7e-4 b'(a(t)) at sigma = 1e4.
+LATE_TABLES = {
+    "exp(t)": lambda: _table(np.exp, hi=60.0),
+    "sinh(1.05t)^(2/3)": lambda: _table(TABLES["sinh(1.05t)^(2/3)"]),
+}
+
+
+def _search_u(cosmo, t, tau):
+    """u where the search's slice time b(a(t) sqrt(1 + u^2)) reaches tau,
+    and a(t) sqrt(1 + u^2), by bisection inside the table's a-range: its
+    cubic extrapolation past the last knot is not monotone."""
+    m = cosmo.model
+    a1 = float(m.a(t))
+    lo, hi = 0.0, math.sqrt((m.a_grid[-1] / a1) ** 2 - 1.0)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if float(m.b(a1 * math.sqrt(1.0 + mid * mid))) < tau:
+            lo = mid
+        else:
+            hi = mid
+    return lo, a1 * math.sqrt(1.0 + lo * lo)
+
+
+@pytest.mark.parametrize("name, most", [("exp(t)", 96),
+                                        ("sinh(1.05t)^(2/3)", 92)])
+def test_late_accelerating_slices_solve_the_search_equation(passes, name,
+                                                             most):
+    # tau may differ from the event's slice by the table's a and b
+    # interpolants' disagreement (1.5 % at sigma = 1e4), so each answer is
+    # checked against the search's own equation: chi on the returned
+    # slice, read at the u whose slice time is tau.  most is the measured
+    # count.
+    cosmo = LATE_TABLES[name]()
+    for tau in (12.0, 25.0):
+        for sigma in (1.001, 1.01, 1.1, 1.5, 3.0, 10.0, 100.0, 1e3, 1e4):
+            chi = chi_of_sigma(cosmo, tau, sigma)
+            ev = RWEvent(t_of_sigma(cosmo, tau, sigma), chi)
+            tau_f = fermi_from_rw(cosmo, ev).tau
+            u, a0 = _search_u(cosmo, ev.t, tau_f)
+            cfg = replace(DEFAULT_CONFIG,
+                          quad_abs_tol=DEFAULT_CONFIG.quad_rel_tol * chi)
+            got = 0.5 * geodesics._slice_integrals(
+                cosmo, tau_f, u, (geodesics._CHI,), cfg, a0)[0]
+            assert got == pytest.approx(chi, rel=1e-11)
+    assert len(passes) <= most
+
+
 @pytest.mark.parametrize("t, chi", [(1e300, 20.0), (1e307, 100.0)])
 def test_fermi_milne_slice_time_overflows(t, chi):
     # tau = t cosh(chi) is not a float (2.4e308 on the way, or at the
@@ -597,6 +647,25 @@ def test_cartesian_round_trip():
     assert back.rho == pytest.approx(2.0, rel=1e-14)
     assert back.theta == pytest.approx(1.1, rel=1e-12)
     assert back.phi == pytest.approx(4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e-200, 1e200])
+def test_from_cartesian_radius_keeps_its_scale(x):
+    # sqrt(x^2 + y^2 + z^2) returned rho = 0 at x = 1e-200 and inf at
+    # 1e200.
+    ev = FermiEvent.from_cartesian(1.0, x, 0.0, 0.0)
+    assert ev.rho == x
+    assert ev.theta == pytest.approx(0.5 * math.pi, rel=1e-15)
+
+
+@pytest.mark.parametrize("xyz", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                 (1.0, 2.0, -math.inf),
+                                 (1.5e308, 1.5e308, 0.0)])
+def test_from_cartesian_without_finite_radius_is_domain_error(xyz):
+    # A NaN coordinate gave rho = nan; (1.5e308, 1.5e308, 0) has a radius
+    # beyond the largest float.
+    with pytest.raises(DomainError, match="no finite radius"):
+        FermiEvent.from_cartesian(1.0, *xyz)
 
 
 def test_consistency_rho_of_sigma_inverse():

@@ -102,6 +102,19 @@ def test_transform_bad_table_is_domain_error(capsys, tmp_path, rows,
     assert message in err
 
 
+@pytest.mark.parametrize("event", [("to-fermi", "--t", "1", "--chi", "0.5"),
+                                   ("to-rw", "--tau", "1", "--rho", "0.5")])
+@pytest.mark.parametrize("angle", [("--theta", "nan"), ("--phi", "inf"),
+                                   ("--theta=-inf",)])
+def test_transform_angle_not_finite_exit_2(capsys, event, angle):
+    # JSON output printed "theta": NaN, which is not JSON, and exited 0.
+    code, out, err = run_cli(capsys, "transform", event[0], "--model",
+                             "milne", *event[1:], *angle, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "angles must be finite" in err
+
+
 def test_transform_round_trip_through_cli(capsys):
     code, out, _ = run_cli(capsys, "transform", "to-fermi", "--model",
                            "radiation", "--t", "0.5", "--chi",

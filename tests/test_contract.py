@@ -15,6 +15,7 @@ import pytest
 from fermirw import (
     DEFAULT_CONFIG,
     Cosmology,
+    DomainError,
     FermiEvent,
     FermiRWError,
     RWEvent,
@@ -165,6 +166,23 @@ def test_model_first_order_near_the_observer(model, x):
             (metric_polar(cosmo, 1.0, x, cfg).ang, x * x),
             (fermi_speed(cosmo, 1.0, x, cfg).v_fermi, adot * x)):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.1])
+@pytest.mark.parametrize("model", MODELS)
+def test_transforms_reject_angles_that_are_not_finite(model, x):
+    # Angles pass through the transforms, so a NaN or inf one would be
+    # returned as it came (theta = nan, phi = inf on Milne), at the
+    # observer (x = 0) too.
+    cosmo, cfg = MODELS[model]
+    for theta, phi in itertools.product(
+            (math.nan, math.inf, -math.inf, 1.1), repeat=2):
+        if theta == 1.1 and phi == 1.1:
+            continue
+        with pytest.raises(DomainError, match="angles must be finite"):
+            fermi_from_rw(cosmo, RWEvent(1.0, x, theta, phi), cfg)
+        with pytest.raises(DomainError, match="angles must be finite"):
+            rw_from_fermi(cosmo, FermiEvent(1.0, x, theta, phi), cfg)
 
 
 @pytest.mark.parametrize("model", MODELS)
