@@ -10,7 +10,7 @@ whose geodesic reaches the requested comoving radius, in u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,20 +194,19 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     on Milne, de Sitter, radiation and matter, and one order closer than
     the Hubble law elsewhere; where W_q does not reach w (q < 0 and
     w >= -1/q) or its root is not a finite float, u = w.  Each step is
-    a Newton step with dchi/du = B/sqrt(sigma), B
-    the lapse bracket b'(a(t)) + a(t) u I/2: one direct pass integrates
-    chi and sums the lapse integral I over chi's own panels
-    (geodesics._slice_integrals).  Every pass resolves chi to
-    quad_rel_tol relative to chi, with quad_abs_tol at most
-    quad_rel_tol * chi.  While there is no upper end, u doubles in place
-    of a step that would climb slowly and of a slope that is not positive,
-    as where B cancels late on accelerating slices; once there is one,
-    regula falsi replaces such a slope and a step out of the bracket.  It
-    stops when a step moves tau by at most root_tol/2 * tau, relative at
-    every scale, or when Newton's error |f''|/(2 f') step^2 says the next
-    step would, with f'' from the last two slopes, both positive, once
-    the step before kept within twice its own such bound.  It also stops
-    when |chi - chi1| reaches chi's rounding floor, 2 eps chi1.  Only the
+    a Newton step with dchi/du = B/sqrt(sigma), B the lapse bracket
+    b'(a(t)) + a(t) u I/2: one direct pass integrates chi and sums the
+    lapse integral I over chi's own panels (geodesics._slice_integrals),
+    and resolves chi to quad_rel_tol relative to chi, at every scale.
+    While there is no upper end, u doubles in place of a step that would
+    climb slowly and of a slope that is not positive, as where B cancels
+    late on accelerating slices; once there is one, regula falsi
+    replaces such a slope and a step out of the bracket.  It stops when a
+    step moves tau by at most root_tol/2 * tau, relative at every scale,
+    or when Newton's error |f''|/(2 f') step^2 says the next step would,
+    with f'' from the last two slopes, both positive, once the step
+    before kept within twice its own such bound.  It also stops when
+    |chi - chi1| reaches chi's rounding floor, 2 eps chi1.  Only the
     returned tau builds a slice store.
 
     Near the observer rho, read at u, keeps its relative accuracy.
@@ -242,11 +241,6 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         # b(a(t1)) may round below t1, where the slice is never earlier.
         return max(t1, tau)
 
-    # chi resolved relative to the event: an absolute floor above chi1
-    # would accept a pass that has not resolved chi at all.
-    pass_cfg = replace(cfg, quad_abs_tol=min(cfg.quad_abs_tol,
-                                             cfg.quad_rel_tol * chi1))
-
     def residual(u: float, tau: float) -> tuple[float, float, float]:
         """tau of the slice at u, tau = tau_of(u), its chi - chi1 and
         dchi/du = (b'(a1) + a1 u I / 2)/sqrt(sigma), I the lapse integral,
@@ -255,7 +249,7 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         try:
             tau = _check_slice(cosmo, tau, 1.0 + u * u)[0]
             chi, lapse = _slice_integrals(cosmo, tau, u, (_CHI, _LAPSE),
-                                          pass_cfg, a1 * root)
+                                          cfg, a1 * root)
         except DomainError:
             # A slice too late to evaluate (sigma_infinity overflows).
             if m.global_chart:

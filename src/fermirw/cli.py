@@ -74,7 +74,6 @@ def _add_common(parser: argparse.ArgumentParser, need_model: bool) -> None:
                    help="spatial curvature (fixed families reject a mismatch)")
     g = parser.add_argument_group("numerics overrides")
     g.add_argument("--quad-rel-tol", type=float, metavar="TOL")
-    g.add_argument("--quad-abs-tol", type=float, metavar="TOL")
     g.add_argument("--root-tol", type=float, metavar="TOL")
     g.add_argument("--max-iter", type=int, metavar="N")
     g = parser.add_argument_group("output")
@@ -162,13 +161,10 @@ def _resolve_model(args, parser: _Parser) -> tuple[Cosmology, dict]:
 
 def _resolve_numerics(args) -> NumericsConfig:
     overrides = {}
-    for flag, field_name in (("quad_rel_tol", "quad_rel_tol"),
-                             ("quad_abs_tol", "quad_abs_tol"),
-                             ("root_tol", "root_tol"),
-                             ("max_iter", "max_iter")):
-        value = getattr(args, flag)
+    for name in ("quad_rel_tol", "root_tol", "max_iter"):
+        value = getattr(args, name)
         if value is not None:
-            overrides[field_name] = value
+            overrides[name] = value
     return replace(DEFAULT_CONFIG, **overrides) if overrides \
         else DEFAULT_CONFIG
 
@@ -331,8 +327,7 @@ def main(argv=None) -> int:
         if args.model is not None:
             cosmo, desc = _resolve_model(args, parser)
         numerics = _resolve_numerics(args)
-        if (desc.get("family") == "tabulated"
-                and args.quad_rel_tol is None and args.quad_abs_tol is None):
+        if desc.get("family") == "tabulated" and args.quad_rel_tol is None:
             numerics = table_safe_config(numerics)
         rc = RunConfig(cosmology=cosmo, model_desc=desc,
                        numerics=numerics, fmt=args.format,

@@ -165,10 +165,8 @@ def slice_integral(cosmo: Cosmology, tau: float, sigma: float, order: int,
     the integral converges.  The range is a u range up to the seam at
     sigma = 2 and an s range beyond it, the substitutions of the store's
     pieces, each split at the table knots of interpolated models.
-    A tiny integral is accepted at the absolute floor cfg.quad_abs_tol:
-    on de Sitter h0 = 1 at tau = 30 the chi integral (order 1, power 1/2)
-    at sigma = 1e3 is 6.5e-5 relative off 2 sqrt(sigma - 1) e^-tau, where
-    the store's chi_of_sigma is good to rounding.
+    Each range is resolved to cfg.quad_rel_tol relative to its own total,
+    however small the integral.
     """
     return _slice_integrals(cosmo, tau, math.sqrt(max(sigma - 1.0, 0.0)),
                             ((order, power),), cfg or DEFAULT_CONFIG,
@@ -188,7 +186,7 @@ def _slice_integrals(cosmo: Cosmology, tau: float, u: float, comps,
     sigma = 1.0 + u * u
     knots = _clean_breaks(sigma_breaks(cosmo, tau, sigma, a0), 1.0, sigma)
     seam = _S_SEAM ** -2.0
-    tol = (0.5 * cfg.quad_rel_tol, 0.5 * cfg.quad_abs_tol, cfg.max_iter)
+    tol = (0.5 * cfg.quad_rel_tol, cfg.max_iter)
     # One comp integrates as a vector, which numerics._adaptive sums to a
     # float, several as a (rows x nodes) array, summed to a tuple.
     weights = (1.0,) if len(comps) == 1 else None
@@ -333,8 +331,7 @@ class Slice:
         self.end = slice_end(cosmo, tau)   # validates tau
         self.a0 = float(cosmo.model.a(tau))
         self.knots = sigma_breaks(cosmo, tau, self.end, self.a0)
-        self.tol = (0.5 * cfg.quad_rel_tol, 0.5 * cfg.quad_abs_tol,
-                    cfg.max_iter)
+        self.tol = (0.5 * cfg.quad_rel_tol, cfg.max_iter)
         self.tracks = {False: _Track(), True: _Track()}   # by radial
         self.last: dict = {}      # key -> (other arguments, last answer)
 
@@ -477,7 +474,7 @@ class Slice:
                 # that bound is beyond the slice though each doubling
                 # still makes progress.
                 inc = fx - f
-                if inc <= 1e-12 * max(1.0, target):
+                if inc <= 1e-12 * target:
                     stalls += 1
                     if stalls >= 2:
                         raise self._beyond(target, f"it saturates near {fx:g}")

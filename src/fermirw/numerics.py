@@ -22,8 +22,9 @@ sigma_hi or to s = 0) each run one adaptive driver, ``_adaptive``, which
 follows QUADPACK's qagp (Piessens et al., 1983).  It takes the first panel
 of every knot piece, from one integrand call on the stacked nodes when
 there are several pieces, and tests the range total once against
-max(abs_tol, rel_tol |total|, 50 eps resabs).  Only if that test fails
-does it bisect, worst panel of any piece first off a heap, with at most
+max(rel_tol |total|, 50 eps resabs): relative to the integral however
+small it is, with no absolute floor.  Only if that test fails does it
+bisect, worst panel of any piece first off a heap, with at most
 cfg.max_iter bisections for the whole range.  A single piece, as on
 analytic models, runs the scalar kernel throughout, which is cheaper for
 one panel.  An integrand may return several rows: row 0 is tested and
@@ -67,19 +68,18 @@ __all__ = [
 class NumericsConfig:
     """Shared tolerance knobs threaded through every numerical routine.
 
-    quad_rel_tol and quad_abs_tol bound each quadrature, root_tol each
-    root find, and max_iter caps the bisections of one quadrature range
-    and the steps of one iteration.  DomainError unless the tolerances
-    are finite and >= 0 and max_iter is an int >= 1.
+    quad_rel_tol bounds each quadrature relative to its total, root_tol
+    each root find, and max_iter caps the bisections of one quadrature
+    range and the steps of one iteration.  DomainError unless the
+    tolerances are finite and >= 0 and max_iter is an int >= 1.
     """
 
     quad_rel_tol: float = 1e-12
-    quad_abs_tol: float = 1e-14
     root_tol: float = 1e-12
     max_iter: int = 500
 
     def __post_init__(self):
-        for name in ("quad_rel_tol", "quad_abs_tol", "root_tol"):
+        for name in ("quad_rel_tol", "root_tol"):
             _finite(name, getattr(self, name), nonnegative=True)
         if not (type(self.max_iter) is int and self.max_iter >= 1):
             raise DomainError(
@@ -90,14 +90,14 @@ DEFAULT_CONFIG = NumericsConfig()
 
 
 def table_safe_config(cfg: NumericsConfig) -> NumericsConfig:
-    """Floor quadrature tolerances to what interpolated tables can meet.
+    """Floor the quadrature tolerance to what interpolated tables can
+    meet: a relative 1e-10.
 
     Piecewise interpolants carry kinks in their higher derivatives, so
     asking the quadrature for less than the interpolation error just
     burns subdivisions until the iteration cap trips.
     """
-    return replace(cfg, quad_rel_tol=max(cfg.quad_rel_tol, 1e-10),
-                   quad_abs_tol=max(cfg.quad_abs_tol, 1e-12))
+    return replace(cfg, quad_rel_tol=max(cfg.quad_rel_tol, 1e-10))
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
 # Positive half of the node set, descending; the full rule is symmetric.
@@ -240,13 +240,13 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
     return knd, np.minimum(delta, (200.0 * delta) ** 1.5), resabs, y
 
 
-def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
-              max_iter: int):
+def _adaptive(f: Callable, nodes, rel_tol: float, max_iter: int):
     """Integral of f from nodes[0] to nodes[-1], split at every node.
 
     QUADPACK's qagp scheme: the first G7/K15 panel of every piece (the
     scalar kernel for one piece, one batched integrand call for several),
-    one acceptance test on the range total, and only if that fails,
+    one acceptance test on the range total, relative to it (or to
+    50 eps resabs, the rounding of its sum), and only if that fails,
     bisection of the worst panel of any piece, at most max_iter times in
     all.  The worst panel comes off a heap keyed on (-error, insertion
     count), so ties go to the oldest panel.
@@ -274,8 +274,7 @@ def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
         total_err, total_resabs = float(errs.sum()), float(resabs.sum())
         heap = None
     count, splits = len(nodes) - 1, 0
-    while total_err > max(abs_tol, rel_tol * abs(total),
-                          50.0 * _EPS * total_resabs):
+    while total_err > max(rel_tol * abs(total), 50.0 * _EPS * total_resabs):
         _check_splits(splits, max_iter, total, total_err)
         if heap is None:
             heap = list(zip((-errs).tolist(), range(count),
@@ -300,7 +299,7 @@ def _adaptive(f: Callable, nodes, rel_tol: float, abs_tol: float,
     return (total, *(math.fsum(r) for r in zip(*rows)))
 
 
-def _adaptive_panels(f: Callable, ranges, rel_tol: float, abs_tol: float,
+def _adaptive_panels(f: Callable, ranges, rel_tol: float,
                      max_iter: int) -> list:
     """_adaptive on each of several ranges (node arrays) for an f that
     returns a (components x nodes) array, keeping the accepted panels:
@@ -318,18 +317,18 @@ def _adaptive_panels(f: Callable, ranges, rel_tol: float, abs_tol: float,
     if len(ranges) == 1:
         nodes = ranges[0]
         return [_refine_panels(f, nodes, *_panels(f, nodes[:-1], nodes[1:]),
-                               rel_tol, abs_tol, max_iter)]
+                               rel_tol, max_iter)]
     first = _panels(f, np.concatenate([r[:-1] for r in ranges]),
                     np.concatenate([r[1:] for r in ranges]))
     edges = list(itertools.accumulate((r.size - 1 for r in ranges),
                                       initial=0))
     return [_refine_panels(f, nodes, *(x[:, i:j] for x in first), rel_tol,
-                           abs_tol, max_iter)
+                           max_iter)
             for nodes, i, j in zip(ranges, edges, edges[1:])]
 
 
 def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, resabs, ys,
-                   rel_tol: float, abs_tol: float, max_iter: int):
+                   rel_tol: float, max_iter: int):
     """The bisection loop of _adaptive_panels on one range, from its
     first panels."""
     total = vals.cumsum(axis=-1)[:, -1]
@@ -337,7 +336,7 @@ def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, resabs, ys,
     total_resabs = np.add.reduce(resabs, -1)
     heap, count, splits = None, len(nodes) - 1, 0
     # On Python floats: for a few components, cheaper than numpy calls.
-    while any(e > max(abs_tol, rel_tol * abs(t), 50.0 * _EPS * r)
+    while any(e > max(rel_tol * abs(t), 50.0 * _EPS * r)
               for t, e, r in zip(total.tolist(), total_err.tolist(),
                                  total_resabs.tolist())):
         _check_splits(splits, max_iter, np.max(total), np.max(total_err))
@@ -488,7 +487,6 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
 
     pts = _clean_breaks(breaks, sigma_lo, sigma_hi)
     rel = 0.5 * cfg.quad_rel_tol
-    absb = 0.5 * cfg.quad_abs_tol
     split = min(sigma_hi, 2.0)
     total = 0.0
     if sigma_lo < split:
@@ -496,13 +494,13 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
         total += _adaptive(_u_integrand(f),
                            _u_nodes(math.sqrt(sigma_lo - 1.0), pts,
                                     math.sqrt(split - 1.0)),
-                           rel, absb, cfg.max_iter)
+                           rel, cfg.max_iter)
     if sigma_hi > 2.0:
         # s = 1/sqrt(sigma) keeps large-sigma panels well conditioned, and
         # maps sigma = inf to s = 0.
         total += _adaptive(_s_integrand(f),
                            _s_nodes(sigma_hi, pts, max(sigma_lo, 2.0)),
-                           rel, absb, cfg.max_iter)
+                           rel, cfg.max_iter)
     return total
 
 

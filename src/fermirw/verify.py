@@ -150,8 +150,8 @@ def closed_forms_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
     out.append(_result("desitter-radius", worst, 1e-9,
                        "rho_M = arccos(exp(-h0 tau))/h0"))
 
-    # Late slices, where chi = w exp(-t) is far below quad_abs_tol, and
-    # events next to the chart edge w = 1.
+    # Late slices, where chi = w exp(-t) is as small as 5e-14, and events
+    # next to the chart edge w = 1.
     worst = 0.0
     for t1 in (1.0, 10.0, 20.0, 30.0):
         for w in (0.5, 0.999, 0.99999):

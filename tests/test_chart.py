@@ -1,7 +1,6 @@
 # The Fermi chart: coordinate transforms, Jacobian, comoving flow.
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from fermirw import (
     sigma_of_rho,
     t_of_sigma,
 )
-from fermirw.numerics import DEFAULT_CONFIG
+from fermirw.numerics import DEFAULT_CONFIG, NumericsConfig
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
 RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
@@ -308,6 +307,29 @@ def test_misleading_start_climbs_by_doubling(passes):
     assert len(passes) <= 8     # 7 measured, 8 from the Hubble law
 
 
+def _join_table():
+    """The table of test_misleading_start_climbs_by_doubling, whose
+    search at (t, chi) = (0.5, 10) doubles u before it steps.  Its b''
+    dips below zero at the join, so its chart is bounded."""
+    return _table(lambda t: np.where(t < 1.0, np.sqrt(t), 0.5 * (t + 1.0)),
+                  lo=1e-3, hi=1e3, n=400)
+
+
+def test_search_iteration_cap():
+    with pytest.raises(AccuracyError, match="slice search iteration cap 1"):
+        fermi_from_rw(_join_table(), RWEvent(0.5, 10.0),
+                      NumericsConfig(max_iter=1))
+
+
+def test_search_growth_cap(monkeypatch):
+    # The class follows the chart: out of a bounded one.
+    cosmo = _join_table()
+    assert cosmo.model.global_chart is False
+    monkeypatch.setattr(chart, "_GROWTH_CAP", 0)
+    with pytest.raises(OutOfChartError, match="u growth cap 0 reached"):
+        fermi_from_rw(cosmo, RWEvent(0.5, 10.0))
+
+
 # ---------------------------------------------------------------------------
 # fermi_from_rw's start: the root of the osculating power law
 
@@ -485,10 +507,8 @@ def test_late_accelerating_slices_solve_the_search_equation(passes, name,
             ev = RWEvent(t_of_sigma(cosmo, tau, sigma), chi)
             tau_f = fermi_from_rw(cosmo, ev).tau
             u, a0 = _search_u(cosmo, ev.t, tau_f)
-            cfg = replace(DEFAULT_CONFIG,
-                          quad_abs_tol=DEFAULT_CONFIG.quad_rel_tol * chi)
             got = 0.5 * geodesics._slice_integrals(
-                cosmo, tau_f, u, (geodesics._CHI,), cfg, a0)[0]
+                cosmo, tau_f, u, (geodesics._CHI,), DEFAULT_CONFIG, a0)[0]
             assert got == pytest.approx(chi, rel=1e-11)
     assert len(passes) <= most
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fermirw
-from fermirw.cli import main
+from fermirw.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -67,8 +67,7 @@ def test_transform_out_of_slice_exit_2(capsys):
 def test_transform_accuracy_exit_3(capsys):
     code, _, err = run_cli(capsys, "transform", "to-rw", "--model", "matter",
                            "--tau", "1", "--rho", "0.8",
-                           "--quad-rel-tol", "1e-30",
-                           "--quad-abs-tol", "1e-30", "--max-iter", "4")
+                           "--quad-rel-tol", "1e-30", "--max-iter", "4")
     assert code == 3
     assert "accuracy error" in err
 
@@ -168,6 +167,23 @@ def test_sweep_velocity_matter_monotone(capsys):
     assert bad
     assert all(float(r["chi0"]) > 3.933 for r in bad)
     assert all("comoving reach" in r["error"] for r in bad)
+
+
+def test_sweep_velocity_on_an_early_matter_slice(capsys):
+    # The tau = 1e-40 slice reaches chi = 3 * 1.31103 tau^(1/3) = 1.83e-13,
+    # and v depends on sigma0 alone, so both rows are ordinary ones.
+    code, out, _ = run_cli(capsys, "sweep", "velocity", "--model", "matter",
+                           "--tau", "1e-40", "--start", "1.5e-13",
+                           "--stop", "1.7e-13", "--samples", "2")
+    assert code == 0
+    rows = parse_csv(out)
+    assert [r["error"] for r in rows] == ["", ""]
+    assert [float(r["v_fermi"]) for r in rows] == pytest.approx(
+        [1.3074, 1.3109], abs=1e-4)
+    for r in rows:
+        assert float(r["v_fermi"]) == pytest.approx(
+            fermirw.fermi_speed_power_law(2.0 / 3.0, float(r["sigma0"])),
+            rel=1e-10)
 
 
 def test_sweep_metric_de_sitter(capsys):
@@ -461,3 +477,47 @@ def test_readme_command_exits_0(argv, tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert out
+
+
+def _readme_section(title):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_python_block_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", _readme_section("Python API"),
+                        re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    # The comments' proper radius and superluminal speed.
+    assert float(lines[1]) == pytest.approx(1.3110288, rel=1e-7)
+    assert float(lines[2]) > 1.0
+
+
+def _flags(parser):
+    """Every option string of parser and of its subcommands."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(action.option_strings)
+        if isinstance(action.choices, dict):     # the subcommands
+            for sub in action.choices.values():
+                flags |= _flags(sub)
+    return flags
+
+
+# Flags README names as removed; each exits 64 like any unknown flag.
+REMOVED_FLAGS = {"--sigma-cap", "--quad-abs-tol"}
+
+
+def test_readme_flags_are_the_parsers(capsys):
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                           _readme_section("Command line")))
+    assert named - _flags(build_parser()) == REMOVED_FLAGS
+    for flag in REMOVED_FLAGS:
+        code, _, err = run_cli(capsys, "transform", "to-rw", "--model",
+                               "milne", "--tau", "1", "--rho", "0.5", flag,
+                               "1")
+        assert code == 64
+        assert "unrecognized arguments" in err

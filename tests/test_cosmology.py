@@ -164,6 +164,27 @@ def test_tabulated_matterlike_is_global():
     assert m.global_chart is True
 
 
+@pytest.mark.parametrize("a_of_t, lo, hi, n, is_global", [
+    (lambda t: t ** (2.0 / 3.0), 0.05, 100.0, 800, True),
+    (lambda t: t ** 0.5 + t ** (2.0 / 3.0), 0.05, 100.0, 800, True),
+    # Matter plus Lambda: b'' falls to -0.20 and -0.23 of its largest
+    # value, past a = 1e3, where a probe linear in a up to a = 1e30 saw
+    # only b'' = O(-1/a^2).
+    (lambda t: np.sinh(1.05 * t) ** (2.0 / 3.0), 0.05, 100.0, 800, False),
+    (lambda t: np.sinh(1.5 * t) ** (2.0 / 3.0), 0.05, 100.0, 800, False),
+    (np.exp, 0.05, 60.0, 800, False),
+    # a = t^(1/2) joined to (t + 1)/2 at t = 1: b'' dips to -0.39 of its
+    # largest value at the join.
+    (lambda t: np.where(t < 1.0, np.sqrt(t), 0.5 * (t + 1.0)), 1e-3, 1e3,
+     400, False),
+], ids=["t^(2/3)", "t^(1/2)+t^(2/3)", "sinh(1.05t)^(2/3)",
+        "sinh(1.5t)^(2/3)", "exp(t)", "join"])
+def test_tabulated_chart_type_reads_b_ddot_on_every_piece(a_of_t, lo, hi, n,
+                                                          is_global):
+    ts = np.geomspace(lo, hi, n)
+    assert make_tabulated(list(zip(ts, a_of_t(ts)))).global_chart is is_global
+
+
 # ---------------------------------------------------------------------------
 # the PCHIP interpolant against scipy's
 

@@ -332,13 +332,12 @@ def test_table_store_builds_no_heap(monkeypatch):
 
 
 def _piece_by_piece(adaptive):
-    """Reference driver: adaptive on each piece alone, with an equal share
-    of the absolute tolerance, summed in piece order."""
-    def run(f, nodes, rel_tol, abs_tol, max_iter):
-        share = abs_tol / (len(nodes) - 1)
+    """Reference driver: adaptive on each piece alone, summed in piece
+    order."""
+    def run(f, nodes, rel_tol, max_iter):
         total = 0.0
         for a, b in zip(nodes[:-1], nodes[1:]):
-            total += adaptive(f, [a, b], rel_tol, share, max_iter)
+            total += adaptive(f, [a, b], rel_tol, max_iter)
         return total
     return run
 
@@ -358,8 +357,7 @@ def test_one_heap_matches_a_piece_by_piece_loop(name, tau, frac, kind):
         mp.setattr(numerics, "_adaptive", _piece_by_piece(numerics._adaptive))
         reference = slice_integral(cosmo, tau, sigma, order, power, cfg)
     cfg = cfg or DEFAULT_CONFIG
-    assert abs(got - reference) <= (cfg.quad_rel_tol * abs(reference)
-                                    + cfg.quad_abs_tol)
+    assert abs(got - reference) <= cfg.quad_rel_tol * abs(reference)
 
 
 @pytest.mark.parametrize("name, tau", [("matter", 1.3), ("de-sitter", 2.5),
@@ -437,6 +435,41 @@ def test_inversions_reject_a_bad_tau(tau):
 def test_inversions_of_a_tiny_target(cosmo):
     assert sigma_of_rho(cosmo, 1.0, 1e-300) == 1.0
     assert sigma_of_chi(cosmo, 1.0, 1e-300) == 1.0
+
+
+@pytest.mark.parametrize("tau", [10.0, 20.0, 30.0, 40.0])
+@pytest.mark.parametrize("sigma", [10.0, 1e3, 1e6])
+def test_late_de_sitter_slice_integral_is_relative(tau, sigma):
+    # The chi integral 2 sqrt(sigma - 1) e^-tau is as small as 2.5e-17
+    # here; every range is resolved relative to its own total (an
+    # absolute floor of 5e-15 left it 41 % off at tau = 40, sigma = 1e6).
+    got = slice_integral(DESITTER, tau, sigma, 1, 0.5)
+    assert got == pytest.approx(2.0 * math.sqrt(sigma - 1.0)
+                                * math.exp(-tau), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("cosmo", [MATTER, RADIATION],
+                         ids=["matter", "radiation"])
+@pytest.mark.parametrize("tau", [1.0, 1e-20, 1e-40, 1e-60, 1e-200])
+def test_sigma_of_chi_round_trips_at_every_scale(cosmo, tau):
+    # A power-law slice is scale-free, chi ~ tau^(1 - alpha), so the
+    # inversion must not depend on tau.  An absolute stall floor of 1e-12
+    # put these chi beyond the slice's reach from tau = 1e-40 on matter
+    # (1e-20 on radiation).
+    for sigma in (1e3, 1e4, 1e6):
+        chi = chi_of_sigma(cosmo, tau, sigma)
+        assert sigma_of_chi(cosmo, tau, chi) == pytest.approx(sigma,
+                                                              rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [1.0, 1e-40])
+def test_chi_beyond_reach_saturates_at_every_scale(tau):
+    # The bound the inversion reports scales like the slice's reach,
+    # 3 * 1.31103 tau^(1/3) on matter.
+    with pytest.raises(DomainError, match="saturates near") as exc:
+        sigma_of_chi(MATTER, tau, 10.0 * tau ** (1.0 / 3.0))
+    near = float(str(exc.value).rsplit("near ", 1)[1].rstrip(")"))
+    assert near / tau ** (1.0 / 3.0) == pytest.approx(4.2715, rel=1e-5)
 
 
 @pytest.mark.parametrize("factor", [0.1, 10.0])

@@ -198,8 +198,7 @@ def test_store_reads_match_direct_integrals(name, tau, fracs):
     u_top = math.sqrt(min(16.0, slice_end(cosmo, tau)) - 1.0)
 
     def close(got, want):
-        assert abs(got - want) <= (cfg.quad_rel_tol * abs(want)
-                                   + cfg.quad_abs_tol)
+        assert abs(got - want) <= cfg.quad_rel_tol * abs(want)
 
     for f in fracs:
         s = 1.0 + (f * u_top) ** 2
