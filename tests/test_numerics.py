@@ -298,7 +298,8 @@ def test_slow_tail_raises(power):
 
 @pytest.mark.parametrize("fields", [
     dict(max_iter=-1), dict(max_iter=0), dict(max_iter=2.0),
-    dict(quad_rel_tol=math.nan), dict(root_tol=math.inf),
+    dict(quad_rel_tol=math.nan), dict(quad_rel_tol=-1e-14),
+    dict(root_tol=math.inf),
 ])
 def test_config_rejects_bad_fields(fields):
     with pytest.raises(DomainError):
