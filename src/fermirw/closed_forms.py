@@ -5,7 +5,8 @@ velocity law of one model so the general quadrature pipeline can be
 checked against it route-for-route.  The callables share the numeric
 pipeline's conventions: slice maps take (tau, sigma), metric entries take
 (tau, sigma), velocities take sigma alone (they are tau independent for
-every model here).
+every model here).  The factories hold only the formulas: ClosedFormModel
+checks every map's arguments, once, before the formula runs.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .cosmology import Cosmology, make_exponential, make_power_law
 from .errors import DomainError, OutOfChartError, _finite, _no_overflow
+from .geodesics import _check_slice
 from .numerics import DEFAULT_CONFIG, find_root_monotone, gamma_fn, hyp2f1
 
 __all__ = [
@@ -40,11 +44,17 @@ class ClosedFormModel:
     """Analytic maps of one exactly solvable expansion history.
 
     t, chi, rho, g_tau_tau, ang: functions of (tau, sigma).
-    sigma_of_rho: function of (tau, rho); raises OutOfChartError beyond
-    the slice radius.  v_f: function of sigma0.  rho_slice: function of
-    tau.  v_sup is the supremum of v_f.  Each map returns a finite float
-    or raises a FermiRWError: an overflow on the way, raised or returned
-    as inf or NaN, raises DomainError.
+    sigma_of_rho: function of (tau, rho).  v_f: function of sigma0.
+    rho_slice: function of tau.  v_sup is the supremum of v_f.
+
+    The factories pass bare formulas, and __post_init__ wraps each map to
+    check its arguments first.  tau must be finite and positive.  A
+    (tau, sigma) map needs 1 <= sigma < sigma_infinity(cosmology, tau),
+    the domain of t_of_sigma.  sigma_of_rho needs 0 <= rho and raises
+    OutOfChartError, carrying rho_max = rho_slice(tau), where rho reaches
+    it.  v_f needs sigma >= 1.  The formula then runs on float arguments.
+    Each map returns a finite float or raises a FermiRWError: an overflow
+    on the way, raised or returned as inf or NaN, raises DomainError.
     """
 
     family: str
@@ -60,18 +70,42 @@ class ClosedFormModel:
     rho_slice: Callable[[float], float]
 
     def __post_init__(self):
-        for name in ("t", "chi", "rho", "sigma_of_rho", "g_tau_tau", "ang",
-                     "v_f", "rho_slice"):
-            object.__setattr__(self, name, _guard_overflow(
-                f"{self.family} {name}", getattr(self, name)))
+        checks = dict.fromkeys(("t", "chi", "rho", "g_tau_tau", "ang"),
+                               self._check_event)
+        checks.update(sigma_of_rho=self._check_radius, v_f=_check_stretch,
+                      rho_slice=functools.partial(_finite, "tau"))
+        for name, check in checks.items():
+            object.__setattr__(self, name, _guard(
+                f"{self.family} {name}", getattr(self, name), check))
+
+    def _check_event(self, tau: float, sigma: float) -> None:
+        # de Sitter's a(tau) = exp(h0 tau) overflows on late slices, where
+        # sigma_infinity raises DomainError.
+        with np.errstate(over="ignore"):
+            _check_slice(self.cosmology, tau, sigma)
+
+    def _check_radius(self, tau: float, rho: float) -> None:
+        rho_max = self.rho_slice(tau)
+        if _finite("rho", rho, nonnegative=True) >= rho_max:
+            raise OutOfChartError(
+                f"rho={rho:g} is not inside the tau={tau:g} slice; "
+                f"the slice proper radius is rho_M={rho_max:.12g}",
+                rho_max=rho_max)
 
 
-def _guard_overflow(name: str, fn: Callable) -> Callable:
-    """fn, with an overflow on the way to its value a DomainError."""
+def _check_stretch(sigma: float) -> None:
+    if not sigma >= 1.0:
+        raise DomainError(f"sigma must be >= 1, got {sigma}")
+
+
+def _guard(name: str, fn: Callable, check: Callable) -> Callable:
+    """fn, run on float arguments once check passes them, with an overflow
+    on the way to its value a DomainError."""
     @functools.wraps(fn)
     def guarded(*args):
+        check(*args)
         try:
-            value = fn(*args)
+            value = fn(*map(float, args))
         except OverflowError:
             raise DomainError(
                 f"{name}{args} overflows the float range") from None
@@ -79,33 +113,10 @@ def _guard_overflow(name: str, fn: Callable) -> Callable:
     return guarded
 
 
-def _check_tau(tau: float) -> float:
-    return _finite("tau", tau)
-
-
-def _check_sigma(sigma: float, sigma_inf: float = math.inf) -> float:
-    if not sigma >= 1.0:
-        raise DomainError(f"sigma must be >= 1, got {sigma}")
-    if sigma >= sigma_inf:
-        raise DomainError(
-            f"sigma={sigma:g} is not below sigma_infinity={sigma_inf:g}")
-    return float(sigma)
-
-
-def _check_rho(tau: float, rho: float, rho_max: float) -> float:
-    if _finite("rho", rho, nonnegative=True) >= rho_max:
-        raise OutOfChartError(
-            f"rho={rho:g} is not inside the tau={tau:g} slice; "
-            f"the slice proper radius is rho_M={rho_max:.12g}",
-            rho_max=rho_max)
-    return float(rho)
-
-
 def _invert_monotone_rho(rho_fn: Callable[[float, float], float], tau: float,
-                         rho: float, rho_max: float) -> float:
+                         rho: float) -> float:
     """Invert an increasing, saturating rho(tau, .) by bracketed root find."""
-    tau = _check_tau(tau)
-    if _check_rho(tau, rho, rho_max) == 0.0:
+    if rho == 0.0:
         return 1.0
     u_hi = 1.0
     for _ in range(_INVERT_CAP):
@@ -114,8 +125,8 @@ def _invert_monotone_rho(rho_fn: Callable[[float, float], float], tau: float,
         u_hi *= 2.0
     else:
         raise OutOfChartError(
-            f"rho={rho:g} within solver resolution of the slice boundary "
-            f"rho_M={rho_max:.12g}", rho_max=rho_max)
+            f"rho={rho:g} is within solver resolution of the tau={tau:g} "
+            f"slice boundary")
     u = find_root_monotone(
         lambda u: rho_fn(tau, 1.0 + u * u) - rho, 0.0, u_hi, DEFAULT_CONFIG)
     return 1.0 + u * u
@@ -131,38 +142,34 @@ def milne() -> ClosedFormModel:
     """
     cosmo = Cosmology(make_power_law(1.0), k=-1, name="milne")
 
-    def t(tau, sigma):
-        return _check_tau(tau) / math.sqrt(_check_sigma(sigma))
+    def t(tau, s):
+        return tau / math.sqrt(s)
 
-    def chi(tau, sigma):
-        _check_tau(tau)
-        s = _check_sigma(sigma)
+    def chi(tau, s):
         return math.log(math.sqrt(s) + math.sqrt(s - 1.0))
 
-    def rho(tau, sigma):
-        s = _check_sigma(sigma)
-        return _check_tau(tau) * math.sqrt((s - 1.0) / s)
+    def rho(tau, s):
+        return tau * math.sqrt((s - 1.0) / s)
 
     def sigma_of_rho(tau, rho_val):
-        tau = _check_tau(tau)
-        x = _check_rho(tau, rho_val, tau) / tau
+        x = rho_val / tau
         return 1.0 / (1.0 - x * x)
 
-    def g_tau_tau(tau, sigma):
-        _check_tau(tau)
-        _check_sigma(sigma)
+    def g_tau_tau(tau, s):
         return -1.0
 
-    def ang(tau, sigma):
-        r = rho(tau, sigma)
+    def ang(tau, s):
+        r = rho(tau, s)
         return r * r
 
-    def v_f(sigma):
-        s = _check_sigma(sigma)
+    def v_f(s):
         return math.sqrt((s - 1.0) / s)
 
+    def rho_slice(tau):
+        return tau
+
     return ClosedFormModel("milne", cosmo, 1.0, t, chi, rho, sigma_of_rho,
-                           g_tau_tau, ang, v_f, _check_tau)
+                           g_tau_tau, ang, v_f, rho_slice)
 
 
 def de_sitter(h0: float) -> ClosedFormModel:
@@ -175,42 +182,28 @@ def de_sitter(h0: float) -> ClosedFormModel:
     h0 = _finite("h0", h0)
     cosmo = Cosmology(make_exponential(h0), k=0, name="de-sitter")
 
-    def s_inf(tau):
-        return math.exp(2.0 * h0 * tau)
+    def t(tau, s):
+        return tau - math.log(s) / (2.0 * h0)
 
-    def t(tau, sigma):
-        tau = _check_tau(tau)
-        return tau - math.log(_check_sigma(sigma, s_inf(tau))) / (2.0 * h0)
-
-    def chi(tau, sigma):
-        tau = _check_tau(tau)
-        s = _check_sigma(sigma, s_inf(tau))
+    def chi(tau, s):
         return math.sqrt(s - 1.0) * math.exp(-h0 * tau) / h0
 
-    def rho(tau, sigma):
-        tau = _check_tau(tau)
-        s = _check_sigma(sigma, s_inf(tau))
+    def rho(tau, s):
         return math.acos(1.0 / math.sqrt(s)) / h0
 
     def rho_slice(tau):
-        return math.acos(math.exp(-h0 * _check_tau(tau))) / h0
+        return math.acos(math.exp(-h0 * tau)) / h0
 
     def sigma_of_rho(tau, rho_val):
-        tau = _check_tau(tau)
-        return 1.0 / math.cos(h0 * _check_rho(tau, rho_val,
-                                              rho_slice(tau))) ** 2
+        return 1.0 / math.cos(h0 * rho_val) ** 2
 
-    def g_tau_tau(tau, sigma):
-        tau = _check_tau(tau)
-        return -1.0 / _check_sigma(sigma, s_inf(tau))
+    def g_tau_tau(tau, s):
+        return -1.0 / s
 
-    def ang(tau, sigma):
-        tau = _check_tau(tau)
-        s = _check_sigma(sigma, s_inf(tau))
+    def ang(tau, s):
         return (s - 1.0) / (s * h0 * h0)
 
-    def v_f(sigma):
-        s = _check_sigma(sigma)
+    def v_f(s):
         return math.sqrt(s - 1.0) / s
 
     return ClosedFormModel("de-sitter", cosmo, 0.5, t, chi, rho,
@@ -226,45 +219,33 @@ def radiation() -> ClosedFormModel:
     """
     cosmo = Cosmology(make_power_law(0.5), k=0, name="radiation")
 
-    def t(tau, sigma):
-        return _check_tau(tau) / _check_sigma(sigma)
+    def t(tau, s):
+        return tau / s
 
-    def chi(tau, sigma):
-        tau = _check_tau(tau)
-        s = _check_sigma(sigma)
+    def chi(tau, s):
         return 2.0 * math.sqrt(tau) * math.acos(1.0 / math.sqrt(s))
 
-    def rho(tau, sigma):
-        tau = _check_tau(tau)
-        s = _check_sigma(sigma)
+    def rho(tau, s):
         return tau * (math.sqrt(s - 1.0) / s + math.acos(1.0 / math.sqrt(s)))
 
-    def sigma_of_rho(tau, rho_val):
-        return _invert_monotone_rho(rho, tau, rho_val,
-                                    0.5 * math.pi * _check_tau(tau))
-
-    def g_tau_tau(tau, sigma):
-        _check_tau(tau)
-        s = _check_sigma(sigma)
+    def g_tau_tau(tau, s):
         root = math.sqrt(s - 1.0)
         return -(1.0 + root * math.acos(1.0 / math.sqrt(s))) ** 2 / s
 
-    def ang(tau, sigma):
-        tau = _check_tau(tau)
-        s = _check_sigma(sigma)
-        c = chi(tau, sigma)
+    def ang(tau, s):
+        c = chi(tau, s)
         return tau * c * c / s
 
-    def v_f(sigma):
-        s = _check_sigma(sigma)
+    def v_f(s):
         root = math.sqrt(s - 1.0)
         return root / s + (s - 1.0) / s * math.acos(1.0 / math.sqrt(s))
 
     def rho_slice(tau):
-        return 0.5 * math.pi * _check_tau(tau)
+        return 0.5 * math.pi * tau
 
     return ClosedFormModel("radiation", cosmo, 0.5 * math.pi, t, chi, rho,
-                           sigma_of_rho, g_tau_tau, ang, v_f, rho_slice)
+                           functools.partial(_invert_monotone_rho, rho),
+                           g_tau_tau, ang, v_f, rho_slice)
 
 
 def matter() -> ClosedFormModel:
@@ -283,43 +264,31 @@ def matter() -> ClosedFormModel:
     def f2(z):
         return hyp2f1(-0.75, 0.5, 0.25, z)
 
-    def t(tau, sigma):
-        return _check_tau(tau) * _check_sigma(sigma) ** -0.75
+    def t(tau, s):
+        return tau * s ** -0.75
 
-    def chi(tau, sigma):
-        tau = _check_tau(tau)
-        s = _check_sigma(sigma)
+    def chi(tau, s):
         return 3.0 * tau ** (1.0 / 3.0) * (kconst - f1(1.0 / s) / s ** 0.25)
 
-    def rho(tau, sigma):
-        tau = _check_tau(tau)
-        s = _check_sigma(sigma)
+    def rho(tau, s):
         return tau * (kconst - ((s - 1.0) / math.sqrt(s)) ** 1.5
                       + f2(1.0 / s) * s ** 0.75)
 
-    def sigma_of_rho(tau, rho_val):
-        return _invert_monotone_rho(rho, tau, rho_val,
-                                    kconst * _check_tau(tau))
-
-    def g_tau_tau(tau, sigma):
-        _check_tau(tau)
-        s = _check_sigma(sigma)
+    def g_tau_tau(tau, s):
         bracket = 1.0 + math.sqrt(s - 1.0) / s ** 0.25 * (
             kconst - f1(1.0 / s) / s ** 0.25)
         return -bracket * bracket / math.sqrt(s)
 
-    def ang(tau, sigma):
-        tau = _check_tau(tau)
-        s = _check_sigma(sigma)
-        c = chi(tau, sigma)
+    def ang(tau, s):
+        c = chi(tau, s)
         return tau ** (4.0 / 3.0) * c * c / s
 
-    def v_f(sigma):
-        s = _check_sigma(sigma)
+    def v_f(s):
         return rho(1.0, s) - (kconst - f1(1.0 / s) / s ** 0.25) / s
 
     def rho_slice(tau):
-        return kconst * _check_tau(tau)
+        return kconst * tau
 
     return ClosedFormModel("matter", cosmo, kconst, t, chi, rho,
-                           sigma_of_rho, g_tau_tau, ang, v_f, rho_slice)
+                           functools.partial(_invert_monotone_rho, rho),
+                           g_tau_tau, ang, v_f, rho_slice)

@@ -63,6 +63,9 @@ __all__ = [
     "integrate_geodesic_ode",
 ]
 
+# Most RK4 steps integrate_geodesic_ode takes; the verify oracle takes 8000.
+_ODE_MAX_STEPS = 100_000
+
 # Fraction of sigma_infinity treated as the usable end of a finite slice.
 _SLICE_MARGIN = 1e-12
 
@@ -608,7 +611,9 @@ def integrate_geodesic_ode(cosmo: Cosmology, tau: float, rho_max: float,
     observer (t = tau also solves it); this right-hand side is smooth
     there, so no special start is needed and the error is discretisation
     alone.  Only a and a' enter, never b or a slice integral, so the route
-    cross-checks the quadrature maps independently.
+    cross-checks the quadrature maps independently.  rho_max/step rounds
+    to the step count, which may not exceed 100000 (DomainError, raised
+    before the first step).
     """
     tau, step = _finite("tau", tau), _finite("step", step)
     rho_max = _finite("rho_max", rho_max, nonnegative=True)
@@ -631,6 +636,9 @@ def integrate_geodesic_ode(cosmo: Cosmology, tau: float, rho_max: float,
     # A step that leaves the float range raises DomainError.
     try:
         n = max(1, round(rho_max / step))
+        if n > _ODE_MAX_STEPS:
+            raise DomainError(f"rho_max/step = {rho_max / step:g} steps "
+                              f"exceed the cap of {_ODE_MAX_STEPS}")
         h = rho_max / n
         t, u, chi = float(tau), 0.0, 0.0
         points = [start]

@@ -141,7 +141,7 @@ def metric_cartesian(cosmo: Cosmology, tau: float, x: float, y: float,
     is its curvature limit near the origin (see lambda_k).
     """
     xs = np.array([x, y, z], dtype=float)
-    rho = float(np.sqrt(xs @ xs))
+    rho = math.hypot(x, y, z)
     u = _u_of(cosmo, tau, _RHO, rho, cfg)
     g = np.diag([-1.0, 1.0, 1.0, 1.0])
     g[0, 0] = _g_tau_tau_at(cosmo, tau, u, cfg)

@@ -341,7 +341,7 @@ def test_start_is_milne_root():
     # q = 0: W_0(X) = X, u = sinh(w).
     for w in START_WS:
         assert chart._power_law_root(w, 0.0) == pytest.approx(
-            math.sinh(w), rel=1e-12)
+            math.sinh(w), rel=1e-12, abs=0.0)
 
 
 def test_start_is_de_sitter_root():
@@ -349,7 +349,7 @@ def test_start_is_de_sitter_root():
     # chart, where the start falls back to u = w.
     for w in [*START_WS[START_WS < 0.9], 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-12]:
         assert chart._power_law_root(w, -1.0) == pytest.approx(
-            w / math.sqrt((1.0 - w) * (1.0 + w)), rel=1e-12)
+            w / math.sqrt((1.0 - w) * (1.0 + w)), rel=1e-12, abs=0.0)
     for w in (1.0, 1.5, 1e2):
         assert chart._power_law_root(w, -1.0) == w
 
@@ -361,23 +361,26 @@ def test_start_is_radiation_root():
     for w in START_WS:
         u = chart._power_law_root(w, 1.0)
         assert math.sqrt(1.0 + u * u) * math.atan(u) == pytest.approx(
-            w, rel=1e-12)
+            w, rel=1e-12, abs=0.0)
 
 
 def test_start_is_matter_root():
     # q = 1/2 at t = 1, where a = 1 and b'(a) = 3/2: chi = 3 w/2 on the
-    # slice tau = b(sqrt(sigma)) = sigma^(3/4).  Below w = 1e-2 the closed
-    # form's kconst - f1(1/s)/s^(1/4) cancels; there u = sinh X and W_q =
-    # X + q X^3/3 + O(X^5) give u = w (1 + (1/6 - q/3) w^2 + O(w^4)), w to
-    # rounding for q = 1/2.
-    mat = cf.matter()
+    # slice tau = b(sqrt(sigma)) = sigma^(3/4), and in u that chi is
+    # 3/2 (1 + u^2)^(1/4) u 2F1(1/2, 3/4; 3/2; -u^2).  The reference takes
+    # u as it is: the bundle's chi(tau, s) reads s = 1 + u^2 rounded, and
+    # its kconst - f1(1/s)/s^(1/4) cancels: together up to 3e-11 here.
+    # Below w = 1e-3, u = sinh X and W_q = X + q X^3/3 + O(X^5) give
+    # u = w (1 + (1/6 - q/3) w^2 + O(w^4)), w to rounding for q = 1/2.
+    from scipy.special import hyp2f1
     for w in START_WS:
         u = chart._power_law_root(w, 0.5)
         if w < 1e-3:
-            assert u == pytest.approx(w, rel=1e-12)
-        elif w >= 1e-2:
-            s = 1.0 + u * u
-            assert mat.chi(s ** 0.75, s) == pytest.approx(1.5 * w, rel=1e-12)
+            assert u == pytest.approx(w, rel=1e-12, abs=0.0)
+        else:
+            chi = 1.5 * (1.0 + u * u) ** 0.25 * u * hyp2f1(0.5, 0.75, 1.5,
+                                                           -u * u)
+            assert chi == pytest.approx(1.5 * w, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("w, q", [

@@ -255,3 +255,60 @@ def test_domain_validation():
         m.t(-1.0, 2.0)
     with pytest.raises(DomainError):
         m.chi(1.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# every bundle map, frozen to the last bit
+
+_EVENTS = ((0.7, 1.3), (2.5, 1.0), (2.5, 40.0))
+FROZEN = {
+    "milne": (
+        "0.6139406135149204", "2.5", "0.3952847075210474",
+        "0.5234839575015943", "0.0", "2.531277486468381",
+        "0.33626912299068296", "0.0", "2.468552207266437", "-1.0", "-1.0",
+        "-1.0", "0.11307692307692306", "0.0", "6.093749999999999",
+        "1.026272577996716", "1.2993762993762992", "0.4803844614152614",
+        "0.9874208829065749", "0.7", "2.5",
+    ),
+    "de-sitter": (
+        "0.5688178677662544", "2.5", "0.6555602729430319",
+        "0.27199097261211075", "0.0", "0.5126206521047832",
+        "0.5010930132653572", "0.0", "1.412016112149136",
+        "-0.7692307692307692", "-1.0", "-0.025", "0.23076923076923078", "0.0",
+        "0.975", "1.178754105810975", "7.615963967207052",
+        "0.4213250442347432", "0.15612494995995996", "1.0511360351056669",
+        "1.4886188668175042",
+    ),
+    "radiation": (
+        "0.5384615384615384", "2.5", "0.0625", "0.8384889875492672", "0.0",
+        "4.465187007247022", "0.6456926402500702", "0.0", "3.9203526552727395",
+        "-1.2494216584079616", "-1.0", "-2.4098466531484237",
+        "0.37857280582228964", "0.0", "1.246118438105476", "1.006455119116901",
+        "1.062423043300444", "0.5369618934498256", "1.5328406593053674",
+        "1.0995574287564276", "3.9269908169872414",
+    ),
+    "matter": (
+        "0.5749638312774681", "2.5", "0.1571791787103669",
+        "0.6820011756999629", "9.040826809175417e-16", "3.714906418567691",
+        "0.49414454847842776", "5.551115123125783e-16", "3.2625556998536",
+        "-1.1225584184264166", "-1.0", "-1.6862246643673555",
+        "0.22237755335342727", "2.773339119917619e-30", "1.1706375291416986",
+        "1.0115309278788176", "1.1163797237011206", "0.5089714556964751",
+        "1.2822125595072653", "0.9177201440022418", "3.2775719428651495",
+    ),
+}
+
+
+@pytest.mark.parametrize("m", [milne(), de_sitter(1.0), radiation(),
+                               matter()], ids=lambda m: m.family)
+def test_bundle_maps_frozen(m):
+    # The maps' reprs on a small grid: the five (tau, sigma) maps at each
+    # event, sigma_of_rho at rho = 0.4 and 1.2 on tau = 2.5, v_f at sigma =
+    # 1.3 and 40, and rho_slice at tau = 0.7 and 2.5.
+    got = [repr(getattr(m, name)(tau, sigma))
+           for name in ("t", "chi", "rho", "g_tau_tau", "ang")
+           for tau, sigma in _EVENTS]
+    got += [repr(m.sigma_of_rho(2.5, rho)) for rho in (0.4, 1.2)]
+    got += [repr(m.v_f(sigma)) for sigma in (1.3, 40.0)]
+    got += [repr(m.rho_slice(tau)) for tau in (0.7, 2.5)]
+    assert tuple(got) == FROZEN[m.family]

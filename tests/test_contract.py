@@ -58,9 +58,10 @@ from fermirw import closed_forms
 from fermirw.geodesics import lapse_bracket
 from fermirw.numerics import table_safe_config
 
-# Hostile inputs make numpy warn of overflow on the way to the errors
-# checked here.
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# Hostile inputs make numpy warn of overflow on the way to the errors the
+# pipeline grids check.  The other tests here keep the project's
+# error::RuntimeWarning policy.
+warns_on_the_way = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 GRID = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e-12, 1.0,
         1.0 + 2.0 ** -52, 1.5, 1e6, 1e300)
@@ -143,6 +144,7 @@ WRAPPER_CALLS = {
 }
 
 
+@warns_on_the_way
 @pytest.mark.parametrize("name", [*PAIR_CALLS, *WRAPPER_CALLS])
 @pytest.mark.parametrize("model", MODELS)
 def test_model_pair_functions(model, name):
@@ -185,6 +187,7 @@ def test_transforms_reject_angles_that_are_not_finite(model, x):
             rw_from_fermi(cosmo, FermiEvent(1.0, x, theta, phi), cfg)
 
 
+@warns_on_the_way
 @pytest.mark.parametrize("model", MODELS)
 def test_model_slice_functions(model):
     cosmo, cfg = MODELS[model]
@@ -196,6 +199,7 @@ def test_model_slice_functions(model):
                      allow_inf=True)
 
 
+@warns_on_the_way
 def test_model_free_functions():
     _assert_contract(gamma_fn, [(x,) for x in GRID])
     # Subnormal alpha, where p = 1/(2 alpha) overflows, and the least
@@ -244,10 +248,28 @@ BUNDLES = {b.family: b for b in (closed_forms.milne(),
                                  closed_forms.matter())}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("family", BUNDLES)
 def test_closed_form_bundles(family):
+    # The bundles warn of nothing on the way, de Sitter's late slices,
+    # where exp(h0 tau) overflows, included.
     bundle = BUNDLES[family]
     for name in ("t", "chi", "rho", "sigma_of_rho", "g_tau_tau", "ang"):
         _assert_contract(getattr(bundle, name), PAIRS)
     _assert_contract(bundle.v_f, [(x,) for x in GRID])
     _assert_contract(bundle.rho_slice, [(x,) for x in GRID])
+
+
+@pytest.mark.parametrize("family", BUNDLES)
+def test_closed_form_maps_raise_where_t_of_sigma_does(family):
+    # A (tau, sigma) map's domain is at least t_of_sigma's.  (Not at most:
+    # a value can overflow where t's does not, as Milne's ang at 1e300.)
+    bundle = BUNDLES[family]
+    for tau, sigma in PAIRS:
+        try:
+            with np.errstate(over="ignore"):  # de Sitter's exp(h0 tau)
+                t_of_sigma(bundle.cosmology, tau, sigma)
+        except DomainError:
+            for name in ("t", "chi", "rho", "g_tau_tau", "ang"):
+                with pytest.raises(DomainError):
+                    getattr(bundle, name)(tau, sigma)

@@ -235,6 +235,14 @@ def test_ode_non_finite_inputs(kwargs):
         integrate_geodesic_ode(RADIATION, 1.0, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "step", [1e-300, 1.0 / (geodesics._ODE_MAX_STEPS + 1)])
+def test_ode_step_count_is_capped(step):
+    # Raised before the first step: 1e-300 would run about 1e300 of them.
+    with pytest.raises(DomainError, match="exceed the cap"):
+        integrate_geodesic_ode(RADIATION, 1.0, 1.0, step)
+
+
 # ---------------------------------------------------------------------------
 # slice_integral and lapse_bracket
 

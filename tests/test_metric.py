@@ -9,6 +9,7 @@ from fermirw import (
     Cosmology,
     DomainError,
     FermiEvent,
+    OutOfChartError,
     UnsupportedCurvatureError,
     g_tau_tau,
     hubble,
@@ -380,6 +381,15 @@ def test_cartesian_rotation_covariance():
     # spatial block transforms as a congruence, tau-tau slot unchanged
     assert g2[0, 0] == pytest.approx(g1[0, 0], rel=1e-10)
     assert np.allclose(g2[1:, 1:], q @ g1[1:, 1:] @ q.T, atol=1e-10)
+
+
+@pytest.mark.parametrize("xyz", [(1e200, 0.0, 0.0), (0.0, -3e170, 4e170)])
+def test_cartesian_radius_past_the_float_square(xyz):
+    # x^2 + y^2 + z^2 overflows from |x| ~ 1e154.  The radius is taken as
+    # FermiEvent.from_cartesian takes it, so the event is out of the chart,
+    # not an overflow warning.
+    with pytest.raises(OutOfChartError, match="is not inside"):
+        metric_cartesian(MATTER, 1.0, *xyz)
 
 
 def test_cross_term_small_by_finite_difference():
