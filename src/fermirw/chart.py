@@ -220,7 +220,7 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     if chi1 == 0.0:
         return FermiEvent(t1, 0.0, event.theta, event.phi)
     m = cosmo.model
-    a1 = float(m.a(t1))
+    a1 = _no_overflow(f"a(t={t1:g})", float(m.a(t1)))
     bd1 = float(m.b_dot(a1))
     if not (a1 > 0.0 and bd1 > 0.0):
         raise DomainError(f"the model is not expanding at t={t1:g}: "

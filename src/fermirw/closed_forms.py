@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .cosmology import Cosmology, make_exponential, make_power_law
 from .errors import DomainError, OutOfChartError, _finite, _no_overflow
 from .geodesics import _check_slice
@@ -71,18 +69,12 @@ class ClosedFormModel:
 
     def __post_init__(self):
         checks = dict.fromkeys(("t", "chi", "rho", "g_tau_tau", "ang"),
-                               self._check_event)
+                               functools.partial(_check_slice, self.cosmology))
         checks.update(sigma_of_rho=self._check_radius, v_f=_check_stretch,
                       rho_slice=functools.partial(_finite, "tau"))
         for name, check in checks.items():
             object.__setattr__(self, name, _guard(
                 f"{self.family} {name}", getattr(self, name), check))
-
-    def _check_event(self, tau: float, sigma: float) -> None:
-        # de Sitter's a(tau) = exp(h0 tau) overflows on late slices, where
-        # sigma_infinity raises DomainError.
-        with np.errstate(over="ignore"):
-            _check_slice(self.cosmology, tau, sigma)
 
     def _check_radius(self, tau: float, rho: float) -> None:
         rho_max = self.rho_slice(tau)

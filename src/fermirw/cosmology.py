@@ -16,6 +16,7 @@ import bisect
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 MIN_TABLE_SAMPLES = 4
+# log(DBL_MAX): the largest x whose exp(x) is a finite float.
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,10 @@ class ScaleFactorModel:
 
     a_inf is the limit of a(t) for t -> 0+; zero means the scale factor
     runs down to a big bang.  global_chart records b'' >= 0, the condition
-    under which every event of the slice lies in the Fermi chart.
+    under which every event of the slice lies in the Fermi chart.  Models
+    compare by their callables: two tables of the same samples differ.
+    On a float argument de Sitter's a and a' return inf past the float
+    range (h0 t > 709.78) instead of warning.
     """
 
     a: Callable
@@ -56,25 +62,10 @@ class ScaleFactorModel:
     b_ddot: Callable
     a_inf: float
     global_chart: bool
-    # Knot a-values of interpolated models: points where derivative
-    # interpolants switch polynomial pieces.  None for analytic models.
-    a_grid: tuple[float, ...] | None = None
-    # The same knots as a numpy array, for sigma_breaks.
-    a_knots: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-    # The hash, taken once: a model keys the slice-store cache, and hashing
-    # a long knot tuple on every lookup would cost more than the lookup.
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.a_grid is not None:
-            object.__setattr__(self, "a_knots", np.asarray(self.a_grid))
-        object.__setattr__(self, "_hash", hash((
-            self.a, self.a_dot, self.b, self.b_dot, self.b_ddot, self.a_inf,
-            self.global_chart, self.a_grid)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    # Knot a-values of interpolated models, ascending: points where
+    # derivative interpolants switch polynomial pieces.  A read-only
+    # array, the knots of b itself; None for analytic models.
+    a_grid: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -115,9 +106,19 @@ def make_exponential(h0: float) -> ScaleFactorModel:
     """
     if not h0 > 0.0:
         raise DomainError(f"expansion rate must be positive, got {h0}")
+
+    def a(t):
+        # A number gives a Python float, inf past the float range, so a
+        # and a' = h0 a overflow without numpy's warning; arrays go to
+        # np.exp as they are.
+        if isinstance(t, (int, float)):
+            x = h0 * t
+            return math.inf if x > _LOG_MAX_FLOAT else float(np.exp(x))
+        return np.exp(h0 * t)
+
     return ScaleFactorModel(
-        a=lambda t: np.exp(h0 * t),
-        a_dot=lambda t: h0 * np.exp(h0 * t),
+        a=a,
+        a_dot=lambda t: h0 * a(t),
         b=lambda x: np.log(x) / h0,
         b_dot=lambda x: 1.0 / (h0 * x),
         b_ddot=lambda x: -1.0 / (h0 * x * x),
@@ -248,6 +249,7 @@ def make_tabulated(samples: Sequence[tuple[float, float]]) -> ScaleFactorModel:
     if avals[0] <= 0.0:
         raise TableError(f"sample 0 has a={avals[0]:g}; scale factor must be positive")
 
+    avals.flags.writeable = False   # b's knots, and the model's a_grid
     a_interp = _pchip(ts, avals)
     b_interp = _pchip(avals, ts)
     a_dot = a_interp.derivative()
@@ -265,7 +267,7 @@ def make_tabulated(samples: Sequence[tuple[float, float]]) -> ScaleFactorModel:
     return ScaleFactorModel(
         a=a_interp, a_dot=a_dot, b=b_interp, b_dot=b_dot, b_ddot=b_ddot,
         a_inf=a_inf, global_chart=global_chart,
-        a_grid=tuple(float(v) for v in avals),
+        a_grid=avals,
     )
 
 
@@ -357,7 +359,6 @@ def sigma_breaks(cosmo: Cosmology, tau: float, sigma_hi: float,
     # below sigma_hi sit above a0/sqrt(sigma_hi).  The bisection bound is
     # widened by 1e-9 so the exact test on s, not rounding, decides.
     low = a0 / math.sqrt(sigma_hi) * (1.0 - 1e-9) if sigma_hi > 1.0 else a0
-    top = bisect.bisect_left(grid, a0)
-    bottom = min(top, bisect.bisect_left(grid, low))
-    s = (a0 / cosmo.model.a_knots[bottom:top][::-1]) ** 2
+    bottom, top = grid.searchsorted((low, a0))
+    s = (a0 / grid[bottom:top][::-1]) ** 2
     return s[(s < sigma_hi) & (s > 1.0 + 1e-12)]

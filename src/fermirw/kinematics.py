@@ -92,23 +92,39 @@ def fermi_speed(cosmo: Cosmology, tau: float, chi0: float,
     return VelocityReport(tau, chi0, sigma0, 0.5 * a0 * i1, v_f, v_h)
 
 
+def _beta(q: float) -> float:
+    """B(q - 1/2, 1/2) = sqrt(pi) Gamma(q - 1/2)/Gamma(q), q > 1/2: for
+    m = q - 1 < 170 the ratio of math.gamma (Gamma(q) overflows past
+    171.6), beyond it sqrt(pi/m) times the asymptotic series in x = 1/m,
+    whose first omitted term is below 1e-18 there."""
+    m = q - 1.0
+    if m < 170.0:
+        return math.sqrt(math.pi) * math.gamma(q - 0.5) / math.gamma(q)
+    x = 1.0 / m
+    series = 1.0 + x * (-1.0 / 8.0 + x * (1.0 / 128.0 + x * (
+        5.0 / 1024.0 + x * (-21.0 / 32768.0 + x * (
+            -399.0 / 262144.0 + x * (869.0 / 4194304.0))))))
+    return math.sqrt(math.pi) / math.sqrt(m) * series
+
+
 def _power_integral(q: float, sigma0: float) -> float:
     """J(q) = int_1^sigma0 s^(-q) (s-1)^(-1/2) ds, q > 1/2, sigma0 >= 1:
     B(q - 1/2, 1/2) I_y(1/2, q - 1/2), y = (sigma0 - 1)/sigma0 (1 at inf;
     1 - 1/sigma0 would lose digits near 1).  For q near 1/2 at large
     sigma0 it loses digits (1.3e-7 relative at q = 0.6, sigma0 = 1e12);
     both callers weight it by 1/sigma0, which keeps v at rounding level."""
-    from scipy.special import beta, betainc
+    from scipy.special import betainc
 
     y = 1.0 if math.isinf(sigma0) else (sigma0 - 1.0) / sigma0
-    return float(beta(q - 0.5, 0.5) * betainc(0.5, q - 0.5, y))
+    return _beta(q) * float(betainc(0.5, q - 0.5, y))
 
 
 def fermi_speed_power_law(alpha: float, sigma0: float) -> float:
     """Fermi velocity for a(t) = t**alpha as a function of sigma0 alone.
 
     v = p [J(p + 1) + ((alpha - 1)/sigma0) J(p)], p = 1/(2 alpha), with
-    J of _power_integral.  Independent of tau; sigma0 may be inf.
+    J of _power_integral.  Independent of tau; sigma0 may be inf, where v
+    is fermi_speed_sup(alpha).
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"power-law exponent must be in (0, 1], got {alpha}")
@@ -126,24 +142,17 @@ def fermi_speed_power_law(alpha: float, sigma0: float) -> float:
 def fermi_speed_sup(alpha: float) -> float:
     """Least upper bound of the power-law Fermi velocity over all sigma0.
 
-    sqrt(pi) Gamma(p + 1/2) / (2 alpha Gamma(p + 1)), p = 1/(2 alpha),
-    which is at most 1/alpha with equality only for alpha = 1.  For
-    p < 170 math.gamma takes the ratio (Gamma(p + 1) overflows past
-    171.6); beyond, sqrt(p) Gamma(p + 1/2)/Gamma(p + 1) is its asymptotic
-    series in 1/p = 2 alpha, whose first omitted term is below 1e-18
-    there, times sqrt(pi)/sqrt(2 alpha), so that p never overflows.
+    p B(p + 1/2, 1/2) = sqrt(pi) Gamma(p + 1/2) / (2 alpha Gamma(p + 1)),
+    p = 1/(2 alpha), with B of _beta; at most 1/alpha, with equality only
+    for alpha = 1.  Where p overflows (alpha < 2.8e-309) the series of B
+    is 1 to rounding, and the sup is sqrt(pi)/sqrt(2 alpha).
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"power-law exponent must be in (0, 1], got {alpha}")
-    x = 2.0 * alpha
-    if x > 1.0 / 170.0:
-        p = 1.0 / x
-        return math.sqrt(math.pi) * math.gamma(p + 0.5) / (
-            x * math.gamma(p + 1.0))
-    series = 1.0 + x * (-1.0 / 8.0 + x * (1.0 / 128.0 + x * (
-        5.0 / 1024.0 + x * (-21.0 / 32768.0 + x * (
-            -399.0 / 262144.0 + x * (869.0 / 4194304.0))))))
-    return math.sqrt(math.pi) / math.sqrt(x) * series
+    p = 1.0 / (2.0 * alpha)
+    if math.isinf(p):
+        return math.sqrt(math.pi) / math.sqrt(2.0 * alpha)
+    return p * _beta(p + 1.0)
 
 
 def proper_radius(cosmo: Cosmology, tau: float,

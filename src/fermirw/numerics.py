@@ -314,10 +314,6 @@ def _adaptive_panels(f: Callable, ranges, rel_tol: float,
     passes only when every component passes the test on its own total,
     so a small integral is not judged against a large one.
     """
-    if len(ranges) == 1:
-        nodes = ranges[0]
-        return [_refine_panels(f, nodes, *_panels(f, nodes[:-1], nodes[1:]),
-                               rel_tol, max_iter)]
     first = _panels(f, np.concatenate([r[:-1] for r in ranges]),
                     np.concatenate([r[1:] for r in ranges]))
     edges = list(itertools.accumulate((r.size - 1 for r in ranges),

@@ -188,8 +188,8 @@ def test_fermi_milne_tiny_time_is_relative(t):
     # stopping rule absolute below tau = 1 took the first Newton step at
     # t = 1e-12 and left tau 3.7e-3 and rho 6.3e-3 relative too low.
     ev = fermi_from_rw(MILNE, RWEvent(t, 1.0))
-    assert ev.tau == pytest.approx(t * math.cosh(1.0), rel=1e-10)
-    assert ev.rho == pytest.approx(t * math.sinh(1.0), rel=1e-10)
+    assert ev.tau == pytest.approx(t * math.cosh(1.0), rel=1e-10, abs=0.0)
+    assert ev.rho == pytest.approx(t * math.sinh(1.0), rel=1e-10, abs=0.0)
 
 
 @pytest.fixture
@@ -512,7 +512,7 @@ def test_late_accelerating_slices_solve_the_search_equation(passes, name,
             u, a0 = _search_u(cosmo, ev.t, tau_f)
             got = 0.5 * geodesics._slice_integrals(
                 cosmo, tau_f, u, (geodesics._CHI,), DEFAULT_CONFIG, a0)[0]
-            assert got == pytest.approx(chi, rel=1e-11)
+            assert got == pytest.approx(chi, rel=1e-11, abs=0.0)
     assert len(passes) <= most
 
 
@@ -544,8 +544,8 @@ def test_fermi_leading_order_near_the_observer(cosmo):
     ev = fermi_from_rw(cosmo, RWEvent(t, chi))
     a = float(cosmo.model.a(t))
     want = math.asin(a * chi) if cosmo is DESITTER else a * chi
-    assert ev.rho == pytest.approx(want, rel=1e-12)
-    assert ev.tau == pytest.approx(t, rel=1e-15)
+    assert ev.rho == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert ev.tau == pytest.approx(t, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("cosmo", [MILNE, DESITTER], ids=["milne", "de-sitter"])
@@ -642,8 +642,8 @@ def test_flow_de_sitter_closed_form(h0):
 def test_flow_near_the_observer_keeps_its_digits(chi):
     # sqrt(sigma0 - 1) would round to 0 here; u = a(t) H(t) chi does not.
     dtau, drho = comoving_flow_fermi(MILNE, RWEvent(1.0, chi))
-    assert dtau == pytest.approx(math.cosh(chi), rel=1e-13)
-    assert drho == pytest.approx(math.sinh(chi), rel=1e-10)
+    assert dtau == pytest.approx(math.cosh(chi), rel=1e-13, abs=0.0)
+    assert drho == pytest.approx(math.sinh(chi), rel=1e-10, abs=0.0)
 
 
 def test_flow_makes_one_chart_search(monkeypatch):

@@ -260,6 +260,26 @@ def test_closed_form_bundles(family):
     _assert_contract(bundle.rho_slice, [(x,) for x in GRID])
 
 
+# Past h0 t = log(DBL_MAX) = 709.78..., de Sitter's a(t) = exp(h0 t) is
+# inf; for h0 = 2, a'(t) = h0 a(t) already is at h0 t = 709.6.
+_DE_SITTER = BUNDLES["de-sitter"].cosmology
+DE_SITTER_LATE = {
+    "t_of_sigma": lambda: t_of_sigma(_DE_SITTER, 1e6, 1.5),
+    "sigma_infinity": lambda: sigma_infinity(_DE_SITTER, 800.0),
+    "hubble": lambda: hubble(_DE_SITTER, 800.0),
+    "hubble-h0-2": lambda: hubble(Cosmology(make_exponential(2.0), k=0),
+                                  354.8),
+    "fermi_from_rw": lambda: fermi_from_rw(_DE_SITTER, RWEvent(800.0, 0.1)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", DE_SITTER_LATE)
+def test_de_sitter_late_slices_raise_domain_error(name):
+    with pytest.raises(DomainError, match="overflow"):
+        DE_SITTER_LATE[name]()
+
+
 @pytest.mark.parametrize("family", BUNDLES)
 def test_closed_form_maps_raise_where_t_of_sigma_does(family):
     # A (tau, sigma) map's domain is at least t_of_sigma's.  (Not at most:
@@ -267,8 +287,7 @@ def test_closed_form_maps_raise_where_t_of_sigma_does(family):
     bundle = BUNDLES[family]
     for tau, sigma in PAIRS:
         try:
-            with np.errstate(over="ignore"):  # de Sitter's exp(h0 tau)
-                t_of_sigma(bundle.cosmology, tau, sigma)
+            t_of_sigma(bundle.cosmology, tau, sigma)
         except DomainError:
             for name in ("t", "chi", "rho", "g_tau_tau", "ang"):
                 with pytest.raises(DomainError):

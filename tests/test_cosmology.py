@@ -1,5 +1,7 @@
 # Scale-factor families, their inverses, and the tabulated loader.
 
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -156,6 +158,9 @@ def test_tabulated_records_grid():
     assert m.a_grid is not None
     assert len(m.a_grid) == 16
     assert all(x < y for x, y in zip(m.a_grid, m.a_grid[1:]))
+    # One array, shared with b's interpolant, that no one can write.
+    assert m.a_grid is m.b.x
+    assert not m.a_grid.flags.writeable
 
 
 def test_tabulated_matterlike_is_global():
@@ -458,3 +463,40 @@ def test_sigma_breaks_bisection_matches_the_scan():
             assert len(got) == len(want)
             np.testing.assert_allclose(got, want,
                                        rtol=2.0 * np.finfo(float).eps)
+
+
+# sigma_breaks on the 800-knot t^(2/3) table, bit for bit: per (tau,
+# sigma_hi), the number of breaks and the leading 16 hex digits of the
+# sha256 of repr(breaks.tolist()).
+FROZEN_BREAKS = {
+    (0.7, 1.5): (32, "8c02d5c540516332"),
+    (0.7, 16.0): (219, "fcfcb12dc8c473a3"),
+    (0.7, 1e4): (278, "7a490a76bfea5bb7"),
+    (2.0, 1.5): (32, "a3a34f98a7abacc4"),
+    (2.0, 16.0): (218, "1db2d9637b306b94"),
+    (2.0, 1e4): (388, "d5f16f9d8beae4d1"),
+}
+
+
+def test_sigma_breaks_frozen_on_the_800_knot_table():
+    ts = np.geomspace(0.05, 100.0, 800)
+    c = _cosmo(make_tabulated(list(zip(ts, ts ** (2.0 / 3.0)))),
+               name="tabulated")
+    for (tau, sigma_hi), (count, digest) in FROZEN_BREAKS.items():
+        got = sigma_breaks(c, tau, sigma_hi).tolist()
+        assert len(got) == count
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == digest
+
+
+def test_models_compare_by_their_callables():
+    ts = np.geomspace(0.1, 10.0, 16)
+    samples = list(zip(ts, ts ** 0.5))
+    m = make_tabulated(samples)
+    assert m == m
+    assert {m: 1}[m] == 1
+    assert dataclasses.replace(m, b_ddot=lambda x: 0.0 * x) != m
+    # Same samples, new interpolants: a different model.
+    assert make_tabulated(samples) != m
+    assert list(m.a_grid) == [a for _, a in samples]
+    with pytest.raises((TypeError, ValueError)):
+        m.a_grid[0] = 0.0

@@ -175,7 +175,7 @@ def test_power_law_speed_at_huge_sigma0_is_the_sup():
 def test_power_law_speed_small_alpha_near_the_observer():
     # Reference: 40-digit mpmath quadrature of the two integrals.
     assert fermi_speed_power_law(0.02, 1.0 + 2.0 ** -40) == pytest.approx(
-        9.536743164270666817116e-7, rel=1e-13)
+        9.536743164270666817116e-7, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +230,14 @@ def test_sup_gap_closes():
         v = fermi_speed_power_law(alpha, 1e8)
         sup = fermi_speed_sup(alpha)
         assert 0.0 < sup - v < 1e-3
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 1e-3, 1e-5, 1e-12])
+def test_power_law_speed_at_infinity_is_the_sup(alpha):
+    # Both read the complete beta B(p + 1/2, 1/2) from one function.
+    sup = fermi_speed_sup(alpha)
+    assert abs(fermi_speed_power_law(alpha, math.inf) - sup) <= (
+        2.0 * math.ulp(sup))
 
 
 # ---------------------------------------------------------------------------

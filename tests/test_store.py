@@ -454,8 +454,8 @@ def test_extrapolated_table_event_is_domain_error():
 def test_table_leading_order_near_the_observer():
     # The matter closed form rho = a(t) chi, to the table's accuracy.
     ev = fermi_from_rw(TABLE, RWEvent(1.0, 1e-9), TABLE_CFG)
-    assert ev.rho == pytest.approx(1e-9, rel=1e-8)
-    assert ev.tau == pytest.approx(1.0, rel=1e-8)
+    assert ev.rho == pytest.approx(1e-9, rel=1e-8, abs=0.0)
+    assert ev.tau == pytest.approx(1.0, rel=1e-8, abs=0.0)
 
 
 def test_empty_slice_is_domain_error():
