@@ -202,7 +202,7 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     climb slowly and of a slope that is not positive, as where B cancels
     late on accelerating slices; once there is one, regula falsi
     replaces such a slope and a step out of the bracket.  It stops when a
-    step moves tau by at most root_tol/2 * tau, relative at every scale,
+    step moves tau by at most quad_rel_tol/2 * tau, the accuracy of chi,
     or when Newton's error |f''|/(2 f') step^2 says the next step would,
     with f'' from the last two slopes, both positive, once the step
     before kept within twice its own such bound.  It also stops when
@@ -314,7 +314,7 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         if guess is not None and bound is not None and \
                 abs(step) <= 2.0 * bound:
             move = min(move, move * curv * abs(step))
-        if move <= 0.5 * cfg.root_tol * tau_x:
+        if move <= 0.5 * cfg.quad_rel_tol * tau_x:
             u, tau = x, tau_x
             break
         prev_u, prev_f, prev_slope, u = u, f, slope, x

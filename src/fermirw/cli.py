@@ -74,7 +74,6 @@ def _add_common(parser: argparse.ArgumentParser, need_model: bool) -> None:
                    help="spatial curvature (fixed families reject a mismatch)")
     g = parser.add_argument_group("numerics overrides")
     g.add_argument("--quad-rel-tol", type=float, metavar="TOL")
-    g.add_argument("--root-tol", type=float, metavar="TOL")
     g.add_argument("--max-iter", type=int, metavar="N")
     g = parser.add_argument_group("output")
     g.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -161,7 +160,7 @@ def _resolve_model(args, parser: _Parser) -> tuple[Cosmology, dict]:
 
 def _resolve_numerics(args) -> NumericsConfig:
     overrides = {}
-    for name in ("quad_rel_tol", "root_tol", "max_iter"):
+    for name in ("quad_rel_tol", "max_iter"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value

@@ -19,7 +19,7 @@ from typing import Callable
 from .cosmology import Cosmology, make_exponential, make_power_law
 from .errors import DomainError, OutOfChartError, _finite, _no_overflow
 from .geodesics import _check_slice
-from .numerics import DEFAULT_CONFIG, find_root_monotone, gamma_fn, hyp2f1
+from .numerics import find_root_monotone, gamma_fn, hyp2f1
 
 __all__ = [
     "ClosedFormModel",
@@ -107,7 +107,8 @@ def _guard(name: str, fn: Callable, check: Callable) -> Callable:
 
 def _invert_monotone_rho(rho_fn: Callable[[float, float], float], tau: float,
                          rho: float) -> float:
-    """Invert an increasing, saturating rho(tau, .) by bracketed root find."""
+    """sigma with rho(tau, sigma) = rho, for an increasing, saturating
+    rho(tau, .), by bisection in u = sqrt(sigma - 1)."""
     if rho == 0.0:
         return 1.0
     u_hi = 1.0
@@ -119,8 +120,7 @@ def _invert_monotone_rho(rho_fn: Callable[[float, float], float], tau: float,
         raise OutOfChartError(
             f"rho={rho:g} is within solver resolution of the tau={tau:g} "
             f"slice boundary")
-    u = find_root_monotone(
-        lambda u: rho_fn(tau, 1.0 + u * u) - rho, 0.0, u_hi, DEFAULT_CONFIG)
+    u = find_root_monotone(lambda u: rho_fn(tau, 1.0 + u * u) - rho, 0.0, u_hi)
     return 1.0 + u * u
 
 

@@ -10,12 +10,13 @@ to an adaptive Gauss-Kronrod (G7, K15) kernel.
 None of the Kronrod nodes sit on an interval endpoint, so transformed
 integrands are never evaluated at the singular points themselves.  A
 panel whose value is not finite raises AccuracyError rather than passing
-NaN on as converged.  The model slice integrals, in
-``geodesics.slice_integral`` and the slice store ``geodesics.Slice``,
-make the same two substitutions in their integrands themselves, with the
-seam between them at sigma = 2, and split every range at the knots of
-tabulated models (``cosmology.sigma_breaks`` finds them by bisection on
-the knot table).
+NaN on as converged, and so does a RuntimeWarning from the integrand, the
+form an overflow or a NaN takes under an error::RuntimeWarning filter.
+The model slice integrals, in ``geodesics.slice_integral`` and the slice
+store ``geodesics.Slice``, make the same two substitutions in their
+integrands themselves, with the seam between them at sigma = 2, and
+split every range at the knots of tabulated models
+(``cosmology.sigma_breaks`` finds them by bisection on the knot table).
 
 The u range (sigma below 2) and the s range (sigma above 2, up to a finite
 sigma_hi or to s = 0) each run one adaptive driver, ``_adaptive``, which
@@ -68,19 +69,17 @@ __all__ = [
 class NumericsConfig:
     """Shared tolerance knobs threaded through every numerical routine.
 
-    quad_rel_tol bounds each quadrature relative to its total, root_tol
-    each root find, and max_iter caps the bisections of one quadrature
-    range and the steps of one iteration.  DomainError unless the
-    tolerances are finite and >= 0 and max_iter is an int >= 1.
+    quad_rel_tol bounds each quadrature relative to its total, and so
+    fermi_from_rw's stop; max_iter caps the bisections of one quadrature
+    range and the steps of one iteration.  DomainError unless
+    quad_rel_tol is finite and >= 0 and max_iter is an int >= 1.
     """
 
     quad_rel_tol: float = 1e-12
-    root_tol: float = 1e-12
     max_iter: int = 500
 
     def __post_init__(self):
-        for name in ("quad_rel_tol", "root_tol"):
-            _finite(name, getattr(self, name), nonnegative=True)
+        _finite("quad_rel_tol", self.quad_rel_tol, nonnegative=True)
         if not (type(self.max_iter) is int and self.max_iter >= 1):
             raise DomainError(
                 f"max_iter must be an int >= 1, got {self.max_iter!r}")
@@ -185,7 +184,11 @@ def _panel(f: Callable, a: float, b: float) -> tuple:
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y = np.asarray(f(mid + half * _NODES), dtype=float)
+    try:
+        y = np.asarray(f(mid + half * _NODES), dtype=float)
+    except RuntimeWarning as w:
+        raise AccuracyError(f"integrand not finite on the panel "
+                            f"[{a:.17g}, {b:.17g}]: {w}") from None
     rows = ()
     if y.ndim == 2:
         # One weighted sum per later row, as for row 0: a dot product of
@@ -216,7 +219,11 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
     half = 0.5 * (b - a)
     h = half[:, None]
     x = (0.5 * (a + b))[:, None] + h * _NODES
-    y = np.asarray(f(x.ravel()), dtype=float)
+    try:
+        y = np.asarray(f(x.ravel()), dtype=float)
+    except RuntimeWarning as w:
+        raise AccuracyError(f"integrand not finite on the panels from "
+                            f"{a[0]:.17g}: {w}") from None
     y = y.reshape(y.shape[:-1] + x.shape)
     # Sums, not matrix products: see _inverse.  One product with both
     # weight rows gives the Kronrod and Gauss sums, and resabs too, since
@@ -541,69 +548,42 @@ def _s_integrand(f: Callable) -> Callable:
 
 def find_root_monotone(g: Callable[[float], float], lo: float, hi: float,
                        cfg: NumericsConfig | None = None) -> float:
-    """Bracketed root of a monotone continuous g via Brent's method.
+    """Bracketed root of a monotone continuous g by bisection.
 
-    Derivative-free: combines bisection with secant/inverse-quadratic steps
-    and never leaves [lo, hi].  Raises BracketError when g(lo) and g(hi)
-    share a sign, AccuracyError when cfg.max_iter iterations do not shrink
-    the bracket below root_tol * max(1, |x|).
+    g may rise or fall.  Each step evaluates g at the midpoint
+    0.5 lo + 0.5 hi, which never leaves [lo, hi], even near the ends of
+    the float range.  It stops at a bracket 4 eps max(1, |x|) wide, float
+    resolution, so there is no tolerance to set.  Raises BracketError when
+    g(lo) and g(hi) share a sign, AccuracyError with the midpoint as
+    estimate when cfg.max_iter steps do not get there: a bracket wider
+    than about 2^max_iter 4 eps.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    xpre, xcur = lo, hi
-    fpre, fcur = float(g(xpre)), float(g(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    # Sign tests, not products: products of subnormal residuals underflow
-    # to zero and silently corrupt the bracket bookkeeping.
-    if (fpre < 0.0) == (fcur < 0.0):
+    f_lo, f_hi = float(g(lo)), float(g(hi))
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    # Sign tests: products of subnormal residuals underflow to zero.
+    if (f_lo < 0.0) == (f_hi < 0.0):
         raise BracketError(
-            f"no sign change on [{lo}, {hi}]: g(lo)={fpre:.6g}, g(hi)={fcur:.6g}")
-
-    xblk, fblk = 0.0, 0.0
-    spre = scur = 0.0
+            f"no sign change on [{lo}, {hi}]: g(lo)={f_lo:.6g}, g(hi)={f_hi:.6g}")
     for _ in range(cfg.max_iter):
-        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = 0.5 * cfg.root_tol * max(1.0, abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                denom = dblk * dpre * (fblk - fpre)
-                # Tiny residuals can underflow the denominator: bisect.
-                stry = (-fcur * (fblk * dblk - fpre * dpre) / denom
-                        if denom != 0.0 and math.isfinite(denom) else math.inf)
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre, scur = sbis, sbis
+        x = 0.5 * lo + 0.5 * hi
+        if hi - lo <= 4.0 * _EPS * max(1.0, abs(x)):
+            return x
+        f = float(g(x))
+        if f == 0.0:
+            return x
+        if (f < 0.0) == (f_lo < 0.0):
+            lo = x
         else:
-            spre, scur = sbis, sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = float(g(xcur))
+            hi = x
     raise AccuracyError(
-        f"root iteration cap {cfg.max_iter} reached near x={xcur:.17g}",
-        estimate=xcur, bound=abs(sbis))
+        f"root iteration cap {cfg.max_iter} reached near x={x:.17g}",
+        estimate=x, bound=0.5 * hi - 0.5 * lo)
 
 
 def gamma_fn(x: float) -> float:

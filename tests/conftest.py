@@ -1,4 +1,7 @@
-# Shared fixtures, and the hypothesis profile CI runs with.
+# Shared fixtures, the hypothesis profile CI runs with, and pytest.approx
+# without its absolute floor.
+
+import functools
 
 import pytest
 from hypothesis import settings
@@ -8,6 +11,22 @@ from fermirw import numerics
 # Derandomized: a failing example found in CI reproduces locally under
 # --hypothesis-profile=ci.
 settings.register_profile("ci", derandomize=True)
+
+_approx = pytest.approx
+
+
+# pytest.approx(want, rel=r) also accepts anything within an absolute
+# 1e-12, so a want below 1e-12/r would be checked more loosely than it
+# reads.  Here a call that gives no abs gets abs=0.0, and a stated rel or
+# pytest's own 1e-6: every tolerance is the one written at the call.
+@functools.wraps(_approx)
+def _approx_without_floor(expected, rel=None, abs=None, nan_ok=False):
+    if abs is None:
+        abs, rel = 0.0, (1e-6 if rel is None else rel)
+    return _approx(expected, rel=rel, abs=abs, nan_ok=nan_ok)
+
+
+pytest.approx = _approx_without_floor
 
 
 @pytest.fixture

@@ -136,9 +136,9 @@ def test_fermi_milne_closed_form(t, chi):
 
 
 def test_fermi_near_gamma_absolute_accuracy():
-    # Relative accuracy in rho deteriorates like root_tol/chi^2 close to
-    # the observer (the inverse map is ill conditioned there), but the
-    # absolute error stays near root_tol.
+    # Relative accuracy in rho deteriorates like quad_rel_tol/chi^2 close
+    # to the observer (the inverse map is ill conditioned there), but the
+    # absolute error stays near quad_rel_tol.
     for chi in (1e-4, 1e-3, 4e-3):
         ev = fermi_from_rw(MILNE, RWEvent(1.0, chi))
         assert ev.tau == pytest.approx(math.cosh(chi), rel=1e-11)
@@ -263,7 +263,7 @@ def test_search_stops_on_newtons_error_bound(passes, name, most):
     # Eight events on two slices.  The start is each power law's root, so
     # every event stops after its first pass (8 measured; from the Hubble
     # law 34, 24 and 26 passes with Newton's error bound, 36, 32 and 28
-    # without it), and tau still lands within root_tol.  The bound is
+    # without it), and tau still lands within quad_rel_tol.  The bound is
     # covered on a table (test_table_events_take_no_more_passes).
     o = getattr(cf, name)()
     for tau in (0.7, 1.9):

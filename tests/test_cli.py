@@ -75,7 +75,7 @@ def test_transform_accuracy_exit_3(capsys):
 @pytest.mark.parametrize("flags", [("--max-iter", "-1"),
                                    ("--max-iter", "0"),
                                    ("--quad-rel-tol", "nan"),
-                                   ("--root-tol=-1e-12",)])
+                                   ("--quad-rel-tol=-1e-12",)])
 def test_bad_numerics_exit_2(capsys, flags):
     # --max-iter -1 used to leave bisection uncapped.
     code, out, err = run_cli(capsys, "transform", "to-rw", "--model",
@@ -508,7 +508,7 @@ def _flags(parser):
 
 
 # Flags README names as removed; each exits 64 like any unknown flag.
-REMOVED_FLAGS = {"--sigma-cap", "--quad-abs-tol"}
+REMOVED_FLAGS = {"--sigma-cap", "--quad-abs-tol", "--root-tol"}
 
 
 def test_readme_flags_are_the_parsers(capsys):

@@ -293,7 +293,9 @@ FROZEN = {
         "0.49414454847842776", "5.551115123125783e-16", "3.2625556998536",
         "-1.1225584184264166", "-1.0", "-1.6862246643673555",
         "0.22237755335342727", "2.773339119917619e-30", "1.1706375291416986",
-        "1.0115309278788176", "1.1163797237011206", "0.5089714556964751",
+        # sigma_of_rho(2.5, 0.4) and (2.5, 1.2); 40-digit mpmath roots at
+        # the float rho: 1.0115309278788190111 and 1.1163797237011204494.
+        "1.011530927878818", "1.1163797237011202", "0.5089714556964751",
         "1.2822125595072653", "0.9177201440022418", "3.2775719428651495",
     ),
 }

@@ -58,11 +58,6 @@ from fermirw import closed_forms
 from fermirw.geodesics import lapse_bracket
 from fermirw.numerics import table_safe_config
 
-# Hostile inputs make numpy warn of overflow on the way to the errors the
-# pipeline grids check.  The other tests here keep the project's
-# error::RuntimeWarning policy.
-warns_on_the_way = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 GRID = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e-12, 1.0,
         1.0 + 2.0 ** -52, 1.5, 1e6, 1e300)
 PAIRS = list(itertools.product(GRID, GRID))
@@ -144,7 +139,6 @@ WRAPPER_CALLS = {
 }
 
 
-@warns_on_the_way
 @pytest.mark.parametrize("name", [*PAIR_CALLS, *WRAPPER_CALLS])
 @pytest.mark.parametrize("model", MODELS)
 def test_model_pair_functions(model, name):
@@ -187,7 +181,6 @@ def test_transforms_reject_angles_that_are_not_finite(model, x):
             rw_from_fermi(cosmo, FermiEvent(1.0, x, theta, phi), cfg)
 
 
-@warns_on_the_way
 @pytest.mark.parametrize("model", MODELS)
 def test_model_slice_functions(model):
     cosmo, cfg = MODELS[model]
@@ -199,7 +192,6 @@ def test_model_slice_functions(model):
                      allow_inf=True)
 
 
-@warns_on_the_way
 def test_model_free_functions():
     _assert_contract(gamma_fn, [(x,) for x in GRID])
     # Subnormal alpha, where p = 1/(2 alpha) overflows, and the least

@@ -1,5 +1,6 @@
 # Quadrature, root finding, and special functions.
 
+import dataclasses
 import math
 
 import numpy as np
@@ -299,11 +300,14 @@ def test_slow_tail_raises(power):
 @pytest.mark.parametrize("fields", [
     dict(max_iter=-1), dict(max_iter=0), dict(max_iter=2.0),
     dict(quad_rel_tol=math.nan), dict(quad_rel_tol=-1e-14),
-    dict(root_tol=math.inf),
+    dict(quad_rel_tol=math.inf),
 ])
 def test_config_rejects_bad_fields(fields):
     with pytest.raises(DomainError):
         NumericsConfig(**fields)
+    # Root finds run to float resolution: there is no root tolerance.
+    with pytest.raises(TypeError):
+        NumericsConfig(root_tol=1e-12)
 
 
 def test_degenerate_interval():
@@ -319,8 +323,22 @@ def test_root_sqrt2():
 
 
 def test_root_atanh():
-    x = find_root_monotone(lambda x: math.tanh(x) - 0.5, 0.0, 2.0)
-    assert x == pytest.approx(math.atanh(0.5), abs=1e-12)
+    # tanh x - 1/2 on [0, 2] and the falling 1/2 - tanh x on [0, 3].  The
+    # bisection calls g only inside the bracket, lands within float
+    # resolution, 4 eps max(1, |x|), and evaluates g at both ends and once
+    # per halving of the bracket down to that width.
+    eps = np.finfo(float).eps
+    for sign, hi in ((1.0, 2.0), (-1.0, 3.0)):
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return sign * (math.tanh(x) - 0.5)
+
+        x = find_root_monotone(g, 0.0, hi)
+        assert 0.0 <= min(seen) and max(seen) <= hi
+        assert abs(x - math.atanh(0.5)) <= 4.0 * eps * max(1.0, abs(x))
+        assert len(seen) <= math.ceil(math.log2(hi / (4.0 * eps))) + 2
 
 
 def test_root_inverts_radius_map():
@@ -341,8 +359,8 @@ def test_no_sign_change_raises():
 
 
 def test_underflowing_interpolation_bisects():
-    # Residuals near 1e-300 underflow the inverse-quadratic denominator
-    # to 0; they round to 0 within about 2e-8 of the triple root.
+    # Residuals near 1e-300 round to 0 within about 2e-8 of the triple
+    # root, and a zero residual ends the bisection.
     x = find_root_monotone(lambda x: 1e-300 * (x / 1e300 - 1.3) ** 3,
                            1e300, 2e300)
     assert x / 1.3e300 == pytest.approx(1.0, abs=1e-7)
@@ -451,5 +469,6 @@ def test_hyp2f1_z_out_of_range():
 
 
 def test_config_defaults():
+    assert [f.name for f in dataclasses.fields(NumericsConfig)] == [
+        "quad_rel_tol", "max_iter"]
     assert DEFAULT_CONFIG.quad_rel_tol == 1e-12
-    assert DEFAULT_CONFIG.root_tol == 1e-12
