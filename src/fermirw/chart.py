@@ -46,6 +46,9 @@ _W_TINY = 1e-150
 # Up to it (a = t^p down to p = 1e-6) W_q's integrand neither overflows
 # nor underflows at every node.
 _Q_MAX = 1e6
+# Most Newton, secant or bisection steps of one slice search, besides
+# its doublings of u.
+_STEP_CAP = 500
 
 @dataclass(frozen=True)
 class RWEvent:
@@ -195,9 +198,9 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     the Hubble law elsewhere; where W_q does not reach w (q < 0 and
     w >= -1/q) or its root is not a finite float, u = w.  Each step is
     a Newton step with dchi/du = B/sqrt(sigma), B the lapse bracket
-    b'(a(t)) + a(t) u I/2: one direct pass integrates chi and sums the
-    lapse integral I over chi's own panels (geodesics._slice_integrals),
-    and resolves chi to quad_rel_tol relative to chi, at every scale.
+    b'(a(t)) + a(t) u I/2: one direct pass integrates chi and the lapse
+    integral I on the same panels (geodesics._slice_integrals), and
+    resolves chi to quad_rel_tol relative to chi, at every scale.
     While there is no upper end, u doubles in place of a step that would
     climb slowly and of a slope that is not positive, as where B cancels
     late on accelerating slices; once there is one, regula falsi
@@ -284,7 +287,7 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         # grows it less after a doubling or after a step that cut
         # |chi - chi1| by less than 4x: Newton steps climb a saturating
         # chi slowly.  Doublings count toward _GROWTH_CAP, other steps
-        # toward cfg.max_iter.
+        # toward _STEP_CAP.
         weak = doubled or (prev_f is not None and f < 0.25 * prev_f)
         doubled = hi is None and (not x > u or (weak and x < 2.0 * u))
         step = None
@@ -294,9 +297,9 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
                 raise beyond(f"u growth cap {_GROWTH_CAP} reached")
         else:
             steps += 1
-            if steps > cfg.max_iter:
+            if steps > _STEP_CAP:
                 raise AccuracyError(
-                    f"slice search iteration cap {cfg.max_iter} reached "
+                    f"slice search iteration cap {_STEP_CAP} reached "
                     f"for chi={chi1:g}", estimate=tau)
             if hi is not None and not lo < x < hi:
                 x = lo - f_lo * (hi - lo) / (f_hi - f_lo)

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -74,7 +74,6 @@ def _add_common(parser: argparse.ArgumentParser, need_model: bool) -> None:
                    help="spatial curvature (fixed families reject a mismatch)")
     g = parser.add_argument_group("numerics overrides")
     g.add_argument("--quad-rel-tol", type=float, metavar="TOL")
-    g.add_argument("--max-iter", type=int, metavar="N")
     g = parser.add_argument_group("output")
     g.add_argument("--format", choices=("csv", "json"), default="csv")
     g.add_argument("--output", metavar="PATH",
@@ -159,13 +158,9 @@ def _resolve_model(args, parser: _Parser) -> tuple[Cosmology, dict]:
 
 
 def _resolve_numerics(args) -> NumericsConfig:
-    overrides = {}
-    for name in ("quad_rel_tol", "max_iter"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    return replace(DEFAULT_CONFIG, **overrides) if overrides \
-        else DEFAULT_CONFIG
+    if args.quad_rel_tol is None:
+        return DEFAULT_CONFIG
+    return NumericsConfig(quad_rel_tol=args.quad_rel_tol)
 
 
 def _fmt(value) -> str:

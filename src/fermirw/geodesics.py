@@ -26,8 +26,8 @@ a call that repeats the last one's arguments exactly costs nothing.
 slice_integral integrates directly with the same substituted integrands.
 It is the one-integral case of _slice_integrals, which serves
 fermi_from_rw's search over slices (a store per iterate would cost
-more): one pass integrates chi and sums the lapse integral over chi's
-own panels, so the search's Newton slope costs no extra integral.  An
+more): one pass integrates chi and the lapse integral on the same
+panels, so the search's Newton slope costs no extra integral.  An
 independent route integrates the geodesic equation in rho directly and
 is used as a cross-check.
 """
@@ -180,29 +180,30 @@ def _slice_integrals(cosmo: Cosmology, tau: float, u: float, comps,
                      cfg: NumericsConfig, a0: float) -> tuple:
     """slice_integral of each (order, power) of comps to u, one pass.
 
-    comps[0] alone sets the panels, tested and bisected exactly as
-    slice_integral does it alone, so its value is the same float; every
-    later comp is summed over the same panels, at the cost of one
-    weighted sum per panel (numerics._adaptive).
+    On a range of one piece comps[0] alone sets the panels, tested and
+    bisected exactly as slice_integral does it alone, so its value is the
+    same float; every later comp is summed over the same panels, at the
+    cost of one weighted sum per panel.  A range split at table knots
+    tests every comp on its own total (numerics._adaptive).
     """
     m = cosmo.model
     sigma = 1.0 + u * u
     knots = _clean_breaks(sigma_breaks(cosmo, tau, sigma, a0), 1.0, sigma)
     seam = _S_SEAM ** -2.0
-    tol = (0.5 * cfg.quad_rel_tol, cfg.max_iter)
+    tol = 0.5 * cfg.quad_rel_tol
     # One comp integrates as a vector, which numerics._adaptive sums to a
     # float, several as a (rows x nodes) array, summed to a tuple.
     weights = (1.0,) if len(comps) == 1 else None
     # The numerics module's driver, looked up per call, so that a test
     # can swap it for a reference.
     sums = [numerics._adaptive(_integrand(m, a0, comps, True, weights),
-                               _u_nodes(0.0, knots, min(u, _U_SEAM)), *tol)]
+                               _u_nodes(0.0, knots, min(u, _U_SEAM)), tol)]
     # From s at the seam (1/sqrt(seam) rounds to _S_SEAM) down; an s
     # range that rounds to zero width adds nothing.
     if 1.0 / math.sqrt(sigma) < _S_SEAM:
         sums.append(numerics._adaptive(
             _integrand(m, a0, comps, False, weights),
-            _s_nodes(sigma, knots, seam)[::-1], *tol))
+            _s_nodes(sigma, knots, seam)[::-1], tol))
     if weights:
         return (sum(sums),)
     return tuple(map(sum, zip(*sums)))
@@ -330,11 +331,11 @@ class Slice:
     """
 
     def __init__(self, cosmo: Cosmology, tau: float, cfg: NumericsConfig):
-        self.cosmo, self.tau, self.cfg = cosmo, tau, cfg
+        self.cosmo, self.tau = cosmo, tau
         self.end = slice_end(cosmo, tau)   # validates tau
         self.a0 = float(cosmo.model.a(tau))
         self.knots = sigma_breaks(cosmo, tau, self.end, self.a0)
-        self.tol = (0.5 * cfg.quad_rel_tol, cfg.max_iter)
+        self.tol = 0.5 * cfg.quad_rel_tol
         self.tracks = {False: _Track(), True: _Track()}   # by radial
         self.last: dict = {}      # key -> (other arguments, last answer)
 
@@ -359,7 +360,7 @@ class Slice:
         starts = [self._nodes(i, radial) for i in ks]
         built = numerics._adaptive_panels(
             _integrand(self.cosmo.model, self.a0, comps, k == 0),
-            [nodes for nodes, _, _ in starts], *self.tol)
+            [nodes for nodes, _, _ in starts], self.tol)
         tr.add([_Piece(comps, vals, dict(zip(comps, ys)), a, b, end, last)
                 for (_, last, end), (a, b, vals, ys) in zip(starts, built)])
 
@@ -419,7 +420,7 @@ class Slice:
         j = min(j, b.size - 1)
         f = _integrand(self.cosmo.model, self.a0, comps, k == 0, args[1])
         value = numerics._adaptive(
-            f, [float(tr.pieces[k].a[j]), x], *self.tol) + math.fsum(
+            f, [float(tr.pieces[k].a[j]), x], self.tol) + math.fsum(
                 w * float(tr.cums[k][c][j]) for c, w in weights.items())
         self.last[comps] = args, value
         return value
@@ -496,10 +497,10 @@ class Slice:
         lo, hi, is_u = float(piece.a[j]), float(piece.b[j]), k == 0
         rem = r - float(cum[j])
         x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _panel_root(
-            piece.ys[comp][j], 0.5 * (hi - lo), rem, self.cfg.max_iter)
+            piece.ys[comp][j], 0.5 * (hi - lo), rem)
         polish = numerics._adaptive(
             _integrand(self.cosmo.model, self.a0, (comp,), is_u, (1.0,)),
-            [lo, x], *self.tol)
+            [lo, x], self.tol)
         if not (is_u or x > 0.0):
             raise AccuracyError(f"{target:g} is within rounding of the end "
                                 f"of the tau={self.tau:g} slice")

@@ -19,23 +19,18 @@ split every range at the knots of tabulated models
 (``cosmology.sigma_breaks`` finds them by bisection on the knot table).
 
 The u range (sigma below 2) and the s range (sigma above 2, up to a finite
-sigma_hi or to s = 0) each run one adaptive driver, ``_adaptive``, which
-follows QUADPACK's qagp (Piessens et al., 1983).  It takes the first panel
-of every knot piece, from one integrand call on the stacked nodes when
-there are several pieces, and tests the range total once against
-max(rel_tol |total|, 50 eps resabs): relative to the integral however
-small it is, with no absolute floor.  Only if that test fails does it
-bisect, worst panel of any piece first off a heap, with at most
-cfg.max_iter bisections for the whole range.  A single piece, as on
-analytic models, runs the scalar kernel throughout, which is cheaper for
-one panel.  An integrand may return several rows: row 0 is tested and
-bisected exactly as it would be alone, and each later row is summed
-over row 0's accepted panels, one weighted sum per panel, with no error
-test of its own.  ``_adaptive_panels`` runs the same scheme for the slice
-store on several integrands at once, over several ranges each accepted
-on its own, and hands back the accepted panels; ``_panel_root`` inverts
-the integral of one panel's node polynomial without calling the
-integrand.
+sigma_hi or to s = 0) each run QUADPACK's qagp scheme (Piessens et al.,
+1983): the first G7/K15 panel of every knot piece, one test of the range
+total against max(rel_tol |total|, 50 eps resabs), relative to the
+integral however small it is, with no absolute floor, and only if that
+fails, bisection of the worst panel of any piece, at most _SPLIT_CAP
+times for the whole range.  The piece count picks the driver: one piece,
+as on analytic models, runs ``_adaptive`` on the scalar kernel, which is
+cheaper for one panel; a range split at knots runs ``_adaptive_panels``
+on the batched kernel, which the slice store runs on several integrands
+and ranges at once, and which hands back the accepted panels.
+``_panel_root`` inverts the integral of one panel's node polynomial
+without calling the integrand.
 
 ``gamma_fn`` and ``hyp2f1`` are thin wrappers over ``math.gamma`` and
 ``scipy.special.hyp2f1`` that map their domain failures to DomainError.
@@ -67,22 +62,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Shared tolerance knobs threaded through every numerical routine.
+    """The accuracy setting threaded through every numerical routine.
 
     quad_rel_tol bounds each quadrature relative to its total, and so
-    fermi_from_rw's stop; max_iter caps the bisections of one quadrature
-    range and the steps of one iteration.  DomainError unless
-    quad_rel_tol is finite and >= 0 and max_iter is an int >= 1.
+    fermi_from_rw's stop.  DomainError unless it is finite and >= 0.
     """
 
     quad_rel_tol: float = 1e-12
-    max_iter: int = 500
 
     def __post_init__(self):
         _finite("quad_rel_tol", self.quad_rel_tol, nonnegative=True)
-        if not (type(self.max_iter) is int and self.max_iter >= 1):
-            raise DomainError(
-                f"max_iter must be an int >= 1, got {self.max_iter!r}")
 
 
 DEFAULT_CONFIG = NumericsConfig()
@@ -94,7 +83,7 @@ def table_safe_config(cfg: NumericsConfig) -> NumericsConfig:
 
     Piecewise interpolants carry kinks in their higher derivatives, so
     asking the quadrature for less than the interpolation error just
-    burns subdivisions until the iteration cap trips.
+    burns subdivisions until the bisection cap trips.
     """
     return replace(cfg, quad_rel_tol=max(cfg.quad_rel_tol, 1e-10))
 
@@ -139,6 +128,10 @@ _WKG = np.stack((_WK, _WG))
 
 _EPS = float(np.finfo(float).eps)
 _NO_BREAKS = np.empty(0)
+
+# Most bisections of one quadrature range, and most steps of _panel_root.
+_SPLIT_CAP = 500
+_PANEL_ROOT_CAP = 500
 
 
 def _inverse(m: np.ndarray) -> np.ndarray:
@@ -247,47 +240,41 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
     return knd, np.minimum(delta, (200.0 * delta) ** 1.5), resabs, y
 
 
-def _adaptive(f: Callable, nodes, rel_tol: float, max_iter: int):
+def _adaptive(f: Callable, nodes, rel_tol: float):
     """Integral of f from nodes[0] to nodes[-1], split at every node.
 
-    QUADPACK's qagp scheme: the first G7/K15 panel of every piece (the
-    scalar kernel for one piece, one batched integrand call for several),
-    one acceptance test on the range total, relative to it (or to
-    50 eps resabs, the rounding of its sum), and only if that fails,
-    bisection of the worst panel of any piece, at most max_iter times in
-    all.  The worst panel comes off a heap keyed on (-error, insertion
-    count), so ties go to the oldest panel.
+    One piece runs QUADPACK's qagp scheme on the scalar kernel: one
+    G7/K15 panel, a test of its value relative to it (or to 50 eps
+    resabs, the rounding of its sum), and only if that fails, bisection
+    of the worst panel, at most _SPLIT_CAP times.  The worst panel comes
+    off a heap keyed on (-error, insertion count), so ties go to the
+    oldest panel.  Several pieces go to _adaptive_panels, and the
+    integral is the sum of its accepted panels.
 
     An f that returns several rows, (rows x nodes), gives a tuple of
-    integrals, one per row.  Row 0 alone is tested and bisected, with
-    the operations of a one-row f, so its integral is the same float;
-    each later row is summed over row 0's accepted panels, so it rides
-    along at the cost of one weighted sum per panel, without an error
-    test of its own.
+    integrals, one per row.  On one piece row 0 alone is tested and
+    bisected, with the operations of a one-row f, so its integral is the
+    same float; each later row is summed over row 0's accepted panels,
+    so it rides along at the cost of one weighted sum per panel, without
+    an error test of its own.  On several pieces every row passes the
+    test on its own total.
     """
-    if len(nodes) == 2:
-        a, b = float(nodes[0]), float(nodes[1])
-        total, total_err, total_resabs, *rows = _panel(f, a, b)
-        heap, ride = [(-total_err, 0, a, b, total, rows)], len(rows)
-    else:
-        nodes = np.asarray(nodes, dtype=float)
-        vals, errs, resabs, _ = _panels(f, nodes[:-1], nodes[1:])
-        rows, ride = itertools.repeat(()), 0
-        if vals.ndim == 2:
-            rows, ride = vals[1:].T.tolist(), len(vals) - 1
-            vals, errs, resabs = vals[0], errs[0], resabs[0]
-        # cumsum adds in piece order, as a running total would.
-        total = float(np.cumsum(vals)[-1])
-        total_err, total_resabs = float(errs.sum()), float(resabs.sum())
-        heap = None
-    count, splits = len(nodes) - 1, 0
+    if len(nodes) > 2:
+        vals = _adaptive_panels(lambda x: np.atleast_2d(f(x)),
+                                [np.asarray(nodes, dtype=float)],
+                                rel_tol)[0][2]
+        # Row 0 in range order, as a running total adds, and later rows
+        # exactly, as on one piece.
+        total = float(np.cumsum(vals[0])[-1])
+        if len(vals) == 1:
+            return total
+        return (total, *(math.fsum(r) for r in vals[1:].tolist()))
+    a, b = float(nodes[0]), float(nodes[1])
+    total, total_err, total_resabs, *rows = _panel(f, a, b)
+    heap, ride = [(-total_err, 0, a, b, total, rows)], len(rows)
+    count, splits = 1, 0
     while total_err > max(rel_tol * abs(total), 50.0 * _EPS * total_resabs):
-        _check_splits(splits, max_iter, total, total_err)
-        if heap is None:
-            heap = list(zip((-errs).tolist(), range(count),
-                            nodes[:-1].tolist(), nodes[1:].tolist(),
-                            vals.tolist(), rows))
-            heapq.heapify(heap)
+        _check_splits(splits, total, total_err)
         nerr, _, wa, wb, wval, _ = heapq.heappop(heap)
         m = 0.5 * (wa + wb)
         lv, le, lr, *lrows = _panel(f, wa, m)
@@ -301,15 +288,12 @@ def _adaptive(f: Callable, nodes, rel_tol: float, max_iter: int):
         total_resabs += lr + rr
     if not ride:
         return total
-    if heap is not None:
-        rows = [p[5] for p in heap]
-    return (total, *(math.fsum(r) for r in zip(*rows)))
+    return (total, *(math.fsum(r) for r in zip(*(p[5] for p in heap))))
 
 
-def _adaptive_panels(f: Callable, ranges, rel_tol: float,
-                     max_iter: int) -> list:
-    """_adaptive on each of several ranges (node arrays) for an f that
-    returns a (components x nodes) array, keeping the accepted panels:
+def _adaptive_panels(f: Callable, ranges, rel_tol: float) -> list:
+    """The qagp scheme on each of several ranges (node arrays) for an f
+    that returns a (components x nodes) array, keeping the accepted panels:
     per range, (starts, ends, values, node values) in range order,
     component axis first.
 
@@ -325,13 +309,12 @@ def _adaptive_panels(f: Callable, ranges, rel_tol: float,
                     np.concatenate([r[1:] for r in ranges]))
     edges = list(itertools.accumulate((r.size - 1 for r in ranges),
                                       initial=0))
-    return [_refine_panels(f, nodes, *(x[:, i:j] for x in first), rel_tol,
-                           max_iter)
+    return [_refine_panels(f, nodes, *(x[:, i:j] for x in first), rel_tol)
             for nodes, i, j in zip(ranges, edges, edges[1:])]
 
 
 def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, resabs, ys,
-                   rel_tol: float, max_iter: int):
+                   rel_tol: float):
     """The bisection loop of _adaptive_panels on one range, from its
     first panels."""
     total = vals.cumsum(axis=-1)[:, -1]
@@ -342,7 +325,7 @@ def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, resabs, ys,
     while any(e > max(rel_tol * abs(t), 50.0 * _EPS * r)
               for t, e, r in zip(total.tolist(), total_err.tolist(),
                                  total_resabs.tolist())):
-        _check_splits(splits, max_iter, np.max(total), np.max(total_err))
+        _check_splits(splits, np.max(total), np.max(total_err))
         if heap is None:
             heap = list(zip((-errs.max(axis=0)).tolist(), range(count),
                             nodes[:-1].tolist(), nodes[1:].tolist(),
@@ -368,17 +351,15 @@ def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, resabs, ys,
             np.stack([p[6] for p in heap], axis=-2))
 
 
-def _check_splits(splits: int, max_iter: int, total: float,
-                  err: float) -> None:
-    if splits == max_iter:
+def _check_splits(splits: int, total: float, err: float) -> None:
+    if splits == _SPLIT_CAP:
         raise AccuracyError(
-            f"quadrature did not converge after {max_iter} subdivisions "
+            f"quadrature did not converge after {_SPLIT_CAP} subdivisions "
             f"(estimate {total:.17g}, error bound {err:.3g})",
             estimate=float(total), bound=float(err))
 
 
-def _panel_root(y: np.ndarray, half: float, target: float,
-                max_iter: int) -> float:
+def _panel_root(y: np.ndarray, half: float, target: float) -> float:
     """t in [-1, 1] with half * integral_-1^t p = target, p the degree-14
     interpolant of one panel's node values y, with no integrand call.
 
@@ -410,7 +391,7 @@ def _panel_root(y: np.ndarray, half: float, target: float,
     lo, hi = -1.0, 1.0
     t = min(hi, max(lo, 2.0 * target / (half * math.fsum(
         c for c, _ in coef)) - 1.0))
-    for _ in range(max_iter):
+    for _ in range(_PANEL_ROOT_CAP):
         f, slope = series(t)
         f = half * (f - start) - target
         if f == 0.0:
@@ -428,7 +409,8 @@ def _panel_root(y: np.ndarray, half: float, target: float,
                 return x
         t = x
     raise AccuracyError(
-        f"panel root iteration cap {max_iter} reached near t={t:.17g}",
+        f"panel root iteration cap {_PANEL_ROOT_CAP} reached near "
+        f"t={t:.17g}",
         estimate=t)
 
 
@@ -496,14 +478,12 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
         # sigma = 1 + u^2 absorbs the sqrt singularity at the left edge.
         total += _adaptive(_u_integrand(f),
                            _u_nodes(math.sqrt(sigma_lo - 1.0), pts,
-                                    math.sqrt(split - 1.0)),
-                           rel, cfg.max_iter)
+                                    math.sqrt(split - 1.0)), rel)
     if sigma_hi > 2.0:
         # s = 1/sqrt(sigma) keeps large-sigma panels well conditioned, and
         # maps sigma = inf to s = 0.
         total += _adaptive(_s_integrand(f),
-                           _s_nodes(sigma_hi, pts, max(sigma_lo, 2.0)),
-                           rel, cfg.max_iter)
+                           _s_nodes(sigma_hi, pts, max(sigma_lo, 2.0)), rel)
     return total
 
 
@@ -546,22 +526,25 @@ def _s_integrand(f: Callable) -> Callable:
     return lambda s: f(s ** -2.0) * 2.0 * s ** -3.0
 
 
-def find_root_monotone(g: Callable[[float], float], lo: float, hi: float,
-                       cfg: NumericsConfig | None = None) -> float:
+def find_root_monotone(g: Callable[[float], float], lo: float,
+                       hi: float) -> float:
     """Bracketed root of a monotone continuous g by bisection.
 
     g may rise or fall.  Each step evaluates g at the midpoint
     0.5 lo + 0.5 hi, which never leaves [lo, hi], even near the ends of
     the float range.  It stops at a bracket 4 eps max(1, |x|) wide, float
-    resolution, so there is no tolerance to set.  Raises BracketError when
-    g(lo) and g(hi) share a sign, AccuracyError with the midpoint as
-    estimate when cfg.max_iter steps do not get there: a bracket wider
-    than about 2^max_iter 4 eps.
+    resolution, so there is no tolerance to set and no step cap: from
+    [-DBL_MAX, DBL_MAX] that takes at most 1077 evaluations of g.
+    Raises BracketError when g(lo) and g(hi) share a sign, DomainError
+    when either is NaN, and AccuracyError with the midpoint as estimate
+    when g is NaN there.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     f_lo, f_hi = float(g(lo)), float(g(hi))
+    if math.isnan(f_lo) or math.isnan(f_hi):
+        raise DomainError(f"g is not a number at an end of [{lo}, {hi}]: "
+                          f"g(lo)={f_lo}, g(hi)={f_hi}")
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -570,20 +553,20 @@ def find_root_monotone(g: Callable[[float], float], lo: float, hi: float,
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: g(lo)={f_lo:.6g}, g(hi)={f_hi:.6g}")
-    for _ in range(cfg.max_iter):
+    while True:
         x = 0.5 * lo + 0.5 * hi
         if hi - lo <= 4.0 * _EPS * max(1.0, abs(x)):
             return x
         f = float(g(x))
         if f == 0.0:
             return x
+        if math.isnan(f):
+            raise AccuracyError(f"g is not a number at x={x:.17g}",
+                                estimate=x, bound=0.5 * hi - 0.5 * lo)
         if (f < 0.0) == (f_lo < 0.0):
             lo = x
         else:
             hi = x
-    raise AccuracyError(
-        f"root iteration cap {cfg.max_iter} reached near x={x:.17g}",
-        estimate=x, bound=0.5 * hi - 0.5 * lo)
 
 
 def gamma_fn(x: float) -> float:

@@ -28,7 +28,7 @@ from fermirw import (
     sigma_of_rho,
     t_of_sigma,
 )
-from fermirw.numerics import DEFAULT_CONFIG, NumericsConfig
+from fermirw.numerics import DEFAULT_CONFIG
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
 RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
@@ -315,10 +315,10 @@ def _join_table():
                   lo=1e-3, hi=1e3, n=400)
 
 
-def test_search_iteration_cap():
+def test_search_iteration_cap(monkeypatch):
+    monkeypatch.setattr(chart, "_STEP_CAP", 1)
     with pytest.raises(AccuracyError, match="slice search iteration cap 1"):
-        fermi_from_rw(_join_table(), RWEvent(0.5, 10.0),
-                      NumericsConfig(max_iter=1))
+        fermi_from_rw(_join_table(), RWEvent(0.5, 10.0))
 
 
 def test_search_growth_cap(monkeypatch):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import fermirw
+from fermirw import numerics
 from fermirw.cli import build_parser, main
 
 
@@ -64,20 +65,24 @@ def test_transform_out_of_slice_exit_2(capsys):
     assert "1" in err  # names the slice radius rho_M = tau = 1
 
 
-def test_transform_accuracy_exit_3(capsys):
+def test_transform_accuracy_exit_3(capsys, monkeypatch):
+    # --quad-rel-tol 1e-30 alone passes on the 50 eps resabs floor; the
+    # inversion's Newton iteration on a panel polynomial takes more than
+    # four steps here.
+    monkeypatch.setattr(numerics, "_PANEL_ROOT_CAP", 4)
     code, _, err = run_cli(capsys, "transform", "to-rw", "--model", "matter",
                            "--tau", "1", "--rho", "0.8",
-                           "--quad-rel-tol", "1e-30", "--max-iter", "4")
+                           "--quad-rel-tol", "1e-30")
     assert code == 3
     assert "accuracy error" in err
+    assert "panel root iteration cap 4" in err
 
 
-@pytest.mark.parametrize("flags", [("--max-iter", "-1"),
-                                   ("--max-iter", "0"),
+@pytest.mark.parametrize("flags", [("--quad-rel-tol", "inf"),
+                                   ("--quad-rel-tol=-inf",),
                                    ("--quad-rel-tol", "nan"),
                                    ("--quad-rel-tol=-1e-12",)])
 def test_bad_numerics_exit_2(capsys, flags):
-    # --max-iter -1 used to leave bisection uncapped.
     code, out, err = run_cli(capsys, "transform", "to-rw", "--model",
                              "matter", "--tau", "1", "--rho", "0.5", *flags)
     assert code == 2
@@ -508,7 +513,8 @@ def _flags(parser):
 
 
 # Flags README names as removed; each exits 64 like any unknown flag.
-REMOVED_FLAGS = {"--sigma-cap", "--quad-abs-tol", "--root-tol"}
+REMOVED_FLAGS = {"--sigma-cap", "--quad-abs-tol", "--root-tol",
+                 "--max-iter"}
 
 
 def test_readme_flags_are_the_parsers(capsys):

@@ -81,6 +81,19 @@ def test_exponential_concave_inverse():
     assert m.a_inf == 1.0
 
 
+def test_exponential_array_path_is_the_scalar_path():
+    # Arrays go to np.exp as they are, numbers through the scalar branch
+    # with its overflow guard; inside the float range they agree bit for
+    # bit (h0 t reaches 700 here, below log(DBL_MAX) = 709.78).
+    m = make_exponential(0.7)
+    t = np.array([-1000.0, -50.0, -1.3, 0.0, 0.25, 2.0, 40.0, 1000.0])
+    for fn in (m.a, m.a_dot):
+        got = fn(t)
+        assert got.dtype == np.float64
+        assert [repr(float(v)) for v in got] == [repr(fn(float(x)))
+                                                 for x in t]
+
+
 def test_exponential_h0_range():
     with pytest.raises(DomainError):
         make_exponential(0.0)

@@ -342,10 +342,10 @@ def test_table_store_builds_no_heap(monkeypatch):
 def _piece_by_piece(adaptive):
     """Reference driver: adaptive on each piece alone, summed in piece
     order."""
-    def run(f, nodes, rel_tol, max_iter):
+    def run(f, nodes, rel_tol):
         total = 0.0
         for a, b in zip(nodes[:-1], nodes[1:]):
-            total += adaptive(f, [a, b], rel_tol, max_iter)
+            total += adaptive(f, [a, b], rel_tol)
         return total
     return run
 
@@ -372,9 +372,10 @@ def test_one_heap_matches_a_piece_by_piece_loop(name, tau, frac, kind):
                                        ("table", 1.7)])
 @pytest.mark.parametrize("sigma", [1.5, 2.0, 6.0, 30.0])
 def test_lapse_rides_on_the_chi_panels(name, tau, sigma):
-    # fermi_from_rw's pass: chi sets the panels, as in slice_integral
-    # alone, and the lapse integral is summed over them.  The table
-    # splits the range at its knots (the batched first pass).
+    # fermi_from_rw's pass: on one piece chi sets the panels, as in
+    # slice_integral alone, and the lapse integral is summed over them.
+    # The table splits the range at its knots, where each integral is
+    # tested on its own total and the first panels pass for both.
     cosmo, cfg = {"table": (TABLE, TABLE_CFG), "matter": (MATTER, None),
                   "de-sitter": (DESITTER, None)}[name]
     cfg = cfg or DEFAULT_CONFIG
@@ -520,8 +521,6 @@ def test_panel_root_stops_once_newton_converges(monkeypatch):
                                     2.244821792356391))
     want = [repr(call(Cosmology(make_power_law(2.0 / 3.0), k=0)))
             for call in calls]
-    root = geodesics._panel_root
-    monkeypatch.setattr(geodesics, "_panel_root",
-                        lambda y, half, target, _: root(y, half, target, 6))
+    monkeypatch.setattr(numerics, "_PANEL_ROOT_CAP", 6)
     assert [repr(call(Cosmology(make_power_law(2.0 / 3.0), k=0)))
             for call in calls] == want

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -131,20 +132,14 @@ def test_clean_breaks_matches_the_loop():
     assert numerics._clean_breaks(None, 1.0, 10.0).size == 0
 
 
-def test_nonconvergence_carries_estimate():
-    cfg = NumericsConfig(quad_rel_tol=1e-16, max_iter=2)
+def test_nonconvergence_carries_estimate(monkeypatch):
+    monkeypatch.setattr(numerics, "_SPLIT_CAP", 2)
+    cfg = NumericsConfig(quad_rel_tol=1e-16)
     with pytest.raises(AccuracyError) as exc:
         integrate_sigma(lambda s: np.sin(10.0 * s) ** 2 / np.sqrt(s - 1.0),
                         1.0, 40.0, cfg=cfg)
     assert math.isfinite(exc.value.estimate)
     assert exc.value.bound > 0.0
-
-
-def test_root_iteration_cap_carries_estimate():
-    with pytest.raises(AccuracyError, match="root iteration cap 1") as exc:
-        find_root_monotone(lambda x: math.exp(x) - 2.0, 0.0, 5.0,
-                           NumericsConfig(max_iter=1))
-    assert math.isfinite(exc.value.estimate)
 
 
 @pytest.mark.parametrize("sigma_hi", [2.0, 40.0, math.inf, 1.0 + 1e-13])
@@ -173,13 +168,13 @@ def test_nan_in_one_knot_piece_raises(breaks, bad, piece):
                            breaks=breaks) == pytest.approx(6.0, rel=1e-14)
 
 
-def _adaptive_by_scan(f, a, b, rel_tol, max_iter):
+def _adaptive_by_scan(f, a, b, rel_tol):
     """numerics._adaptive with the linear worst-panel scan the heap
     replaced; returns (value, panels left)."""
     val, err, resabs = numerics._panel(f, a, b)
     panels = [(err, a, b, val)]
     total, total_err, total_resabs = val, err, resabs
-    for _ in range(max_iter):
+    for _ in range(numerics._SPLIT_CAP):
         floor = 50.0 * np.finfo(float).eps * total_resabs
         if total_err <= max(rel_tol * abs(total), floor):
             return total, len(panels)
@@ -203,9 +198,9 @@ def _adaptive_by_scan(f, a, b, rel_tol, max_iter):
     (lambda x: np.sin(40.0 * x) ** 2, 0.0, 3.0),
 ])
 def test_heap_picks_the_panels_the_scan_picked(f, a, b):
-    want, panels = _adaptive_by_scan(f, a, b, 1e-12, 500)
+    want, panels = _adaptive_by_scan(f, a, b, 1e-12)
     assert panels >= 30
-    assert numerics._adaptive(f, [a, b], 1e-12, 500) == want
+    assert numerics._adaptive(f, [a, b], 1e-12) == want
 
 
 def test_heap_breaks_ties_like_the_scan(monkeypatch):
@@ -217,22 +212,31 @@ def test_heap_breaks_ties_like_the_scan(monkeypatch):
         return w * f(a), 0.1 * w * w, abs(w * f(a))
     monkeypatch.setattr(numerics, "_panel", left_rule)
     f = lambda x: x * x
-    want, panels = _adaptive_by_scan(f, 0.0, 1.0, 3e-3, 500)
+    want, panels = _adaptive_by_scan(f, 0.0, 1.0, 3e-3)
     assert 64 < panels < 128     # converged halfway through a level
-    assert numerics._adaptive(f, [0.0, 1.0], 3e-3, 500) == want
+    assert numerics._adaptive(f, [0.0, 1.0], 3e-3) == want
 
 
 @pytest.mark.parametrize("nodes", [[0.0, 1.0], [0.0, 0.5, 1.0]])
 def test_later_rows_ride_on_row_0s_panels(nodes):
-    # Row 0 needs about 30 bisections; row 1 is smooth.  Row 0's value is
-    # the one-row value, and row 1 is summed over row 0's panels.  Two
-    # pieces and more take the batched first pass.
-    f = lambda x: np.sqrt(np.abs(x - 0.3)) + np.abs(x - 0.71) ** 0.25
+    # On one piece: f needs about 30 bisections and g is smooth.  Row 0's
+    # value is the one-row value, and row 1 is summed over row 0's panels.
     g = lambda x: np.exp(x)
-    both = numerics._adaptive(lambda x: np.array([f(x), g(x)]), nodes,
-                              1e-12, 500)
-    assert both[0] == numerics._adaptive(f, nodes, 1e-12, 500)
-    assert both[1] == pytest.approx(math.e - 1.0, rel=1e-14)
+    if len(nodes) == 2:
+        f = lambda x: np.sqrt(np.abs(x - 0.3)) + np.abs(x - 0.71) ** 0.25
+        both = numerics._adaptive(lambda x: np.array([f(x), g(x)]), nodes,
+                                  1e-12)
+        assert both[0] == numerics._adaptive(f, nodes, 1e-12)
+        assert both[1] == pytest.approx(math.e - 1.0, rel=1e-14)
+        return
+    # A split range tests every row on its own total: with g as row 0,
+    # passing on its first panels, h, a millionth of its size and
+    # oscillating, still meets the tolerance.  Summed over g's one panel
+    # on [0, 1] it would be off by 13 times its value.
+    h = lambda x: 1e-6 * np.cos(60.0 * x)
+    both = numerics._adaptive(lambda x: np.array([g(x), h(x)]), nodes, 1e-12)
+    assert both[0] == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert both[1] == pytest.approx(1e-6 * math.sin(60.0) / 60.0, rel=1e-12)
 
 
 def test_a_block_keeps_each_ranges_own_panels():
@@ -241,9 +245,9 @@ def test_a_block_keeps_each_ranges_own_panels():
     f = lambda x: np.array([np.cos(x), np.sqrt(x)])
     ranges = [np.array([1.0, 1.5, 2.0]), np.array([2.0, 2.5, 3.0]),
               np.array([3.0, 10.0, 60.0]), np.array([60.0, 61.0, 62.0])]
-    block = numerics._adaptive_panels(f, ranges, 1e-12, 500)
+    block = numerics._adaptive_panels(f, ranges, 1e-12)
     for r, got in zip(ranges, block):
-        alone = numerics._adaptive_panels(f, [r], 1e-12, 500)[0]
+        alone = numerics._adaptive_panels(f, [r], 1e-12)[0]
         assert all(np.array_equal(x, y) for x, y in zip(got, alone))
     assert len(block[2][0]) > 2 and len(block[0][0]) == 2
 
@@ -256,25 +260,21 @@ def test_pieces_that_fail_their_first_panel_are_bisected():
     assert got == pytest.approx(math.sin(90.0) / 15.0, rel=1e-11)
 
 
-def test_a_split_range_has_one_bisection_budget(monkeypatch):
+def test_a_split_range_has_one_bisection_budget(monkeypatch,
+                                                count_panels):
     # cos(100 u) over five u pieces takes 29 bisections in all, fewer than
-    # 20 on every piece: a cap of 20 must stop the range as a whole.
-    calls = [0]
-    panel = numerics._panel
-
-    def counting(*args):
-        calls[0] += 1
-        return panel(*args)
-    monkeypatch.setattr(numerics, "_panel", counting)
+    # 20 on every piece: a cap of 20 must stop the range as a whole, after
+    # the five first panels and two panels per bisection.
     f = lambda s: np.cos(100.0 * np.sqrt(s - 1.0)) / np.sqrt(s - 1.0)
     breaks = (1.2, 1.4, 1.6, 1.8)
     assert integrate_sigma(f, 1.0, 2.0, breaks=breaks) == pytest.approx(
         math.sin(100.0) / 50.0, rel=1e-11)
-    calls[0] = 0
-    with pytest.raises(AccuracyError):
-        integrate_sigma(f, 1.0, 2.0, NumericsConfig(max_iter=20),
-                        breaks=breaks)
-    assert calls[0] == 2 * 20
+    monkeypatch.setattr(numerics, "_SPLIT_CAP", 20)
+
+    def capped():
+        with pytest.raises(AccuracyError):
+            integrate_sigma(f, 1.0, 2.0, breaks=breaks)
+    assert count_panels(capped) == 5 + 2 * 20
 
 
 @pytest.mark.parametrize("width", [2.0 ** -52, 1e-13, 9.9e-12])
@@ -298,16 +298,19 @@ def test_slow_tail_raises(power):
 
 
 @pytest.mark.parametrize("fields", [
-    dict(max_iter=-1), dict(max_iter=0), dict(max_iter=2.0),
-    dict(quad_rel_tol=math.nan), dict(quad_rel_tol=-1e-14),
-    dict(quad_rel_tol=math.inf),
+    dict(quad_rel_tol=-math.inf), dict(quad_rel_tol=-1.0),
+    dict(quad_rel_tol=-5e-324), dict(quad_rel_tol=math.nan),
+    dict(quad_rel_tol=-1e-14), dict(quad_rel_tol=math.inf),
 ])
 def test_config_rejects_bad_fields(fields):
     with pytest.raises(DomainError):
         NumericsConfig(**fields)
-    # Root finds run to float resolution: there is no root tolerance.
+    # Root finds run to float resolution, and every loop's cap is fixed:
+    # there is no root tolerance and no iteration knob.
     with pytest.raises(TypeError):
         NumericsConfig(root_tol=1e-12)
+    with pytest.raises(TypeError):
+        NumericsConfig(max_iter=500)
 
 
 def test_degenerate_interval():
@@ -339,6 +342,40 @@ def test_root_atanh():
         assert 0.0 <= min(seen) and max(seen) <= hi
         assert abs(x - math.atanh(0.5)) <= 4.0 * eps * max(1.0, abs(x))
         assert len(seen) <= math.ceil(math.log2(hi / (4.0 * eps))) + 2
+
+
+def test_root_of_the_float_range_takes_at_most_1077_evaluations():
+    # Bisection to float resolution with no step cap: g at both ends of
+    # the float range, 1025 halvings of its width 2^1025 to 1, and 50 more
+    # to 4 eps.
+    big = sys.float_info.max
+    cases = ((lambda x: x - 0.3, 0.3), (lambda x: x - 1e-300, 1e-300),
+             (lambda x: 0.5 - x, 0.5), (lambda x: x + 1.3e300, -1.3e300))
+    for g, root in cases:
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return g(x)
+        x = find_root_monotone(counted, -big, big)
+        assert abs(x - root) <= 4.0 * np.finfo(float).eps * max(1.0, abs(x))
+        assert len(seen) <= 1077
+
+
+def test_nan_at_a_bracket_end_is_a_domain_error():
+    # A NaN compares as "not negative": read as a sign, g(3) = NaN would
+    # make 1.0, where g is -1, the root.
+    with pytest.raises(DomainError, match="not a number"):
+        find_root_monotone(lambda x: math.nan if x > 1.0 else x - 2.0,
+                           0.0, 3.0)
+
+
+def test_nan_at_a_midpoint_carries_it_as_estimate():
+    with pytest.raises(AccuracyError, match="not a number") as exc:
+        find_root_monotone(lambda x: math.nan if 1.0 < x < 2.0 else x - 1.75,
+                           0.0, 3.0)
+    assert exc.value.estimate == 1.5
+    assert exc.value.bound == 1.5
 
 
 def test_root_inverts_radius_map():
@@ -378,7 +415,7 @@ def test_panel_root_bisects_where_the_slope_is_not_positive():
     # t = 0.2 lies in the dip, below the target: no Newton step, and no
     # stop there, though the fallback step to the bracket end is zero.
     y = 3.0 * numerics._NODES ** 2 - 0.5
-    t = numerics._panel_root(y, 1.0, 0.6, 100)
+    t = numerics._panel_root(y, 1.0, 0.6)
     assert abs(t ** 3 - 0.5 * t + 0.5 - 0.6) < 1e-14
 
 
@@ -470,5 +507,5 @@ def test_hyp2f1_z_out_of_range():
 
 def test_config_defaults():
     assert [f.name for f in dataclasses.fields(NumericsConfig)] == [
-        "quad_rel_tol", "max_iter"]
+        "quad_rel_tol"]
     assert DEFAULT_CONFIG.quad_rel_tol == 1e-12
