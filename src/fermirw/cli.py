@@ -25,7 +25,7 @@ from .errors import AccuracyError, DomainError
 from .geodesics import chi_of_sigma, rho_of_sigma, t_of_sigma
 from .kinematics import fermi_speed, proper_radius
 from .metric import metric_polar
-from .numerics import DEFAULT_CONFIG, NumericsConfig, table_safe_config
+from .numerics import DEFAULT_CONFIG, NumericsConfig
 from .verify import SUITE_NAMES, format_report, ode_spec, run_suite
 
 __all__ = ["main", "RunConfig"]
@@ -320,11 +320,8 @@ def main(argv=None) -> int:
         cosmo, desc = (None, {})
         if args.model is not None:
             cosmo, desc = _resolve_model(args, parser)
-        numerics = _resolve_numerics(args)
-        if desc.get("family") == "tabulated" and args.quad_rel_tol is None:
-            numerics = table_safe_config(numerics)
         rc = RunConfig(cosmology=cosmo, model_desc=desc,
-                       numerics=numerics, fmt=args.format,
+                       numerics=_resolve_numerics(args), fmt=args.format,
                        output=args.output, meta=args.meta,
                        invocation=" ".join(argv_used))
         if args.command == "transform":

@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,7 +52,6 @@ from .errors import (AccuracyError, BracketError, DomainError, _finite,
 __all__ = [
     "NumericsConfig",
     "DEFAULT_CONFIG",
-    "table_safe_config",
     "integrate_sigma",
     "find_root_monotone",
     "gamma_fn",
@@ -78,14 +77,9 @@ DEFAULT_CONFIG = NumericsConfig()
 
 
 def table_safe_config(cfg: NumericsConfig) -> NumericsConfig:
-    """Floor the quadrature tolerance to what interpolated tables can
-    meet: a relative 1e-10.
+    """cfg: tables run at quad_rel_tol too (kept for bench/ imports)."""
+    return cfg
 
-    Piecewise interpolants carry kinks in their higher derivatives, so
-    asking the quadrature for less than the interpolation error just
-    burns subdivisions until the bisection cap trips.
-    """
-    return replace(cfg, quad_rel_tol=max(cfg.quad_rel_tol, 1e-10))
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
 # Positive half of the node set, descending; the full rule is symmetric.
@@ -127,6 +121,7 @@ _WG[1:14:2] = list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(_WG_HALF[-2::-1])
 _WKG = np.stack((_WK, _WG))
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 _NO_BREAKS = np.empty(0)
 
 # Most bisections of one quadrature range, and most steps of _panel_root.
@@ -300,10 +295,11 @@ def _adaptive_panels(f: Callable, ranges, rel_tol: float) -> list:
     The first panels of all ranges come from one batched integrand call;
     each range is then tested and bisected on its own, every panel
     through the batched kernel, so a range's panels do not depend on the
-    ranges beside it.  The worst panel is the one with the largest
-    component error, as in scipy's quad_vec(norm="max"); but a range
-    passes only when every component passes the test on its own total,
-    so a small integral is not judged against a large one.
+    ranges beside it.  A range passes only when every component passes
+    the test on its own total, and the worst panel is the one whose
+    error is the largest fraction of its component's budget when
+    bisection starts; the largest raw error, as in scipy's
+    quad_vec(norm="max"), would never bisect for a small component.
     """
     first = _panels(f, np.concatenate([r[:-1] for r in ranges]),
                     np.concatenate([r[1:] for r in ranges]))
@@ -327,8 +323,13 @@ def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, resabs, ys,
                                  total_resabs.tolist())):
         _check_splits(splits, np.max(total), np.max(total_err))
         if heap is None:
-            heap = list(zip((-errs.max(axis=0)).tolist(), range(count),
-                            nodes[:-1].tolist(), nodes[1:].tolist(),
+            # The budgets of the test above; one of 0 (only zero node
+            # values so far) is taken as the least normal float.
+            scale = 1.0 / np.maximum(np.maximum(
+                rel_tol * np.abs(total), 50.0 * _EPS * total_resabs), _TINY)
+            heap = list(zip((-(errs * scale[:, None]).max(axis=0)).tolist(),
+                            range(count), nodes[:-1].tolist(),
+                            nodes[1:].tolist(),
                             list(vals.T), list(errs.T),
                             list(np.moveaxis(ys, -2, 0))))
             heapq.heapify(heap)
@@ -336,8 +337,8 @@ def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, resabs, ys,
         m = 0.5 * (wa + wb)
         v, e, r, y = _panels(f, np.array([wa, m]), np.array([m, wb]))
         for j, (lo, hi) in enumerate(((wa, m), (m, wb))):
-            heapq.heappush(heap, (-e[:, j].max(), count + j, lo, hi,
-                                  v[:, j], e[:, j], y[:, j]))
+            heapq.heappush(heap, (-(e[:, j] * scale).max(), count + j,
+                                  lo, hi, v[:, j], e[:, j], y[:, j]))
         count += 2
         splits += 1
         total = total + (v[:, 0] + v[:, 1] - wval)

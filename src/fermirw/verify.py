@@ -28,8 +28,7 @@ from .kinematics import (fermi_speed, fermi_speed_power_law, fermi_speed_sup,
                          power_law_geometry_relation, proper_radius,
                          sigma_of_chi, velocity_identity_residual)
 from .metric import g_tau_tau, metric_cartesian, metric_polar
-from .numerics import (DEFAULT_CONFIG, NumericsConfig, gamma_fn, hyp2f1,
-                       table_safe_config)
+from .numerics import DEFAULT_CONFIG, NumericsConfig, gamma_fn, hyp2f1
 
 __all__ = [
     "CheckResult",
@@ -331,13 +330,6 @@ def _tabulated_matterlike() -> Cosmology:
     return Cosmology(make_tabulated(table), k=0, name="tabulated")
 
 
-def _model_cfg(cosmo: Cosmology, cfg: NumericsConfig) -> NumericsConfig:
-    # Interpolated tables are only good to their own interpolation error.
-    if cosmo.name == "tabulated":
-        return table_safe_config(cfg)
-    return cfg
-
-
 def _roundtrip_models() -> list[Cosmology]:
     return [
         cf.milne().cosmology,
@@ -348,16 +340,15 @@ def _roundtrip_models() -> list[Cosmology]:
     ]
 
 
-def _chart_events(cfg: NumericsConfig):
-    """(cosmo, its cfg, t, chi) of the chart checks: four events on each
+def _chart_events():
+    """(cosmo, t, chi) of the chart checks: four events on each
     round-trip model and three inside de Sitter's bounded chart."""
     for cosmo in _roundtrip_models():
-        mcfg = _model_cfg(cosmo, cfg)
         for i, t1 in enumerate((0.8, 1.4, 2.2, 3.0)):
-            yield cosmo, mcfg, t1, 0.15 + 0.55 * ((i * 2 + 1) % 4)
+            yield cosmo, t1, 0.15 + 0.55 * ((i * 2 + 1) % 4)
     ds = cf.de_sitter(1.0).cosmology
     for t1, frac in ((1.0, 0.3), (2.0, 0.7), (3.0, 0.9)):
-        yield ds, cfg, t1, frac * math.exp(-t1)
+        yield ds, t1, frac * math.exp(-t1)
 
 
 def invariants_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
@@ -366,9 +357,9 @@ def invariants_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
     ds = cf.de_sitter(1.0)
 
     worst = 0.0
-    for cosmo, mcfg, t1, chi1 in _chart_events(cfg):
-        fe = fermi_from_rw(cosmo, RWEvent(t1, chi1), mcfg)
-        ev = rw_from_fermi(cosmo, fe, mcfg)
+    for cosmo, t1, chi1 in _chart_events():
+        fe = fermi_from_rw(cosmo, RWEvent(t1, chi1), cfg)
+        ev = rw_from_fermi(cosmo, fe, cfg)
         worst = max(worst, abs(ev.t - t1) / t1, abs(ev.chi - chi1) / chi1)
     out.append(_result("round-trip", worst, 1e-7,
                        "fermi_from_rw then rw_from_fermi"))
@@ -376,20 +367,19 @@ def invariants_suite(cfg: NumericsConfig | None = None) -> list[CheckResult]:
     # The flow reads b'(x) and the lapse integral I3, fermi_speed I1, I2
     # and I3: v_F = a'(tau) B sqrt(1 - 1/sigma0) ties the two routes.
     worst = 0.0
-    for cosmo, mcfg, t1, chi1 in _chart_events(cfg):
-        tau = fermi_from_rw(cosmo, RWEvent(t1, chi1), mcfg).tau
-        dtau, drho = comoving_flow_fermi(cosmo, RWEvent(t1, chi1), mcfg)
-        v = fermi_speed(cosmo, tau, chi1, mcfg).v_fermi
+    for cosmo, t1, chi1 in _chart_events():
+        tau = fermi_from_rw(cosmo, RWEvent(t1, chi1), cfg).tau
+        dtau, drho = comoving_flow_fermi(cosmo, RWEvent(t1, chi1), cfg)
+        v = fermi_speed(cosmo, tau, chi1, cfg).v_fermi
         worst = max(worst, abs(drho / dtau - v) / v)
     out.append(_result("comoving-flow-velocity", worst, 1e-9,
                        "drho/dtau of the comoving flow vs fermi_speed"))
 
     neg = 0.0
     for cosmo in _roundtrip_models():
-        mcfg = _model_cfg(cosmo, cfg)
         for tau in (0.9, 2.1):
             for s in (1.1, 2.0, 10.0, 100.0):
-                if jacobian_F(cosmo, tau, s, mcfg) <= 0.0:
+                if jacobian_F(cosmo, tau, s, cfg) <= 0.0:
                     neg = max(neg, 1.0)
     out.append(_result("jacobian-positive", neg, 0.0,
                        "J > 0 on all global-chart samples"))

@@ -366,6 +366,22 @@ def test_tabulated_model_flow(tmp_path, capsys):
     assert float(row["sigma"]) == pytest.approx(1.000278, abs=1e-4)
 
 
+def test_tabulated_model_runs_at_the_default_tolerance(tmp_path, capsys):
+    # A table runs at the same quad_rel_tol as any model: leaving the flag
+    # out and passing the default give the same row.
+    ts = np.geomspace(0.05, 100.0, 120)
+    table = tmp_path / "sinh.json"
+    table.write_text(json.dumps(
+        [[t, math.sinh(1.05 * t) ** (2.0 / 3.0)] for t in ts.tolist()]))
+    event = ("transform", "to-fermi", "--model", "tabulated", "--table",
+             str(table), "--t", "0.61719236899874",
+             "--chi", "1.4032698777433827")
+    code, out, _ = run_cli(capsys, *event)
+    assert code == 0
+    assert run_cli(capsys, *event, "--quad-rel-tol", "1e-12") == (0, out, "")
+    assert parse_csv(out)[0]["tau"] == "1.9000053216609385"
+
+
 def test_tabulated_requires_table(capsys):
     code, _, err = run_cli(capsys, "transform", "to-fermi", "--model",
                            "tabulated", "--t", "1", "--chi", "0.1")

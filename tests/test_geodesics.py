@@ -27,7 +27,6 @@ from fermirw import (
 from fermirw import geodesics, numerics
 from fermirw.geodesics import lapse_bracket, slice_end, slice_integral
 from fermirw.kinematics import _power_integral
-from fermirw.numerics import table_safe_config
 from fermirw.verify import _tabulated_matterlike
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
@@ -35,7 +34,6 @@ RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
 MATTER = Cosmology(make_power_law(2.0 / 3.0), k=0, name="matter")
 DESITTER = Cosmology(make_exponential(1.0), k=0, name="de-sitter")
 TABLE = _tabulated_matterlike()
-TABLE_CFG = table_safe_config(DEFAULT_CONFIG)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +273,7 @@ def test_lapse_bracket_is_unit_lapse_on_the_worldline():
 def test_slice_maps_split_at_table_knots(count_panels):
     # tau = 1, sigma = 16 crosses about 220 table knots.  Without the knot
     # split these calls took 628, 522 and 650 G7/K15 panels.
-    cosmo = _tabulated_matterlike()
-    cfg = table_safe_config(DEFAULT_CONFIG)
+    cosmo, cfg = _tabulated_matterlike(), DEFAULT_CONFIG
     for call, unsplit in (
             (lambda: chi_of_sigma(cosmo, 1.0, 16.0, cfg), 628),
             (lambda: rho_of_sigma(cosmo, 1.0, 16.0, cfg), 522),
@@ -288,8 +285,7 @@ def test_inversions_cost_about_one_slice_integral(count_panels):
     # Newton continued from the nearest point already integrated: each
     # inversion integrates [1, sigma] about once.  Bracket growth plus
     # Brent took 3651 and 3045 panels here.
-    cosmo = _tabulated_matterlike()
-    cfg = table_safe_config(DEFAULT_CONFIG)
+    cosmo, cfg = _tabulated_matterlike(), DEFAULT_CONFIG
     rho = rho_of_sigma(cosmo, 1.0, 16.0, cfg)
     chi = chi_of_sigma(cosmo, 1.0, 16.0, cfg)
     proper_radius(cosmo, 1.0, cfg)    # the slice radius is memoised
@@ -313,8 +309,8 @@ def test_table_slice_integral_batches_model_calls():
         return b_dot(x)
 
     counted = Cosmology(replace(TABLE.model, b_dot=counting), k=0)
-    rho = rho_of_sigma(counted, 1.0, 16.0, TABLE_CFG)
-    assert rho == rho_of_sigma(TABLE, 1.0, 16.0, TABLE_CFG)
+    rho = rho_of_sigma(counted, 1.0, 16.0)
+    assert rho == rho_of_sigma(TABLE, 1.0, 16.0)
     assert 0 < calls[0] <= 4
 
 
@@ -333,8 +329,8 @@ def test_table_store_builds_no_heap(monkeypatch):
     # A new b_dot callable makes a new cache key, so the store is cold.
     b_dot = TABLE.model.b_dot
     cosmo = Cosmology(replace(TABLE.model, b_dot=lambda x: b_dot(x)), k=0)
-    rho_of_sigma(cosmo, 1.0, 16.0, TABLE_CFG)
-    built = len(geodesics.store(cosmo, 1.0, TABLE_CFG).tracks[False].pieces)
+    rho_of_sigma(cosmo, 1.0, 16.0)
+    built = len(geodesics.store(cosmo, 1.0).tracks[False].pieces)
     assert built == 3        # u in [0, 1] and two dyadic s pieces
     assert calls == {"_panel": 1, "_panels": built}
 
@@ -356,15 +352,14 @@ def _piece_by_piece(adaptive):
        st.sampled_from([(1, 0.5), (1, 1.5), (2, 1.0)]))
 @settings(max_examples=40, deadline=None)
 def test_one_heap_matches_a_piece_by_piece_loop(name, tau, frac, kind):
-    cosmo, cfg = {"table": (TABLE, TABLE_CFG), "matter": (MATTER, None),
-                  "de-sitter": (DESITTER, None)}[name]
+    cosmo = {"table": TABLE, "matter": MATTER, "de-sitter": DESITTER}[name]
+    cfg = DEFAULT_CONFIG
     sigma = 1.0 + frac * (min(16.0, slice_end(cosmo, tau)) - 1.0)
     order, power = kind
     got = slice_integral(cosmo, tau, sigma, order, power, cfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "_adaptive", _piece_by_piece(numerics._adaptive))
         reference = slice_integral(cosmo, tau, sigma, order, power, cfg)
-    cfg = cfg or DEFAULT_CONFIG
     assert abs(got - reference) <= cfg.quad_rel_tol * abs(reference)
 
 
@@ -376,9 +371,8 @@ def test_lapse_rides_on_the_chi_panels(name, tau, sigma):
     # slice_integral alone, and the lapse integral is summed over them.
     # The table splits the range at its knots, where each integral is
     # tested on its own total and the first panels pass for both.
-    cosmo, cfg = {"table": (TABLE, TABLE_CFG), "matter": (MATTER, None),
-                  "de-sitter": (DESITTER, None)}[name]
-    cfg = cfg or DEFAULT_CONFIG
+    cosmo = {"table": TABLE, "matter": MATTER, "de-sitter": DESITTER}[name]
+    cfg = DEFAULT_CONFIG
     a0 = float(cosmo.model.a(tau))
     chi, lapse = geodesics._slice_integrals(
         cosmo, tau, math.sqrt(sigma - 1.0), ((1, 0.5), (2, 1.0)), cfg, a0)
@@ -409,26 +403,23 @@ def test_inversions_round_trip(cosmo, tau, frac):
     assert sigma_of_chi(cosmo, tau, chi) == pytest.approx(sigma, rel=1e-8)
 
 
-@pytest.mark.parametrize("cosmo, cfg", [(DESITTER, DEFAULT_CONFIG),
-                                        (TABLE, TABLE_CFG)],
+@pytest.mark.parametrize("cosmo", [DESITTER, TABLE],
                          ids=["de-sitter", "table"])
-def test_sigma_of_rho_next_to_the_slice_radius(cosmo, cfg):
-    rho = (1.0 - 1e-9) * proper_radius(cosmo, 1.0, cfg)
-    sigma = sigma_of_rho(cosmo, 1.0, rho, cfg)
+def test_sigma_of_rho_next_to_the_slice_radius(cosmo):
+    rho = (1.0 - 1e-9) * proper_radius(cosmo, 1.0)
+    sigma = sigma_of_rho(cosmo, 1.0, rho)
     assert 1.0 < sigma < sigma_infinity(cosmo, 1.0)
-    assert rho_of_sigma(cosmo, 1.0, sigma, cfg) == pytest.approx(rho,
-                                                                 rel=1e-10)
+    assert rho_of_sigma(cosmo, 1.0, sigma) == pytest.approx(rho, rel=1e-10)
 
 
-@pytest.mark.parametrize("cosmo, cfg", [(DESITTER, DEFAULT_CONFIG),
-                                        (TABLE, TABLE_CFG)],
+@pytest.mark.parametrize("cosmo", [DESITTER, TABLE],
                          ids=["de-sitter", "table"])
-def test_sigma_of_chi_beyond_a_finite_slice(cosmo, cfg):
-    reach = chi_of_sigma(cosmo, 1.0, slice_end(cosmo, 1.0), cfg)
-    inside = sigma_of_chi(cosmo, 1.0, (1.0 - 1e-6) * reach, cfg)
+def test_sigma_of_chi_beyond_a_finite_slice(cosmo):
+    reach = chi_of_sigma(cosmo, 1.0, slice_end(cosmo, 1.0))
+    inside = sigma_of_chi(cosmo, 1.0, (1.0 - 1e-6) * reach)
     assert 1.0 < inside < sigma_infinity(cosmo, 1.0)
     with pytest.raises(DomainError):
-        sigma_of_chi(cosmo, 1.0, 1.001 * reach, cfg)
+        sigma_of_chi(cosmo, 1.0, 1.001 * reach)
 
 
 @pytest.mark.parametrize("tau", [-1.0, 0.0, math.nan, math.inf])
@@ -482,18 +473,15 @@ def test_chi_beyond_reach_saturates_at_every_scale(tau):
 
 
 @pytest.mark.parametrize("factor", [0.1, 10.0])
-@pytest.mark.parametrize("cosmo, cfg", [(MATTER, DEFAULT_CONFIG),
-                                        (DESITTER, DEFAULT_CONFIG),
-                                        (TABLE, TABLE_CFG)],
+@pytest.mark.parametrize("cosmo", [MATTER, DESITTER, TABLE],
                          ids=["matter", "de-sitter", "table"])
-def test_inversions_survive_a_wrong_slope(monkeypatch, cosmo, cfg, factor):
+def test_inversions_survive_a_wrong_slope(monkeypatch, cosmo, factor):
     # Steps ten times too long overshoot and must fall back on bisection;
     # steps ten times too short must still creep to the root.
     sigma = _sigma_top(cosmo, 1.0) / 2.0
-    rho = rho_of_sigma(cosmo, 1.0, sigma, cfg)
-    chi = chi_of_sigma(cosmo, 1.0, sigma, cfg)
-    want = (sigma_of_rho(cosmo, 1.0, rho, cfg),
-            sigma_of_chi(cosmo, 1.0, chi, cfg))
+    rho = rho_of_sigma(cosmo, 1.0, sigma)
+    chi = chi_of_sigma(cosmo, 1.0, sigma)
+    want = (sigma_of_rho(cosmo, 1.0, rho), sigma_of_chi(cosmo, 1.0, chi))
     # A fresh store, so that the calls below invert rather than repeat
     # the last answers of the one above.
     geodesics._cached_store.cache_clear()
@@ -503,10 +491,8 @@ def test_inversions_survive_a_wrong_slope(monkeypatch, cosmo, cfg, factor):
         calls[0] += 1
         return factor * slope(*args)
     monkeypatch.setattr(geodesics, "_map_slope", wrong)
-    assert sigma_of_rho(cosmo, 1.0, rho, cfg) == pytest.approx(want[0],
-                                                               rel=1e-10)
-    assert sigma_of_chi(cosmo, 1.0, chi, cfg) == pytest.approx(want[1],
-                                                               rel=1e-10)
+    assert sigma_of_rho(cosmo, 1.0, rho) == pytest.approx(want[0], rel=1e-10)
+    assert sigma_of_chi(cosmo, 1.0, chi) == pytest.approx(want[1], rel=1e-10)
     assert calls[0] == 2
 
 

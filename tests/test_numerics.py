@@ -239,6 +239,28 @@ def test_later_rows_ride_on_row_0s_panels(nodes):
     assert both[1] == pytest.approx(1e-6 * math.sin(60.0) / 60.0, rel=1e-12)
 
 
+def test_a_small_row_is_bisected_on_its_own_budget():
+    # The panel to bisect has the largest error relative to its row's
+    # budget: keyed on raw errors, row 1, 1e-20 of row 0's size, never
+    # won a bisection, and the range stopped at the cap.  Row 2 is zero,
+    # as b'' is on Milne: a budget of 0.
+    got = numerics._adaptive(
+        lambda x: np.array([np.exp(x), 1e-20 * np.cos(60.0 * x), 0.0 * x]),
+        [0.0, 0.5, 1.0], 1e-12)
+    assert got[0] == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert got[1] == pytest.approx(1e-20 * math.sin(60.0) / 60.0, rel=1e-12)
+    assert got[2] == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_split_range_errors_past_1e150_do_not_overflow():
+    # The batched kernel's (200 delta)^1.5 overflows to inf there, which
+    # is still a valid error bound.
+    got = numerics._adaptive(lambda x: 1e200 * np.exp(x), [0.0, 0.5, 1.0],
+                             1e-12)
+    assert got == pytest.approx(1e200 * (math.e - 1.0), rel=1e-12)
+
+
 def test_a_block_keeps_each_ranges_own_panels():
     # A block of ranges, one of which fails its first panels and is
     # bisected, gives each range the panels it gets alone.
@@ -509,3 +531,7 @@ def test_config_defaults():
     assert [f.name for f in dataclasses.fields(NumericsConfig)] == [
         "quad_rel_tol"]
     assert DEFAULT_CONFIG.quad_rel_tol == 1e-12
+    # Tables run at the caller's tolerance; the name is kept, unexported,
+    # for the benchmark scripts.
+    assert numerics.table_safe_config(DEFAULT_CONFIG) is DEFAULT_CONFIG
+    assert "table_safe_config" not in numerics.__all__

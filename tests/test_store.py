@@ -29,7 +29,6 @@ from fermirw import (
 )
 from fermirw import closed_forms, geodesics, metric, numerics
 from fermirw.geodesics import lapse_bracket, slice_end, slice_integral
-from fermirw.numerics import table_safe_config
 from fermirw.verify import _tabulated_matterlike
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
@@ -37,11 +36,8 @@ RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
 MATTER = Cosmology(make_power_law(2.0 / 3.0), k=0, name="matter")
 DESITTER = Cosmology(make_exponential(1.0), k=0, name="de-sitter")
 TABLE = _tabulated_matterlike()
-TABLE_CFG = table_safe_config(DEFAULT_CONFIG)
-MODELS = {"milne": (MILNE, DEFAULT_CONFIG),
-          "radiation": (RADIATION, DEFAULT_CONFIG),
-          "matter": (MATTER, DEFAULT_CONFIG),
-          "de-sitter": (DESITTER, DEFAULT_CONFIG), "table": (TABLE, TABLE_CFG)}
+MODELS = {"milne": MILNE, "radiation": RADIATION, "matter": MATTER,
+          "de-sitter": DESITTER, "table": TABLE}
 
 
 def _fresh(cosmo):
@@ -59,7 +55,7 @@ def _fresh(cosmo):
 def test_fermi_from_rw_builds_one_store(monkeypatch, name):
     # The search over tau integrates directly; only the final tau's rho
     # comes from a store.
-    cosmo, cfg = MODELS[name]
+    cosmo, cfg = MODELS[name], DEFAULT_CONFIG
     cosmo = _fresh(cosmo)
     built = []
 
@@ -80,7 +76,7 @@ def test_fermi_from_rw_panels_per_event(count_panels):
     # search over tau by bracket doubling and Brent's method 82.9.
     counts = []
     for name in ("milne", "radiation", "matter", "de-sitter", "table"):
-        cosmo, cfg = MODELS[name]
+        cosmo, cfg = MODELS[name], DEFAULT_CONFIG
         for t in (0.6, 1.7):
             for frac in (0.05, 0.3, 0.8):
                 chi = (frac * math.exp(-t) if name == "de-sitter"
@@ -141,8 +137,8 @@ def test_a_deep_walk_sums_once_per_block(monkeypatch):
 def test_fermi_speed_evaluates_b_ddot_once_per_node():
     # One pass over the stored b'' panels and one polish integral, as for
     # the lapse; three passes over the same nodes took twice as many.
-    chi0 = chi_of_sigma(TABLE, 1.0, 16.0, TABLE_CFG)
-    sigma0 = sigma_of_chi(TABLE, 1.0, chi0, TABLE_CFG)
+    chi0 = chi_of_sigma(TABLE, 1.0, 16.0)
+    sigma0 = sigma_of_chi(TABLE, 1.0, chi0)
 
     def points(call):
         count = [0]
@@ -154,8 +150,8 @@ def test_fermi_speed_evaluates_b_ddot_once_per_node():
         call(Cosmology(replace(TABLE.model, b_ddot=counting), k=0))
         return count[0]
 
-    speed = points(lambda c: fermi_speed(c, 1.0, chi0, TABLE_CFG))
-    lapse = points(lambda c: lapse_bracket(c, 1.0, sigma0, TABLE_CFG))
+    speed = points(lambda c: fermi_speed(c, 1.0, chi0))
+    lapse = points(lambda c: lapse_bracket(c, 1.0, sigma0))
     assert 0 < speed <= lapse
 
 
@@ -193,7 +189,7 @@ def _queries(cosmo, cfg, tau, fracs):
        st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_store_reads_match_direct_integrals(name, tau, fracs):
-    cosmo, cfg = MODELS[name]
+    cosmo, cfg = MODELS[name], DEFAULT_CONFIG
     a0 = float(cosmo.model.a(tau))
     u_top = math.sqrt(min(16.0, slice_end(cosmo, tau)) - 1.0)
 
@@ -225,7 +221,7 @@ def test_store_reads_match_direct_integrals(name, tau, fracs):
        st.lists(st.floats(0.05, 0.95), min_size=2, max_size=4))
 @settings(max_examples=25, deadline=None)
 def test_store_values_do_not_depend_on_query_order(name, tau, fracs):
-    cosmo, cfg = MODELS[name]
+    cosmo, cfg = MODELS[name], DEFAULT_CONFIG
     reads = _queries(cosmo, cfg, tau, fracs)
     values = {}
     for order in (reads, reads[::-1]):
@@ -281,7 +277,7 @@ def test_rho_across_the_end_of_the_head(name, tau):
     # the main track, to its own tail, whose totals start from the head's.
     # rho and its inverse there match the direct integrals, read in either
     # order.
-    cosmo, cfg = MODELS[name]
+    cosmo, cfg = MODELS[name], DEFAULT_CONFIG
     a0 = float(cosmo.model.a(tau))
     geodesics._cached_store.cache_clear()
     rho_of_sigma(cosmo, tau, 16.0, cfg)
@@ -322,7 +318,7 @@ def test_sigma_of_rho_at_the_edge_cold_and_warm(name, tau):
     # them; Milne's is unbounded.  A cold inversion, one after
     # proper_radius and one after a read near the top of the slice agree
     # on either side of rho_M.
-    cosmo, cfg = MODELS[name]
+    cosmo, cfg = MODELS[name], DEFAULT_CONFIG
     rho_m = proper_radius(_fresh(cosmo), tau, cfg)
     top = min(16.0, 0.999 * slice_end(cosmo, tau))
 
@@ -381,7 +377,7 @@ def _repeats(cosmo, cfg, tau):
 
 @pytest.mark.parametrize("name", ["matter", "de-sitter", "table"])
 def test_a_repeated_query_is_exact_and_free(monkeypatch, count_panels, name):
-    cosmo, cfg = MODELS[name]
+    cosmo, cfg = MODELS[name], DEFAULT_CONFIG
     roots = [0]
     panel_root = geodesics._panel_root
 
@@ -413,7 +409,7 @@ def test_the_memo_holds_one_entry_per_key():
 def test_a_failing_query_raises_again(name):
     # Exceptions are not kept: a repeat of a failing query, before or
     # after a good one on the same slice, fails again.
-    cosmo, cfg = MODELS[name]
+    cosmo, cfg = MODELS[name], DEFAULT_CONFIG
     c = _fresh(cosmo)
     rho_m = proper_radius(c, 1.0, cfg)
     good = repr(sigma_of_rho(c, 1.0, 0.5 * rho_m, cfg))
@@ -448,12 +444,12 @@ def test_extrapolated_table_event_is_domain_error():
     # At t = 1e10 the table extrapolates a(t) below zero: the model has
     # no expanding slice to map the event onto.
     with pytest.raises(DomainError, match="not expanding"):
-        fermi_from_rw(TABLE, RWEvent(1e10, 1e-5), TABLE_CFG)
+        fermi_from_rw(TABLE, RWEvent(1e10, 1e-5))
 
 
 def test_table_leading_order_near_the_observer():
     # The matter closed form rho = a(t) chi, to the table's accuracy.
-    ev = fermi_from_rw(TABLE, RWEvent(1.0, 1e-9), TABLE_CFG)
+    ev = fermi_from_rw(TABLE, RWEvent(1.0, 1e-9))
     assert ev.rho == pytest.approx(1e-9, rel=1e-8, abs=0.0)
     assert ev.tau == pytest.approx(1.0, rel=1e-8, abs=0.0)
 
