@@ -57,8 +57,8 @@ def sigma_of_chi(cosmo: Cosmology, tau: float, chi0: float,
                  cfg: NumericsConfig | None = None) -> float:
     """Stretch sigma0 at which the tau-slice geodesic meets comoving chi0.
 
-    geodesics.Slice.invert solves it by Newton's method on the slice
-    store's panel polynomials and one polish integral.  Raises
+    geodesics.Slice.invert solves it on the node interpolants of the
+    slice store's panels, with no integrand call of its own.  Raises
     DomainError when chi0 lies beyond the comoving reach of the slice
     (past the end of a finite slice, or where chi saturates on an
     unbounded one), AccuracyError when the iteration or its bracket
@@ -75,8 +75,8 @@ def fermi_speed(cosmo: Cosmology, tau: float, chi0: float,
     v_fermi = (a'(tau)/2) [ I1 + a(tau) I2 - (a(tau)/sigma0) I3 ]
     with I1, I2, I3 the sigma integrals of b'(.)/(s^(3/2) sqrt(s-1)),
     b''(.)/(s^2 sqrt(s-1)), and b''(.)/(s sqrt(s-1)) up to sigma0, read
-    from the slice store in one pass: I1 from the b' panels, and
-    a(tau) (I2 - I3/sigma0) from the b'' panels with one polish integral.
+    from the slice store: I1 from the b' panels, and
+    a(tau) (I2 - I3/sigma0) in one pass over the b'' panels' node values.
     """
     chi0 = _finite("chi0", chi0, nonnegative=True)
     v_h = hubble_speed(cosmo, tau, chi0)

@@ -29,8 +29,10 @@ as on analytic models, runs ``_adaptive`` on the scalar kernel, which is
 cheaper for one panel; a range split at knots runs ``_adaptive_panels``
 on the batched kernel, which the slice store runs on several integrands
 and ranges at once, and which hands back the accepted panels.
-``_panel_root`` inverts the integral of one panel's node polynomial
-without calling the integrand.
+The store reads a partial panel from its stored node values alone, with
+no integrand call: ``_legendre`` gives the Legendre series of their
+degree-14 interpolant, ``_panel_eval`` its integral from the panel
+start, and ``_panel_root`` inverts that integral.
 
 ``gamma_fn`` and ``hyp2f1`` are thin wrappers over ``math.gamma`` and
 ``scipy.special.hyp2f1`` that map their domain failures to DomainError.
@@ -147,21 +149,18 @@ def _inverse(m: np.ndarray) -> np.ndarray:
     return a[:, n:]
 
 
-# (k + 1) P_(k+1) = (2k + 1) t P_k - k P_(k-1): the two factors, k = 1..14.
-_RECURRENCE = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, 15)]
-_LEGENDRE = [np.ones(15), _NODES]
-for _r1, _r0 in _RECURRENCE[:-1]:
-    _LEGENDRE.append(_r1 * _NODES * _LEGENDRE[-1] - _r0 * _LEGENDRE[-2])
+# Per k = 1..13, the factors of (k + 1) P_(k+1) = (2k + 1) t P_k - k P_(k-1),
+# then those of P_(k+1)' = t P_k' + (k + 1) P_k and 1/((k + 1)(k + 2)).
+_RECURRENCE = [((2 * k + 1) / (k + 1), k / (k + 1), k + 1.0,
+                1.0 / ((k + 1) * (k + 2))) for k in range(1, 14)]
 # G7/K15 node values of a panel -> Legendre coefficients on [-1, 1] of
-# their degree-14 interpolant (_TO_LEG) and of its integral from -1
-# (_TO_INT), by int P_k = (P_(k+1) - P_(k-1))/(2k + 1), int P_0 = P_1 + P_0.
+# their degree-14 interpolant, in extended precision where numpy has it.
+# In doubles it put the interpolant of a constant 3 eps off at t = -1.
+_LEGENDRE = [np.ones(15, np.longdouble), _NODES.astype(np.longdouble)]
+for _k in range(1, 14):
+    _LEGENDRE.append(((2 * _k + 1) * _LEGENDRE[1] * _LEGENDRE[-1]
+                      - _k * _LEGENDRE[-2]) / (_k + 1))
 _TO_LEG = _inverse(np.array(_LEGENDRE).T)
-_INT = np.zeros((16, 15))
-_INT[0, 0] = _INT[1, 0] = 1.0
-for _k in range(1, 15):
-    _INT[_k + 1, _k] = 1.0 / (2 * _k + 1)
-    _INT[_k - 1, _k] = -1.0 / (2 * _k + 1)
-_TO_INT = (_INT[:, :, None] * _TO_LEG).sum(axis=1)
 
 
 def _panel(f: Callable, a: float, b: float) -> tuple:
@@ -360,59 +359,73 @@ def _check_splits(splits: int, total: float, err: float) -> None:
             estimate=float(total), bound=float(err))
 
 
-def _panel_root(y: np.ndarray, half: float, target: float) -> float:
-    """t in [-1, 1] with half * integral_-1^t p = target, p the degree-14
-    interpolant of one panel's node values y, with no integrand call.
+def _legendre(rows, weights) -> list:
+    """Legendre coefficients on [-1, 1], as floats, of the degree-14
+    interpolant of sum(w * y) over one panel's node values y in rows."""
+    try:
+        y = rows[0] if weights == (1.0,) else sum(
+            w * row for w, row in zip(weights, rows))
+        return (_TO_LEG * y).sum(axis=1).astype(float).tolist()
+    except RuntimeWarning as w:
+        raise AccuracyError(f"panel series not finite: {w}") from None
 
-    Newton's method from the linear guess, bisecting whenever a step
+
+def _panel_eval(d: list, t: float) -> tuple[float, float]:
+    """(H, p) at t for p = sum d_k P_k, H its mean over [-1, t]: with
+    int_-1^t P_k = (t^2 - 1) P_k'/(k (k + 1)), k >= 1,
+    H = d_0 + (t - 1) sum d_k P_k'/(k (k + 1)), free of cancellation at
+    t = -1.  AccuracyError unless both are finite: Python floats
+    overflow to inf without a warning."""
+    p0, p1, q1 = 1.0, t, 1.0
+    p, s = d[0] + d[1] * t, 0.5 * d[1]
+    for c, (r1, r0, k1, inv) in zip(d[2:], _RECURRENCE):
+        q1 = t * q1 + k1 * p1
+        p0, p1 = p1, r1 * t * p1 - r0 * p0
+        p += c * p1
+        s += c * inv * q1
+    mean = d[0] + (t - 1.0) * s
+    if not (math.isfinite(mean) and math.isfinite(p)):
+        raise AccuracyError(f"panel series not finite at t={t:.17g}")
+    return mean, p
+
+
+def _panel_root(d: list, half: float, target: float) -> float:
+    """w = 1 + t in [0, 2] where half w H(t), the integral of a panel's
+    interpolant from its start (half: its half width; H of _panel_eval),
+    reaches target.
+
+    Newton's method in w from the linear guess, bisecting whenever a step
     would leave the bracket known so far (where p wiggles below zero near
     an integrable singularity, say, or where the slope is not positive).
-    It stops at a Newton step of 8 eps, tested before the bracket: a
+    It stops at a Newton step of 8 eps w, tested before the bracket: a
     converged step that rounds onto the bracket's end is kept (clipped to
-    the bracket), not sent to the midpoint to bisect down to 8 eps.  A
-    bisection step of 8 eps stops it too, which ends the iteration at a
-    bracket that has shrunk to a point.  The integral is measured from
-    its rounding at t = -1, so a target far below that rounding lands a
-    step relative to the target from t = -1.
+    the bracket), not sent to the midpoint to bisect.  A bisection step
+    of 8 eps w stops it too.  Relative to w, so a target far below the
+    panel's integral keeps its digits.
     """
-    coef = list(zip((_TO_INT * y).sum(axis=1).tolist(),
-                    (_TO_LEG * y).sum(axis=1).tolist() + [0.0]))
-
-    def series(t: float) -> tuple[float, float]:
-        # Both Legendre series at once, P_k(t) by the recurrence.
-        p0, p1 = 1.0, t
-        f, slope = coef[0][0] + coef[1][0] * t, coef[0][1] + coef[1][1] * t
-        for (c_f, c_s), (r1, r0) in zip(coef[2:], _RECURRENCE):
-            p0, p1 = p1, r1 * t * p1 - r0 * p0
-            f += c_f * p1
-            slope += c_s * p1
-        return f, slope
-
-    start = series(-1.0)[0]
-    lo, hi = -1.0, 1.0
-    t = min(hi, max(lo, 2.0 * target / (half * math.fsum(
-        c for c, _ in coef)) - 1.0))
+    lo, hi, whole = 0.0, 2.0, half * d[0]
+    w = min(hi, max(lo, target / whole)) if whole > 0.0 else 1.0
     for _ in range(_PANEL_ROOT_CAP):
-        f, slope = series(t)
-        f = half * (f - start) - target
+        mean, slope = _panel_eval(d, w - 1.0)
+        f = half * w * mean - target
         if f == 0.0:
-            return t
-        lo, hi = (t, hi) if f < 0.0 else (lo, t)
+            return w
+        lo, hi = (w, hi) if f < 0.0 else (lo, w)
         if half * slope > 0.0:
-            x = t - f / (half * slope)
-            if abs(x - t) <= 8.0 * _EPS:
+            x = w - f / (half * slope)
+            if abs(x - w) <= 8.0 * _EPS * w:
                 return min(max(x, lo), hi)
         else:
             x = lo
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-            if abs(x - t) <= 8.0 * _EPS:
+            if abs(x - w) <= 8.0 * _EPS * w:
                 return x
-        t = x
+        w = x
     raise AccuracyError(
         f"panel root iteration cap {_PANEL_ROOT_CAP} reached near "
-        f"t={t:.17g}",
-        estimate=t)
+        f"w={w:.17g}",
+        estimate=w)
 
 
 def _clean_breaks(breaks, lo: float, hi: float) -> np.ndarray:

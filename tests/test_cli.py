@@ -67,15 +67,15 @@ def test_transform_out_of_slice_exit_2(capsys):
 
 def test_transform_accuracy_exit_3(capsys, monkeypatch):
     # --quad-rel-tol 1e-30 alone passes on the 50 eps resabs floor; the
-    # inversion's Newton iteration on a panel polynomial takes more than
-    # four steps here.
-    monkeypatch.setattr(numerics, "_PANEL_ROOT_CAP", 4)
+    # inversion's Newton iteration on a panel polynomial takes four steps
+    # here.
+    monkeypatch.setattr(numerics, "_PANEL_ROOT_CAP", 3)
     code, _, err = run_cli(capsys, "transform", "to-rw", "--model", "matter",
                            "--tau", "1", "--rho", "0.8",
                            "--quad-rel-tol", "1e-30")
     assert code == 3
     assert "accuracy error" in err
-    assert "panel root iteration cap 4" in err
+    assert "panel root iteration cap 3" in err
 
 
 @pytest.mark.parametrize("flags", [("--quad-rel-tol", "inf"),

@@ -272,30 +272,41 @@ def test_lapse_bracket_is_unit_lapse_on_the_worldline():
 
 def test_slice_maps_split_at_table_knots(count_panels):
     # tau = 1, sigma = 16 crosses about 220 table knots.  Without the knot
-    # split these calls took 628, 522 and 650 G7/K15 panels.
+    # split these calls took 628, 522 and 650 G7/K15 panels.  The cold chi
+    # read builds the store's head, to sigma = 32, which rho then reads
+    # with no panel; the radius adds the radial tail.
     cosmo, cfg = _tabulated_matterlike(), DEFAULT_CONFIG
-    for call, unsplit in (
-            (lambda: chi_of_sigma(cosmo, 1.0, 16.0, cfg), 628),
-            (lambda: rho_of_sigma(cosmo, 1.0, 16.0, cfg), 522),
-            (lambda: proper_radius(cosmo, 1.0, cfg), 650)):
-        assert 0 < count_panels(call) < unsplit / 2
+    geodesics._cached_store.cache_clear()
+    chi, rho, radius = (count_panels(call) for call in (
+        lambda: chi_of_sigma(cosmo, 1.0, 16.0, cfg),
+        lambda: rho_of_sigma(cosmo, 1.0, 16.0, cfg),
+        lambda: proper_radius(cosmo, 1.0, cfg)))
+    assert 0 < chi < 628 / 2
+    assert rho == 0
+    assert 0 < radius < 650 / 2
 
 
 def test_inversions_cost_about_one_slice_integral(count_panels):
-    # Newton continued from the nearest point already integrated: each
-    # inversion integrates [1, sigma] about once.  Bracket growth plus
-    # Brent took 3651 and 3045 panels here.
+    # An inversion evaluates no panel of its own: a cold one builds the
+    # store pieces a read builds (for rho, the whole radial track, as the
+    # slice radius does), and a warm one none.  Bracket growth plus Brent
+    # took 3651 and 3045 panels here, and each inversion used to end with
+    # one polish panel.
     cosmo, cfg = _tabulated_matterlike(), DEFAULT_CONFIG
     rho = rho_of_sigma(cosmo, 1.0, 16.0, cfg)
     chi = chi_of_sigma(cosmo, 1.0, 16.0, cfg)
-    proper_radius(cosmo, 1.0, cfg)    # the slice radius is memoised
-    # The unit is a read next to sigma = 16: a repeat of the read at 16
-    # would come from the store's memo of last answers, with no panel.
-    one = count_panels(lambda: rho_of_sigma(
-        cosmo, 1.0, math.nextafter(16.0, 0.0), cfg))
-    assert one > 0
-    assert count_panels(lambda: sigma_of_rho(cosmo, 1.0, rho, cfg)) <= 2 * one
-    assert count_panels(lambda: sigma_of_chi(cosmo, 1.0, chi, cfg)) <= 2 * one
+    for read, invert, target in (
+            (lambda: proper_radius(cosmo, 1.0, cfg),
+             lambda x: sigma_of_rho(cosmo, 1.0, x, cfg), rho),
+            (lambda: chi_of_sigma(cosmo, 1.0, 16.0, cfg),
+             lambda x: sigma_of_chi(cosmo, 1.0, x, cfg), chi)):
+        geodesics._cached_store.cache_clear()
+        cold = count_panels(read)
+        assert cold > 0
+        geodesics._cached_store.cache_clear()
+        assert count_panels(lambda: invert(target)) == cold
+        # Next to the last answer, which the store would repeat.
+        assert count_panels(lambda: invert(math.nextafter(target, 0.0))) == 0
 
 
 def test_table_slice_integral_batches_model_calls():
@@ -316,8 +327,8 @@ def test_table_slice_integral_batches_model_calls():
 
 def test_table_store_builds_no_heap(monkeypatch):
     # Every piece of a table store passes on its batched first pass: one
-    # batched call per piece and no bisection, and the read ends in one
-    # scalar polish panel.
+    # batched call per piece and no bisection, and the read evaluates no
+    # panel of its own.
     calls = {"_panel": 0, "_panels": 0}
     for name in calls:
         kernel = getattr(numerics, name)
@@ -332,7 +343,7 @@ def test_table_store_builds_no_heap(monkeypatch):
     rho_of_sigma(cosmo, 1.0, 16.0)
     built = len(geodesics.store(cosmo, 1.0).tracks[False].pieces)
     assert built == 3        # u in [0, 1] and two dyadic s pieces
-    assert calls == {"_panel": 1, "_panels": built}
+    assert calls == {"_panel": 0, "_panels": built}
 
 
 def _piece_by_piece(adaptive):
@@ -476,24 +487,27 @@ def test_chi_beyond_reach_saturates_at_every_scale(tau):
 @pytest.mark.parametrize("cosmo", [MATTER, DESITTER, TABLE],
                          ids=["matter", "de-sitter", "table"])
 def test_inversions_survive_a_wrong_slope(monkeypatch, cosmo, factor):
-    # Steps ten times too long overshoot and must fall back on bisection;
-    # steps ten times too short must still creep to the root.
-    sigma = _sigma_top(cosmo, 1.0) / 2.0
+    # Newton steps of numerics._panel_root ten times too long overshoot
+    # and must fall back on bisection; steps ten times too short must
+    # still creep to the root.  sigma is inside a store piece: at the
+    # end of one the linear guess is the root.
+    sigma = _sigma_top(cosmo, 1.0) / 3.0
     rho = rho_of_sigma(cosmo, 1.0, sigma)
     chi = chi_of_sigma(cosmo, 1.0, sigma)
     want = (sigma_of_rho(cosmo, 1.0, rho), sigma_of_chi(cosmo, 1.0, chi))
     # A fresh store, so that the calls below invert rather than repeat
     # the last answers of the one above.
     geodesics._cached_store.cache_clear()
-    slope, calls = geodesics._map_slope, [0]
+    series, calls = numerics._panel_eval, [0]
 
     def wrong(*args):
         calls[0] += 1
-        return factor * slope(*args)
-    monkeypatch.setattr(geodesics, "_map_slope", wrong)
-    assert sigma_of_rho(cosmo, 1.0, rho) == pytest.approx(want[0], rel=1e-10)
-    assert sigma_of_chi(cosmo, 1.0, chi) == pytest.approx(want[1], rel=1e-10)
-    assert calls[0] == 2
+        mean, slope = series(*args)
+        return mean, factor * slope
+    monkeypatch.setattr(numerics, "_panel_eval", wrong)
+    assert sigma_of_rho(cosmo, 1.0, rho) == pytest.approx(want[0], rel=1e-13)
+    assert sigma_of_chi(cosmo, 1.0, chi) == pytest.approx(want[1], rel=1e-13)
+    assert calls[0] > 2
 
 
 def test_panel_root_stops_once_newton_converges(monkeypatch):

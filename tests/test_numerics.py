@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -437,8 +438,42 @@ def test_panel_root_bisects_where_the_slope_is_not_positive():
     # t = 0.2 lies in the dip, below the target: no Newton step, and no
     # stop there, though the fallback step to the bracket end is zero.
     y = 3.0 * numerics._NODES ** 2 - 0.5
-    t = numerics._panel_root(y, 1.0, 0.6)
+    t = numerics._panel_root(numerics._legendre([y], (1.0,)), 1.0, 0.6) - 1.0
     assert abs(t ** 3 - 0.5 * t + 0.5 - 0.6) < 1e-14
+
+
+def test_a_panel_series_that_overflows_raises():
+    # Python floats overflow to inf without a RuntimeWarning, so the
+    # series checks its values; numpy's overflow in the coefficients
+    # raises under an error::RuntimeWarning filter and gives inf or nan
+    # without one.
+    with pytest.raises(AccuracyError, match="not finite"):
+        numerics._panel_eval([1e308] * 15, 0.9)
+    y = [np.full(15, 1e308)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(AccuracyError, match="not finite"):
+            numerics._legendre(y, (10.0,))
+    with pytest.warns(RuntimeWarning):
+        d = numerics._legendre(y, (10.0,))
+    with pytest.raises(AccuracyError, match="not finite"):
+        numerics._panel_root(d, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("half", [0.5, -0.25], ids=["u", "s"])
+@pytest.mark.parametrize("frac", [1e-12, 1e-300])
+def test_panel_root_stops_relative_to_w(half, frac):
+    # Targets far below the panel's integral, on a constant p = 3 and a
+    # linear p = 1 + t/2, with the sign of half (s panels run backward).
+    # The iteration in w = 1 + t, stopped at 8 eps w, keeps the root's
+    # digits, which t near -1 holds only to eps absolute.
+    sign = math.copysign(1.0, half)
+    for p, whole, w in ((np.full(15, 3.0), 6.0, 2.0 * frac),
+                        (1.0 + 0.5 * numerics._NODES, 2.0,
+                         8.0 * frac / (1.0 + math.sqrt(1.0 + 8.0 * frac)))):
+        d = numerics._legendre([sign * p], (1.0,))
+        got = numerics._panel_root(d, half, frac * whole * abs(half))
+        assert abs(got - w) <= 4.0 * numerics._EPS * w
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from fermirw import (
     DEFAULT_CONFIG,
     Cosmology,
     DomainError,
+    NumericsConfig,
     OutOfChartError,
     RWEvent,
     chi_of_sigma,
@@ -107,15 +109,15 @@ def _work(monkeypatch):
 
 def test_a_cold_head_is_summed_once(monkeypatch, count_panels):
     # Cold rho, chi and lapse reads at sigma = 10 build the head, pieces 0
-    # to 2: one batched first pass per piece, each accepted without a
-    # bisection, and one running-total pass per piece, which the radial
-    # track takes over as it stands.  Each piece was summed twice, once
-    # per track.
+    # to 2: one batched first pass of four panels per piece, each accepted
+    # without a bisection, and one running-total pass per piece, which the
+    # radial track takes over as it stands.  The reads evaluate no panel
+    # of their own.  Each piece was summed twice, once per track.
     counts = _work(monkeypatch)
     cosmo = _fresh(MATTER)
     assert count_panels(lambda: (
         rho_of_sigma(cosmo, 1.0, 10.0), chi_of_sigma(cosmo, 1.0, 10.0),
-        lapse_bracket(cosmo, 1.0, 10.0))) == 2 * 3 + 3
+        lapse_bracket(cosmo, 1.0, 10.0))) == 4 * 3
     assert counts == {"sums": 3, "batches": 3}
     tracks = geodesics.store(cosmo, 1.0).tracks
     assert len(tracks[True].cums) == 1 + geodesics._SHARED_PIECES
@@ -135,8 +137,8 @@ def test_a_deep_walk_sums_once_per_block(monkeypatch):
 
 
 def test_fermi_speed_evaluates_b_ddot_once_per_node():
-    # One pass over the stored b'' panels and one polish integral, as for
-    # the lapse; three passes over the same nodes took twice as many.
+    # One pass over the stored b'' panels, as for the lapse; three passes
+    # over the same nodes took twice as many.
     chi0 = chi_of_sigma(TABLE, 1.0, 16.0)
     sigma0 = sigma_of_chi(TABLE, 1.0, chi0)
 
@@ -215,6 +217,41 @@ def test_store_reads_match_direct_integrals(name, tau, fracs):
     close(proper_radius(cosmo, tau, cfg),
           0.5 * a0 * slice_integral(cosmo, tau, slice_end(cosmo, tau), 1, 1.5,
                                     cfg))
+
+
+# de Sitter's slice at tau = 5 reaches sigma = 2.2e4.
+_ACCURACY_TAU = {"milne": 1.0, "radiation": 1.0, "matter": 1.0,
+                 "de-sitter": 5.0, "table": 1.0}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_partial_panel_reads_meet_every_tolerance(name):
+    # Reads over partial panels from the stored node values, against
+    # direct integrals at 1e-15, from u = 1e-9 out to sigma = 1e4 or near
+    # the end of a finite slice.  With pieces started from two panels
+    # instead of four, analytic reads stayed near 2.4e-13 relative at
+    # every tol, 24 times the budget at 1e-14.
+    cosmo, tau = MODELS[name], _ACCURACY_TAU[name]
+    a0, end = float(cosmo.model.a(tau)), slice_end(cosmo, tau)
+    us = np.geomspace(1e-9, 1.0, 19).tolist() + [
+        math.sqrt(s - 1.0) for s in (2.5, 4.0, 9.0, 16.0, 33.0, 100.0, 1e3,
+                                     1e4, 0.999 * end) if s < end]
+    comps = (geodesics._CHI, geodesics._RHO, geodesics._LAPSE)
+    ref = NumericsConfig(1e-15)
+    want = {c: [geodesics._slice_integrals(cosmo, tau, u, (c,), ref, a0)[0]
+                for u in us] for c in comps}
+    for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+        st = geodesics.Slice(cosmo, tau, NumericsConfig(tol))
+        for c in comps:
+            for u, w in zip(us, want[c]):
+                got = st.integral({c: 1.0}, u)
+                assert abs(got - w) <= tol * abs(w), (tol, c, u)
+        # An inversion lands where the read gives its target back.
+        for c, scale in ((geodesics._CHI, 0.5), (geodesics._RHO, 0.5 * a0)):
+            for u in us:
+                f = scale * st.integral({c: 1.0}, u)
+                back = scale * st.integral({c: 1.0}, st.invert(c, f))
+                assert abs(back - f) <= 4.0 * numerics._EPS * f, (tol, c, u)
 
 
 @given(st.sampled_from(sorted(MODELS)), st.floats(0.5, 2.0),
