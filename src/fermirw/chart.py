@@ -18,8 +18,7 @@ from .cosmology import Cosmology, _check_time
 from .errors import (AccuracyError, DomainError, FermiRWError,
                      OutOfChartError, _finite, _no_overflow)
 from .geodesics import (_CHI, _GROWTH_CAP, _LAPSE, _RHO, _check_slice,
-                        _slice_integrals, _u_of, chi_of_sigma, store,
-                        t_of_sigma)
+                        _u_of, chi_of_sigma, store, t_of_sigma)
 from .numerics import _EPS, _NODES, _WK, DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
@@ -49,6 +48,8 @@ _Q_MAX = 1e6
 # Most Newton, secant or bisection steps of one slice search, besides
 # its doublings of u.
 _STEP_CAP = 500
+# Most Newton steps on a that place one iterate's slice.
+_SLICE_STEP_CAP = 10
 
 @dataclass(frozen=True)
 class RWEvent:
@@ -184,33 +185,49 @@ def _power_law_root(w: float, q: float) -> float:
     return math.sinh(x)
 
 
+def _search_pass(cosmo: Cosmology, tau: float, u: float,
+                 cfg: NumericsConfig) -> tuple[float, float]:
+    """chi and the lapse integral I at u, read from the tau slice's store:
+    one pass of fermi_from_rw's search."""
+    st = store(cosmo, tau, cfg)
+    return 0.5 * st.integral({_CHI: 1.0}, u), st.integral({_LAPSE: 1.0}, u)
+
+
 def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
                   cfg: NumericsConfig | None = None) -> FermiEvent:
     """Map a Robertson-Walker event into the observer's Fermi chart.
 
     Searches at fixed t in u = sqrt(sigma - 1), sigma = (a(tau)/a(t))^2,
-    tau = b(a(t) sqrt(1 + u^2)), for the slice whose geodesic reaches chi,
-    unique as chi grows with u.  It starts at the root of the power law
-    that osculates the model at t, with its a, H and deceleration
+    for the slice whose geodesic reaches chi, unique as chi grows with u.
+    The slice of iterate u is the tau with a(tau) = x = a(t) sqrt(1 + u^2):
+    b(x), then Newton steps on a until a(tau) matches x to rounding, at
+    most _SLICE_STEP_CAP, stopping where a is not finite or a' not
+    positive.  On analytic models b inverts a, and the steps move tau by
+    rounding at most; a table's a and b curves disagree, and the steps
+    keep the slice the one whose a(tau) the slope below assumes.
+
+    The search starts at the root of the power law that osculates the
+    model at t, with its a, H and deceleration
     q = a b''(a)/b'(a): chi/b'(a(t)) = W_q(X), u = sinh X, solved for
     w = a(t) H(t) chi = chi/b'(a(t)) (_power_law_root).  That is the root
     on Milne, de Sitter, radiation and matter, and one order closer than
     the Hubble law elsewhere; where W_q does not reach w (q < 0 and
     w >= -1/q) or its root is not a finite float, u = w.  Each step is
     a Newton step with dchi/du = B/sqrt(sigma), B the lapse bracket
-    b'(a(t)) + a(t) u I/2: one direct pass integrates chi and the lapse
-    integral I on the same panels (geodesics._slice_integrals), and
-    resolves chi to quad_rel_tol relative to chi, at every scale.
+    b'(a(t)) + a(t) u I/2: each pass reads chi and the lapse integral I
+    at u from the slice's store (_search_pass), which sums both on the
+    same panels and resolves chi to quad_rel_tol relative to chi.
     While there is no upper end, u doubles in place of a step that would
     climb slowly and of a slope that is not positive, as where B cancels
     late on accelerating slices; once there is one, regula falsi
-    replaces such a slope and a step out of the bracket.  It stops when a
-    step moves tau by at most quad_rel_tol/2 * tau, the accuracy of chi,
-    or when Newton's error |f''|/(2 f') step^2 says the next step would,
-    with f'' from the last two slopes, both positive, once the step
-    before kept within twice its own such bound.  It also stops when
-    |chi - chi1| reaches chi's rounding floor, 2 eps chi1.  Only the
-    returned tau builds a slice store.
+    replaces such a step and one out of the bracket.  When a step would
+    move tau by at most quad_rel_tol/2 * tau, the accuracy of chi, the
+    search stops at the slice it has read, whose store is built.  When
+    Newton's error |f''|/(2 f') step^2 says the step after it would, with
+    f'' from the last two slopes, both positive, once the step before
+    kept within twice its own such bound, it takes the step and stops.
+    It also stops when |chi - chi1| reaches a store read's rounding
+    floor, 4 eps chi1.
 
     Near the observer rho, read at u, keeps its relative accuracy.
     Events beyond a bounded chart raise OutOfChartError; on a global
@@ -235,31 +252,39 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         return kind(f"event (t={t1:g}, chi={chi1:g}) not reached: {what}")
 
     def tau_of(u: float) -> float:
+        x = a1 * math.sqrt(1.0 + u * u)
         try:
-            tau = float(m.b(a1 * math.sqrt(1.0 + u * u)))
+            tau = float(m.b(x))
         except OverflowError:
             tau = math.inf
         if not math.isfinite(tau):
             raise beyond(f"the slice time overflows at u={u:g}")
-        # b(a(t1)) may round below t1, where the slice is never earlier.
-        return max(t1, tau)
+        # The slice is never earlier than t1, where b(a(t1)) may round.
+        tau = max(t1, tau)
+        for _ in range(_SLICE_STEP_CAP):
+            a, a_dot = float(m.a(tau)), float(m.a_dot(tau))
+            if not (math.isfinite(a) and a_dot > 0.0):
+                break
+            step = (a - x) / a_dot
+            if abs(step) <= 2.0 * _EPS * tau:
+                break
+            tau = max(t1, tau - step)
+        return tau
 
-    def residual(u: float, tau: float) -> tuple[float, float, float]:
-        """tau of the slice at u, tau = tau_of(u), its chi - chi1 and
-        dchi/du = (b'(a1) + a1 u I / 2)/sqrt(sigma), I the lapse integral,
-        both from one pass over the chi integral's panels."""
+    def residual(u: float, tau: float) -> tuple[float, float]:
+        """chi - chi1 at u on the tau slice, and dchi/du =
+        (b'(a1) + a1 u I / 2)/sqrt(sigma), I the lapse integral."""
         root = math.sqrt(1.0 + u * u)
         try:
-            tau = _check_slice(cosmo, tau, 1.0 + u * u)[0]
-            chi, lapse = _slice_integrals(cosmo, tau, u, (_CHI, _LAPSE),
-                                          cfg, a1 * root)
+            chi, lapse = _search_pass(
+                cosmo, _check_slice(cosmo, tau, 1.0 + u * u)[0], u, cfg)
         except DomainError:
             # A slice too late to evaluate (sigma_infinity overflows).
             if m.global_chart:
                 raise
             raise beyond(f"the tau={tau:g} slice is out of range before "
                          f"chi reaches it") from None
-        return tau, 0.5 * chi - chi1, (bd1 + 0.5 * a1 * u * lapse) / root
+        return chi - chi1, (bd1 + 0.5 * a1 * u * lapse) / root
 
     # The root of the power law with the model's a, H and deceleration q
     # at t.  q is taken to 12 decimals, where Milne's, de Sitter's,
@@ -270,13 +295,15 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     except (OverflowError, ZeroDivisionError):
         q = math.nan
     u = _power_law_root(w, q)
-    tau, f, slope = residual(u, tau_of(u))
+    tau = tau_of(u)
+    f, slope = residual(u, tau)
     lo, f_lo, hi, f_hi, prev_f = 0.0, -chi1, None, None, None
     steps = doublings = stalls = 0
     doubled = False
     curv = guess = None
-    # Below 2 eps chi1 the residual's sign is rounding noise.
-    while abs(f) > 2.0 * _EPS * chi1:
+    # Below 4 eps chi1, the rounding of a store read, the residual's sign
+    # is noise.
+    while abs(f) > 4.0 * _EPS * chi1:
         if f < 0.0:
             lo, f_lo = u, f
         else:
@@ -308,20 +335,20 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
             else:
                 step = x - u
         tau_x = tau_of(x)
-        move = abs(tau_x - tau)
+        move, most = abs(tau_x - tau), 0.5 * cfg.quad_rel_tol * tau_x
+        if move <= most:
+            break
         # A Newton step leaves an error of about curv step^2, curv =
         # |f''|/(2 f') from the last two lapse slopes.  Once the step
         # before kept to its own such bound, this one's bounds the next.
         bound = guess
         guess = None if step is None or curv is None else curv * step * step
         if guess is not None and bound is not None and \
-                abs(step) <= 2.0 * bound:
-            move = min(move, move * curv * abs(step))
-        if move <= 0.5 * cfg.quad_rel_tol * tau_x:
+                abs(step) <= 2.0 * bound and move * curv * abs(step) <= most:
             u, tau = x, tau_x
             break
-        prev_u, prev_f, prev_slope, u = u, f, slope, x
-        tau, f, slope = residual(u, tau_x)
+        prev_u, prev_f, prev_slope, u, tau = u, f, slope, x, tau_x
+        f, slope = residual(u, tau)
         curv = (abs(slope - prev_slope) / (2.0 * slope * abs(u - prev_u))
                 if slope > 0.0 and prev_slope > 0.0 else None)
         # Stalls: u at least doubled and chi barely moved.

@@ -23,13 +23,13 @@ sum, with no integrand call, so every value depends on its arguments
 alone, not on the queries before it, and reads and inversions agree.
 The store also keeps its last answer per kind of read or inversion, so
 a call that repeats the last one's arguments exactly costs nothing.
-slice_integral integrates directly with the same substituted integrands.
-It is the one-integral case of _slice_integrals, which serves
-fermi_from_rw's search over slices (a store per iterate would cost
-more): one pass integrates chi and the lapse integral on the same
-panels, so the search's Newton slope costs no extra integral.  An
-independent route integrates the geodesic equation in rho directly and
-is used as a cross-check.
+Every map of the chart reads its slice from the store, fermi_from_rw's
+search over slices too: each of its passes reads chi and the lapse
+integral, which the store sums on the same panels, so the search's
+Newton slope costs no extra integral.  slice_integral integrates one
+integral directly with the same substituted integrands, the reference
+the store is tested against.  An independent route integrates the
+geodesic equation in rho directly and is used as a cross-check.
 """
 
 from __future__ import annotations
@@ -163,40 +163,34 @@ def slice_integral(cosmo: Cosmology, tau: float, sigma: float, order: int,
     Each range is resolved to cfg.quad_rel_tol relative to its own total,
     however small the integral.
     """
-    return _slice_integrals(cosmo, tau, math.sqrt(max(sigma - 1.0, 0.0)),
-                            ((order, power),), cfg or DEFAULT_CONFIG,
-                            float(cosmo.model.a(tau)))[0]
+    return _slice_integral(cosmo, tau, math.sqrt(max(sigma - 1.0, 0.0)),
+                           (order, power), cfg or DEFAULT_CONFIG)
 
 
-def _slice_integrals(cosmo: Cosmology, tau: float, u: float, comps,
-                     cfg: NumericsConfig, a0: float) -> tuple:
-    """slice_integral of each (order, power) of comps to u, one pass.
-
-    On a range of one piece comps[0] alone sets the panels, tested and
-    bisected exactly as slice_integral does it alone, so its value is the
-    same float; every later comp is summed over the same panels, at the
-    cost of one weighted sum per panel.  A range split at table knots
-    tests every comp on its own total (numerics._adaptive).
-    """
+def _slice_integral(cosmo: Cosmology, tau: float, u: float, comp: tuple,
+                    cfg: NumericsConfig) -> float:
+    """slice_integral of comp = (order, power) to u = sqrt(sigma - 1),
+    which keeps its digits near the observer."""
     m = cosmo.model
+    a0 = float(m.a(tau))
     sigma = 1.0 + u * u
     knots = _clean_breaks(sigma_breaks(cosmo, tau, sigma, a0), 1.0, sigma)
     seam = _S_SEAM ** -2.0
     tol = 0.5 * cfg.quad_rel_tol
+
+    def row(is_u):
+        f = _integrand(m, a0, (comp,), is_u)
+        return lambda x: f(x)[0]
     # The numerics module's driver, looked up per call, so that a test
     # can swap it for a reference.
-    sums = [numerics._adaptive(_integrand(m, a0, comps, True),
-                               _u_nodes(0.0, knots, min(u, _U_SEAM)), tol)]
+    total = numerics._adaptive(row(True),
+                               _u_nodes(0.0, knots, min(u, _U_SEAM)), tol)
     # From s at the seam (1/sqrt(seam) rounds to _S_SEAM) down; an s
     # range that rounds to zero width adds nothing.
     if 1.0 / math.sqrt(sigma) < _S_SEAM:
-        sums.append(numerics._adaptive(_integrand(m, a0, comps, False),
-                                       _s_nodes(sigma, knots, seam)[::-1],
-                                       tol))
-    # numerics._adaptive sums one row to a float, several to a tuple.
-    if len(comps) == 1:
-        return (sum(sums),)
-    return tuple(map(sum, zip(*sums)))
+        total += numerics._adaptive(row(False),
+                                    _s_nodes(sigma, knots, seam)[::-1], tol)
+    return total
 
 
 def slice_end(cosmo: Cosmology, tau: float) -> float:

@@ -24,11 +24,12 @@ sigma_hi or to s = 0) each run QUADPACK's qagp scheme (Piessens et al.,
 total against max(rel_tol |total|, 50 eps resabs), relative to the
 integral however small it is, with no absolute floor, and only if that
 fails, bisection of the worst panel of any piece, at most _SPLIT_CAP
-times for the whole range.  The piece count picks the driver: one piece,
-as on analytic models, runs ``_adaptive`` on the scalar kernel, which is
-cheaper for one panel; a range split at knots runs ``_adaptive_panels``
-on the batched kernel, which the slice store runs on several integrands
-and ranges at once, and which hands back the accepted panels.
+times for the whole range.  ``_adaptive`` integrates one integrand, and
+the piece count picks the driver: one piece, as on analytic models, runs
+on the scalar kernel, which is cheaper for one panel; a range split at
+knots runs ``_adaptive_panels`` on the batched kernel.  That driver alone
+takes several integrands: the slice store runs it on its integrals and
+on several ranges at once, and it hands back the accepted panels.
 The store reads a partial panel from its stored node values alone, with
 no integrand call: ``_legendre`` gives the Legendre series of their
 degree-14 interpolant, ``_panel_eval`` its integral from the panel
@@ -164,11 +165,7 @@ _TO_LEG = _inverse(np.array(_LEGENDRE).T)
 
 
 def _panel(f: Callable, a: float, b: float) -> tuple:
-    """One G7/K15 panel on [a, b]: (kronrod value, error estimate, resabs).
-
-    For an f that returns (rows x nodes), these are of row 0, followed by
-    the kronrod value of each later row.
-    """
+    """One G7/K15 panel on [a, b]: (kronrod value, error estimate, resabs)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     try:
@@ -176,12 +173,6 @@ def _panel(f: Callable, a: float, b: float) -> tuple:
     except RuntimeWarning as w:
         raise AccuracyError(f"integrand not finite on the panel "
                             f"[{a:.17g}, {b:.17g}]: {w}") from None
-    rows = ()
-    if y.ndim == 2:
-        # One weighted sum per later row, as for row 0: a dot product of
-        # two vectors, not a matrix product (see _inverse).
-        rows = tuple([half * _WK.dot(y[i]) for i in range(1, len(y))])
-        y = y[0]
     knd = half * float(_WK.dot(y))
     gss = half * float(_WG.dot(y))
     resabs = abs(half) * float(_WK.dot(np.abs(y)))
@@ -191,7 +182,7 @@ def _panel(f: Callable, a: float, b: float) -> tuple:
             f"integrand not finite on the panel [{a:.17g}, {b:.17g}]",
             estimate=knd)
     err = min(delta, (200.0 * delta) ** 1.5) if delta > 0.0 else 0.0
-    return (knd, err, resabs) + rows
+    return knd, err, resabs
 
 
 def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
@@ -234,7 +225,7 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
     return knd, np.minimum(delta, (200.0 * delta) ** 1.5), resabs, y
 
 
-def _adaptive(f: Callable, nodes, rel_tol: float):
+def _adaptive(f: Callable, nodes, rel_tol: float) -> float:
     """Integral of f from nodes[0] to nodes[-1], split at every node.
 
     One piece runs QUADPACK's qagp scheme on the scalar kernel: one
@@ -243,46 +234,32 @@ def _adaptive(f: Callable, nodes, rel_tol: float):
     of the worst panel, at most _SPLIT_CAP times.  The worst panel comes
     off a heap keyed on (-error, insertion count), so ties go to the
     oldest panel.  Several pieces go to _adaptive_panels, and the
-    integral is the sum of its accepted panels.
-
-    An f that returns several rows, (rows x nodes), gives a tuple of
-    integrals, one per row.  On one piece row 0 alone is tested and
-    bisected, with the operations of a one-row f, so its integral is the
-    same float; each later row is summed over row 0's accepted panels,
-    so it rides along at the cost of one weighted sum per panel, without
-    an error test of its own.  On several pieces every row passes the
-    test on its own total.
+    integral is the sum of its accepted panels in range order, as a
+    running total adds.
     """
     if len(nodes) > 2:
         vals = _adaptive_panels(lambda x: np.atleast_2d(f(x)),
                                 [np.asarray(nodes, dtype=float)],
                                 rel_tol)[0][2]
-        # Row 0 in range order, as a running total adds, and later rows
-        # exactly, as on one piece.
-        total = float(np.cumsum(vals[0])[-1])
-        if len(vals) == 1:
-            return total
-        return (total, *(math.fsum(r) for r in vals[1:].tolist()))
+        return float(np.cumsum(vals[0])[-1])
     a, b = float(nodes[0]), float(nodes[1])
-    total, total_err, total_resabs, *rows = _panel(f, a, b)
-    heap, ride = [(-total_err, 0, a, b, total, rows)], len(rows)
+    total, total_err, total_resabs = _panel(f, a, b)
+    heap = [(-total_err, 0, a, b, total)]
     count, splits = 1, 0
     while total_err > max(rel_tol * abs(total), 50.0 * _EPS * total_resabs):
         _check_splits(splits, total, total_err)
-        nerr, _, wa, wb, wval, _ = heapq.heappop(heap)
+        nerr, _, wa, wb, wval = heapq.heappop(heap)
         m = 0.5 * (wa + wb)
-        lv, le, lr, *lrows = _panel(f, wa, m)
-        rv, re, rr, *rrows = _panel(f, m, wb)
-        heapq.heappush(heap, (-le, count, wa, m, lv, lrows))
-        heapq.heappush(heap, (-re, count + 1, m, wb, rv, rrows))
+        lv, le, lr = _panel(f, wa, m)
+        rv, re, rr = _panel(f, m, wb)
+        heapq.heappush(heap, (-le, count, wa, m, lv))
+        heapq.heappush(heap, (-re, count + 1, m, wb, rv))
         count += 2
         splits += 1
         total += lv + rv - wval
         total_err += le + re + nerr
         total_resabs += lr + rr
-    if not ride:
-        return total
-    return (total, *(math.fsum(r) for r in zip(*(p[5] for p in heap))))
+    return total
 
 
 def _adaptive_panels(f: Callable, ranges, rel_tol: float) -> list:

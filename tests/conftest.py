@@ -1,12 +1,12 @@
-# Shared fixtures, the hypothesis profile CI runs with, and pytest.approx
-# without its absolute floor.
+# Shared fixtures (panel and search pass counts), the hypothesis profile
+# CI runs with, and pytest.approx without its absolute floor.
 
 import functools
 
 import pytest
 from hypothesis import settings
 
-from fermirw import numerics
+from fermirw import chart, numerics
 
 # Derandomized: a failing example found in CI reproduces locally under
 # --hypothesis-profile=ci.
@@ -55,3 +55,18 @@ def count_panels(monkeypatch):
         call()
         return count[0]
     return panels
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """u = sqrt(sigma - 1) of each pass of fermi_from_rw's slice search,
+    in order, recorded on chart._search_pass."""
+    us = []
+    search_pass = chart._search_pass
+
+    def counted(cosmo, tau, u, cfg):
+        us.append(u)
+        return search_pass(cosmo, tau, u, cfg)
+
+    monkeypatch.setattr(chart, "_search_pass", counted)
+    return us

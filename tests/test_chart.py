@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermirw import chart, geodesics
+from fermirw import chart
 from fermirw import closed_forms as cf
 from fermirw import (
     AccuracyError,
@@ -28,7 +28,6 @@ from fermirw import (
     sigma_of_rho,
     t_of_sigma,
 )
-from fermirw.numerics import DEFAULT_CONFIG
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
 RADIATION = Cosmology(make_power_law(0.5), k=0, name="radiation")
@@ -190,21 +189,6 @@ def test_fermi_milne_tiny_time_is_relative(t):
     ev = fermi_from_rw(MILNE, RWEvent(t, 1.0))
     assert ev.tau == pytest.approx(t * math.cosh(1.0), rel=1e-10, abs=0.0)
     assert ev.rho == pytest.approx(t * math.sinh(1.0), rel=1e-10, abs=0.0)
-
-
-@pytest.fixture
-def passes(monkeypatch):
-    """u = sqrt(sigma - 1) of each direct (chi, lapse) pass fermi_from_rw
-    makes."""
-    sigmas = []
-    direct = chart._slice_integrals
-
-    def counted(*args):
-        sigmas.append(args[2])
-        return direct(*args)
-
-    monkeypatch.setattr(chart, "_slice_integrals", counted)
-    return sigmas
 
 
 def test_de_sitter_far_edge_starts_at_the_root(passes):
@@ -470,6 +454,22 @@ def test_table_events_take_no_more_passes(passes, name, most):
     assert len(passes) <= most
 
 
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_round_trip_returns_the_events_chi(name):
+    # Each pass reads the slice whose a(tau) is the a0 its slope assumes,
+    # and the search returns a slice it has read, so rw_from_fermi reads
+    # the event's chi back.  With slices placed by b alone, where the
+    # table's a and b curves disagree, chi came back up to 3.6e-10,
+    # 6.1e-10 and 4.2e-7 off.
+    cosmo = _table(TABLES[name])
+    for tau in (0.7, 1.9, 5.0):
+        for sigma in (1.3, 3.0, 9.0, 15.0):
+            ev = RWEvent(t_of_sigma(cosmo, tau, sigma),
+                         chi_of_sigma(cosmo, tau, sigma))
+            back = rw_from_fermi(cosmo, fermi_from_rw(cosmo, ev))
+            assert back.chi == pytest.approx(ev.chi, rel=1e-12)
+
+
 # Accelerating tables, whose lapse bracket B cancels late on a slice: on
 # the exp table at tau = 25 the lapse integral is -1.2e-23, and B falls
 # to 1.7e-4 b'(a(t)) at sigma = 1e4.
@@ -479,39 +479,23 @@ LATE_TABLES = {
 }
 
 
-def _search_u(cosmo, t, tau):
-    """u where the search's slice time b(a(t) sqrt(1 + u^2)) reaches tau,
-    and a(t) sqrt(1 + u^2), by bisection inside the table's a-range: its
-    cubic extrapolation past the last knot is not monotone."""
-    m = cosmo.model
-    a1 = float(m.a(t))
-    lo, hi = 0.0, math.sqrt((m.a_grid[-1] / a1) ** 2 - 1.0)
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if float(m.b(a1 * math.sqrt(1.0 + mid * mid))) < tau:
-            lo = mid
-        else:
-            hi = mid
-    return lo, a1 * math.sqrt(1.0 + lo * lo)
-
-
 @pytest.mark.parametrize("name, most", [("exp(t)", 96),
                                         ("sinh(1.05t)^(2/3)", 92)])
 def test_late_accelerating_slices_solve_the_search_equation(passes, name,
                                                              most):
     # tau may differ from the event's slice by the table's a and b
     # interpolants' disagreement (1.5 % at sigma = 1e4), so each answer is
-    # checked against the search's own equation: chi on the returned
-    # slice, read at the u whose slice time is tau.  most is the measured
-    # count.
+    # checked against the search's own equation through the public maps:
+    # chi on the returned slice at sigma = (a(tau)/a(t))^2.  most is the
+    # measured count.
     cosmo = LATE_TABLES[name]()
+    a = cosmo.model.a
     for tau in (12.0, 25.0):
         for sigma in (1.001, 1.01, 1.1, 1.5, 3.0, 10.0, 100.0, 1e3, 1e4):
             chi = chi_of_sigma(cosmo, tau, sigma)
             ev = RWEvent(t_of_sigma(cosmo, tau, sigma), chi)
             tau_f = fermi_from_rw(cosmo, ev).tau
-            u, a0 = _search_u(cosmo, ev.t, tau_f)
-            got = 0.5 * geodesics._slice_integrals(
-                cosmo, tau_f, u, (geodesics._CHI,), DEFAULT_CONFIG, a0)[0]
+            got = chi_of_sigma(cosmo, tau_f, (a(tau_f) / a(ev.t)) ** 2)
             assert got == pytest.approx(chi, rel=1e-11, abs=0.0)
     assert len(passes) <= most
 

@@ -377,19 +377,22 @@ def test_one_heap_matches_a_piece_by_piece_loop(name, tau, frac, kind):
 @pytest.mark.parametrize("name, tau", [("matter", 1.3), ("de-sitter", 2.5),
                                        ("table", 1.7)])
 @pytest.mark.parametrize("sigma", [1.5, 2.0, 6.0, 30.0])
-def test_lapse_rides_on_the_chi_panels(name, tau, sigma):
-    # fermi_from_rw's pass: on one piece chi sets the panels, as in
-    # slice_integral alone, and the lapse integral is summed over them.
-    # The table splits the range at its knots, where each integral is
-    # tested on its own total and the first panels pass for both.
+def test_lapse_rides_on_the_chi_panels(count_panels, name, tau, sigma):
+    # fermi_from_rw's pass reads chi and the lapse integral at u from the
+    # slice's store, which sums both on the same panels: once chi is read,
+    # the lapse read evaluates no panel, so the search's slope costs no
+    # integral of its own.  Each read matches its direct integral.
     cosmo = {"table": TABLE, "matter": MATTER, "de-sitter": DESITTER}[name]
     cfg = DEFAULT_CONFIG
-    a0 = float(cosmo.model.a(tau))
-    chi, lapse = geodesics._slice_integrals(
-        cosmo, tau, math.sqrt(sigma - 1.0), ((1, 0.5), (2, 1.0)), cfg, a0)
-    assert repr(chi) == repr(slice_integral(cosmo, tau, sigma, 1, 0.5, cfg))
-    want = slice_integral(cosmo, tau, sigma, 2, 1.0, cfg)
-    assert lapse == pytest.approx(want, rel=1e-9)
+    st, u, got = geodesics.Slice(cosmo, tau, cfg), math.sqrt(sigma - 1.0), []
+    for comp in (geodesics._CHI, geodesics._LAPSE):
+        n = count_panels(lambda: got.append(st.integral({comp: 1.0}, u)))
+        assert (n > 0) == (comp == geodesics._CHI)
+    chi, lapse = got
+    assert chi == pytest.approx(slice_integral(cosmo, tau, sigma, 1, 0.5, cfg),
+                                rel=cfg.quad_rel_tol)
+    assert lapse == pytest.approx(
+        slice_integral(cosmo, tau, sigma, 2, 1.0, cfg), rel=cfg.quad_rel_tol)
 
 
 # ---------------------------------------------------------------------------

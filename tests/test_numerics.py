@@ -218,36 +218,15 @@ def test_heap_breaks_ties_like_the_scan(monkeypatch):
     assert numerics._adaptive(f, [0.0, 1.0], 3e-3) == want
 
 
-@pytest.mark.parametrize("nodes", [[0.0, 1.0], [0.0, 0.5, 1.0]])
-def test_later_rows_ride_on_row_0s_panels(nodes):
-    # On one piece: f needs about 30 bisections and g is smooth.  Row 0's
-    # value is the one-row value, and row 1 is summed over row 0's panels.
-    g = lambda x: np.exp(x)
-    if len(nodes) == 2:
-        f = lambda x: np.sqrt(np.abs(x - 0.3)) + np.abs(x - 0.71) ** 0.25
-        both = numerics._adaptive(lambda x: np.array([f(x), g(x)]), nodes,
-                                  1e-12)
-        assert both[0] == numerics._adaptive(f, nodes, 1e-12)
-        assert both[1] == pytest.approx(math.e - 1.0, rel=1e-14)
-        return
-    # A split range tests every row on its own total: with g as row 0,
-    # passing on its first panels, h, a millionth of its size and
-    # oscillating, still meets the tolerance.  Summed over g's one panel
-    # on [0, 1] it would be off by 13 times its value.
-    h = lambda x: 1e-6 * np.cos(60.0 * x)
-    both = numerics._adaptive(lambda x: np.array([g(x), h(x)]), nodes, 1e-12)
-    assert both[0] == pytest.approx(math.e - 1.0, rel=1e-12)
-    assert both[1] == pytest.approx(1e-6 * math.sin(60.0) / 60.0, rel=1e-12)
-
-
 def test_a_small_row_is_bisected_on_its_own_budget():
     # The panel to bisect has the largest error relative to its row's
     # budget: keyed on raw errors, row 1, 1e-20 of row 0's size, never
     # won a bisection, and the range stopped at the cap.  Row 2 is zero,
     # as b'' is on Milne: a budget of 0.
-    got = numerics._adaptive(
+    vals = numerics._adaptive_panels(
         lambda x: np.array([np.exp(x), 1e-20 * np.cos(60.0 * x), 0.0 * x]),
-        [0.0, 0.5, 1.0], 1e-12)
+        [np.array([0.0, 0.5, 1.0])], 1e-12)[0][2]
+    got = [math.fsum(row) for row in vals.tolist()]
     assert got[0] == pytest.approx(math.e - 1.0, rel=1e-12)
     assert got[1] == pytest.approx(1e-20 * math.sin(60.0) / 60.0, rel=1e-12)
     assert got[2] == 0.0

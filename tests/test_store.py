@@ -54,9 +54,11 @@ def _fresh(cosmo):
 
 
 @pytest.mark.parametrize("name", ["matter", "de-sitter", "table"])
-def test_fermi_from_rw_builds_one_store(monkeypatch, name):
-    # The search over tau integrates directly; only the final tau's rho
-    # comes from a store.
+def test_fermi_from_rw_builds_one_store(monkeypatch, passes, name):
+    # Each pass of the search reads its slice's store, and the search
+    # returns a slice it has read: one store per pass, the last at the
+    # returned tau.  Matter and de Sitter start at the root and stop after
+    # one pass; the table takes two.
     cosmo, cfg = MODELS[name], DEFAULT_CONFIG
     cosmo = _fresh(cosmo)
     built = []
@@ -67,15 +69,18 @@ def test_fermi_from_rw_builds_one_store(monkeypatch, name):
             super().__init__(*args)
     monkeypatch.setattr(geodesics, "Slice", Counted)
     fe = fermi_from_rw(cosmo, RWEvent(1.0, 0.05), cfg)
-    assert built == [fe.tau]
+    assert len(built) == len(passes) == (2 if name == "table" else 1)
+    assert built[-1] == fe.tau
 
 
 def test_fermi_from_rw_panels_per_event(count_panels):
-    # The search in u = sqrt(sigma - 1) takes Newton steps, each slope
-    # riding on the chi integral's panels: 27.8 G7/K15 panels per event
-    # here, with the store of the returned slice.  One Newton step from
-    # a separate lapse integral, then secant steps, took 36.3, and the
-    # search over tau by bracket doubling and Brent's method 82.9.
+    # The search in u = sqrt(sigma - 1) takes Newton steps, each pass
+    # reading chi and its slope's lapse integral from its slice's store:
+    # 29.8 G7/K15 panels per event here.  A direct pass per iterate, with
+    # the lapse summed over chi's panels, and then the store of the
+    # returned slice took 25.5; one Newton step from a separate lapse
+    # integral, then secant steps, 36.3, and the search over tau by
+    # bracket doubling and Brent's method 82.9.
     counts = []
     for name in ("milne", "radiation", "matter", "de-sitter", "table"):
         cosmo, cfg = MODELS[name], DEFAULT_CONFIG
@@ -238,8 +243,8 @@ def test_partial_panel_reads_meet_every_tolerance(name):
                                      1e4, 0.999 * end) if s < end]
     comps = (geodesics._CHI, geodesics._RHO, geodesics._LAPSE)
     ref = NumericsConfig(1e-15)
-    want = {c: [geodesics._slice_integrals(cosmo, tau, u, (c,), ref, a0)[0]
-                for u in us] for c in comps}
+    want = {c: [geodesics._slice_integral(cosmo, tau, u, c, ref) for u in us]
+            for c in comps}
     for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
         st = geodesics.Slice(cosmo, tau, NumericsConfig(tol))
         for c in comps:

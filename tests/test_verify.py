@@ -75,17 +75,18 @@ def test_ode_spec_per_family():
     assert verify.ode_spec(ds, h0=2.0)[2:] == (1.5, 0.95)
 
 
-def test_edge_search_check_reads_the_search(monkeypatch):
-    # A 1e-9 relative error in the chi the search integrates moves tau by
+def test_edge_search_check_reads_the_search(monkeypatch, passes):
+    # A 1e-9 relative error in the chi each search pass reads moves tau by
     # about w^2/(1 - w^2) 1e-9, and must fail the check.
-    direct = chart._slice_integrals
+    counted = chart._search_pass
 
-    def perturbed(cosmo, tau, sigma, comps, cfg, a0):
-        chi, *rest = direct(cosmo, tau, sigma, comps, cfg, a0)
-        return (chi * (1.0 + 1e-9), *rest)
+    def perturbed(cosmo, tau, u, cfg):
+        chi, lapse = counted(cosmo, tau, u, cfg)
+        return chi * (1.0 + 1e-9), lapse
 
-    monkeypatch.setattr(chart, "_slice_integrals", perturbed)
+    monkeypatch.setattr(chart, "_search_pass", perturbed)
     results = {r.name: r for r in verify.closed_forms_suite()}
+    assert passes
     assert not results["desitter-edge-search"].passed
 
 
