@@ -177,18 +177,14 @@ def _slice_integral(cosmo: Cosmology, tau: float, u: float, comp: tuple,
     knots = _clean_breaks(sigma_breaks(cosmo, tau, sigma, a0), 1.0, sigma)
     seam = _S_SEAM ** -2.0
     tol = 0.5 * cfg.quad_rel_tol
-
-    def row(is_u):
-        f = _integrand(m, a0, (comp,), is_u)
-        return lambda x: f(x)[0]
     # The numerics module's driver, looked up per call, so that a test
     # can swap it for a reference.
-    total = numerics._adaptive(row(True),
+    total = numerics._adaptive(_integrand(m, a0, (comp,), True),
                                _u_nodes(0.0, knots, min(u, _U_SEAM)), tol)
     # From s at the seam (1/sqrt(seam) rounds to _S_SEAM) down; an s
     # range that rounds to zero width adds nothing.
     if 1.0 / math.sqrt(sigma) < _S_SEAM:
-        total += numerics._adaptive(row(False),
+        total += numerics._adaptive(_integrand(m, a0, (comp,), False),
                                     _s_nodes(sigma, knots, seam)[::-1], tol)
     return total
 

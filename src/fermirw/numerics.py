@@ -11,7 +11,8 @@ None of the Kronrod nodes sit on an interval endpoint, so transformed
 integrands are never evaluated at the singular points themselves.  A
 panel whose value is not finite raises AccuracyError rather than passing
 NaN on as converged, and so does a RuntimeWarning from the integrand, the
-form an overflow or a NaN takes under an error::RuntimeWarning filter.
+form an overflow or a NaN takes under an error::RuntimeWarning filter,
+there or in integrate_sigma's direct calls of it.
 The model slice integrals, in ``geodesics.slice_integral`` and the slice
 store ``geodesics.Slice``, make the same two substitutions in their
 integrands themselves, with the seam between them at sigma = 2, and
@@ -24,12 +25,12 @@ sigma_hi or to s = 0) each run QUADPACK's qagp scheme (Piessens et al.,
 total against max(rel_tol |total|, 50 eps resabs), relative to the
 integral however small it is, with no absolute floor, and only if that
 fails, bisection of the worst panel of any piece, at most _SPLIT_CAP
-times for the whole range.  ``_adaptive`` integrates one integrand, and
-the piece count picks the driver: one piece, as on analytic models, runs
-on the scalar kernel, which is cheaper for one panel; a range split at
-knots runs ``_adaptive_panels`` on the batched kernel.  That driver alone
-takes several integrands: the slice store runs it on its integrals and
-on several ranges at once, and it hands back the accepted panels.
+times for the whole range.  There is one kernel, ``_panels``, which
+evaluates any number of panels from one integrand call, and one driver,
+``_adaptive_panels``, which takes several integrands and several ranges
+and hands back the accepted panels: the slice store runs it on its
+integrals and on several ranges at once, and ``_adaptive`` runs it on one
+integrand over one range and sums the panels.
 The store reads a partial panel from its stored node values alone, with
 no integrand call: ``_legendre`` gives the Legendre series of their
 degree-14 interpolant, ``_panel_eval`` its integral from the panel
@@ -164,35 +165,14 @@ for _k in range(1, 14):
 _TO_LEG = _inverse(np.array(_LEGENDRE).T)
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple:
-    """One G7/K15 panel on [a, b]: (kronrod value, error estimate, resabs)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    try:
-        y = np.asarray(f(mid + half * _NODES), dtype=float)
-    except RuntimeWarning as w:
-        raise AccuracyError(f"integrand not finite on the panel "
-                            f"[{a:.17g}, {b:.17g}]: {w}") from None
-    knd = half * float(_WK.dot(y))
-    gss = half * float(_WG.dot(y))
-    resabs = abs(half) * float(_WK.dot(np.abs(y)))
-    delta = abs(knd - gss)
-    if not math.isfinite(delta):
-        raise AccuracyError(
-            f"integrand not finite on the panel [{a:.17g}, {b:.17g}]",
-            estimate=knd)
-    err = min(delta, (200.0 * delta) ** 1.5) if delta > 0.0 else 0.0
-    return knd, err, resabs
-
-
 def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
     """G7/K15 panels on every [a[i], b[i]] from one call of f.
 
-    The vector form of _panel: f sees the (pieces x 15) node matrix
-    flattened and returns one value per node, or a (components x nodes)
-    array.  The result is the arrays (kronrod value, error estimate,
-    resabs, node values), each with any component axis first and then
-    one entry per piece.
+    f sees the (pieces x 15) node matrix flattened and returns one value
+    per node, or a (components x nodes) array.  The result is the arrays
+    (kronrod value, error estimate min(delta, (200 delta)^1.5) for delta
+    = |kronrod - gauss|, resabs, node values), each with any component
+    axis first and then one entry per piece.
     """
     half = 0.5 * (b - a)
     h = half[:, None]
@@ -226,40 +206,14 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
 
 
 def _adaptive(f: Callable, nodes, rel_tol: float) -> float:
-    """Integral of f from nodes[0] to nodes[-1], split at every node.
-
-    One piece runs QUADPACK's qagp scheme on the scalar kernel: one
-    G7/K15 panel, a test of its value relative to it (or to 50 eps
-    resabs, the rounding of its sum), and only if that fails, bisection
-    of the worst panel, at most _SPLIT_CAP times.  The worst panel comes
-    off a heap keyed on (-error, insertion count), so ties go to the
-    oldest panel.  Several pieces go to _adaptive_panels, and the
-    integral is the sum of its accepted panels in range order, as a
-    running total adds.
+    """Integral of f from nodes[0] to nodes[-1], split at every node: the
+    sum of the panels _adaptive_panels accepts on that one range, in
+    range order, as a running total adds.  f may return one value per
+    point or a one-row array.
     """
-    if len(nodes) > 2:
-        vals = _adaptive_panels(lambda x: np.atleast_2d(f(x)),
-                                [np.asarray(nodes, dtype=float)],
-                                rel_tol)[0][2]
-        return float(np.cumsum(vals[0])[-1])
-    a, b = float(nodes[0]), float(nodes[1])
-    total, total_err, total_resabs = _panel(f, a, b)
-    heap = [(-total_err, 0, a, b, total)]
-    count, splits = 1, 0
-    while total_err > max(rel_tol * abs(total), 50.0 * _EPS * total_resabs):
-        _check_splits(splits, total, total_err)
-        nerr, _, wa, wb, wval = heapq.heappop(heap)
-        m = 0.5 * (wa + wb)
-        lv, le, lr = _panel(f, wa, m)
-        rv, re, rr = _panel(f, m, wb)
-        heapq.heappush(heap, (-le, count, wa, m, lv))
-        heapq.heappush(heap, (-re, count + 1, m, wb, rv))
-        count += 2
-        splits += 1
-        total += lv + rv - wval
-        total_err += le + re + nerr
-        total_resabs += lr + rr
-    return total
+    vals = _adaptive_panels(lambda x: np.atleast_2d(f(x)),
+                            [np.asarray(nodes, dtype=float)], rel_tol)[0][2]
+    return float(np.cumsum(vals[0])[-1])
 
 
 def _adaptive_panels(f: Callable, ranges, rel_tol: float) -> list:
@@ -288,7 +242,8 @@ def _adaptive_panels(f: Callable, ranges, rel_tol: float) -> list:
 def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, resabs, ys,
                    rel_tol: float):
     """The bisection loop of _adaptive_panels on one range, from its
-    first panels."""
+    first panels.  The worst panel comes off a heap keyed on (-error over
+    budget, insertion count), so ties go to the oldest panel."""
     total = vals.cumsum(axis=-1)[:, -1]
     total_err = np.add.reduce(errs, -1)
     total_resabs = np.add.reduce(resabs, -1)
@@ -445,8 +400,7 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
 
     if math.isinf(sigma_hi):
         # A zero or non-finite probe leaves the judging to the s panels.
-        probe = f(np.array([1e10, 1e12]))
-        f_near, f_far = np.abs(np.asarray(probe, dtype=float)).tolist()
+        f_near, f_far = map(abs, _values_at(f, [1e10, 1e12]))
         if 0.0 < f_near < math.inf and 0.0 < f_far < math.inf:
             q = math.log(f_near / f_far) / math.log(100.0)
             if q < 1.25:
@@ -455,7 +409,7 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
                     f"than the sigma^(-1.25) an infinite limit needs")
     elif sigma_hi - 1.0 < 1e-11:
         root = math.sqrt(sigma_hi - 1.0)
-        g = float(f(np.array([sigma_hi]))[0]) * root
+        g = _values_at(f, [sigma_hi])[0] * root
         value = 2.0 * g * (root - math.sqrt(sigma_lo - 1.0))
         if not math.isfinite(value):
             raise AccuracyError(f"integrand not finite at sigma={sigma_hi!r}")
@@ -478,24 +432,26 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
     return total
 
 
-def _u_nodes(lo: float, pts: np.ndarray, hi: float):
-    """The u range from lo to hi, split at u = sqrt(sigma - 1) of the
-    sigma breaks pts below sigma = 1 + hi^2.
+def _values_at(f: Callable, sigma: list) -> list:
+    """f at the sigma points, as floats.  A RuntimeWarning from f raises
+    AccuracyError, as it does in the kernel."""
+    try:
+        return np.asarray(f(np.array(sigma)), dtype=float).tolist()
+    except RuntimeWarning as w:
+        raise AccuracyError(f"integrand not finite at sigma in {sigma}: "
+                            f"{w}") from None
 
-    Plain floats when there are no breaks, so one-piece ranges stay on
-    the scalar path.
-    """
-    if not pts.size:
-        return [lo, hi]
+
+def _u_nodes(lo: float, pts: np.ndarray, hi: float) -> np.ndarray:
+    """The u range from lo to hi, split at u = sqrt(sigma - 1) of the
+    sigma breaks pts below sigma = 1 + hi^2."""
     return np.concatenate(([lo], np.sqrt(pts[pts < 1.0 + hi * hi] - 1.0),
                            [hi]))
 
 
-def _s_nodes(hi: float, pts: np.ndarray, lo: float):
+def _s_nodes(hi: float, pts: np.ndarray, lo: float) -> np.ndarray:
     """s = 1/sqrt(sigma) at hi (s = 0 for inf), at the breaks pts above
     lo, and at lo, in increasing s."""
-    if not pts.size:
-        return [1.0 / math.sqrt(hi), 1.0 / math.sqrt(lo)]
     return 1.0 / np.sqrt(np.concatenate(([hi], pts[pts > lo][::-1], [lo])))
 
 

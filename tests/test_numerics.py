@@ -170,26 +170,37 @@ def test_nan_in_one_knot_piece_raises(breaks, bad, piece):
 
 
 def _adaptive_by_scan(f, a, b, rel_tol):
-    """numerics._adaptive with the linear worst-panel scan the heap
-    replaced; returns (value, panels left)."""
-    val, err, resabs = numerics._panel(f, a, b)
-    panels = [(err, a, b, val)]
+    """numerics._adaptive on [a, b] with the linear worst-panel scan the
+    heap replaced, on the batched kernel; returns (value, the accepted
+    panels' (start, end) pairs in order)."""
+    def panels(lo, hi):
+        v, e, r, _ = numerics._panels(f, np.array(lo), np.array(hi))
+        return v.tolist(), e.tolist(), r.tolist()
+    (val,), (err,), (resabs,) = panels([a], [b])
+    accepted = [(err, a, b, val)]
     total, total_err, total_resabs = val, err, resabs
     for _ in range(numerics._SPLIT_CAP):
         floor = 50.0 * np.finfo(float).eps * total_resabs
         if total_err <= max(rel_tol * abs(total), floor):
-            return total, len(panels)
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        werr, wa, wb, wval = panels.pop(worst)
+            return total, sorted((pa, pb) for _, pa, pb, _ in accepted)
+        worst = max(range(len(accepted)), key=lambda i: accepted[i][0])
+        werr, wa, wb, wval = accepted.pop(worst)
         m = 0.5 * (wa + wb)
-        lv, le, lr = numerics._panel(f, wa, m)
-        rv, re, rr = numerics._panel(f, m, wb)
-        panels.append((le, wa, m, lv))
-        panels.append((re, m, wb, rv))
+        (lv, rv), (le, re), (lr, rr) = panels([wa, m], [m, wb])
+        accepted.append((le, wa, m, lv))
+        accepted.append((re, m, wb, rv))
         total += lv + rv - wval
         total_err += le + re - werr
         total_resabs += lr + rr
     raise AssertionError("reference did not converge")
+
+
+def _heap_panels(f, a, b, rel_tol):
+    """(value, accepted (start, end) pairs) of the batched driver."""
+    starts, ends, _, _ = numerics._adaptive_panels(
+        lambda x: np.atleast_2d(f(x)), [np.array([a, b])], rel_tol)[0]
+    return (numerics._adaptive(f, [a, b], rel_tol),
+            list(zip(starts.tolist(), ends.tolist())))
 
 
 @pytest.mark.parametrize("f,a,b", [
@@ -199,9 +210,13 @@ def _adaptive_by_scan(f, a, b, rel_tol):
     (lambda x: np.sin(40.0 * x) ** 2, 0.0, 3.0),
 ])
 def test_heap_picks_the_panels_the_scan_picked(f, a, b):
+    # The same panels; the value only up to summation order, since the
+    # driver sums its panels in range order and the scan as it goes.
     want, panels = _adaptive_by_scan(f, a, b, 1e-12)
-    assert panels >= 30
-    assert numerics._adaptive(f, [a, b], 1e-12) == want
+    assert len(panels) >= 30
+    got, got_panels = _heap_panels(f, a, b, 1e-12)
+    assert got_panels == panels
+    assert got == pytest.approx(want, rel=1e-15)
 
 
 def test_heap_breaks_ties_like_the_scan(monkeypatch):
@@ -210,12 +225,16 @@ def test_heap_breaks_ties_like_the_scan(monkeypatch):
     # panel first, as the scan's first maximum did.
     def left_rule(f, a, b):
         w = b - a
-        return w * f(a), 0.1 * w * w, abs(w * f(a))
-    monkeypatch.setattr(numerics, "_panel", left_rule)
+        y = f(a)
+        return (w * y, np.broadcast_to(0.1 * w * w, y.shape), np.abs(w * y),
+                y[..., None])
+    monkeypatch.setattr(numerics, "_panels", left_rule)
     f = lambda x: x * x
     want, panels = _adaptive_by_scan(f, 0.0, 1.0, 3e-3)
-    assert 64 < panels < 128     # converged halfway through a level
-    assert numerics._adaptive(f, [0.0, 1.0], 3e-3) == want
+    assert 64 < len(panels) < 128     # converged halfway through a level
+    got, got_panels = _heap_panels(f, 0.0, 1.0, 3e-3)
+    assert got_panels == panels
+    assert got == pytest.approx(want, rel=1e-15)
 
 
 def test_a_small_row_is_bisected_on_its_own_budget():
@@ -234,11 +253,33 @@ def test_a_small_row_is_bisected_on_its_own_budget():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_split_range_errors_past_1e150_do_not_overflow():
-    # The batched kernel's (200 delta)^1.5 overflows to inf there, which
-    # is still a valid error bound.
-    got = numerics._adaptive(lambda x: 1e200 * np.exp(x), [0.0, 0.5, 1.0],
-                             1e-12)
-    assert got == pytest.approx(1e200 * (math.e - 1.0), rel=1e-12)
+    # The kernel's (200 delta)^1.5 overflows to inf there, which is still
+    # a valid error bound, on a split range and on one piece alike; a
+    # scalar kernel in Python floats raised a bare OverflowError.
+    for nodes, scale in (([0.0, 0.5, 1.0], 1e200), ([0.0, 1.0], 1e250)):
+        got = numerics._adaptive(lambda x: scale * np.exp(x), nodes, 1e-12)
+        assert got == pytest.approx(scale * (math.e - 1.0), rel=1e-12)
+    got = integrate_sigma(
+        lambda s: 1e250 * np.sqrt(s) * np.exp(s) / np.sqrt(s - 1.0), 1.0, 1.5)
+    assert got == pytest.approx(5.0003839699328e250, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("f, kernel_hi, sigma_hi", [
+    # The tail probe at sigma = 1e10 and 1e12.
+    (lambda s: s ** -2.0 * np.cosh(np.minimum(s, 800.0)) / np.sqrt(s - 1.0),
+     1000.0, math.inf),
+    # The leading order below sigma_hi - 1 = 1e-11.
+    (lambda s: np.cosh(800.0 * s) / np.sqrt(s - 1.0), 1.5, 1.0 + 1e-12),
+])
+def test_direct_calls_turn_a_warning_into_accuracy_error(f, kernel_hi,
+                                                         sigma_hi):
+    # integrate_sigma's own calls of f treat a RuntimeWarning as the
+    # kernel does on a range that overflows f.
+    with pytest.raises(AccuracyError, match="not finite"):
+        integrate_sigma(f, 1.0, kernel_hi)
+    with pytest.raises(AccuracyError, match="not finite"):
+        integrate_sigma(f, 1.0, sigma_hi)
 
 
 def test_a_block_keeps_each_ranges_own_panels():
