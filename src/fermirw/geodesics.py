@@ -13,8 +13,9 @@ take and return u; the public maps take sigma and convert at the edge.
 One store per slice, Slice, keeps the accepted G7/K15 panels of those
 integrals, built piece by piece (u = sqrt(sigma - 1) up to sigma = 2,
 then dyadic pieces s in [s/2, s] of s = 1/sqrt(sigma), then for rho a
-last piece to the slice end) as queries reach them; the store of the
-last (cosmo, tau, cfg) slice asked for is kept.  The store owns the
+last piece to the slice end) as queries reach them, all the pieces
+up to sigma = 32 that a cold read reaches in one first pass; the store
+of the last (cosmo, tau, cfg) slice asked for is kept.  The store owns the
 slice radius, the chart edge of sigma(rho); Slice says when the radius
 and the radial tail are built.  A value is a prefix sum over whole
 panels plus the integral of the last, partial panel's stored node
@@ -91,6 +92,19 @@ _CACHED_SLICES = 1
 # Dyadic s pieces the radial store track shares with the main one before
 # its last piece; they reach sigma = 32.
 _SHARED_PIECES = 2
+
+# Sigma at the end of each head piece, pieces 0 to _SHARED_PIECES, on a
+# slice that runs past it, as _nodes computes it: 2, 8 and 32.
+_HEAD_ENDS = [1.0 + _U_SEAM * _U_SEAM] + [
+    1.0 / (hi * hi) for hi in (0.5 * _S_SEAM * 2.0 ** (1 - i)
+                               for i in range(1, _SHARED_PIECES + 1))]
+
+# A knotless piece's starting nodes, as fractions of its width: four
+# panels, or toward s = 0 panels that shrink by sqrt(2).  Scaling by a
+# power of two is exact, so these equal linspace(lo, hi, 5) and
+# lo * 2^(-k/2), k = 0..14, then 0.
+_QUARTERS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+_TAIL = np.append(2.0 ** (-0.5 * np.arange(15)), 0.0)
 
 # The slice integrals the store keeps, as (order, power): chi (1, 1/2),
 # rho (1, 3/2), the lapse integral (2, 1) and fermi_speed's i2 (2, 2).
@@ -203,13 +217,24 @@ def slice_end(cosmo: Cosmology, tau: float) -> float:
     return end
 
 
-def _block(k: int) -> range:
-    """The store pieces built together with piece k: pieces 1 to 4 one
-    by one, then pieces 2^j + 1 to 2^(j+1).  Fixed blocks keep the panels
-    a function of the slice alone; doubling ones let a walk deep into a
-    finite slice (about 1.44 h0 tau pieces on de Sitter) make one
-    integrand call per block, and build at most about twice the pieces
-    it needs."""
+def _block(k: int, sigma: float) -> range:
+    """The store pieces built together with piece k, the first one the
+    main track lacks, for a read at sigma: head pieces k up to the one
+    that holds sigma (all of the head at sigma = inf, piece k alone at
+    sigma = 1, as an inversion's walk asks), then pieces 3 and 4 one by
+    one, then pieces 2^j + 1 to 2^(j+1).  A read builds the head it
+    reaches in one first pass and no piece past it: a fixed three-piece
+    head block took cold chi and lapse reads at u = 0.5 from about 100
+    to 140 us.  Each piece's panels are its own whatever its block, so
+    the panels stay a function of the slice alone; doubling blocks let a
+    walk deep into a finite slice (about 1.44 h0 tau pieces on de
+    Sitter) make one first pass per block, and build at most about
+    twice the pieces it needs."""
+    if k <= _SHARED_PIECES:
+        m = k
+        while m < _SHARED_PIECES and _HEAD_ENDS[m] < sigma:
+            m += 1
+        return range(k, m + 1)
     if k <= 4:
         return range(k, k + 1)
     j = (k - 1).bit_length()
@@ -266,8 +291,11 @@ class Slice:
     The main track holds pieces u in [0, 1], then dyadic pieces s in
     [s/2, s] from s = 1/sqrt(2) down to the slice end (without end on an
     unbounded slice), built on first use in the blocks of _block, each
-    block from one numerics._adaptive_panels call and summed in one
-    pass.  They integrate chi, the lapse integral and i2, and on the
+    block from one numerics._adaptive_panels call, with the u and the s
+    integrand each called once, and summed in one pass.  A read builds
+    the head pieces it lacks up to the one that holds its sigma as one
+    block, radius() the whole head, and an inversion's walk one piece at
+    a time.  They integrate chi, the lapse integral and i2, and on the
     head, the first 1 + _SHARED_PIECES pieces, rho too.  The radial
     track, for rho alone, takes the head with its running totals from
     the main track, so the head is summed once, and ends with one piece
@@ -310,28 +338,32 @@ class Slice:
         self.tracks = {False: _Track(), True: _Track()}   # by radial
         self.last: dict = {}      # key -> (other arguments, last answer)
 
-    def _grow(self, radial: bool) -> None:
-        """Add the next block of a track: a head piece of the main track,
-        with its sums, to the radial one, else pieces from one
-        _adaptive_panels call."""
+    def _grow(self, radial: bool, sigma: float = 1.0) -> None:
+        """Add the next block of a track for a read at sigma (1 for a
+        walk, which builds a piece at a time): a head piece of the main
+        track, with its sums, to the radial one, else the pieces of
+        _block that the slice holds, from one _adaptive_panels call with
+        one integrand per substitution and summed in one pass."""
         tr = self.tracks[radial]
         k = len(tr.pieces)
         if radial and k <= _SHARED_PIECES:
             main = self.tracks[False]
             while len(main.pieces) <= k:
-                self._grow(False)
+                self._grow(False, sigma)
             for name in ("pieces", "ends", "cums", "totals"):
                 getattr(tr, name).append(getattr(main, name)[k])
             return
         s_end = 1.0 / math.sqrt(self.end)
-        ks = [k] if radial else [i for i in _block(k) if i == k
+        ks = [k] if radial else [i for i in _block(k, sigma) if i == k
                                  or _S_SEAM * 2.0 ** (1 - i) > s_end]
         comps = ((_RHO,) if radial else (_CHI, _RHO, _LAPSE, _I2)
                  if k <= _SHARED_PIECES else (_CHI, _LAPSE, _I2))
+        f = {is_u: _integrand(self.cosmo.model, self.a0, comps, is_u)
+             for is_u in {i == 0 for i in ks}}
         starts = [self._nodes(i, radial) for i in ks]
         built = numerics._adaptive_panels(
-            _integrand(self.cosmo.model, self.a0, comps, k == 0),
-            [nodes for nodes, _, _ in starts], self.tol)
+            [f[i == 0] for i in ks], [nodes for nodes, _, _ in starts],
+            self.tol)
         tr.add([_Piece(comps, vals, dict(zip(comps, ys)), a, b, end, last)
                 for (_, last, end), (a, b, vals, ys) in zip(starts, built)])
 
@@ -349,14 +381,13 @@ class Slice:
             last, ends = hi == s_end, (1.0 / (lo * lo), 1.0 / (hi * hi)
                                        if hi else math.inf)
         knots = _clean_breaks(self.knots, *ends)
-        # Without knots, start from four panels, or on the way to s = 0
-        # from panels that shrink by sqrt(2) toward it.  Panels that pass
+        # Without knots, start from _QUARTERS or _TAIL.  Panels that pass
         # the error test on their integrals can still be too wide for the
         # reads of partial panels from their node values; from two
         # panels those reads stayed near 2.4e-13 relative at any tol.
         if not knots.size:
-            return (np.linspace(lo, hi, 5) if hi else np.append(
-                lo * 2.0 ** (-0.5 * np.arange(15)), 0.0)), last, ends[1]
+            return (lo + (hi - lo) * _QUARTERS if hi else lo * _TAIL,
+                    last, ends[1])
         x = np.sqrt(knots - 1.0) if k == 0 else 1.0 / np.sqrt(knots)
         return np.concatenate(([lo], x, [hi])), last, ends[1]
 
@@ -365,7 +396,7 @@ class Slice:
         ends."""
         tr = self.tracks[radial]
         while not tr.done and (not tr.pieces or tr.ends[-1] < sigma):
-            self._grow(radial)
+            self._grow(radial, sigma)
         return tr
 
     def radius(self) -> float:

@@ -27,10 +27,13 @@ integral however small it is, with no absolute floor, and only if that
 fails, bisection of the worst panel of any piece, at most _SPLIT_CAP
 times for the whole range.  There is one kernel, ``_panels``, which
 evaluates any number of panels from one integrand call, and one driver,
-``_adaptive_panels``, which takes several integrands and several ranges
-and hands back the accepted panels: the slice store runs it on its
-integrals and on several ranges at once, and ``_adaptive`` runs it on one
-integrand over one range and sums the panels.
+``_adaptive_panels``, which takes several ranges, each with its own
+integrand of several integrals, and hands back the accepted panels.  Its
+first pass serves all the ranges at once: one call per integrand, one
+G7/K15 sum and one vectorized test of every range's totals; only a range
+that fails enters ``_refine_panels``.  The slice store runs it on a
+block of store pieces, the u piece and s pieces together, and
+``_adaptive`` on one integrand over one range, summing the panels.
 The store reads a partial panel from its stored node values alone, with
 no integrand call: ``_legendre`` gives the Legendre series of their
 degree-14 interpolant, ``_panel_eval`` its integral from the panel
@@ -211,59 +214,71 @@ def _adaptive(f: Callable, nodes, rel_tol: float) -> float:
     range order, as a running total adds.  f may return one value per
     point or a one-row array.
     """
-    vals = _adaptive_panels(lambda x: np.atleast_2d(f(x)),
+    vals = _adaptive_panels([lambda x: np.atleast_2d(f(x))],
                             [np.asarray(nodes, dtype=float)], rel_tol)[0][2]
     return float(np.cumsum(vals[0])[-1])
 
 
-def _adaptive_panels(f: Callable, ranges, rel_tol: float) -> list:
-    """The qagp scheme on each of several ranges (node arrays) for an f
-    that returns a (components x nodes) array, keeping the accepted panels:
+def _adaptive_panels(fs: list, ranges, rel_tol: float) -> list:
+    """The qagp scheme on each of several ranges (node arrays), range i
+    with the integrand fs[i], which returns a (components x nodes) array
+    with the same components as the others, keeping the accepted panels:
     per range, (starts, ends, values, node values) in range order,
     component axis first.
 
-    The first panels of all ranges come from one batched integrand call;
-    each range is then tested and bisected on its own, every panel
-    through the batched kernel, so a range's panels do not depend on the
-    ranges beside it.  A range passes only when every component passes
-    the test on its own total, and the worst panel is the one whose
-    error is the largest fraction of its component's budget when
-    bisection starts; the largest raw error, as in scipy's
-    quad_vec(norm="max"), would never bisect for a small component.
+    One first pass serves every range: one call of each integrand on the
+    first panels of its run of consecutive ranges, one G7/K15 sum, and
+    one vectorized test of each range's totals against its own budget.
+    Only a range that fails is bisected, on its own through
+    _refine_panels, so a range's panels do not depend on the ranges
+    beside it.  A range passes only when every component passes the test
+    on its own total, and the worst panel is the one whose error is the
+    largest fraction of its component's budget when bisection starts; the
+    largest raw error, as in scipy's quad_vec(norm="max"), would never
+    bisect for a small component.
     """
-    first = _panels(f, np.concatenate([r[:-1] for r in ranges]),
-                    np.concatenate([r[1:] for r in ranges]))
-    edges = list(itertools.accumulate((r.size - 1 for r in ranges),
-                                      initial=0))
-    return [_refine_panels(f, nodes, *(x[:, i:j] for x in first), rel_tol)
-            for nodes, i, j in zip(ranges, edges, edges[1:])]
+    sizes = [r.size - 1 for r in ranges]
+    edges = list(itertools.accumulate(sizes, initial=0))
+    # One call per run of ranges that share an integrand, on its slice
+    # of the node vector, 15 nodes a panel.
+    runs = [(r, g) for r, g in enumerate(fs) if r == 0 or g is not fs[r - 1]]
+    cuts = [15 * edges[r] for r, _ in runs] + [15 * edges[-1]]
+    f = fs[0] if len(runs) == 1 else lambda x: np.concatenate(
+        [g(x[i:j]) for (_, g), i, j in zip(runs, cuts, cuts[1:])], axis=-1)
+    vals, errs, resabs, ys = _panels(
+        f, np.concatenate([r[:-1] for r in ranges]),
+        np.concatenate([r[1:] for r in ranges]))
+    # Per range and component, its value, error and resabs totals: sums
+    # over its own panels alone.
+    sums = np.add.reduceat(np.array((vals, errs, resabs)), edges[:-1],
+                           axis=-1)
+    fail = (sums[1] > np.maximum(rel_tol * np.abs(sums[0]),
+                                 50.0 * _EPS * sums[2])).any(axis=0).tolist()
+    return [_refine_panels(g, nodes, vals[:, i:j], errs[:, i:j], ys[:, i:j],
+                           sums[..., r], rel_tol) if fail[r] else
+            (nodes[:-1], nodes[1:], vals[:, i:j], ys[:, i:j])
+            for r, (g, nodes, i, j) in enumerate(zip(fs, ranges, edges,
+                                                     edges[1:]))]
 
 
-def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, resabs, ys,
+def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, ys, sums,
                    rel_tol: float):
-    """The bisection loop of _adaptive_panels on one range, from its
-    first panels.  The worst panel comes off a heap keyed on (-error over
+    """The bisection loop of _adaptive_panels on one range that failed
+    its first pass, from its first panels and their (totals, errors,
+    resabs) sums.  The worst panel comes off a heap keyed on (-error over
     budget, insertion count), so ties go to the oldest panel."""
-    total = vals.cumsum(axis=-1)[:, -1]
-    total_err = np.add.reduce(errs, -1)
-    total_resabs = np.add.reduce(resabs, -1)
-    heap, count, splits = None, len(nodes) - 1, 0
-    # On Python floats: for a few components, cheaper than numpy calls.
-    while any(e > max(rel_tol * abs(t), 50.0 * _EPS * r)
-              for t, e, r in zip(total.tolist(), total_err.tolist(),
-                                 total_resabs.tolist())):
+    total, total_err, total_resabs = sums
+    count, splits = len(nodes) - 1, 0
+    # The budgets of the first pass's test; one of 0 (only zero node
+    # values so far) is taken as the least normal float.
+    scale = 1.0 / np.maximum(np.maximum(
+        rel_tol * np.abs(total), 50.0 * _EPS * total_resabs), _TINY)
+    heap = list(zip((-(errs * scale[:, None]).max(axis=0)).tolist(),
+                    range(count), nodes[:-1].tolist(), nodes[1:].tolist(),
+                    list(vals.T), list(errs.T), list(np.moveaxis(ys, -2, 0))))
+    heapq.heapify(heap)
+    while True:
         _check_splits(splits, np.max(total), np.max(total_err))
-        if heap is None:
-            # The budgets of the test above; one of 0 (only zero node
-            # values so far) is taken as the least normal float.
-            scale = 1.0 / np.maximum(np.maximum(
-                rel_tol * np.abs(total), 50.0 * _EPS * total_resabs), _TINY)
-            heap = list(zip((-(errs * scale[:, None]).max(axis=0)).tolist(),
-                            range(count), nodes[:-1].tolist(),
-                            nodes[1:].tolist(),
-                            list(vals.T), list(errs.T),
-                            list(np.moveaxis(ys, -2, 0))))
-            heapq.heapify(heap)
         _, _, wa, wb, wval, werr, _ = heapq.heappop(heap)
         m = 0.5 * (wa + wb)
         v, e, r, y = _panels(f, np.array([wa, m]), np.array([m, wb]))
@@ -275,8 +290,11 @@ def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, resabs, ys,
         total = total + (v[:, 0] + v[:, 1] - wval)
         total_err = total_err + (e[:, 0] + e[:, 1] - werr)
         total_resabs = total_resabs + (r[:, 0] + r[:, 1])
-    if heap is None:
-        return nodes[:-1], nodes[1:], vals, ys
+        # On Python floats: for a few components, cheaper than numpy calls.
+        if not any(te > max(rel_tol * abs(t), 50.0 * _EPS * tr)
+                   for t, te, tr in zip(total.tolist(), total_err.tolist(),
+                                        total_resabs.tolist())):
+            break
     heap.sort(key=lambda p: abs(p[2] - nodes[0]))
     return (np.array([p[2] for p in heap]), np.array([p[3] for p in heap]),
             np.stack([p[4] for p in heap], axis=-1),

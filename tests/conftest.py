@@ -1,12 +1,12 @@
-# Shared fixtures (panel and search pass counts), the hypothesis profile
-# CI runs with, and pytest.approx without its absolute floor.
+# Shared fixtures (panel, work and search pass counts), the hypothesis
+# profile CI runs with, and pytest.approx without its absolute floor.
 
 import functools
 
 import pytest
 from hypothesis import settings
 
-from fermirw import chart, numerics
+from fermirw import chart, geodesics, numerics
 
 # Derandomized: a failing example found in CI reproduces locally under
 # --hypothesis-profile=ci.
@@ -47,6 +47,26 @@ def count_panels(monkeypatch):
         call()
         return count[0]
     return panels
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts, from the fixture on, of first passes
+    (numerics._adaptive_panels calls), kernel calls (numerics._panels
+    calls) and the store's running-total passes (geodesics._Track.add)."""
+    counts = dict.fromkeys(("first_passes", "kernel_calls", "sums"), 0)
+
+    def counted(key, call):
+        def count(*args):
+            counts[key] += 1
+            return call(*args)
+        return count
+
+    for owner, name, key in ((numerics, "_adaptive_panels", "first_passes"),
+                             (numerics, "_panels", "kernel_calls"),
+                             (geodesics._Track, "add", "sums")):
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+    return counts
 
 
 @pytest.fixture

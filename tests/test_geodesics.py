@@ -325,24 +325,18 @@ def test_table_slice_integral_batches_model_calls():
     assert 0 < calls[0] <= 4
 
 
-def test_table_store_builds_no_heap(monkeypatch):
-    # Every piece of a table store passes on its batched first pass: one
-    # batched call per piece and no bisection, and the read evaluates no
-    # panel of its own.
-    calls = [0]
-    kernel = numerics._panels
-
-    def counting(*args):
-        calls[0] += 1
-        return kernel(*args)
-    monkeypatch.setattr(numerics, "_panels", counting)
+def test_table_store_builds_no_heap(work):
+    # The read at sigma = 16 builds the head it reaches, pieces 0 to 2, in
+    # one first pass, and every piece of a table store passes on it: one
+    # kernel call and no bisection, and the read evaluates no panel of
+    # its own.  Built one piece at a time, it took three kernel calls.
     # A new b_dot callable makes a new cache key, so the store is cold.
     b_dot = TABLE.model.b_dot
     cosmo = Cosmology(replace(TABLE.model, b_dot=lambda x: b_dot(x)), k=0)
     rho_of_sigma(cosmo, 1.0, 16.0)
     built = len(geodesics.store(cosmo, 1.0).tracks[False].pieces)
     assert built == 3        # u in [0, 1] and two dyadic s pieces
-    assert calls[0] == built
+    assert work == {"first_passes": 1, "kernel_calls": 1, "sums": 1}
 
 
 def _piece_by_piece(adaptive):

@@ -20,8 +20,9 @@ from fermirw import (
     gamma_fn,
     hyp2f1,
     integrate_sigma,
+    make_power_law,
 )
-from fermirw import numerics
+from fermirw import geodesics, numerics
 
 # Values computed with a 40-digit arbitrary-precision oracle before the
 # implementation existed; they are inputs to the tests, not outputs.
@@ -198,7 +199,7 @@ def _adaptive_by_scan(f, a, b, rel_tol):
 def _heap_panels(f, a, b, rel_tol):
     """(value, accepted (start, end) pairs) of the batched driver."""
     starts, ends, _, _ = numerics._adaptive_panels(
-        lambda x: np.atleast_2d(f(x)), [np.array([a, b])], rel_tol)[0]
+        [lambda x: np.atleast_2d(f(x))], [np.array([a, b])], rel_tol)[0]
     return (numerics._adaptive(f, [a, b], rel_tol),
             list(zip(starts.tolist(), ends.tolist())))
 
@@ -243,7 +244,7 @@ def test_a_small_row_is_bisected_on_its_own_budget():
     # won a bisection, and the range stopped at the cap.  Row 2 is zero,
     # as b'' is on Milne: a budget of 0.
     vals = numerics._adaptive_panels(
-        lambda x: np.array([np.exp(x), 1e-20 * np.cos(60.0 * x), 0.0 * x]),
+        [lambda x: np.array([np.exp(x), 1e-20 * np.cos(60.0 * x), 0.0 * x])],
         [np.array([0.0, 0.5, 1.0])], 1e-12)[0][2]
     got = [math.fsum(row) for row in vals.tolist()]
     assert got[0] == pytest.approx(math.e - 1.0, rel=1e-12)
@@ -282,17 +283,43 @@ def test_direct_calls_turn_a_warning_into_accuracy_error(f, kernel_hi,
         integrate_sigma(f, 1.0, sigma_hi)
 
 
+def _same_as_alone(fs, ranges, rel_tol):
+    """_adaptive_panels on the block of ranges; asserts that each range
+    gets, bit for bit, the starts, ends, values and node values it gets
+    alone."""
+    block = numerics._adaptive_panels(fs, ranges, rel_tol)
+    for f, r, got in zip(fs, ranges, block):
+        alone = numerics._adaptive_panels([f], [r], rel_tol)[0]
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, alone))
+    return block
+
+
 def test_a_block_keeps_each_ranges_own_panels():
     # A block of ranges, one of which fails its first panels and is
     # bisected, gives each range the panels it gets alone.
     f = lambda x: np.array([np.cos(x), np.sqrt(x)])
     ranges = [np.array([1.0, 1.5, 2.0]), np.array([2.0, 2.5, 3.0]),
               np.array([3.0, 10.0, 60.0]), np.array([60.0, 61.0, 62.0])]
-    block = numerics._adaptive_panels(f, ranges, 1e-12)
-    for r, got in zip(ranges, block):
-        alone = numerics._adaptive_panels(f, [r], 1e-12)[0]
-        assert all(np.array_equal(x, y) for x, y in zip(got, alone))
+    block = _same_as_alone([f] * 4, ranges, 1e-12)
     assert len(block[2][0]) > 2 and len(block[0][0]) == 2
+
+
+def test_a_block_keeps_each_ranges_own_integrand():
+    # The store's block of a u piece and two s pieces, with one integrand
+    # call per substitution: matter's four store integrals, the u piece
+    # and the first s piece from four panels each, and a last s piece
+    # from one panel, which fails its first pass and is bisected.
+    matter = make_power_law(2.0 / 3.0)
+    a0 = float(matter.a(1.0))
+    comps = ((1, 0.5), (1, 1.5), (2, 1.0), (2, 2.0))
+    u, s = (geodesics._integrand(matter, a0, comps, is_u)
+            for is_u in (True, False))
+    seam = geodesics._S_SEAM
+    ranges = [np.linspace(0.0, geodesics._U_SEAM, 5),
+              np.linspace(seam, 0.5 * seam, 5), np.array([0.5 * seam, 0.05])]
+    block = _same_as_alone([u, s, s], ranges, 1e-12)
+    assert [len(got[0]) for got in block[:2]] == [4, 4]
+    assert len(block[2][0]) > 1
 
 
 def test_pieces_that_fail_their_first_panel_are_bisected():

@@ -94,51 +94,81 @@ def test_fermi_from_rw_panels_per_event(count_panels):
     assert sum(counts) / len(counts) <= 31.0
 
 
-def _work(monkeypatch):
-    """Counts, from this call on, of running-total passes (_Track.add)
-    and of batched kernel calls (numerics._panels)."""
-    counts = {"sums": 0, "batches": 0}
-    add, panels = geodesics._Track.add, numerics._panels
-
-    def counted_add(self, pieces):
-        counts["sums"] += 1
-        return add(self, pieces)
-
-    def counted_panels(*args):
-        counts["batches"] += 1
-        return panels(*args)
-    monkeypatch.setattr(geodesics._Track, "add", counted_add)
-    monkeypatch.setattr(numerics, "_panels", counted_panels)
-    return counts
-
-
-def test_a_cold_head_is_summed_once(monkeypatch, count_panels):
+def test_a_cold_head_is_summed_once(work, count_panels):
     # Cold rho, chi and lapse reads at sigma = 10 build the head, pieces 0
-    # to 2: one batched first pass of four panels per piece, each accepted
-    # without a bisection, and one running-total pass per piece, which the
-    # radial track takes over as it stands.  The reads evaluate no panel
-    # of their own.  Each piece was summed twice, once per track.
-    counts = _work(monkeypatch)
+    # to 2, in one block: one first pass of four panels per piece, each
+    # accepted without a bisection, one kernel call and one running-total
+    # pass, which the radial track takes over as it stands.  The reads
+    # evaluate no panel of their own.  Built piece by piece, the head
+    # took three first passes, kernel calls and running-total passes, and
+    # summed once per track, six.
     cosmo = _fresh(MATTER)
     assert count_panels(lambda: (
         rho_of_sigma(cosmo, 1.0, 10.0), chi_of_sigma(cosmo, 1.0, 10.0),
         lapse_bracket(cosmo, 1.0, 10.0))) == 4 * 3
-    assert counts == {"sums": 3, "batches": 3}
+    assert work == {"first_passes": 1, "kernel_calls": 1, "sums": 1}
     tracks = geodesics.store(cosmo, 1.0).tracks
     assert len(tracks[True].cums) == 1 + geodesics._SHARED_PIECES
     assert all(r is m for r, m in zip(tracks[True].cums, tracks[False].cums))
 
 
-def test_a_deep_walk_sums_once_per_block(monkeypatch):
+@pytest.mark.parametrize("sigma,pieces", [(1.5, 1), (5.0, 2), (10.0, 3)])
+def test_a_cold_read_builds_only_what_it_reaches(work, sigma, pieces):
+    # The head pieces up to the one that holds sigma, in one first pass:
+    # piece 0 alone below sigma = 2, pieces 0-1 to sigma = 8, 0-2 beyond.
+    # A fixed three-piece head block took cold chi and lapse reads at
+    # u = 0.5 from about 100 to 140 us.
+    cosmo = _fresh(MATTER)
+    chi_of_sigma(cosmo, 1.0, sigma)
+    assert len(geodesics.store(cosmo, 1.0).tracks[False].pieces) == pieces
+    assert work == {"first_passes": 1, "kernel_calls": 1, "sums": 1}
+
+
+def test_a_cold_radius_builds_the_head_in_one_pass(work):
+    # The whole head in one block, then the radial tail in another.
+    cosmo = _fresh(MATTER)
+    proper_radius(cosmo, 1.0)
+    tracks = geodesics.store(cosmo, 1.0).tracks
+    assert len(tracks[False].pieces) == 1 + geodesics._SHARED_PIECES
+    assert len(tracks[True].pieces) == 2 + geodesics._SHARED_PIECES
+    assert work == {"first_passes": 2, "kernel_calls": 2, "sums": 2}
+
+
+def test_a_deep_walk_sums_once_per_block(work):
     # A cold read at 0.999 of the tau = 20 de Sitter slice walks 30
-    # pieces in 8 blocks (pieces 0 to 4 alone, then 5-8, 9-16 and 17-29):
-    # one batched pass and one running-total pass per block, where the
-    # totals took one pass per piece.
-    counts = _work(monkeypatch)
+    # pieces in 6 blocks (the head, pieces 3 and 4 alone, then 5-8, 9-16
+    # and 17-29): one first pass, kernel call and running-total pass per
+    # block.  Built piece by piece, the head took two more of each, and
+    # the totals took one pass per piece.
     cosmo = _fresh(DESITTER)
     chi_of_sigma(cosmo, 20.0, 0.999 * slice_end(cosmo, 20.0))
-    assert counts == {"sums": 8, "batches": 8}
+    assert work == {"first_passes": 6, "kernel_calls": 6, "sums": 6}
     assert len(geodesics.store(cosmo, 20.0).tracks[False].pieces) == 30
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_knotless_start_nodes_equal_linspace(name):
+    # Slice._nodes scales fixed fractions of a piece in place of calling
+    # linspace; a power-of-two step makes them equal bit for bit.
+    cosmo, tau = MODELS[name], 20.0 if name == "de-sitter" else 1.0
+    st = geodesics.Slice(cosmo, tau, DEFAULT_CONFIG)
+    s_end = 1.0 / math.sqrt(st.end)
+    checked = 0
+    for k in range(geodesics._GROWTH_CAP):
+        if k and geodesics._S_SEAM * 2.0 ** (1 - k) <= s_end:
+            break
+        for tail in (False, True):
+            nodes, _, _ = st._nodes(k, tail)
+            lo, hi = float(nodes[0]), float(nodes[-1])
+            ends = ((1.0 + lo * lo, 1.0 + hi * hi) if k == 0 else
+                    (1.0 / (lo * lo), 1.0 / (hi * hi) if hi else math.inf))
+            if numerics._clean_breaks(st.knots, *ends).size:
+                continue
+            want = (np.linspace(lo, hi, 5) if hi else
+                    np.append(lo * 2.0 ** (-0.5 * np.arange(15)), 0.0))
+            assert nodes.tobytes() == want.tobytes(), (k, tail)
+            checked += 1
+    assert checked
 
 
 def test_fermi_speed_evaluates_b_ddot_once_per_node():
