@@ -17,8 +17,8 @@ import numpy as np
 from .cosmology import Cosmology, _check_time
 from .errors import (AccuracyError, DomainError, FermiRWError,
                      OutOfChartError, _finite, _no_overflow)
-from .geodesics import (_CHI, _GROWTH_CAP, _LAPSE, _RHO, _check_slice,
-                        _u_of, chi_of_sigma, store, t_of_sigma)
+from .geodesics import (_CHI, _LAPSE, _RHO, _check_slice, _u_of,
+                        chi_of_sigma, store, t_of_sigma)
 from .numerics import _EPS, _NODES, _WK, DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
@@ -48,6 +48,8 @@ _Q_MAX = 1e6
 # Most Newton, secant or bisection steps of one slice search, besides
 # its doublings of u.
 _STEP_CAP = 500
+# Most doublings of u in one slice search while it has no upper end.
+_GROWTH_CAP = 60
 # Most Newton steps on a that place one iterate's slice.
 _SLICE_STEP_CAP = 10
 

@@ -236,7 +236,9 @@ def _sweep_values(args, parser: _Parser) -> list[float]:
         parser.error("--samples must be at least 2")
     n = args.samples
     step = (args.stop - args.start) / (n - 1)
-    return [args.start + i * step for i in range(n)]
+    # The last value is --stop itself, where start + (n - 1) step may
+    # miss it by an ulp.
+    return [args.start + i * step for i in range(n - 1)] + [args.stop]
 
 
 def cmd_sweep(args, rc: RunConfig, parser: _Parser) -> int:

@@ -78,11 +78,6 @@ _SLICE_MARGIN = 1e-12
 _S_SEAM = 2.0 ** -0.5
 _U_SEAM = math.sqrt(_S_SEAM ** -2.0 - 1.0)
 
-# Doublings allowed while a search has no upper bracket end: of u in an
-# inversion on an unbounded slice (one dyadic store piece each), of u in
-# fermi_from_rw.
-_GROWTH_CAP = 60
-
 # Slice stores kept by store().  On all three benchmark workloads every
 # lookup is of the last slice used or of a new one, and 1, 2 and 4 ran
 # at the same rows/s; a table store holds about 110 kB, and 4 of them
@@ -289,8 +284,9 @@ class Slice:
     """Stored slice integrals of one (cosmo, tau, cfg) slice.
 
     The main track holds pieces u in [0, 1], then dyadic pieces s in
-    [s/2, s] from s = 1/sqrt(2) down to the slice end (without end on an
-    unbounded slice), built on first use in the blocks of _block, each
+    [s/2, s] from s = 1/sqrt(2) down to the slice end, or on an
+    unbounded slice to piece 512, the first whose end sigma = 2^1025
+    overflows, built on first use in the blocks of _block, each
     block from one numerics._adaptive_panels call, with the u and the s
     integrand each called once, and summed in one pass.  A read builds
     the head pieces it lacks up to the one that holds its sigma as one
@@ -342,8 +338,9 @@ class Slice:
         """Add the next block of a track for a read at sigma (1 for a
         walk, which builds a piece at a time): a head piece of the main
         track, with its sums, to the radial one, else the pieces of
-        _block that the slice holds, from one _adaptive_panels call with
-        one integrand per substitution and summed in one pass."""
+        _block up to the one that ends the track, from one
+        _adaptive_panels call with one integrand per substitution and
+        summed in one pass."""
         tr = self.tracks[radial]
         k = len(tr.pieces)
         if radial and k <= _SHARED_PIECES:
@@ -353,14 +350,16 @@ class Slice:
             for name in ("pieces", "ends", "cums", "totals"):
                 getattr(tr, name).append(getattr(main, name)[k])
             return
-        s_end = 1.0 / math.sqrt(self.end)
-        ks = [k] if radial else [i for i in _block(k, sigma) if i == k
-                                 or _S_SEAM * 2.0 ** (1 - i) > s_end]
+        starts = []
+        for i in [k] if radial else _block(k, sigma):
+            starts.append(self._nodes(i, radial))
+            if starts[-1][1]:
+                break
         comps = ((_RHO,) if radial else (_CHI, _RHO, _LAPSE, _I2)
                  if k <= _SHARED_PIECES else (_CHI, _LAPSE, _I2))
+        ks = range(k, k + len(starts))
         f = {is_u: _integrand(self.cosmo.model, self.a0, comps, is_u)
              for is_u in {i == 0 for i in ks}}
-        starts = [self._nodes(i, radial) for i in ks]
         built = numerics._adaptive_panels(
             [f[i == 0] for i in ks], [nodes for nodes, _, _ in starts],
             self.tol)
@@ -369,7 +368,9 @@ class Slice:
 
     def _nodes(self, k: int, tail: bool):
         """The starting nodes of piece k in u or s, its ends and the
-        table knots between them, whether it ends its track, its end."""
+        table knots between them, whether it ends its track, its end.
+        A track ends at the slice end or, on an unbounded slice, with
+        the first dyadic piece whose end sigma overflows, piece 512."""
         s_end = 1.0 / math.sqrt(self.end)
         if k == 0:
             top = math.sqrt(self.end - 1.0)
@@ -378,8 +379,8 @@ class Slice:
         else:
             lo = _S_SEAM * 2.0 ** (1 - k)
             hi = s_end if tail else max(0.5 * lo, s_end)
-            last, ends = hi == s_end, (1.0 / (lo * lo), 1.0 / (hi * hi)
-                                       if hi else math.inf)
+            ends = 1.0 / (lo * lo), 1.0 / (hi * hi) if hi else math.inf
+            last = hi == s_end or math.isinf(ends[1])
         knots = _clean_breaks(self.knots, *ends)
         # Without knots, start from _QUARTERS or _TAIL.  Panels that pass
         # the error test on their integrals can still be too wide for the
@@ -444,17 +445,17 @@ class Slice:
         chi (comp _CHI, scale 1/2) or rho (_RHO, scale a(tau)/2).
 
         The track's pieces are walked from the start, each built on first
-        use, until the running total passes target.  numerics._panel_root
-        then places u (piece 0) or s past the seam where the read of
-        integral() reaches it, on the node interpolant of the panel that
-        holds it, with no model call.
+        use, until the running total passes target or the track is done.
+        numerics._panel_root then places u (piece 0) or s past the seam
+        where the read of integral() reaches it, on the node interpolant
+        of the panel that holds it, with no model call.
 
-        rho at or beyond the slice radius raises OutOfChartError, any
-        other target beyond a finite slice DomainError.  On an unbounded
-        slice (chi only) each dyadic piece doubles u; increments that
-        stall or decay geometrically bound what chi can still gain, a
-        target past that bound raises DomainError, and more than
-        _GROWTH_CAP pieces raise AccuracyError.
+        rho at or beyond the slice radius raises OutOfChartError.  chi
+        past the track's end raises DomainError naming the chi reached
+        there: the slice end, or on an unbounded slice the end of piece
+        512, sigma = 2^1025, where a converging chi is its reach to
+        rounding.  chi that only sigma past the float range reaches
+        (from sigma = 2^1024 on) raises DomainError too.
         """
         last = self.last.get(comp)
         if last is not None and last[0] == target:
@@ -471,40 +472,14 @@ class Slice:
                     f"slice; the slice proper radius is rho_M={rho_max:.12g}",
                     rho_max=rho_max)
         tr = self._track(radial, 1.0)
-        saturates = math.isinf(self.end) and not radial
-        f, prev_inc, stalls = 0.0, None, 0
         for k in itertools.count():
-            if saturates and k > _GROWTH_CAP:
-                raise AccuracyError(
-                    f"sigma bracket growth cap {_GROWTH_CAP} reached for "
-                    f"target {target:g}", estimate=tr.ends[k - 1])
             if k == len(tr.pieces):
                 if tr.done:
-                    raise self._beyond(target, f"it ends at {f:g}")
+                    raise self._beyond(target, f"chi = {f!r} at its end")
                 self._grow(radial)
-            fx = scale * float(tr.cums[k][comp][-1])
-            if fx >= target:
+            f = scale * float(tr.cums[k][comp][-1])
+            if f >= target:
                 break
-            if saturates and k > 1:
-                # Doublings with increments that stall or decay
-                # geometrically bound what F can still gain; a target past
-                # that bound is beyond the slice though each doubling
-                # still makes progress.
-                inc = fx - f
-                if inc <= 1e-12 * target:
-                    stalls += 1
-                    if stalls >= 2:
-                        raise self._beyond(target, f"it saturates near {fx:g}")
-                else:
-                    stalls = 0
-                    if prev_inc is not None and inc < 0.9 * prev_inc:
-                        ratio = inc / prev_inc
-                        limit = fx + 1.5 * inc * ratio / (1.0 - ratio)
-                        if limit < target:
-                            raise self._beyond(
-                                target, f"it saturates near {limit:g}")
-                prev_inc = inc
-            f = fx
         cum, r = tr.cums[k][comp], target / scale
         j = min(max(int(np.searchsorted(cum, r)) - 1, 0), cum.size - 2)
         a, half, d = self._series(tr.pieces[k], j, (comp,), (1.0,))
@@ -513,6 +488,8 @@ class Slice:
             raise AccuracyError(f"{target:g} is within rounding of the end "
                                 f"of the tau={self.tau:g} slice")
         u = x if k == 0 else math.sqrt(1.0 / (x * x) - 1.0)
+        if math.isinf(u):
+            raise self._beyond(target, "sigma leaves the float range first")
         self.last[comp] = target, u
         return u
 

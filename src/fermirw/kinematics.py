@@ -59,10 +59,11 @@ def sigma_of_chi(cosmo: Cosmology, tau: float, chi0: float,
 
     geodesics.Slice.invert solves it on the node interpolants of the
     slice store's panels, with no integrand call of its own.  Raises
-    DomainError when chi0 lies beyond the comoving reach of the slice
-    (past the end of a finite slice, or where chi saturates on an
-    unbounded one), AccuracyError when the iteration or its bracket
-    growth exhausts its cap.
+    DomainError when chi0 lies beyond the comoving reach of the slice:
+    past the end of a finite slice, or on an unbounded one past the chi
+    reached where sigma overflows, which is the reach to rounding where
+    chi converges; AccuracyError when the root iteration in a panel
+    exhausts its cap.
     """
     u0 = _u_of(cosmo, tau, _CHI, chi0, cfg)
     return 1.0 + u0 * u0

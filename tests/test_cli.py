@@ -174,6 +174,40 @@ def test_sweep_velocity_matter_monotone(capsys):
     assert all("comoving reach" in r["error"] for r in bad)
 
 
+def test_sweep_velocity_milne_to_the_end_of_the_store(capsys):
+    # Milne's chi grows without bound.  Its slice store ends where sigma
+    # overflows, at chi = 355.93; rows past it carry an error, and the
+    # others invert chi = ln(sqrt(s) + sqrt(s - 1)) out to sigma = 2e277.
+    code, out, _ = run_cli(capsys, "sweep", "velocity", "--model", "milne",
+                           "--tau", "1", "--start", "40", "--stop", "400",
+                           "--samples", "10")
+    assert code == 0
+    rows = parse_csv(out)
+    good = [r for r in rows if float(r["chi0"]) < 355.93]
+    assert len(good) == 8
+    for r in good:
+        assert r["error"] == ""
+        assert float(r["sigma0"]) == pytest.approx(
+            math.cosh(float(r["chi0"])) ** 2, rel=1e-10)
+    for r in rows[len(good):]:
+        assert "comoving reach" in r["error"]
+        assert "chi = 355.93" in r["error"]
+
+
+@pytest.mark.parametrize("start,stop,samples",
+                         [("0", "2", 50), ("0.1", "0.3", 7)])
+def test_sweep_ends_at_stop(capsys, start, stop, samples):
+    # start + (samples - 1) step ends at 1.9999999999999998 and at
+    # 0.30000000000000004 here; the other rows keep that formula.
+    code, out, _ = run_cli(capsys, "sweep", "velocity", "--model", "milne",
+                           "--tau", "1", "--start", start, "--stop", stop,
+                           "--samples", str(samples))
+    assert code == 0
+    step = (float(stop) - float(start)) / (samples - 1)
+    assert [float(r["chi0"]) for r in parse_csv(out)] == [
+        float(start) + i * step for i in range(samples - 1)] + [float(stop)]
+
+
 def test_sweep_velocity_on_an_early_matter_slice(capsys):
     # The tau = 1e-40 slice reaches chi = 3 * 1.31103 tau^(1/3) = 1.83e-13,
     # and v depends on sigma0 alone, so both rows are ordinary ones.

@@ -1,6 +1,7 @@
 # Orthogonal spacelike geodesic maps and the ODE cross-check.
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 
 from fermirw import (
     DEFAULT_CONFIG,
+    GAMMA_RATIO_SUP,
     Cosmology,
     DomainError,
     chi_of_sigma,
+    fermi_speed,
     integrate_geodesic_ode,
     make_exponential,
     make_power_law,
+    make_tabulated,
     proper_radius,
     rho_of_sigma,
     sample_geodesic,
@@ -469,14 +473,56 @@ def test_sigma_of_chi_round_trips_at_every_scale(cosmo, tau):
                                                               rel=1e-12)
 
 
+def _chi_at_the_end(call) -> float:
+    """The chi that the DomainError of call() names at its slice's end."""
+    with pytest.raises(DomainError, match="beyond the comoving reach") as exc:
+        call()
+    return float(re.search(r"chi = (\S+) at its end", str(exc.value))[1])
+
+
 @pytest.mark.parametrize("tau", [1.0, 1e-40])
 def test_chi_beyond_reach_saturates_at_every_scale(tau):
-    # The bound the inversion reports scales like the slice's reach,
-    # 3 * 1.31103 tau^(1/3) on matter.
-    with pytest.raises(DomainError, match="saturates near") as exc:
-        sigma_of_chi(MATTER, tau, 10.0 * tau ** (1.0 / 3.0))
-    near = float(str(exc.value).rsplit("near ", 1)[1].rstrip(")"))
-    assert near / tau ** (1.0 / 3.0) == pytest.approx(4.2715, rel=1e-5)
+    # An unbounded slice's store ends with the dyadic piece whose end
+    # sigma overflows, 2^1025.  Where chi converges, the chi there is the
+    # comoving reach to rounding, at every scale: 3 GAMMA_RATIO_SUP
+    # tau^(1/3) on matter, pi sqrt(tau) on radiation.  Guessed from the
+    # pieces' increments, the bound read 4.2715 tau^(1/3) on matter.
+    for cosmo, reach in ((MATTER, 3.0 * GAMMA_RATIO_SUP * tau ** (1.0 / 3.0)),
+                         (RADIATION, math.pi * math.sqrt(tau))):
+        got = _chi_at_the_end(lambda: sigma_of_chi(cosmo, tau, 10.0 * reach))
+        assert got == pytest.approx(reach, rel=1e-12)
+
+
+def test_milne_chi_inverts_up_to_where_sigma_overflows():
+    # chi = ln(sqrt(sigma) + sqrt(sigma - 1)) has no finite reach: chi =
+    # 50 lies 43 doublings of u out, and the track ends at sigma = 2^1025,
+    # chi = (1027/2) ln 2.  Between the ends of sigma = 2^1024 and 2^1025
+    # chi is reached only past the float range.
+    sigma = sigma_of_chi(MILNE, 1.0, 50.0)
+    assert sigma == pytest.approx(math.cosh(50.0) ** 2, rel=1e-12)
+    assert chi_of_sigma(MILNE, 1.0, sigma) == pytest.approx(50.0, rel=1e-12)
+    assert _chi_at_the_end(lambda: sigma_of_chi(MILNE, 1.0, 400.0)) == \
+        pytest.approx(513.5 * math.log(2.0), rel=1e-12)
+    with pytest.raises(DomainError, match="float range"):
+        sigma_of_chi(MILNE, 1.0, 355.7)
+
+
+@pytest.mark.parametrize("tau", [19.0, 20.0])
+def test_chi_inverts_where_its_increments_decay_and_grow(tau):
+    # On this rough table chi's increments per dyadic piece decay and then
+    # grow again: a geometric bound extrapolated from the decay put
+    # chi(sigma = 1000) beyond the slice (3.22486 at tau = 19, 3.53039 at
+    # tau = 20).
+    rng = np.random.default_rng(7)
+    ts = np.cumsum(rng.uniform(0.05, 1.0, 40))
+    a = np.cumsum(rng.uniform(0.01, 1.0, 40))
+    cosmo = Cosmology(make_tabulated(list(zip(ts, a))), k=0)
+    for sigma in (10.0, 100.0, 300.0, 1000.0):
+        chi = chi_of_sigma(cosmo, tau, sigma)
+        assert sigma_of_chi(cosmo, tau, chi) == pytest.approx(sigma,
+                                                              rel=1e-12)
+        assert fermi_speed(cosmo, tau, chi).sigma0 == pytest.approx(
+            sigma, rel=1e-12)
 
 
 @pytest.mark.parametrize("factor", [0.1, 10.0])

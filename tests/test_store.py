@@ -1,6 +1,7 @@
 # The per-slice panel store: what it costs, and that its values depend on
 # their arguments alone.
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -146,16 +147,31 @@ def test_a_deep_walk_sums_once_per_block(work):
     assert len(geodesics.store(cosmo, 20.0).tracks[False].pieces) == 30
 
 
+def test_a_chi_past_the_reach_builds_the_whole_track(work):
+    # An unbounded slice's track ends with piece 512, whose end sigma
+    # overflows: a cold inversion past matter's reach builds all 513
+    # pieces, in the blocks of _block (pieces 0, 1, 2, 3 and 4 one by one,
+    # then 5-8 up to 257-512), and raises.
+    cosmo = _fresh(MATTER)
+    with pytest.raises(DomainError, match="beyond the comoving reach"):
+        sigma_of_chi(cosmo, 1.0, 1e6)
+    track = geodesics.store(cosmo, 1.0).tracks[False]
+    assert len(track.pieces) == 513 and track.done
+    assert track.ends[-2] < math.inf == track.ends[-1]
+    assert work["first_passes"] == work["sums"] == 12
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_knotless_start_nodes_equal_linspace(name):
     # Slice._nodes scales fixed fractions of a piece in place of calling
     # linspace; a power-of-two step makes them equal bit for bit.
     cosmo, tau = MODELS[name], 20.0 if name == "de-sitter" else 1.0
     st = geodesics.Slice(cosmo, tau, DEFAULT_CONFIG)
-    s_end = 1.0 / math.sqrt(st.end)
     checked = 0
-    for k in range(geodesics._GROWTH_CAP):
-        if k and geodesics._S_SEAM * 2.0 ** (1 - k) <= s_end:
+    # Every piece of the main track, to its end: 513 pieces on an
+    # unbounded slice.
+    for k in itertools.count():
+        if k and st._nodes(k - 1, False)[1]:
             break
         for tail in (False, True):
             nodes, _, _ = st._nodes(k, tail)
