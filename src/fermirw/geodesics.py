@@ -4,9 +4,10 @@ Each constant-tau slice of the Fermi chart is ruled by unit-speed spacelike
 geodesics leaving the observer at proper time tau.  Points along one
 geodesic are labelled by the stretch sigma = (a(tau)/a(t))^2 >= 1, and the
 three maps below give cosmological time t, comoving radius chi, and proper
-distance rho as functions of sigma.  Every other slice quantity is an
-integral of b'(a(tau)/sqrt(s)) or b''(a(tau)/sqrt(s)) against
-s^(-n) (s-1)^(-1/2) over the same range, smooth in u = sqrt(sigma - 1).
+distance rho as functions of sigma.  Every other slice quantity is a
+slice integral of order k and power n: the integral of
+b^(k)(a(tau)/sqrt(s)) s^(-n) (s-1)^(-1/2) over s in [1, sigma], with k = 1
+(b') or 2 (b''), smooth in u = sqrt(sigma - 1).
 Near the observer sigma - 1 has lost its digits, so reads and inversions
 take and return u; the public maps take sigma and convert at the edge.
 
@@ -27,10 +28,8 @@ a call that repeats the last one's arguments exactly costs nothing.
 Every map of the chart reads its slice from the store, fermi_from_rw's
 search over slices too: each of its passes reads chi and the lapse
 integral, which the store sums on the same panels, so the search's
-Newton slope costs no extra integral.  slice_integral integrates one
-integral directly with the same substituted integrands, the reference
-the store is tested against.  An independent route integrates the
-geodesic equation in rho directly and is used as a cross-check.
+Newton slope costs no extra integral.  An independent route integrates
+the geodesic equation in rho directly and is used as a cross-check.
 """
 
 from __future__ import annotations
@@ -50,15 +49,13 @@ from .cosmology import Cosmology, _check_time, sigma_breaks, sigma_infinity
 from .errors import (AccuracyError, DomainError, OutOfChartError, _finite,
                      _no_overflow)
 from .numerics import (DEFAULT_CONFIG, NumericsConfig, _clean_breaks,
-                       _legendre, _panel_eval, _panel_root, _s_nodes,
-                       _u_nodes)
+                       _legendre, _panel_eval, _panel_root)
 
 __all__ = [
     "GeodesicPoint",
     "t_of_sigma",
     "chi_of_sigma",
     "rho_of_sigma",
-    "slice_integral",
     "slice_end",
     "lapse_bracket",
     "sample_geodesic",
@@ -140,8 +137,8 @@ def t_of_sigma(cosmo: Cosmology, tau: float, sigma: float) -> float:
 
 
 def _integrand(model, a0: float, comps, is_u: bool):
-    """The integrands of slice_integral for the (order, power) comps after
-    the substitution sigma = 1 + x^2 (is_u) or sigma = x^-2, one row
+    """The integrands of the slice integrals of the (order, power) comps
+    after the substitution sigma = 1 + x^2 (is_u) or sigma = x^-2, one row
     each.  The s form carries the sign of integration toward larger
     sigma, that is toward smaller s."""
     derivs = {o: (model.b_dot, model.b_ddot)[o - 1] for o, _ in comps}
@@ -158,44 +155,6 @@ def _integrand(model, a0: float, comps, is_u: bool):
         return np.array([d[o] * x ** (2.0 * p - 2.0) if p != 1.0 else d[o]
                          for o, p in comps])
     return f
-
-
-def slice_integral(cosmo: Cosmology, tau: float, sigma: float, order: int,
-                   power: float, cfg: NumericsConfig | None = None) -> float:
-    """Integral of b^(order)(a0/sqrt(s)) s^(-power) (s-1)^(-1/2) ds over
-    [1, sigma], integrated directly, without the slice store.
-
-    a0 = a(tau); order is 1 (b') or 2 (b''), and sigma may be inf where
-    the integral converges.  The range is a u range up to the seam at
-    sigma = 2 and an s range beyond it, the substitutions of the store's
-    pieces, each split at the table knots of interpolated models.
-    Each range is resolved to cfg.quad_rel_tol relative to its own total,
-    however small the integral.
-    """
-    return _slice_integral(cosmo, tau, math.sqrt(max(sigma - 1.0, 0.0)),
-                           (order, power), cfg or DEFAULT_CONFIG)
-
-
-def _slice_integral(cosmo: Cosmology, tau: float, u: float, comp: tuple,
-                    cfg: NumericsConfig) -> float:
-    """slice_integral of comp = (order, power) to u = sqrt(sigma - 1),
-    which keeps its digits near the observer."""
-    m = cosmo.model
-    a0 = float(m.a(tau))
-    sigma = 1.0 + u * u
-    knots = _clean_breaks(sigma_breaks(cosmo, tau, sigma, a0), 1.0, sigma)
-    seam = _S_SEAM ** -2.0
-    tol = 0.5 * cfg.quad_rel_tol
-    # The numerics module's driver, looked up per call, so that a test
-    # can swap it for a reference.
-    total = numerics._adaptive(_integrand(m, a0, (comp,), True),
-                               _u_nodes(0.0, knots, min(u, _U_SEAM)), tol)
-    # From s at the seam (1/sqrt(seam) rounds to _S_SEAM) down; an s
-    # range that rounds to zero width adds nothing.
-    if 1.0 / math.sqrt(sigma) < _S_SEAM:
-        total += numerics._adaptive(_integrand(m, a0, (comp,), False),
-                                    _s_nodes(sigma, knots, seam)[::-1], tol)
-    return total
 
 
 def slice_end(cosmo: Cosmology, tau: float) -> float:
@@ -406,11 +365,12 @@ class Slice:
             self._track(True, math.inf).cums[-1][_RHO][-1])
 
     def integral(self, weights: dict, u: float) -> float:
-        """Sum of w * slice_integral(order, n) over weights {(order, n): w}
-        at u: whole panels from the running totals, then the integral of
-        the stored node interpolant of the panel holding u (s past the
-        seam) from its start, with no integrand call.  Against direct
-        integrals the worst read measured 0.09 tol at tol = 1e-14."""
+        """Sum of w times the slice integral of (order, n) over weights
+        {(order, n): w} at u: whole panels from the running totals, then
+        the integral of the stored node interpolant of the panel holding
+        u (s past the seam) from its start, with no integrand call.
+        Against direct integrals the worst read measured 0.09 tol at
+        tol = 1e-14."""
         if u == 0.0:
             return 0.0
         comps, args = tuple(weights), (u, tuple(weights.values()))
@@ -441,8 +401,8 @@ class Slice:
                                            weights)
 
     def invert(self, comp: tuple, target: float) -> float:
-        """u at which F = scale * slice_integral(*comp) reaches target:
-        chi (comp _CHI, scale 1/2) or rho (_RHO, scale a(tau)/2).
+        """u at which F = scale times the slice integral of comp reaches
+        target: chi (comp _CHI, scale 1/2) or rho (_RHO, scale a(tau)/2).
 
         The track's pieces are walked from the start, each built on first
         use, until the running total passes target or the track is done.

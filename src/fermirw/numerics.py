@@ -13,11 +13,11 @@ panel whose value is not finite raises AccuracyError rather than passing
 NaN on as converged, and so does a RuntimeWarning from the integrand, the
 form an overflow or a NaN takes under an error::RuntimeWarning filter,
 there or in integrate_sigma's direct calls of it.
-The model slice integrals, in ``geodesics.slice_integral`` and the slice
-store ``geodesics.Slice``, make the same two substitutions in their
-integrands themselves, with the seam between them at sigma = 2, and
-split every range at the knots of tabulated models
-(``cosmology.sigma_breaks`` finds them by bisection on the knot table).
+The model slice integrals, in the slice store ``geodesics.Slice``, make
+the same two substitutions in their integrands themselves, with the seam
+between them at sigma = 2, and split every range at the knots of
+tabulated models (``cosmology.sigma_breaks`` finds them by bisection on
+the knot table).
 
 The u range (sigma below 2) and the s range (sigma above 2, up to a finite
 sigma_hi or to s = 0) each run QUADPACK's qagp scheme (Piessens et al.,
@@ -33,7 +33,7 @@ first pass serves all the ranges at once: one call per integrand, one
 G7/K15 sum and one vectorized test of every range's totals; only a range
 that fails enters ``_refine_panels``.  The slice store runs it on a
 block of store pieces, the u piece and s pieces together, and
-``_adaptive`` on one integrand over one range, summing the panels.
+``integrate_sigma`` on its u and s ranges, summing each range's panels.
 The store reads a partial panel from its stored node values alone, with
 no integrand call: ``_legendre`` gives the Legendre series of their
 degree-14 interpolant, ``_panel_eval`` its integral from the panel
@@ -206,17 +206,6 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
         with np.errstate(over="ignore"):
             return knd, np.minimum(delta, (200.0 * delta) ** 1.5), resabs, y
     return knd, np.minimum(delta, (200.0 * delta) ** 1.5), resabs, y
-
-
-def _adaptive(f: Callable, nodes, rel_tol: float) -> float:
-    """Integral of f from nodes[0] to nodes[-1], split at every node: the
-    sum of the panels _adaptive_panels accepts on that one range, in
-    range order, as a running total adds.  f may return one value per
-    point or a one-row array.
-    """
-    vals = _adaptive_panels([lambda x: np.atleast_2d(f(x))],
-                            [np.asarray(nodes, dtype=float)], rel_tol)[0][2]
-    return float(np.cumsum(vals[0])[-1])
 
 
 def _adaptive_panels(fs: list, ranges, rel_tol: float) -> list:
@@ -434,20 +423,21 @@ def integrate_sigma(f: Callable, sigma_lo: float, sigma_hi: float,
         return value
 
     pts = _clean_breaks(breaks, sigma_lo, sigma_hi)
-    rel = 0.5 * cfg.quad_rel_tol
     split = min(sigma_hi, 2.0)
-    total = 0.0
+    fs, ranges = [], []
     if sigma_lo < split:
         # sigma = 1 + u^2 absorbs the sqrt singularity at the left edge.
-        total += _adaptive(_u_integrand(f),
-                           _u_nodes(math.sqrt(sigma_lo - 1.0), pts,
-                                    math.sqrt(split - 1.0)), rel)
+        fs.append(_u_integrand(f))
+        ranges.append(_u_nodes(math.sqrt(sigma_lo - 1.0), pts,
+                               math.sqrt(split - 1.0)))
     if sigma_hi > 2.0:
         # s = 1/sqrt(sigma) keeps large-sigma panels well conditioned, and
         # maps sigma = inf to s = 0.
-        total += _adaptive(_s_integrand(f),
-                           _s_nodes(sigma_hi, pts, max(sigma_lo, 2.0)), rel)
-    return total
+        fs.append(_s_integrand(f))
+        ranges.append(_s_nodes(sigma_hi, pts, max(sigma_lo, 2.0)))
+    # One first pass for both ranges, each summed over its panels in order.
+    panels = _adaptive_panels(fs, ranges, 0.5 * cfg.quad_rel_tol)
+    return sum(float(np.cumsum(vals[0])[-1]) for _, _, vals, _ in panels)
 
 
 def _values_at(f: Callable, sigma: list) -> list:
@@ -474,7 +464,7 @@ def _s_nodes(hi: float, pts: np.ndarray, lo: float) -> np.ndarray:
 
 
 def _u_integrand(f: Callable) -> Callable:
-    """Transformed integrand for sigma = 1 + u^2.
+    """Transformed integrand for sigma = 1 + u^2, as a one-row array.
 
     The Jacobian 2u is written as 2*sqrt(sigma - 1) with sigma - 1 taken
     from the rounded sigma actually passed to f, so an exact
@@ -482,13 +472,14 @@ def _u_integrand(f: Callable) -> Callable:
     """
     def g(u):
         sigma = 1.0 + u * u
-        return f(sigma) * 2.0 * np.sqrt(sigma - 1.0)
+        return np.atleast_2d(f(sigma) * 2.0 * np.sqrt(sigma - 1.0))
     return g
 
 
 def _s_integrand(f: Callable) -> Callable:
-    """Transformed integrand for sigma = s^(-2), Jacobian 2 s^(-3)."""
-    return lambda s: f(s ** -2.0) * 2.0 * s ** -3.0
+    """Transformed integrand for sigma = s^(-2), Jacobian 2 s^(-3), as a
+    one-row array."""
+    return lambda s: np.atleast_2d(f(s ** -2.0) * 2.0 * s ** -3.0)
 
 
 def find_root_monotone(g: Callable[[float], float], lo: float,

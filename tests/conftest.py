@@ -1,12 +1,16 @@
-# Shared fixtures (panel, work and search pass counts), the hypothesis
-# profile CI runs with, and pytest.approx without its absolute floor.
+# Shared fixtures (panel, work and search pass counts, and the direct
+# slice integral the store is tested against), the hypothesis profile CI
+# runs with, and pytest.approx without its absolute floor.
 
 import functools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from fermirw import chart, geodesics, numerics
+from fermirw.cosmology import sigma_breaks
 
 # Derandomized: a failing example found in CI reproduces locally under
 # --hypothesis-profile=ci.
@@ -82,3 +86,39 @@ def passes(monkeypatch):
 
     monkeypatch.setattr(chart, "_search_pass", counted)
     return us
+
+
+def _direct_integral(cosmo, tau, u, comp, cfg):
+    """The slice integral of comp = (order, power) up to u = sqrt(sigma - 1),
+    integrated directly, without the slice store.
+
+    It has the store's integrands (geodesics._integrand), seam and knot
+    split: a u range up to the seam at sigma = 2 and an s range beyond
+    it, each split at the table knots, from one numerics._adaptive_panels
+    call, looked up per call so that a test can swap it.  Each range is
+    resolved to cfg.quad_rel_tol relative to its own total and summed
+    over its panels in order.
+    """
+    m = cosmo.model
+    a0 = float(m.a(tau))
+    sigma = 1.0 + u * u
+    knots = numerics._clean_breaks(sigma_breaks(cosmo, tau, sigma, a0), 1.0,
+                                   sigma)
+    fs = [geodesics._integrand(m, a0, (comp,), True)]
+    ranges = [numerics._u_nodes(0.0, knots, min(u, geodesics._U_SEAM))]
+    # From s at the seam (1/sqrt(seam) rounds to _S_SEAM) down; an s range
+    # that rounds to zero width adds nothing.
+    if 1.0 / math.sqrt(sigma) < geodesics._S_SEAM:
+        fs.append(geodesics._integrand(m, a0, (comp,), False))
+        ranges.append(numerics._s_nodes(sigma, knots,
+                                        geodesics._S_SEAM ** -2.0)[::-1])
+    totals = [float(np.cumsum(vals[0])[-1]) for _, _, vals, _ in
+              numerics._adaptive_panels(fs, ranges, 0.5 * cfg.quad_rel_tol)]
+    return sum(totals[1:], totals[0])
+
+
+@pytest.fixture(scope="session")
+def direct_integral():
+    """direct_integral(cosmo, tau, u, comp, cfg): the slice integral of
+    comp = (order, power) to u, integrated without the store."""
+    return _direct_integral

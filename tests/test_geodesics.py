@@ -29,7 +29,7 @@ from fermirw import (
     t_of_sigma,
 )
 from fermirw import geodesics, numerics
-from fermirw.geodesics import lapse_bracket, slice_end, slice_integral
+from fermirw.geodesics import lapse_bracket, slice_end
 from fermirw.kinematics import _power_integral
 from fermirw.verify import _tabulated_matterlike
 
@@ -246,13 +246,12 @@ def test_ode_step_count_is_capped(step):
 
 
 # ---------------------------------------------------------------------------
-# slice_integral and lapse_bracket
+# slice integrals and lapse_bracket
 
 def test_slice_integral_radiation_radius():
-    # b'(x) = 2x and a0 = sqrt(tau): 2 a0 * integral s^-2 (s-1)^-1/2 = pi a0.
-    tau = 2.0
-    val = slice_integral(RADIATION, tau, math.inf, 1, 1.5)
-    assert val == pytest.approx(math.pi * math.sqrt(tau), rel=1e-12)
+    # b'(x) = 2x and a0 = sqrt(tau): the rho integral to sigma = inf is
+    # 2 a0 * integral s^-2 (s-1)^-1/2 = pi a0, so rho_M = a0^2 pi/2 = pi.
+    assert proper_radius(RADIATION, 2.0) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_slice_integral_near_one_leading_order():
@@ -262,9 +261,10 @@ def test_slice_integral_near_one_leading_order():
     # which the leading order 2 b''(a0) 2^-20 misses by 2.3e-13.
     sigma, a0 = 1.0 + 2.0 ** -40, float(MATTER.model.a(1.3))
     want = 0.75 * a0 ** -0.5 * _power_integral(0.75, sigma)
-    assert slice_integral(MATTER, 1.3, sigma, 2, 1.0) == \
+    st = geodesics.store(MATTER, 1.3)
+    assert st.integral({geodesics._LAPSE: 1.0}, 2.0 ** -20) == \
         pytest.approx(want, rel=1e-14, abs=0.0)
-    assert slice_integral(MATTER, 1.3, 1.0, 1, 1.5) == 0.0
+    assert st.integral({geodesics._RHO: 1.0}, 0.0) == 0.0
 
 
 def test_lapse_bracket_is_unit_lapse_on_the_worldline():
@@ -343,14 +343,19 @@ def test_table_store_builds_no_heap(work):
     assert work == {"first_passes": 1, "kernel_calls": 1, "sums": 1}
 
 
-def _piece_by_piece(adaptive):
-    """Reference driver: adaptive on each piece alone, summed in piece
-    order."""
-    def run(f, nodes, rel_tol):
-        total = 0.0
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            total += adaptive(f, [a, b], rel_tol)
-        return total
+def _piece_by_piece(driver):
+    """Reference driver: driver on each knot piece of each range alone,
+    the accepted panels joined in piece order."""
+    def run(fs, ranges, rel_tol):
+        out = []
+        for f, nodes in zip(fs, ranges):
+            pieces = [driver([f], [nodes[i:i + 2]], rel_tol)[0]
+                      for i in range(nodes.size - 1)]
+            starts, ends, vals, ys = zip(*pieces)
+            out.append((np.concatenate(starts), np.concatenate(ends),
+                        np.concatenate(vals, axis=1),
+                        np.concatenate(ys, axis=1)))
+        return out
     return run
 
 
@@ -359,22 +364,24 @@ def _piece_by_piece(adaptive):
        st.floats(min_value=1e-6, max_value=1.0),
        st.sampled_from([(1, 0.5), (1, 1.5), (2, 1.0)]))
 @settings(max_examples=40, deadline=None)
-def test_one_heap_matches_a_piece_by_piece_loop(name, tau, frac, kind):
+def test_one_heap_matches_a_piece_by_piece_loop(direct_integral, name, tau,
+                                                frac, kind):
     cosmo = {"table": TABLE, "matter": MATTER, "de-sitter": DESITTER}[name]
     cfg = DEFAULT_CONFIG
-    sigma = 1.0 + frac * (min(16.0, slice_end(cosmo, tau)) - 1.0)
-    order, power = kind
-    got = slice_integral(cosmo, tau, sigma, order, power, cfg)
+    u = math.sqrt(frac * (min(16.0, slice_end(cosmo, tau)) - 1.0))
+    got = direct_integral(cosmo, tau, u, kind, cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numerics, "_adaptive", _piece_by_piece(numerics._adaptive))
-        reference = slice_integral(cosmo, tau, sigma, order, power, cfg)
+        mp.setattr(numerics, "_adaptive_panels",
+                   _piece_by_piece(numerics._adaptive_panels))
+        reference = direct_integral(cosmo, tau, u, kind, cfg)
     assert abs(got - reference) <= cfg.quad_rel_tol * abs(reference)
 
 
 @pytest.mark.parametrize("name, tau", [("matter", 1.3), ("de-sitter", 2.5),
                                        ("table", 1.7)])
 @pytest.mark.parametrize("sigma", [1.5, 2.0, 6.0, 30.0])
-def test_lapse_rides_on_the_chi_panels(count_panels, name, tau, sigma):
+def test_lapse_rides_on_the_chi_panels(count_panels, direct_integral, name,
+                                       tau, sigma):
     # fermi_from_rw's pass reads chi and the lapse integral at u from the
     # slice's store, which sums both on the same panels: once chi is read,
     # the lapse read evaluates no panel, so the search's slope costs no
@@ -386,10 +393,12 @@ def test_lapse_rides_on_the_chi_panels(count_panels, name, tau, sigma):
         n = count_panels(lambda: got.append(st.integral({comp: 1.0}, u)))
         assert (n > 0) == (comp == geodesics._CHI)
     chi, lapse = got
-    assert chi == pytest.approx(slice_integral(cosmo, tau, sigma, 1, 0.5, cfg),
-                                rel=cfg.quad_rel_tol)
+    assert chi == pytest.approx(
+        direct_integral(cosmo, tau, u, geodesics._CHI, cfg),
+        rel=cfg.quad_rel_tol)
     assert lapse == pytest.approx(
-        slice_integral(cosmo, tau, sigma, 2, 1.0, cfg), rel=cfg.quad_rel_tol)
+        direct_integral(cosmo, tau, u, geodesics._LAPSE, cfg),
+        rel=cfg.quad_rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +460,12 @@ def test_inversions_of_a_tiny_target(cosmo):
 @pytest.mark.parametrize("tau", [10.0, 20.0, 30.0, 40.0])
 @pytest.mark.parametrize("sigma", [10.0, 1e3, 1e6])
 def test_late_de_sitter_slice_integral_is_relative(tau, sigma):
-    # The chi integral 2 sqrt(sigma - 1) e^-tau is as small as 2.5e-17
-    # here; every range is resolved relative to its own total (an
-    # absolute floor of 5e-15 left it 41 % off at tau = 40, sigma = 1e6).
-    got = slice_integral(DESITTER, tau, sigma, 1, 0.5)
-    assert got == pytest.approx(2.0 * math.sqrt(sigma - 1.0)
-                                * math.exp(-tau), rel=1e-11, abs=0.0)
+    # chi = sqrt(sigma - 1) e^-tau is as small as 1.3e-17 here; every
+    # range is resolved relative to its own total (an absolute floor of
+    # 5e-15 left it 41 % off at tau = 40, sigma = 1e6).
+    got = chi_of_sigma(DESITTER, tau, sigma)
+    assert got == pytest.approx(math.sqrt(sigma - 1.0) * math.exp(-tau),
+                                rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("cosmo", [MATTER, RADIATION],

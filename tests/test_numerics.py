@@ -170,8 +170,19 @@ def test_nan_in_one_knot_piece_raises(breaks, bad, piece):
                            breaks=breaks) == pytest.approx(6.0, rel=1e-14)
 
 
+def _driver_value(f, nodes, rel_tol):
+    """The integral of f over the one range nodes by
+    numerics._adaptive_panels, its panels summed in range order, and the
+    panels' (start, end) pairs."""
+    starts, ends, vals, _ = numerics._adaptive_panels(
+        [lambda x: np.atleast_2d(f(x))], [np.array(nodes, dtype=float)],
+        rel_tol)[0]
+    return (float(np.cumsum(vals[0])[-1]),
+            list(zip(starts.tolist(), ends.tolist())))
+
+
 def _adaptive_by_scan(f, a, b, rel_tol):
-    """numerics._adaptive on [a, b] with the linear worst-panel scan the
+    """The qagp scheme on [a, b] with the linear worst-panel scan the
     heap replaced, on the batched kernel; returns (value, the accepted
     panels' (start, end) pairs in order)."""
     def panels(lo, hi):
@@ -196,14 +207,6 @@ def _adaptive_by_scan(f, a, b, rel_tol):
     raise AssertionError("reference did not converge")
 
 
-def _heap_panels(f, a, b, rel_tol):
-    """(value, accepted (start, end) pairs) of the batched driver."""
-    starts, ends, _, _ = numerics._adaptive_panels(
-        [lambda x: np.atleast_2d(f(x))], [np.array([a, b])], rel_tol)[0]
-    return (numerics._adaptive(f, [a, b], rel_tol),
-            list(zip(starts.tolist(), ends.tolist())))
-
-
 @pytest.mark.parametrize("f,a,b", [
     (lambda x: np.sqrt(np.abs(x - 0.3)) + np.abs(x - 0.71) ** 0.25,
      0.0, 1.0),
@@ -215,7 +218,7 @@ def test_heap_picks_the_panels_the_scan_picked(f, a, b):
     # driver sums its panels in range order and the scan as it goes.
     want, panels = _adaptive_by_scan(f, a, b, 1e-12)
     assert len(panels) >= 30
-    got, got_panels = _heap_panels(f, a, b, 1e-12)
+    got, got_panels = _driver_value(f, [a, b], 1e-12)
     assert got_panels == panels
     assert got == pytest.approx(want, rel=1e-15)
 
@@ -233,7 +236,7 @@ def test_heap_breaks_ties_like_the_scan(monkeypatch):
     f = lambda x: x * x
     want, panels = _adaptive_by_scan(f, 0.0, 1.0, 3e-3)
     assert 64 < len(panels) < 128     # converged halfway through a level
-    got, got_panels = _heap_panels(f, 0.0, 1.0, 3e-3)
+    got, got_panels = _driver_value(f, [0.0, 1.0], 3e-3)
     assert got_panels == panels
     assert got == pytest.approx(want, rel=1e-15)
 
@@ -258,7 +261,7 @@ def test_split_range_errors_past_1e150_do_not_overflow():
     # a valid error bound, on a split range and on one piece alike; a
     # scalar kernel in Python floats raised a bare OverflowError.
     for nodes, scale in (([0.0, 0.5, 1.0], 1e200), ([0.0, 1.0], 1e250)):
-        got = numerics._adaptive(lambda x: scale * np.exp(x), nodes, 1e-12)
+        got = _driver_value(lambda x: scale * np.exp(x), nodes, 1e-12)[0]
         assert got == pytest.approx(scale * (math.e - 1.0), rel=1e-12)
     got = integrate_sigma(
         lambda s: 1e250 * np.sqrt(s) * np.exp(s) / np.sqrt(s - 1.0), 1.0, 1.5)
@@ -385,6 +388,39 @@ def test_config_rejects_bad_fields(fields):
 
 def test_degenerate_interval():
     assert integrate_sigma(lambda s: np.ones_like(s), 2.0, 2.0) == 0.0
+
+
+def test_both_ranges_share_one_first_pass(work):
+    # A range across sigma = 2 is a u range and an s range, each with its
+    # own integrand; one numerics._adaptive_panels call tests both first
+    # passes at once, where each range used to make its own.
+    f = lambda s: 1.0 / (s * s * np.sqrt(s - 1.0))
+    integrate_sigma(f, 1.0, 4.0)
+    assert work["first_passes"] == 1
+    integrate_sigma(f, 1.0, math.inf, breaks=(1.3, 2.5, 6.0))
+    assert work["first_passes"] == 2
+
+
+_S2 = lambda s: 1.0 / (s * s * np.sqrt(s - 1.0))
+_RADIUS = lambda s: 1.0 / (s ** 1.5 * np.sqrt(s - 1.0))
+_BIG = lambda s: 1e250 * np.sqrt(s) * np.exp(s) / np.sqrt(s - 1.0)
+
+
+@pytest.mark.parametrize("f, lo, hi, breaks, want", [
+    (_S2, 1.0, 4.0, None, "1.480210253088817"),
+    (_S2, 1.0, 4.0, (1.3, 2.5, 6.0), "1.4802102530888168"),
+    (_S2, 1.0, math.inf, None, "1.5707963267948966"),
+    (_S2, 1.0, math.inf, (1.3, 2.5, 6.0), "1.5707963267948963"),
+    (_RADIUS, 3.0, math.inf, None, "0.3670068381445481"),
+    (_RADIUS, 3.0, math.inf, (1.3, 2.5, 6.0), "0.36700683814454804"),
+    (_BIG, 1.0, 1.5, None, "5.0003839699328326e+250"),
+    (_BIG, 1.0, 4.0, (1.3, 2.5, 6.0), "6.648515444711753e+251"),
+], ids=["s2-4", "s2-4-breaks", "s2-inf", "s2-inf-breaks", "radius-inf",
+        "radius-inf-breaks", "big-1.5", "big-4-breaks"])
+def test_integrate_sigma_values_are_frozen(f, lo, hi, breaks, want):
+    # Values taken while the u and the s range made a first pass each:
+    # one pass for both gives each range the same panels, bit for bit.
+    assert repr(integrate_sigma(f, lo, hi, breaks=breaks)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from fermirw import (
     sigma_of_rho,
 )
 from fermirw import closed_forms, geodesics, metric, numerics
-from fermirw.geodesics import lapse_bracket, slice_end, slice_integral
+from fermirw.geodesics import lapse_bracket, slice_end
 from fermirw.verify import _tabulated_matterlike
 
 MILNE = Cosmology(make_power_law(1.0), k=-1, name="milne")
@@ -241,10 +241,14 @@ def _queries(cosmo, cfg, tau, fracs):
 @given(st.sampled_from(sorted(MODELS)), st.floats(0.5, 2.0),
        st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3))
 @settings(max_examples=25, deadline=None)
-def test_store_reads_match_direct_integrals(name, tau, fracs):
+def test_store_reads_match_direct_integrals(direct_integral, name, tau,
+                                            fracs):
     cosmo, cfg = MODELS[name], DEFAULT_CONFIG
     a0 = float(cosmo.model.a(tau))
     u_top = math.sqrt(min(16.0, slice_end(cosmo, tau)) - 1.0)
+
+    def direct(sigma, comp):
+        return direct_integral(cosmo, tau, math.sqrt(sigma - 1.0), comp, cfg)
 
     def close(got, want):
         assert abs(got - want) <= cfg.quad_rel_tol * abs(want)
@@ -253,21 +257,18 @@ def test_store_reads_match_direct_integrals(name, tau, fracs):
         s = 1.0 + (f * u_top) ** 2
         chi = chi_of_sigma(cosmo, tau, s, cfg)
         rho = rho_of_sigma(cosmo, tau, s, cfg)
-        close(chi, 0.5 * slice_integral(cosmo, tau, s, 1, 0.5, cfg))
-        close(rho, 0.5 * a0 * slice_integral(cosmo, tau, s, 1, 1.5, cfg))
+        close(chi, 0.5 * direct(s, geodesics._CHI))
+        close(rho, 0.5 * a0 * direct(s, geodesics._RHO))
         close(geodesics.store(cosmo, tau, cfg).integral(
-            {geodesics._LAPSE: 1.0, geodesics._I2: 1.0},
-            math.sqrt(s - 1.0)),
-            slice_integral(cosmo, tau, s, 2, 1.0, cfg)
-            + slice_integral(cosmo, tau, s, 2, 2.0, cfg))
+            {geodesics._LAPSE: 1.0, geodesics._I2: 1.0}, math.sqrt(s - 1.0)),
+            direct(s, geodesics._LAPSE) + direct(s, geodesics._I2))
         # The inverses land where the direct maps give back the target.
-        close(0.5 * a0 * slice_integral(
-            cosmo, tau, sigma_of_rho(cosmo, tau, rho, cfg), 1, 1.5, cfg), rho)
-        close(0.5 * slice_integral(
-            cosmo, tau, sigma_of_chi(cosmo, tau, chi, cfg), 1, 0.5, cfg), chi)
+        close(0.5 * a0 * direct(sigma_of_rho(cosmo, tau, rho, cfg),
+                                geodesics._RHO), rho)
+        close(0.5 * direct(sigma_of_chi(cosmo, tau, chi, cfg),
+                           geodesics._CHI), chi)
     close(proper_radius(cosmo, tau, cfg),
-          0.5 * a0 * slice_integral(cosmo, tau, slice_end(cosmo, tau), 1, 1.5,
-                                    cfg))
+          0.5 * a0 * direct(slice_end(cosmo, tau), geodesics._RHO))
 
 
 # de Sitter's slice at tau = 5 reaches sigma = 2.2e4.
@@ -276,7 +277,7 @@ _ACCURACY_TAU = {"milne": 1.0, "radiation": 1.0, "matter": 1.0,
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_partial_panel_reads_meet_every_tolerance(name):
+def test_partial_panel_reads_meet_every_tolerance(direct_integral, name):
     # Reads over partial panels from the stored node values, against
     # direct integrals at 1e-15, from u = 1e-9 out to sigma = 1e4 or near
     # the end of a finite slice.  With pieces started from two panels
@@ -289,7 +290,7 @@ def test_partial_panel_reads_meet_every_tolerance(name):
                                      1e4, 0.999 * end) if s < end]
     comps = (geodesics._CHI, geodesics._RHO, geodesics._LAPSE)
     ref = NumericsConfig(1e-15)
-    want = {c: [geodesics._slice_integral(cosmo, tau, u, c, ref) for u in us]
+    want = {c: [direct_integral(cosmo, tau, u, c, ref) for u in us]
             for c in comps}
     for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
         st = geodesics.Slice(cosmo, tau, NumericsConfig(tol))
@@ -360,7 +361,7 @@ def test_late_de_sitter_slice_reads_cold(tau):
 
 
 @pytest.mark.parametrize("name, tau", [("matter", 1.0), ("table", 2.0)])
-def test_rho_across_the_end_of_the_head(name, tau):
+def test_rho_across_the_end_of_the_head(direct_integral, name, tau):
     # Near sigma = 32 the radial track passes from the head, summed on
     # the main track, to its own tail, whose totals start from the head's.
     # rho and its inverse there match the direct integrals, read in either
@@ -375,7 +376,8 @@ def test_rho_across_the_end_of_the_head(name, tau):
               math.nextafter(end, math.inf), 32.0, end * (1.0 + 1e-9)]
 
     def direct(sigma):
-        return 0.5 * a0 * slice_integral(cosmo, tau, sigma, 1, 1.5, cfg)
+        return 0.5 * a0 * direct_integral(cosmo, tau, math.sqrt(sigma - 1.0),
+                                          geodesics._RHO, cfg)
 
     def close(got, want):
         assert abs(got - want) <= cfg.quad_rel_tol * abs(want)
