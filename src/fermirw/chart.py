@@ -17,7 +17,8 @@ import numpy as np
 from .cosmology import Cosmology, _check_time
 from .errors import (AccuracyError, DomainError, FermiRWError,
                      OutOfChartError, _finite, _no_overflow)
-from .geodesics import _CHI, _LAPSE, _RHO, _check_slice, _u_of, store
+from .geodesics import (_CHI, _LAPSE, _RHO, _check_slice, _u_of,
+                        chi_of_sigma, store, t_of_sigma)
 from .numerics import _EPS, _NODES, _WK, DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
@@ -111,17 +112,16 @@ def rw_from_fermi(cosmo: Cosmology, event: FermiEvent,
                   cfg: NumericsConfig | None = None) -> RWEvent:
     """Map a Fermi-chart event to Robertson-Walker coordinates.
 
-    t = b(a(tau)/sqrt(1 + u^2)) and chi are read at the u where rho is
-    reached, not at sigma = 1 + u^2, where u^2 rounds near the observer.
+    t and chi are read at sigma_of_rho's sigma, so chi loses digits where
+    sigma - 1 = u^2 rounds (chi = 0 at rho = 1e-9 on Milne).
     """
     _check_angles(event)
-    tau = _check_time(event.tau)
     if event.rho == 0.0:
-        return RWEvent(tau, 0.0, event.theta, event.phi)
-    u = _u_of(cosmo, tau, _RHO, event.rho, cfg)
-    st = store(cosmo, tau, cfg)
-    return RWEvent(float(cosmo.model.b(st.a0 / math.sqrt(1.0 + u * u))),
-                   0.5 * st.integral({_CHI: 1.0}, u), event.theta, event.phi)
+        return RWEvent(_check_time(event.tau), 0.0, event.theta, event.phi)
+    sigma = sigma_of_rho(cosmo, event.tau, event.rho, cfg)
+    return RWEvent(t_of_sigma(cosmo, event.tau, sigma),
+                   chi_of_sigma(cosmo, event.tau, sigma, cfg),
+                   event.theta, event.phi)
 
 
 def _log_w(q: float, x: float) -> tuple[float, float]:

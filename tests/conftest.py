@@ -112,9 +112,8 @@ def _direct_integral(cosmo, tau, u, comp, cfg):
         fs.append(geodesics._integrand(m, a0, (comp,), False))
         ranges.append(numerics._s_nodes(sigma, knots,
                                         geodesics._S_SEAM ** -2.0)[::-1])
-    totals = [float(np.cumsum(vals[0])[-1]) for _, _, vals, _ in
-              numerics._adaptive_panels(fs, ranges, 0.5 * cfg.quad_rel_tol)]
-    return sum(totals[1:], totals[0])
+    return sum(float(np.cumsum(vals[0])[-1]) for _, _, vals, _ in
+               numerics._adaptive_panels(fs, ranges, 0.5 * cfg.quad_rel_tol))
 
 
 @pytest.fixture(scope="session")

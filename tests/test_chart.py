@@ -547,24 +547,6 @@ def test_fermi_closed_forms_near_the_observer(cosmo, chi):
     assert ev.rho == pytest.approx(rho, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("cosmo", [MILNE, DESITTER], ids=["milne", "de-sitter"])
-@pytest.mark.parametrize("rho", [1e-300, 1e-12, 1e-9, 1e-7, 1e-3, 0.3])
-def test_rw_closed_forms_near_the_observer(cosmo, rho):
-    # rw_from_fermi reads t and chi at u, not at sigma = 1 + u^2, whose
-    # digits are gone near the observer: chi read there was 0 at
-    # rho = 1e-9 on Milne, and 4e-4 off at 1e-7.  At tau = 1: Milne
-    # t = sqrt(1 - rho^2), chi = atanh(rho); de Sitter t = 1 + log cos rho,
-    # chi = e^-t sin rho.
-    ev = rw_from_fermi(cosmo, FermiEvent(1.0, rho))
-    if cosmo is MILNE:
-        t, chi = math.sqrt(1.0 - rho * rho), math.atanh(rho)
-    else:
-        t = 1.0 + math.log(math.cos(rho))
-        chi = math.exp(-t) * math.sin(rho)
-    assert ev.t == pytest.approx(t, rel=1e-12)
-    assert ev.chi == pytest.approx(chi, rel=1e-12, abs=0.0)
-
-
 def test_fermi_leading_order_late_matter_event():
     # w = a H chi = 3.1e-9: tau rounds to t, but rho must not round to 0.
     t, chi = 1e10, 1e-5

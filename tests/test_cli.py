@@ -46,17 +46,6 @@ def test_transform_to_rw_milne(capsys):
     assert float(row["sigma"]) == pytest.approx(4.0, abs=1e-5)
 
 
-def test_transform_to_rw_keeps_chi_near_the_observer(capsys):
-    # sigma = 1 + u^2 rounds to 1 at rho = 1e-9; chi read there printed 0.
-    code, out, _ = run_cli(capsys, "transform", "to-rw", "--model", "milne",
-                           "--tau", "1", "--rho", "1e-9")
-    assert code == 0
-    row = parse_csv(out)[0]
-    assert row["sigma"] == "1"
-    assert row["chi"] == "1.0000000000000001e-09"
-    assert float(row["chi"]) == math.atanh(1e-9)
-
-
 def test_transform_to_fermi_trivial(capsys):
     code, out, _ = run_cli(capsys, "transform", "to-fermi", "--model",
                            "power-law", "--alpha", "1", "--t", "1",
