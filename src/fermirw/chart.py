@@ -17,8 +17,8 @@ import numpy as np
 from .cosmology import Cosmology, _check_time
 from .errors import (AccuracyError, DomainError, FermiRWError,
                      OutOfChartError, _finite, _no_overflow)
-from .geodesics import (_CHI, _LAPSE, _RHO, _check_slice, _u_of,
-                        chi_of_sigma, store, t_of_sigma)
+from .geodesics import (_check_slice, _u_of, chi_of_sigma, store,
+                        t_of_sigma)
 from .numerics import _EPS, _NODES, _WK, DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
@@ -104,7 +104,7 @@ def sigma_of_rho(cosmo: Cosmology, tau: float, rho: float,
     geodesics.Slice.invert solves it, and raises OutOfChartError carrying
     the slice radius for rho at or beyond it (see geodesics.Slice).
     """
-    u = _u_of(cosmo, tau, _RHO, rho, cfg)
+    u = _u_of(cosmo, tau, "rho", rho, cfg)
     return 1.0 + u * u
 
 
@@ -189,10 +189,10 @@ def _power_law_root(w: float, q: float) -> float:
 
 def _search_pass(cosmo: Cosmology, tau: float, u: float,
                  cfg: NumericsConfig) -> tuple[float, float]:
-    """chi and the lapse integral I at u, read from the tau slice's store:
-    one pass of fermi_from_rw's search."""
+    """chi and the lapse bracket B at u, read from the tau slice's store
+    (Slice.chi and Slice.lapse): one pass of fermi_from_rw's search."""
     st = store(cosmo, tau, cfg)
-    return 0.5 * st.integral({_CHI: 1.0}, u), st.integral({_LAPSE: 1.0}, u)
+    return st.chi(u), st.lapse(u)
 
 
 def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
@@ -214,11 +214,13 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
     w = a(t) H(t) chi = chi/b'(a(t)) (_power_law_root).  That is the root
     on Milne, de Sitter, radiation and matter, and one order closer than
     the Hubble law elsewhere; where W_q does not reach w (q < 0 and
-    w >= -1/q) or its root is not a finite float, u = w.  Each step is
-    a Newton step with dchi/du = B/sqrt(sigma), B the lapse bracket
-    b'(a(t)) + a(t) u I/2: each pass reads chi and the lapse integral I
-    at u from the slice's store (_search_pass), which sums both on the
-    same panels and resolves chi to quad_rel_tol relative to chi.
+    w >= -1/q) or its root is not a finite float, u = w; b'(a(t))
+    enters w and q alone.  Each step is a Newton step with the slope
+    dchi/du = B/sqrt(sigma), B the store's lapse bracket on the iterate's
+    slice (geodesics.Slice.lapse, the one copy of B): each pass reads
+    chi and B at u (_search_pass), and the store sums chi and B's lapse
+    integral on the same panels and resolves chi to quad_rel_tol
+    relative to chi.
     While there is no upper end, u doubles in place of a step that would
     climb slowly and of a slope that is not positive, as where B cancels
     late on accelerating slices; once there is one, regula falsi
@@ -274,9 +276,8 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
         return tau
 
     def residual(u: float, tau: float) -> tuple[float, float]:
-        """chi - chi1 at u on the tau slice, and dchi/du =
-        (b'(a1) + a1 u I / 2)/sqrt(sigma), I the lapse integral."""
-        root = math.sqrt(1.0 + u * u)
+        """chi - chi1 at u on the tau slice, and dchi/du = B/sqrt(sigma),
+        B the slice's lapse bracket."""
         try:
             chi, lapse = _search_pass(
                 cosmo, _check_slice(cosmo, tau, 1.0 + u * u)[0], u, cfg)
@@ -286,7 +287,7 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
                 raise
             raise beyond(f"the tau={tau:g} slice is out of range before "
                          f"chi reaches it") from None
-        return chi - chi1, (bd1 + 0.5 * a1 * u * lapse) / root
+        return chi - chi1, lapse / math.sqrt(1.0 + u * u)
 
     # The root of the power law with the model's a, H and deceleration q
     # at t.  q is taken to 12 decimals, where Milne's, de Sitter's,
@@ -361,9 +362,8 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
             stalls += 1
             if stalls == 2:
                 raise beyond(f"reachable chi saturates near {f + chi1:g}")
-    st = store(cosmo, tau, cfg)
-    return FermiEvent(tau, 0.5 * st.a0 * st.integral({_RHO: 1.0}, u),
-                      event.theta, event.phi)
+    return FermiEvent(tau, store(cosmo, tau, cfg).rho(u), event.theta,
+                      event.phi)
 
 
 def jacobian_F(cosmo: Cosmology, tau: float, sigma: float,
@@ -396,9 +396,8 @@ def comoving_flow_fermi(cosmo: Cosmology, event: RWEvent,
     tau = fermi_from_rw(cosmo, event, cfg).tau
     if event.chi == 0.0:
         return 1.0, 0.0
-    st = store(cosmo, tau, cfg)
-    u = st.invert(_CHI, event.chi)
-    lapse = float(cosmo.model.a_dot(tau)) * st.lapse(u)
+    u = _u_of(cosmo, tau, "chi0", event.chi, cfg)
+    lapse = float(cosmo.model.a_dot(tau)) * store(cosmo, tau, cfg).lapse(u)
     if not lapse > 0.0:
         raise AccuracyError(f"the lapse a'(tau) B={lapse:g} at tau={tau:g}, "
                             f"u={u:g} is not positive")

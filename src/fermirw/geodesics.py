@@ -25,11 +25,14 @@ sum, with no integrand call, so every value depends on its arguments
 alone, not on the queries before it, and reads and inversions agree.
 The store also keeps its last answer per kind of read or inversion, so
 a call that repeats the last one's arguments exactly costs nothing.
-Every map of the chart reads its slice from the store, fermi_from_rw's
-search over slices too: each of its passes reads chi and the lapse
-integral, which the store sums on the same panels, so the search's
-Newton slope costs no extra integral.  An independent route integrates
-the geodesic equation in rho directly and is used as a cross-check.
+Every map of the chart reads its slice from the store by quantity
+(Slice.chi, rho, speed and lapse, and _u_of's inversions), so which
+integral each quantity is, and its prefactor, is known here alone.
+fermi_from_rw's search over slices reads chi and the lapse bracket B,
+whose integral the store sums on chi's panels, so the search's Newton
+slope B/sqrt(sigma) costs no extra integral.  An independent route
+integrates the geodesic equation in rho directly and is used as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -264,8 +267,11 @@ class Slice:
     on its own, so the panels depend on (cosmo, tau, cfg) alone.  Panels
     run in sigma order: s panels from high s to low.
 
-    Callers name integrals alone: rho (_RHO) is read and inverted on the
-    radial track, the others on the main track.  The slice radius rho_M,
+    Callers read quantities by name at u = sqrt(sigma - 1): chi(),
+    rho(), speed() (fermi_speed's v/a'(tau)) and lapse() (the lapse
+    bracket B), each one weighted sum of the stored integrals; rho is
+    read and inverted on the radial track, the others on the main
+    track.  The slice radius rho_M,
     radius(), is the radial track's total; invert raises OutOfChartError
     carrying it for rho at or beyond it, and computes it, building the
     radial tail, only for rho not below the running total of the radial
@@ -405,7 +411,9 @@ class Slice:
         target: chi (comp _CHI, scale 1/2) or rho (_RHO, scale a(tau)/2).
 
         The track's pieces are walked from the start, each built on first
-        use, until the running total passes target or the track is done.
+        use, until the running total passes target or the track is done;
+        a done track whose total falls short of target starts the walk at
+        its last piece, so a repeat past the end reads one total.
         numerics._panel_root then places u (piece 0) or s past the seam
         where the read of integral() reaches it, on the node interpolant
         of the panel that holds it, with no model call.
@@ -432,7 +440,9 @@ class Slice:
                     f"slice; the slice proper radius is rho_M={rho_max:.12g}",
                     rho_max=rho_max)
         tr = self._track(radial, 1.0)
-        for k in itertools.count():
+        # A done track's last total decides a target past it at once.
+        past = tr.done and scale * float(tr.cums[-1][comp][-1]) < target
+        for k in itertools.count(len(tr.pieces) - 1 if past else 0):
             if k == len(tr.pieces):
                 if tr.done:
                     raise self._beyond(target, f"chi = {f!r} at its end")
@@ -452,6 +462,23 @@ class Slice:
             raise self._beyond(target, "sigma leaves the float range first")
         self.last[comp] = target, u
         return u
+
+    def chi(self, u: float) -> float:
+        """Comoving radius chi at u = sqrt(sigma - 1)."""
+        return 0.5 * self.integral({_CHI: 1.0}, u)
+
+    def rho(self, u: float) -> float:
+        """Proper distance rho at u = sqrt(sigma - 1)."""
+        return 0.5 * self.a0 * self.integral({_RHO: 1.0}, u)
+
+    def speed(self, u: float) -> float:
+        """fermi_speed's v/a'(tau) at u = sqrt(sigma0 - 1):
+        (1/2) [I1 + a0 (I2 - I3/sigma0)], I1 the rho integral, I2 the
+        slice integral of order 2 and power 2 and I3 the lapse integral;
+        a0 (I2 - I3/sigma0) is one pass over the b'' panels' node
+        values."""
+        return 0.5 * (self.integral({_RHO: 1.0}, u) + self.integral(
+            {_I2: self.a0, _LAPSE: -self.a0 / (1.0 + u * u)}, u))
 
     def lapse(self, u: float) -> float:
         """The lapse bracket B of lapse_bracket at u = sqrt(sigma - 1)."""
@@ -478,15 +505,16 @@ def store(cosmo: Cosmology, tau: float,
     return _cached_store(cosmo, tau, cfg or DEFAULT_CONFIG)
 
 
-def _u_of(cosmo: Cosmology, tau: float, comp: tuple, target: float,
+def _u_of(cosmo: Cosmology, tau: float, quantity: str, target: float,
           cfg: NumericsConfig | None) -> float:
-    """u = sqrt(sigma - 1) where chi (comp _CHI) or rho (_RHO) reaches
-    target on the tau slice, by Slice.invert; 0 at target 0."""
+    """u = sqrt(sigma - 1) where quantity, "rho" or "chi0" (the comoving
+    radius chi), reaches target on the tau slice, by Slice.invert; 0 at
+    target 0."""
     tau = _check_time(tau)
-    name = "rho" if comp == _RHO else "chi0"
-    if _finite(name, target, nonnegative=True) == 0.0:
+    if _finite(quantity, target, nonnegative=True) == 0.0:
         return 0.0
-    return store(cosmo, tau, cfg).invert(comp, target)
+    return store(cosmo, tau, cfg).invert(
+        _RHO if quantity == "rho" else _CHI, target)
 
 
 def lapse_bracket(cosmo: Cosmology, tau: float, sigma: float,
@@ -508,7 +536,7 @@ def chi_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
     chi = (1/2) * integral_1^sigma b'(a(tau)/sqrt(s)) / (sqrt(s) sqrt(s-1)) ds
     """
     tau, u = _check_slice(cosmo, tau, sigma)
-    return 0.5 * store(cosmo, tau, cfg).integral({_CHI: 1.0}, u)
+    return store(cosmo, tau, cfg).chi(u)
 
 
 def rho_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
@@ -519,8 +547,7 @@ def rho_of_sigma(cosmo: Cosmology, tau: float, sigma: float,
           / (s^(3/2) sqrt(s-1)) ds
     """
     tau, u = _check_slice(cosmo, tau, sigma)
-    st = store(cosmo, tau, cfg)
-    return 0.5 * st.a0 * st.integral({_RHO: 1.0}, u)
+    return store(cosmo, tau, cfg).rho(u)
 
 
 def sample_geodesic(cosmo: Cosmology, tau: float, sigma_max: float, n: int,

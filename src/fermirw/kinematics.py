@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cosmology import Cosmology, _check_time, hubble, make_power_law
 from .errors import DomainError, _finite, _no_overflow
-from .geodesics import _CHI, _I2, _LAPSE, _RHO, _u_of, rho_of_sigma, store
+from .geodesics import _u_of, rho_of_sigma, store
 from .numerics import NumericsConfig
 
 __all__ = [
@@ -65,7 +65,7 @@ def sigma_of_chi(cosmo: Cosmology, tau: float, chi0: float,
     chi converges; AccuracyError when the root iteration in a panel
     exhausts its cap.
     """
-    u0 = _u_of(cosmo, tau, _CHI, chi0, cfg)
+    u0 = _u_of(cosmo, tau, "chi0", chi0, cfg)
     return 1.0 + u0 * u0
 
 
@@ -75,22 +75,17 @@ def fermi_speed(cosmo: Cosmology, tau: float, chi0: float,
 
     v_fermi = (a'(tau)/2) [ I1 + a(tau) I2 - (a(tau)/sigma0) I3 ]
     with I1, I2, I3 the sigma integrals of b'(.)/(s^(3/2) sqrt(s-1)),
-    b''(.)/(s^2 sqrt(s-1)), and b''(.)/(s sqrt(s-1)) up to sigma0, read
-    from the slice store: I1 from the b' panels, and
-    a(tau) (I2 - I3/sigma0) in one pass over the b'' panels' node values.
+    b''(.)/(s^2 sqrt(s-1)), and b''(.)/(s sqrt(s-1)) up to sigma0:
+    a'(tau) times the slice store's speed read (geodesics.Slice.speed).
     """
     chi0 = _finite("chi0", chi0, nonnegative=True)
     v_h = hubble_speed(cosmo, tau, chi0)
     if chi0 == 0.0:
         return VelocityReport(tau, 0.0, 1.0, 0.0, 0.0, 0.0)
-    u0 = _u_of(cosmo, tau, _CHI, chi0, cfg)
-    sigma0 = 1.0 + u0 * u0
+    u0 = _u_of(cosmo, tau, "chi0", chi0, cfg)
     st = store(cosmo, tau, cfg)
-    a0 = st.a0
-    i1 = st.integral({_RHO: 1.0}, u0)
-    rest = st.integral({_I2: a0, _LAPSE: -a0 / sigma0}, u0)
-    v_f = 0.5 * float(cosmo.model.a_dot(tau)) * (i1 + rest)
-    return VelocityReport(tau, chi0, sigma0, 0.5 * a0 * i1, v_f, v_h)
+    v_f = float(cosmo.model.a_dot(tau)) * st.speed(u0)
+    return VelocityReport(tau, chi0, 1.0 + u0 * u0, st.rho(u0), v_f, v_h)
 
 
 def _beta(q: float) -> float:
@@ -190,8 +185,8 @@ def velocity_identity_residual(cosmo: Cosmology, tau: float, chi0: float,
     rep = fermi_speed(cosmo, tau, chi0, cfg)
 
     def rho_over_a(tp: float) -> float:
-        u0 = _u_of(cosmo, tp, _CHI, chi0, cfg)
-        return 0.5 * store(cosmo, tp, cfg).integral({_RHO: 1.0}, u0)
+        st = store(cosmo, tp, cfg)
+        return st.rho(_u_of(cosmo, tp, "chi0", chi0, cfg)) / st.a0
 
     h = _IDENTITY_STEP * tau
     ddtau = (rho_over_a(tau + h) - rho_over_a(tau - h)) / (2.0 * h)

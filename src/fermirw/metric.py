@@ -17,7 +17,7 @@ import numpy as np
 from .cosmology import Cosmology, _check_time
 from .errors import (DomainError, UnsupportedCurvatureError, _finite,
                      _no_overflow)
-from .geodesics import _CHI, _RHO, _u_of, store
+from .geodesics import _u_of, store
 from .numerics import NumericsConfig
 
 __all__ = [
@@ -70,16 +70,15 @@ def _g_tau_tau_at(cosmo: Cosmology, tau: float, u: float,
 def g_tau_tau(cosmo: Cosmology, tau: float, rho: float,
               cfg: NumericsConfig | None = None) -> float:
     """Lapse component g_tau_tau at proper radius rho on the tau slice."""
-    return _g_tau_tau_at(cosmo, tau, _u_of(cosmo, tau, _RHO, rho, cfg), cfg)
+    return _g_tau_tau_at(cosmo, tau, _u_of(cosmo, tau, "rho", rho, cfg), cfg)
 
 
 def _ang(cosmo: Cosmology, tau: float, u: float,
          cfg: NumericsConfig | None) -> float:
     """a(tau)^2 S_k(chi)^2 / sigma on the tau slice at u = sqrt(sigma - 1)."""
     st = store(cosmo, tau, cfg)
-    chi = 0.5 * st.integral({_CHI: 1.0}, u)
-    return _no_overflow("ang",
-                        st.a0 * st.a0 * s_k(cosmo.k, chi) ** 2 / (1.0 + u * u))
+    return _no_overflow("ang", st.a0 * st.a0 * s_k(cosmo.k, st.chi(u)) ** 2
+                        / (1.0 + u * u))
 
 
 def metric_polar(cosmo: Cosmology, tau: float, rho: float,
@@ -89,7 +88,7 @@ def metric_polar(cosmo: Cosmology, tau: float, rho: float,
     ang = a(tau)^2 S_k(chi)^2 / sigma, the squared proper area radius of
     the 2-sphere through the event.
     """
-    u = _u_of(cosmo, tau, _RHO, rho, cfg)
+    u = _u_of(cosmo, tau, "rho", rho, cfg)
     return PolarMetric(_g_tau_tau_at(cosmo, tau, u, cfg), 1.0,
                        _ang(cosmo, tau, u, cfg))
 
@@ -111,7 +110,7 @@ def _lambda(cosmo: Cosmology, tau: float, rho: float,
     if r2 * max(abs(curv), h * math.sqrt(abs(drift))) <= _LAMBDA_SWITCH ** 2:
         return -curv / 3.0
     if u is None:
-        u = _u_of(cosmo, tau, _RHO, rho, cfg)
+        u = _u_of(cosmo, tau, "rho", rho, cfg)
     lam = (_ang(cosmo, tau, u, cfg) / r2 - 1.0) / r2
     if not math.isfinite(lam):
         raise DomainError(f"lambda_k is out of range at tau={tau:g}")
@@ -142,7 +141,7 @@ def metric_cartesian(cosmo: Cosmology, tau: float, x: float, y: float,
     """
     xs = np.array([x, y, z], dtype=float)
     rho = math.hypot(x, y, z)
-    u = _u_of(cosmo, tau, _RHO, rho, cfg)
+    u = _u_of(cosmo, tau, "rho", rho, cfg)
     g = np.diag([-1.0, 1.0, 1.0, 1.0])
     g[0, 0] = _g_tau_tau_at(cosmo, tau, u, cfg)
     if rho > 0.0:

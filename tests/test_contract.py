@@ -53,7 +53,7 @@ from fermirw import (
     velocity_identity_residual,
 )
 import fermirw
-from fermirw import closed_forms
+from fermirw import AccuracyError, chart, closed_forms
 from fermirw.geodesics import lapse_bracket
 
 GRID = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e-12, 1.0,
@@ -149,6 +149,29 @@ def test_model_pair_functions(model, name):
     fn, pairs = ((PAIR_CALLS[name], PAIRS) if name in PAIR_CALLS
                  else (WRAPPER_CALLS[name], COARSE_PAIRS))
     _assert_contract(lambda x, y: fn(cosmo, x, y), pairs)
+
+
+def test_fermi_from_rw_slice_time_overflow():
+    # The iterates' slice time b(a(t) sqrt(1 + u^2)) leaves the float
+    # range before chi reaches 1e150: on a global chart, AccuracyError.
+    with pytest.raises(AccuracyError, match="the slice time overflows"):
+        fermi_from_rw(MODELS["matter"], RWEvent(1e250, 1e150))
+
+
+def test_fermi_from_rw_without_a_deceleration(monkeypatch):
+    # Milne's b''(x) = 0 * x^-1 overflows at a subnormal a(t) = t, so the
+    # search has no deceleration q and starts at u = w; the slice there
+    # cannot be integrated, and the event raises AccuracyError.
+    qs = []
+    root = chart._power_law_root
+
+    def recording(w, q):
+        qs.append(q)
+        return root(w, q)
+    monkeypatch.setattr(chart, "_power_law_root", recording)
+    with pytest.raises(AccuracyError):
+        fermi_from_rw(MODELS["milne"], RWEvent(1e-310, 1.0))
+    assert len(qs) == 1 and math.isnan(qs[0])
 
 
 @pytest.mark.parametrize("x", [1e-300, 1e-12])

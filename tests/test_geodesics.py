@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fermirw import (
     DEFAULT_CONFIG,
     GAMMA_RATIO_SUP,
+    AccuracyError,
     Cosmology,
     DomainError,
     chi_of_sigma,
@@ -430,6 +431,17 @@ def test_sigma_of_rho_next_to_the_slice_radius(cosmo):
     sigma = sigma_of_rho(cosmo, 1.0, rho)
     assert 1.0 < sigma < sigma_infinity(cosmo, 1.0)
     assert rho_of_sigma(cosmo, 1.0, sigma) == pytest.approx(rho, rel=1e-10)
+
+
+def test_rho_an_ulp_below_an_unbounded_radius():
+    # The radial tail of an unbounded slice ends at s = 0, sigma = inf.
+    # One ulp below this slice's rho_M the root on the tail's last panel
+    # lands on that end, and no finite sigma is left to return.
+    tau = 0.7017038286703826
+    rho = math.nextafter(proper_radius(MATTER, tau), 0.0)
+    with pytest.raises(AccuracyError, match="within rounding of the end"):
+        sigma_of_rho(MATTER, tau, rho)
+    assert sigma_of_rho(MATTER, tau, math.nextafter(rho, 0.0)) > 1e10
 
 
 @pytest.mark.parametrize("cosmo", [DESITTER, TABLE],

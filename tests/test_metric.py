@@ -221,8 +221,8 @@ def test_lambda_at_the_observer_is_the_curvature(cosmo, want):
 
 
 def test_lambda_below_the_switch_inverts_nothing(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("rho inverted")
+    def refuse(cosmo, tau, quantity, target, cfg):
+        raise AssertionError(f"{quantity} inverted")
 
     monkeypatch.setattr(metric, "_u_of", refuse)
     # H = 1/2.6 on radiation at tau = 1.3, where a''/a - C = -2 H^2: the

@@ -1,9 +1,11 @@
 # The per-slice panel store: what it costs, and that its values depend on
 # their arguments alone.
 
+import ast
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +163,36 @@ def test_a_chi_past_the_reach_builds_the_whole_track(work):
     assert work["first_passes"] == work["sums"] == 12
 
 
+class _CountedList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_a_repeat_past_the_reach_reads_one_total():
+    # Once the track is done, a chi past its total is decided by the last
+    # piece's total: a repeat reads it twice (the test and the message),
+    # where walking the pieces read all 513 pieces' totals.  It raises as
+    # the cold call did.
+    cosmo = _fresh(MATTER)
+    with pytest.raises(DomainError, match="beyond the comoving reach") as cold:
+        sigma_of_chi(cosmo, 1.0, 1e6)
+    track = geodesics.store(cosmo, 1.0).tracks[False]
+    track.cums = _CountedList(track.cums)
+    with pytest.raises(DomainError) as again:
+        sigma_of_chi(cosmo, 1.0, 1e6)
+    assert str(again.value) == str(cold.value)
+    assert track.cums.reads == 2
+    # A chi below the total still walks to the piece that holds it.
+    reach = 3.0 * closed_forms.GAMMA_RATIO_SUP
+    assert chi_of_sigma(cosmo, 1.0, sigma_of_chi(cosmo, 1.0, 0.5 * reach)) \
+        == pytest.approx(0.5 * reach, rel=1e-12)
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_knotless_start_nodes_equal_linspace(name):
     # Slice._nodes scales fixed fractions of a piece in place of calling
@@ -209,15 +241,65 @@ def test_fermi_speed_evaluates_b_ddot_once_per_node():
 
 
 def test_metric_cartesian_inverts_sigma_of_rho_once(monkeypatch):
-    calls = [0]
+    calls = []
     inverse = metric._u_of
 
-    def counting(*args):
-        calls[0] += 1
-        return inverse(*args)
+    def counting(cosmo, tau, quantity, target, cfg):
+        calls.append(quantity)
+        return inverse(cosmo, tau, quantity, target, cfg)
     monkeypatch.setattr(metric, "_u_of", counting)
     metric_cartesian(MATTER, 1.3, 0.3, 0.2, -0.4)
-    assert calls[0] == 1
+    assert calls == ["rho"]
+
+
+# ---------------------------------------------------------------------------
+# the store's boundary: quantities by name, integrals private to geodesics
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_named_reads_equal_the_integrals_they_scale(name):
+    # chi, rho and the speed are the store integrals with their 1/2 or
+    # a(tau)/2 prefactors, to the last bit; fermi_speed is a'(tau) times
+    # the speed read.
+    cosmo, tau = MODELS[name], 1.0
+    u_top = math.sqrt(min(1e4, slice_end(cosmo, tau)) - 1.0)
+    for frac in (1e-9, 0.01, 0.3, 0.7, 0.99):
+        st = geodesics.Slice(cosmo, tau, DEFAULT_CONFIG)
+        u, a0 = frac * u_top, st.a0
+        sigma0 = 1.0 + u * u
+        i1 = st.integral({geodesics._RHO: 1.0}, u)
+        rest = st.integral(
+            {geodesics._I2: a0, geodesics._LAPSE: -a0 / sigma0}, u)
+        assert repr(st.chi(u)) == repr(
+            0.5 * st.integral({geodesics._CHI: 1.0}, u))
+        assert repr(st.rho(u)) == repr(0.5 * a0 * i1)
+        assert repr(st.speed(u)) == repr(0.5 * (i1 + rest))
+        chi0 = st.chi(u)
+        rep = fermi_speed(cosmo, tau, chi0)
+        u0 = geodesics._u_of(cosmo, tau, "chi0", chi0, None)
+        st = geodesics.store(cosmo, tau)
+        i1 = st.integral({geodesics._RHO: 1.0}, u0)
+        rest = st.integral({geodesics._I2: a0,
+                            geodesics._LAPSE: -a0 / rep.sigma0}, u0)
+        adot = float(cosmo.model.a_dot(tau))
+        assert repr(rep.v_fermi) == repr(0.5 * adot * (i1 + rest))
+        assert repr(rep.rho) == repr(0.5 * a0 * i1)
+
+
+def test_only_geodesics_names_the_store_integrals():
+    # chart, kinematics, metric and the rest read chi, rho, the speed and
+    # the lapse bracket by name; the integrals and their prefactors stay
+    # inside geodesics, and no other module reads Slice.integral.
+    private = {"_CHI", "_RHO", "_LAPSE", "_I2", "integral"}
+    for path in Path(geodesics.__file__).parent.glob("*.py"):
+        if path.name == "geodesics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ({a.name for a in node.names}
+                     if isinstance(node, ast.ImportFrom) else
+                     {node.attr} if isinstance(node, ast.Attribute) else
+                     {node.id} if isinstance(node, ast.Name) else set())
+            assert not names & private, (path.name, node.lineno)
 
 
 # ---------------------------------------------------------------------------
