@@ -130,7 +130,11 @@ def _log_w(q: float, x: float) -> tuple[float, float]:
 
     The integrand is sech(y)^q for q >= 0 and (cosh y / cosh x)^-q for
     q < 0, at most 1, so it never overflows; one G7/K15 panel on each of
-    [0, 1], [1, 2], [2, 4], ... up to x.
+    [0, 1], [1, 2], [2, 4], ... up to x.  This fixed-panel Kronrod sum is
+    its own, not numerics._panels: a benchmark scattered event makes 1.97
+    calls, at 11 us a call against 23 us for _panels on the same panels
+    alone, and routed through _panels the workload's in-process p50 went
+    from 390-411 to 459-477 us (shared 2-core host).
     """
     e = np.minimum(_W_EDGES[:max(math.frexp(x)[1], 0) + 2], x)
     width = e[1:] - e[:-1]

@@ -124,37 +124,31 @@ def build_parser() -> _Parser:
 
 def _resolve_model(args, parser: _Parser) -> tuple[Cosmology, dict]:
     name = args.model
-    if args.alpha is not None and name != "power-law":
-        parser.error("--alpha applies only to --model power-law")
-    if args.h0 is not None and name != "de-sitter":
-        parser.error("--h0 applies only to --model de-sitter")
-    if args.table is not None and name != "tabulated":
-        parser.error("--table applies only to --model tabulated")
+    for flag, family in (("alpha", "power-law"), ("h0", "de-sitter"),
+                         ("table", "tabulated")):
+        if getattr(args, flag) is not None and name != family:
+            parser.error(f"--{flag} applies only to --model {family}")
+    # The pinned power families fix (alpha, k), de Sitter k alone.
+    alpha, fixed_k = _FIXED_POWER.get(
+        name, (args.alpha, 0 if name == "de-sitter" else None))
+    if fixed_k is not None and args.k not in (None, fixed_k):
+        parser.error(f"--model {name} fixes k={fixed_k}")
+    k = fixed_k if fixed_k is not None else 0 if args.k is None else args.k
 
-    if name in _FIXED_POWER:
-        alpha, k = _FIXED_POWER[name]
-        if args.k is not None and args.k != k:
-            parser.error(f"--model {name} fixes k={k}")
-        cosmo = Cosmology(make_power_law(alpha), k=k, name=name)
-        return cosmo, {"family": name, "alpha": alpha, "k": k}
     if name == "de-sitter":
-        if args.k is not None and args.k != 0:
-            parser.error("--model de-sitter fixes k=0")
         h0 = 1.0 if args.h0 is None else args.h0
-        cosmo = Cosmology(make_exponential(h0), k=0, name=name)
-        return cosmo, {"family": name, "h0": h0, "k": 0}
-    if name == "power-law":
-        if args.alpha is None:
-            parser.error("--model power-law requires --alpha")
-        k = 0 if args.k is None else args.k
-        cosmo = Cosmology(make_power_law(args.alpha), k=k, name=name)
-        return cosmo, {"family": name, "alpha": args.alpha, "k": k}
-    if args.table is None:
-        parser.error("--model tabulated requires --table")
-    k = 0 if args.k is None else args.k
-    cosmo = Cosmology(make_tabulated(load_table(args.table)), k=k,
-                      name="tabulated")
-    return cosmo, {"family": name, "table": args.table, "k": k}
+        cosmo = Cosmology(make_exponential(h0), k=k, name=name)
+        return cosmo, {"family": name, "h0": h0, "k": k}
+    if name == "tabulated":
+        if args.table is None:
+            parser.error("--model tabulated requires --table")
+        cosmo = Cosmology(make_tabulated(load_table(args.table)), k=k,
+                          name="tabulated")
+        return cosmo, {"family": name, "table": args.table, "k": k}
+    if alpha is None:
+        parser.error("--model power-law requires --alpha")
+    cosmo = Cosmology(make_power_law(alpha), k=k, name=name)
+    return cosmo, {"family": name, "alpha": alpha, "k": k}
 
 
 def _resolve_numerics(args) -> NumericsConfig:

@@ -154,9 +154,7 @@ def _integrand(model, a0: float, comps, is_u: bool):
             return np.array([d[o] * s ** -p for o, p in comps])
         arg, lead = a0 * x, -2.0 / np.sqrt(1.0 - x * x)
         d = {o: lead * deriv(arg) for o, deriv in derivs.items()}
-        # Power 1 multiplies by x^0 = 1: the row is d itself.
-        return np.array([d[o] * x ** (2.0 * p - 2.0) if p != 1.0 else d[o]
-                         for o, p in comps])
+        return np.array([d[o] * x ** (2.0 * p - 2.0) for o, p in comps])
     return f
 
 
@@ -178,22 +176,19 @@ def _block(k: int, sigma: float) -> range:
     """The store pieces built together with piece k, the first one the
     main track lacks, for a read at sigma: head pieces k up to the one
     that holds sigma (all of the head at sigma = inf, piece k alone at
-    sigma = 1, as an inversion's walk asks), then pieces 3 and 4 one by
-    one, then pieces 2^j + 1 to 2^(j+1).  A read builds the head it
-    reaches in one first pass and no piece past it: a fixed three-piece
-    head block took cold chi and lapse reads at u = 0.5 from about 100
-    to 140 us.  Each piece's panels are its own whatever its block, so
-    the panels stay a function of the slice alone; doubling blocks let a
-    walk deep into a finite slice (about 1.44 h0 tau pieces on de
-    Sitter) make one first pass per block, and build at most about
-    twice the pieces it needs."""
+    sigma = 1, as an inversion's walk asks), then pieces 2^j + 1 to
+    2^(j+1), starting with pieces 3-4.  A read builds the head it
+    reaches in one first pass: a fixed three-piece head block took cold
+    chi and lapse reads at u = 0.5 from about 100 to 140 us.  Each
+    piece's panels are its own whatever its block, so the panels stay a
+    function of the slice alone; doubling blocks let a walk deep into a
+    finite slice (about 1.44 h0 tau pieces on de Sitter) make one first
+    pass per block, and build at most about twice the pieces it needs."""
     if k <= _SHARED_PIECES:
         m = k
         while m < _SHARED_PIECES and _HEAD_ENDS[m] < sigma:
             m += 1
         return range(k, m + 1)
-    if k <= 4:
-        return range(k, k + 1)
     j = (k - 1).bit_length()
     return range(2 ** (j - 1) + 1, 2 ** j + 1)
 
@@ -252,9 +247,10 @@ class Slice:
     block from one numerics._adaptive_panels call, with the u and the s
     integrand each called once, and summed in one pass.  A read builds
     the head pieces it lacks up to the one that holds its sigma as one
-    block, radius() the whole head, and an inversion's walk one piece at
-    a time.  They integrate chi, the lapse integral and i2, and on the
-    head, the first 1 + _SHARED_PIECES pieces, rho too.  The radial
+    block, radius() the whole head, and an inversion's walk one head
+    piece at a time; past the head, every block is one of _block's
+    doubling blocks.  They integrate chi, the lapse integral and i2, and
+    on the head, the first 1 + _SHARED_PIECES pieces, rho too.  The radial
     track, for rho alone, takes the head with its running totals from
     the main track, so the head is summed once, and ends with one piece
     to the slice end, s = 0 on an unbounded slice, where the rho
@@ -301,8 +297,8 @@ class Slice:
 
     def _grow(self, radial: bool, sigma: float = 1.0) -> None:
         """Add the next block of a track for a read at sigma (1 for a
-        walk, which builds a piece at a time): a head piece of the main
-        track, with its sums, to the radial one, else the pieces of
+        walk, which builds a head piece at a time): a head piece of the
+        main track, with its sums, to the radial one, else the pieces of
         _block up to the one that ends the track, from one
         _adaptive_panels call with one integrand per substitution and
         summed in one pass."""

@@ -31,9 +31,10 @@ evaluates any number of panels from one integrand call, and one driver,
 integrand of several integrals, and hands back the accepted panels.  Its
 first pass serves all the ranges at once: one call per integrand, one
 G7/K15 sum and one vectorized test of every range's totals; only a range
-that fails enters ``_refine_panels``.  The slice store runs it on a
-block of store pieces, the u piece and s pieces together, and
-``integrate_sigma`` on its u and s ranges, summing each range's panels.
+that fails enters ``_refine_panels``, which runs the same test after
+every bisection.  The slice store runs it on a block of store pieces,
+the u piece and s pieces together, and ``integrate_sigma`` on its u and
+s ranges, summing each range's panels.
 The store reads a partial panel from its stored node values alone, with
 no integrand call: ``_legendre`` gives the Legendre series of their
 degree-14 interpolant, ``_panel_eval`` its integral from the panel
@@ -203,9 +204,8 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray):
             raise AccuracyError(
                 f"integrand not finite on the panel [{a[i]:.17g}, "
                 f"{b[i]:.17g}]", estimate=float(knd.reshape(-1, a.size)[0, i]))
-        with np.errstate(over="ignore"):
-            return knd, np.minimum(delta, (200.0 * delta) ** 1.5), resabs, y
-    return knd, np.minimum(delta, (200.0 * delta) ** 1.5), resabs, y
+    with np.errstate(over="ignore"):
+        return knd, np.minimum(delta, (200.0 * delta) ** 1.5), resabs, y
 
 
 def _adaptive_panels(fs: list, ranges, rel_tol: float) -> list:
@@ -216,15 +216,16 @@ def _adaptive_panels(fs: list, ranges, rel_tol: float) -> list:
     component axis first.
 
     One first pass serves every range: one call of each integrand on the
-    first panels of its run of consecutive ranges, one G7/K15 sum, and
-    one vectorized test of each range's totals against its own budget.
-    Only a range that fails is bisected, on its own through
-    _refine_panels, so a range's panels do not depend on the ranges
-    beside it.  A range passes only when every component passes the test
-    on its own total, and the worst panel is the one whose error is the
-    largest fraction of its component's budget when bisection starts; the
-    largest raw error, as in scipy's quad_vec(norm="max"), would never
-    bisect for a small component.
+    first panels of its run of consecutive ranges, their values joined
+    in range order, one G7/K15 sum, and one vectorized test, _fails, of
+    each range's totals against its own budget.  Only a range that fails
+    is bisected, on its own through _refine_panels, which runs the same
+    test after every bisection, so a range's panels do not depend on
+    the ranges beside it.  A range passes only when every component
+    passes the test on its own total, and the worst panel is the one
+    whose error is the largest fraction of its component's budget when
+    bisection starts; the largest raw error, as in scipy's
+    quad_vec(norm="max"), would never bisect for a small component.
     """
     sizes = [r.size - 1 for r in ranges]
     edges = list(itertools.accumulate(sizes, initial=0))
@@ -232,17 +233,16 @@ def _adaptive_panels(fs: list, ranges, rel_tol: float) -> list:
     # of the node vector, 15 nodes a panel.
     runs = [(r, g) for r, g in enumerate(fs) if r == 0 or g is not fs[r - 1]]
     cuts = [15 * edges[r] for r, _ in runs] + [15 * edges[-1]]
-    f = fs[0] if len(runs) == 1 else lambda x: np.concatenate(
-        [g(x[i:j]) for (_, g), i, j in zip(runs, cuts, cuts[1:])], axis=-1)
     vals, errs, resabs, ys = _panels(
-        f, np.concatenate([r[:-1] for r in ranges]),
+        lambda x: np.concatenate([g(x[i:j]) for (_, g), i, j
+                                  in zip(runs, cuts, cuts[1:])], axis=-1),
+        np.concatenate([r[:-1] for r in ranges]),
         np.concatenate([r[1:] for r in ranges]))
     # Per range and component, its value, error and resabs totals: sums
     # over its own panels alone.
     sums = np.add.reduceat(np.array((vals, errs, resabs)), edges[:-1],
                            axis=-1)
-    fail = (sums[1] > np.maximum(rel_tol * np.abs(sums[0]),
-                                 50.0 * _EPS * sums[2])).any(axis=0).tolist()
+    fail = _fails(sums, rel_tol).any(axis=0).tolist()
     return [_refine_panels(g, nodes, vals[:, i:j], errs[:, i:j], ys[:, i:j],
                            sums[..., r], rel_tol) if fail[r] else
             (nodes[:-1], nodes[1:], vals[:, i:j], ys[:, i:j])
@@ -250,24 +250,31 @@ def _adaptive_panels(fs: list, ranges, rel_tol: float) -> list:
                                                      edges[1:]))]
 
 
+def _fails(sums, rel_tol: float) -> np.ndarray:
+    """Per component (and range), whether the error total sums[1] exceeds
+    its budget max(rel_tol |value total|, 50 eps resabs total)."""
+    return sums[1] > np.maximum(rel_tol * np.abs(sums[0]),
+                                50.0 * _EPS * sums[2])
+
+
 def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, ys, sums,
                    rel_tol: float):
     """The bisection loop of _adaptive_panels on one range that failed
     its first pass, from its first panels and their (totals, errors,
     resabs) sums.  The worst panel comes off a heap keyed on (-error over
-    budget, insertion count), so ties go to the oldest panel."""
-    total, total_err, total_resabs = sums
-    count, splits = len(nodes) - 1, 0
+    budget, insertion count), so ties go to the oldest panel.  After each
+    bisection the updated totals take the first pass's test, _fails, and
+    after _SPLIT_CAP bisections that all failed it, AccuracyError."""
+    count = len(nodes) - 1
     # The budgets of the first pass's test; one of 0 (only zero node
     # values so far) is taken as the least normal float.
     scale = 1.0 / np.maximum(np.maximum(
-        rel_tol * np.abs(total), 50.0 * _EPS * total_resabs), _TINY)
+        rel_tol * np.abs(sums[0]), 50.0 * _EPS * sums[2]), _TINY)
     heap = list(zip((-(errs * scale[:, None]).max(axis=0)).tolist(),
                     range(count), nodes[:-1].tolist(), nodes[1:].tolist(),
                     list(vals.T), list(errs.T), list(np.moveaxis(ys, -2, 0))))
     heapq.heapify(heap)
-    while True:
-        _check_splits(splits, np.max(total), np.max(total_err))
+    for _ in range(_SPLIT_CAP):
         _, _, wa, wb, wval, werr, _ = heapq.heappop(heap)
         m = 0.5 * (wa + wb)
         v, e, r, y = _panels(f, np.array([wa, m]), np.array([m, wb]))
@@ -275,33 +282,30 @@ def _refine_panels(f: Callable, nodes: np.ndarray, vals, errs, ys, sums,
             heapq.heappush(heap, (-(e[:, j] * scale).max(), count + j,
                                   lo, hi, v[:, j], e[:, j], y[:, j]))
         count += 2
-        splits += 1
-        total = total + (v[:, 0] + v[:, 1] - wval)
-        total_err = total_err + (e[:, 0] + e[:, 1] - werr)
-        total_resabs = total_resabs + (r[:, 0] + r[:, 1])
-        # On Python floats: for a few components, cheaper than numpy calls.
-        if not any(te > max(rel_tol * abs(t), 50.0 * _EPS * tr)
-                   for t, te, tr in zip(total.tolist(), total_err.tolist(),
-                                        total_resabs.tolist())):
+        sums = sums + (v[:, 0] + v[:, 1] - wval, e[:, 0] + e[:, 1] - werr,
+                       r[:, 0] + r[:, 1])
+        if not _fails(sums, rel_tol).any():
             break
+    else:
+        total, err = np.max(sums[0]), np.max(sums[1])
+        raise AccuracyError(
+            f"quadrature did not converge after {_SPLIT_CAP} subdivisions "
+            f"(estimate {total:.17g}, error bound {err:.3g})",
+            estimate=float(total), bound=float(err))
     heap.sort(key=lambda p: abs(p[2] - nodes[0]))
     return (np.array([p[2] for p in heap]), np.array([p[3] for p in heap]),
             np.stack([p[4] for p in heap], axis=-1),
             np.stack([p[6] for p in heap], axis=-2))
 
 
-def _check_splits(splits: int, total: float, err: float) -> None:
-    if splits == _SPLIT_CAP:
-        raise AccuracyError(
-            f"quadrature did not converge after {_SPLIT_CAP} subdivisions "
-            f"(estimate {total:.17g}, error bound {err:.3g})",
-            estimate=float(total), bound=float(err))
-
-
 def _legendre(rows, weights) -> list:
     """Legendre coefficients on [-1, 1], as floats, of the degree-14
     interpolant of sum(w * y) over one panel's node values y in rows."""
     try:
+        # One weight (a chi or a rho read) takes its row as it is: 2.3
+        # calls per benchmark sweep row and 6.6 per scattered event, at
+        # 5.1 us a call against 7.5 us through the weighted sum (shared
+        # 2-core host).
         y = rows[0] if weights == (1.0,) else sum(
             w * row for w, row in zip(weights, rows))
         return (_TO_LEG * y).sum(axis=1).astype(float).tolist()

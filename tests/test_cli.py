@@ -457,6 +457,33 @@ def test_usage_errors_exit_64(capsys, argv):
     assert "error:" in err
 
 
+_TO_RW = ("transform", "to-rw", "--tau", "1", "--rho", "0.5", "--model")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("milne", "--alpha", "0.5"), "--alpha applies only to --model power-law"),
+    (("power-law", "--alpha", "0.5", "--h0", "2"),
+     "--h0 applies only to --model de-sitter"),
+    (("de-sitter", "--table", "t.csv"),
+     "--table applies only to --model tabulated"),
+    # The flag rules come first, in this order, then the fixed k.
+    (("matter", "--table", "t.csv", "--h0", "2", "--alpha", "0.5", "--k",
+      "-1"), "--alpha applies only to --model power-law"),
+    (("milne", "--h0", "2", "--k", "0"),
+     "--h0 applies only to --model de-sitter"),
+    (("milne", "--k", "0"), "--model milne fixes k=-1"),
+    (("radiation", "--k", "-1"), "--model radiation fixes k=0"),
+    (("matter", "--k", "-1"), "--model matter fixes k=0"),
+    (("de-sitter", "--k", "-1"), "--model de-sitter fixes k=0"),
+    (("power-law", "--k", "-1"), "--model power-law requires --alpha"),
+    (("tabulated", "--k", "-1"), "--model tabulated requires --table"),
+])
+def test_model_flag_rules_name_the_broken_rule(capsys, argv, message):
+    code, out, err = run_cli(capsys, *_TO_RW, *argv)
+    assert code == 64 and out == ""
+    assert err.splitlines()[-1].endswith(f": error: {message}")
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fermirw.cli", "--version"],

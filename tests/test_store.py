@@ -115,16 +115,20 @@ def test_a_cold_head_is_summed_once(work, count_panels):
     assert all(r is m for r, m in zip(tracks[True].cums, tracks[False].cums))
 
 
-@pytest.mark.parametrize("sigma,pieces", [(1.5, 1), (5.0, 2), (10.0, 3)])
+@pytest.mark.parametrize("sigma,pieces",
+                         [(1.5, 1), (5.0, 2), (10.0, 3), (100.0, 5)])
 def test_a_cold_read_builds_only_what_it_reaches(work, sigma, pieces):
     # The head pieces up to the one that holds sigma, in one first pass:
-    # piece 0 alone below sigma = 2, pieces 0-1 to sigma = 8, 0-2 beyond.
+    # piece 0 alone below sigma = 2, pieces 0-1 to sigma = 8, 0-2 to 32.
     # A fixed three-piece head block took cold chi and lapse reads at
-    # u = 0.5 from about 100 to 140 us.
+    # u = 0.5 from about 100 to 140 us.  Past the head, sigma = 100 lies
+    # in piece 3, whose doubling block is pieces 3-4: a second pass.
     cosmo = _fresh(MATTER)
     chi_of_sigma(cosmo, 1.0, sigma)
     assert len(geodesics.store(cosmo, 1.0).tracks[False].pieces) == pieces
-    assert work == {"first_passes": 1, "kernel_calls": 1, "sums": 1}
+    blocks = 1 if sigma <= 32.0 else 2
+    assert work == {"first_passes": blocks, "kernel_calls": blocks,
+                    "sums": blocks}
 
 
 def test_a_cold_radius_builds_the_head_in_one_pass(work):
@@ -139,28 +143,28 @@ def test_a_cold_radius_builds_the_head_in_one_pass(work):
 
 def test_a_deep_walk_sums_once_per_block(work):
     # A cold read at 0.999 of the tau = 20 de Sitter slice walks 30
-    # pieces in 6 blocks (the head, pieces 3 and 4 alone, then 5-8, 9-16
-    # and 17-29): one first pass, kernel call and running-total pass per
-    # block.  Built piece by piece, the head took two more of each, and
-    # the totals took one pass per piece.
+    # pieces in 5 blocks (the head, then 3-4, 5-8, 9-16 and 17-29): one
+    # first pass, kernel call and running-total pass per block.  Built
+    # piece by piece, the head took two more of each, and the totals took
+    # one pass per piece.
     cosmo = _fresh(DESITTER)
     chi_of_sigma(cosmo, 20.0, 0.999 * slice_end(cosmo, 20.0))
-    assert work == {"first_passes": 6, "kernel_calls": 6, "sums": 6}
+    assert work == {"first_passes": 5, "kernel_calls": 5, "sums": 5}
     assert len(geodesics.store(cosmo, 20.0).tracks[False].pieces) == 30
 
 
 def test_a_chi_past_the_reach_builds_the_whole_track(work):
     # An unbounded slice's track ends with piece 512, whose end sigma
     # overflows: a cold inversion past matter's reach builds all 513
-    # pieces, in the blocks of _block (pieces 0, 1, 2, 3 and 4 one by one,
-    # then 5-8 up to 257-512), and raises.
+    # pieces, in the 11 blocks of _block (the walk's head pieces 0, 1 and
+    # 2 one by one, then 3-4, 5-8 up to 257-512), and raises.
     cosmo = _fresh(MATTER)
     with pytest.raises(DomainError, match="beyond the comoving reach"):
         sigma_of_chi(cosmo, 1.0, 1e6)
     track = geodesics.store(cosmo, 1.0).tracks[False]
     assert len(track.pieces) == 513 and track.done
     assert track.ends[-2] < math.inf == track.ends[-1]
-    assert work["first_passes"] == work["sums"] == 12
+    assert work["first_passes"] == work["sums"] == 11
 
 
 class _CountedList(list):
