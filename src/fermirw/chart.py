@@ -286,7 +286,12 @@ def fermi_from_rw(cosmo: Cosmology, event: RWEvent,
             chi, lapse = _search_pass(
                 cosmo, _check_slice(cosmo, tau, 1.0 + u * u)[0], u, cfg)
         except DomainError:
-            # A slice too late to evaluate (sigma_infinity overflows).
+            # A slice the search cannot read: _check_slice stops one whose
+            # sigma_infinity overflows, and a read past the end of a table
+            # slice, where a(tau) on the extrapolated end cubic makes
+            # sigma_infinity too small ("sigma=7.3352 is not below
+            # sigma_infinity=1.24491" on the 800-knot t^(2/3) table); the
+            # store refuses a slice whose a(tau) is not positive.
             if m.global_chart:
                 raise
             raise beyond(f"the tau={tau:g} slice is out of range before "

@@ -185,6 +185,11 @@ def _emit(rc: RunConfig, schema: list[str], rows: list[dict]) -> None:
         payload["rows"] = [{col: row.get(col) for col in schema}
                            for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
+    _write(rc, text)
+
+
+def _write(rc: RunConfig, text: str) -> None:
+    """text to --output's path, or else to standard output."""
     if rc.output:
         Path(rc.output).write_text(text)
     else:
@@ -300,11 +305,7 @@ def cmd_verify(args, rc: RunConfig, parser: _Parser) -> int:
                  "detail": r.detail} for r in results]
         _emit(rc, schema, rows)
     else:
-        text = format_report(results) + "\n"
-        if rc.output:
-            Path(rc.output).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(rc, format_report(results) + "\n")
     return _EX_OK if all(r.passed for r in results) else _EX_VERIFY
 
 

@@ -79,10 +79,7 @@ class ClosedFormModel:
     def _check_radius(self, tau: float, rho: float) -> None:
         rho_max = self.rho_slice(tau)
         if _finite("rho", rho, nonnegative=True) >= rho_max:
-            raise OutOfChartError(
-                f"rho={rho:g} is not inside the tau={tau:g} slice; "
-                f"the slice proper radius is rho_M={rho_max:.12g}",
-                rho_max=rho_max)
+            raise OutOfChartError.outside_slice(rho, tau, rho_max)
 
 
 def _check_stretch(sigma: float) -> None:

@@ -82,11 +82,16 @@ class Cosmology:
                 f"curvature k={self.k} unsupported; use 0 or -1")
 
 
-def make_power_law(alpha: float) -> ScaleFactorModel:
-    """a(t) = t**alpha for 0 < alpha <= 1; b(x) = x**(1/alpha)."""
+def _exponent(alpha: float) -> float:
+    """alpha; DomainError unless it is a power-law exponent, in (0, 1]."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"power-law exponent must be in (0, 1], got {alpha}")
-    p = 1.0 / alpha
+    return alpha
+
+
+def make_power_law(alpha: float) -> ScaleFactorModel:
+    """a(t) = t**alpha for 0 < alpha <= 1; b(x) = x**(1/alpha)."""
+    p = 1.0 / _exponent(alpha)
     return ScaleFactorModel(
         a=lambda t: t ** alpha,
         a_dot=lambda t: alpha * t ** (alpha - 1.0),

@@ -30,6 +30,14 @@ class OutOfChartError(DomainError):
         super().__init__(message)
         self.rho_max = rho_max
 
+    @classmethod
+    def outside_slice(cls, rho: float, tau: float, rho_max: float):
+        """The error for a rho at or beyond rho_max, the proper radius of
+        the tau slice."""
+        return cls(f"rho={rho:g} is not inside the tau={tau:g} slice; "
+                   f"the slice proper radius is rho_M={rho_max:.12g}",
+                   rho_max=rho_max)
+
 
 class UnsupportedCurvatureError(DomainError):
     """Spatial curvature index outside the supported set {0, -1}."""

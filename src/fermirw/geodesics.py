@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -176,14 +175,15 @@ def _block(k: int, sigma: float) -> range:
     """The store pieces built together with piece k, the first one the
     main track lacks, for a read at sigma: head pieces k up to the one
     that holds sigma (all of the head at sigma = inf, piece k alone at
-    sigma = 1, as an inversion's walk asks), then pieces 2^j + 1 to
+    sigma = 1, as a chi inversion asks), then pieces 2^j + 1 to
     2^(j+1), starting with pieces 3-4.  A read builds the head it
     reaches in one first pass: a fixed three-piece head block took cold
     chi and lapse reads at u = 0.5 from about 100 to 140 us.  Each
     piece's panels are its own whatever its block, so the panels stay a
-    function of the slice alone; doubling blocks let a walk deep into a
-    finite slice (about 1.44 h0 tau pieces on de Sitter) make one first
-    pass per block, and build at most about twice the pieces it needs."""
+    function of the slice alone; doubling blocks let a chi inversion
+    deep into a finite slice (about 1.44 h0 tau pieces on de Sitter)
+    make one first pass per block, and build at most about twice the
+    pieces it needs."""
     if k <= _SHARED_PIECES:
         m = k
         while m < _SHARED_PIECES and _HEAD_ENDS[m] < sigma:
@@ -247,8 +247,8 @@ class Slice:
     block from one numerics._adaptive_panels call, with the u and the s
     integrand each called once, and summed in one pass.  A read builds
     the head pieces it lacks up to the one that holds its sigma as one
-    block, radius() the whole head, and an inversion's walk one head
-    piece at a time; past the head, every block is one of _block's
+    block, radius() the whole head, and a chi inversion one head piece
+    at a time; past the head, every block is one of _block's
     doubling blocks.  They integrate chi, the lapse integral and i2, and
     on the head, the first 1 + _SHARED_PIECES pieces, rho too.  The radial
     track, for rho alone, takes the head with its running totals from
@@ -267,13 +267,14 @@ class Slice:
     rho(), speed() (fermi_speed's v/a'(tau)) and lapse() (the lapse
     bracket B), each one weighted sum of the stored integrals; rho is
     read and inverted on the radial track, the others on the main
-    track.  The slice radius rho_M,
-    radius(), is the radial track's total; invert raises OutOfChartError
-    carrying it for rho at or beyond it, and computes it, building the
-    radial tail, only for rho not below the running total of the radial
-    pieces already built.  A lower rho lies inside the slice and needs
-    built pieces alone, so rw_from_fermi after fermi_from_rw builds no
-    tail, while a cold inversion builds the whole track at once.
+    track.  The slice radius rho_M, radius(), is the radial track's
+    total.  invert grows a track until its built total holds the target
+    or the track is done, then decides once: rho at or beyond rho_M
+    raises OutOfChartError carrying it.  A rho below the total of the
+    radial pieces already built needs them alone, so rw_from_fermi after
+    fermi_from_rw builds no tail, while a cold rho inversion builds the
+    whole radial track at once.  A slice whose scale factor a(tau) is
+    not positive, as past the end of a table, raises DomainError.
 
     The store keeps the last answer of invert per comp and of integral
     per tuple of integrals read, with the other arguments (the target,
@@ -290,6 +291,9 @@ class Slice:
         self.cosmo, self.tau = cosmo, tau
         self.end = slice_end(cosmo, tau)   # validates tau
         self.a0 = float(cosmo.model.a(tau))
+        if not self.a0 > 0.0:
+            raise DomainError(f"the scale factor a={self.a0:g} is not "
+                              f"positive on the tau={tau:g} slice")
         self.knots = sigma_breaks(cosmo, tau, self.end, self.a0)
         self.tol = 0.5 * cfg.quad_rel_tol
         self.tracks = {False: _Track(), True: _Track()}   # by radial
@@ -297,9 +301,9 @@ class Slice:
 
     def _grow(self, radial: bool, sigma: float = 1.0) -> None:
         """Add the next block of a track for a read at sigma (1 for a
-        walk, which builds a head piece at a time): a head piece of the
-        main track, with its sums, to the radial one, else the pieces of
-        _block up to the one that ends the track, from one
+        chi inversion, which builds a head piece at a time): a head piece
+        of the main track, with its sums, to the radial one, else the
+        pieces of _block up to the one that ends the track, from one
         _adaptive_panels call with one integrand per substitution and
         summed in one pass."""
         tr = self.tracks[radial]
@@ -406,46 +410,44 @@ class Slice:
         """u at which F = scale times the slice integral of comp reaches
         target: chi (comp _CHI, scale 1/2) or rho (_RHO, scale a(tau)/2).
 
-        The track's pieces are walked from the start, each built on first
-        use, until the running total passes target or the track is done;
-        a done track whose total falls short of target starts the walk at
-        its last piece, so a repeat past the end reads one total.
-        numerics._panel_root then places u (piece 0) or s past the seam
-        where the read of integral() reaches it, on the node interpolant
-        of the panel that holds it, with no model call.
-
-        rho at or beyond the slice radius raises OutOfChartError.  chi
-        past the track's end raises DomainError naming the chi reached
-        there: the slice end, or on an unbounded slice the end of piece
-        512, sigma = 2^1025, where a converging chi is its reach to
-        rounding.  chi that only sigma past the float range reaches
-        (from sigma = 2^1024 on) raises DomainError too.
+        The track grows until its built total holds target or it is
+        done: rho's whole radial track at once, as radius() builds it,
+        chi's main track a head piece or doubling block at a time.  rho
+        is inside below the total, chi up to and including it.  Then one
+        decision: a done track that does not hold target raises, rho
+        OutOfChartError carrying the slice radius rho_M, chi DomainError
+        naming the chi reached at the track's end (the slice end, or on
+        an unbounded slice the end of piece 512, sigma = 2^1025, where a
+        converging chi is its reach to rounding).  A repeat past the end
+        reads one total.  Otherwise the first piece whose total reaches
+        target holds the root: numerics._panel_root places u (piece 0)
+        or s past the seam where the read of integral() reaches it, on
+        the node interpolant of the panel that holds it, with no model
+        call.  chi that only sigma past the float range reaches (from
+        sigma = 2^1024 on) raises DomainError too.
         """
         last = self.last.get(comp)
         if last is not None and last[0] == target:
             return last[1]
         radial = comp == _RHO
         scale = 0.5 * self.a0 if radial else 0.5
-        built = self.tracks[radial].cums
-        if radial and not (built and
-                           target < scale * float(built[-1][_RHO][-1])):
-            rho_max = self.radius()
-            if target >= rho_max:
-                raise OutOfChartError(
-                    f"rho={target:g} is not inside the tau={self.tau:g} "
-                    f"slice; the slice proper radius is rho_M={rho_max:.12g}",
-                    rho_max=rho_max)
-        tr = self._track(radial, 1.0)
-        # A done track's last total decides a target past it at once.
-        past = tr.done and scale * float(tr.cums[-1][comp][-1]) < target
-        for k in itertools.count(len(tr.pieces) - 1 if past else 0):
-            if k == len(tr.pieces):
-                if tr.done:
-                    raise self._beyond(target, f"chi = {f!r} at its end")
-                self._grow(radial)
-            f = scale * float(tr.cums[k][comp][-1])
-            if f >= target:
+        tr = self.tracks[radial]
+        while True:
+            total = (scale * float(tr.cums[-1][comp][-1]) if tr.cums
+                     else -math.inf)
+            inside = target < total if radial else target <= total
+            if inside or tr.done:
                 break
+            if radial:
+                self._track(True, math.inf)
+            else:
+                self._grow(False)
+        if not inside:
+            if radial:
+                raise OutOfChartError.outside_slice(target, self.tau, total)
+            raise self._beyond(target, f"chi = {total!r} at its end")
+        k = next(k for k, cum in enumerate(tr.cums)
+                 if scale * float(cum[comp][-1]) >= target)
         cum, r = tr.cums[k][comp], target / scale
         j = min(max(int(np.searchsorted(cum, r)) - 1, 0), cum.size - 2)
         a, half, d = self._series(tr.pieces[k], j, (comp,), (1.0,))

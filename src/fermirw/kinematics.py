@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cosmology import Cosmology, _check_time, hubble, make_power_law
+from .cosmology import (Cosmology, _check_time, _exponent, hubble,
+                        make_power_law)
 from .errors import DomainError, _finite, _no_overflow
 from .geodesics import _u_of, rho_of_sigma, store
 from .numerics import NumericsConfig
@@ -122,13 +123,11 @@ def fermi_speed_power_law(alpha: float, sigma0: float) -> float:
     J of _power_integral.  Independent of tau; sigma0 may be inf, where v
     is fermi_speed_sup(alpha).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"power-law exponent must be in (0, 1], got {alpha}")
+    p = 1.0 / (2.0 * _exponent(alpha))
     if not sigma0 >= 1.0:
         raise DomainError(f"sigma0 must be >= 1, got {sigma0}")
     if sigma0 == 1.0:
         return 0.0
-    p = 1.0 / (2.0 * alpha)
     v = p * _power_integral(p + 1.0, sigma0)
     if alpha < 1.0 and not math.isinf(sigma0):
         v += p * (alpha - 1.0) / sigma0 * _power_integral(p, sigma0)
@@ -143,9 +142,7 @@ def fermi_speed_sup(alpha: float) -> float:
     for alpha = 1.  Where p overflows (alpha < 2.8e-309) the series of B
     is 1 to rounding, and the sup is sqrt(pi)/sqrt(2 alpha).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"power-law exponent must be in (0, 1], got {alpha}")
-    p = 1.0 / (2.0 * alpha)
+    p = 1.0 / (2.0 * _exponent(alpha))
     if math.isinf(p):
         return math.sqrt(math.pi) / math.sqrt(2.0 * alpha)
     return p * _beta(p + 1.0)

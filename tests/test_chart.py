@@ -500,6 +500,36 @@ def test_late_accelerating_slices_solve_the_search_equation(passes, name,
     assert len(passes) <= most
 
 
+def test_search_falls_back_to_the_bracket_midpoint(passes):
+    # A 31-sample table of random increments.  The fifth pass lands
+    # 3.6e-15 below chi, just above the 4 eps chi floor of 1.3e-15, and
+    # every later Newton or regula-falsi step rounds onto that lower end
+    # of the bracket, so the search halves the bracket instead.  The
+    # answer still solves the search equation.
+    rng = np.random.default_rng(3596762111)
+    ts, a = (np.cumsum(rng.uniform(0.05, 1.0, 31)) for _ in range(2))
+    cosmo = Cosmology(make_tabulated(list(zip(ts, a))), k=0)
+    t, chi = 8.14081971732839, 1.4263019724368722
+    tau = fermi_from_rw(cosmo, RWEvent(t, chi)).tau
+    sigma = (cosmo.model.a(tau) / cosmo.model.a(t)) ** 2
+    assert chi_of_sigma(cosmo, tau, sigma) == pytest.approx(chi, rel=1e-11)
+    lo = passes[4]
+    assert passes[6] == 0.5 * (lo + passes[5])
+
+
+@pytest.mark.parametrize("t, chi", [(95.0, 30.0), (90.0, 12.0),
+                                    (30.0, 20.0)])
+def test_search_onto_a_slice_past_the_table_raises(t, chi):
+    # Past the last sample, t = 100, the PCHIP end cubic turns down, and
+    # these searches reach slices whose a(tau) is not positive.  Without
+    # the store's check (95, 30) returned tau = 438.76 and rho = -113.9,
+    # where a = -4.88 (matter gives tau = 1374.3, rho = 1792.1), and the
+    # other two ran into the iteration cap after 0.3 and 0.5 s.
+    cosmo = _table(TABLES["t^(2/3)"])
+    with pytest.raises(DomainError, match="is not positive on the tau="):
+        fermi_from_rw(cosmo, RWEvent(t, chi))
+
+
 @pytest.mark.parametrize("t, chi", [(1e300, 20.0), (1e307, 100.0)])
 def test_fermi_milne_slice_time_overflows(t, chi):
     # tau = t cosh(chi) is not a float (2.4e308 on the way, or at the

@@ -288,6 +288,13 @@ def test_verify_all_check_count(capsys):
     assert len(lines) == 37
 
 
+def test_verify_invariants_passes(capsys):
+    code, out, _ = run_cli(capsys, "verify", "invariants")
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 14 and all(ln.startswith("PASS") for ln in lines)
+
+
 def test_verify_ode_oracle_custom_model(capsys):
     code, out, _ = run_cli(capsys, "verify", "ode-oracle", "--model",
                            "power-law", "--alpha", "0.5")

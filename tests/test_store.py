@@ -179,9 +179,9 @@ class _CountedList(list):
 
 def test_a_repeat_past_the_reach_reads_one_total():
     # Once the track is done, a chi past its total is decided by the last
-    # piece's total: a repeat reads it twice (the test and the message),
-    # where walking the pieces read all 513 pieces' totals.  It raises as
-    # the cold call did.
+    # piece's total: a repeat reads it once, for the test and the message
+    # both, where walking the pieces read all 513 pieces' totals.  It
+    # raises as the cold call did.
     cosmo = _fresh(MATTER)
     with pytest.raises(DomainError, match="beyond the comoving reach") as cold:
         sigma_of_chi(cosmo, 1.0, 1e6)
@@ -190,7 +190,7 @@ def test_a_repeat_past_the_reach_reads_one_total():
     with pytest.raises(DomainError) as again:
         sigma_of_chi(cosmo, 1.0, 1e6)
     assert str(again.value) == str(cold.value)
-    assert track.cums.reads == 2
+    assert track.cums.reads == 1
     # A chi below the total still walks to the piece that holds it.
     reach = 3.0 * closed_forms.GAMMA_RATIO_SUP
     assert chi_of_sigma(cosmo, 1.0, sigma_of_chi(cosmo, 1.0, 0.5 * reach)) \

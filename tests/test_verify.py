@@ -42,6 +42,58 @@ def test_flow_velocity_checks_every_model(monkeypatch, name):
     assert results["comoving-flow-velocity"].residual > 5e-7
 
 
+def test_jacobian_check_fails_on_a_negative_jacobian(monkeypatch):
+    # Flip the sign of J on the table alone: one sample that is not
+    # positive must fail the check.
+    jacobian = verify.jacobian_F
+
+    def perturbed(cosmo, tau, sigma, cfg=None):
+        j = jacobian(cosmo, tau, sigma, cfg)
+        return -j if cosmo.name == "tabulated" else j
+
+    monkeypatch.setattr(verify, "jacobian_F", perturbed)
+    results = {r.name: r for r in verify.invariants_suite()}
+    assert not results["jacobian-positive"].passed
+
+
+@pytest.mark.parametrize("broken, least", [
+    # t 1 % of tau above the maps' still falls along the slice, but does
+    # not reach 0 at its end.
+    (lambda t_of_sigma, cosmo, tau, sigma:
+     t_of_sigma(cosmo, tau, sigma) + 0.01 * tau, 5e-3),
+    # t held at its sigma = 1e4 value beyond it stops falling.
+    (lambda t_of_sigma, cosmo, tau, sigma:
+     t_of_sigma(cosmo, tau, min(sigma, 1e4)), 1.0),
+], ids=["offset", "stalled"])
+def test_bigbang_check_fails_where_t_does_not_fall_to_zero(monkeypatch,
+                                                            broken, least):
+    t_of_sigma = verify.t_of_sigma
+    monkeypatch.setattr(verify, "t_of_sigma", lambda cosmo, tau, sigma:
+                        broken(t_of_sigma, cosmo, tau, sigma))
+    results = {r.name: r for r in verify.invariants_suite()}
+    assert not results["bigbang-limit"].passed
+    assert results["bigbang-limit"].residual >= least
+
+
+def test_ode_oracle_fails_when_step_halving_drifts(monkeypatch):
+    # Move the end of the fine run's path by 1e-6 in t: a drift above
+    # 1e-7 says the integration has not converged, whatever the residual.
+    ode = verify.integrate_geodesic_ode
+
+    def perturbed(cosmo, tau, rho_max, step):
+        points = ode(cosmo, tau, rho_max, step)
+        if step < rho_max / 6000:
+            points[-1] = dataclasses.replace(points[-1],
+                                             t=points[-1].t + 1e-6)
+        return points
+
+    monkeypatch.setattr(verify, "integrate_geodesic_ode", perturbed)
+    (result,) = verify.ode_oracle_suite(
+        specs=[verify.default_ode_specs()[0]])
+    assert not result.passed
+    assert result.detail == "refinement unstable: drift 1.00e-06"
+
+
 def test_unknown_suite_is_domain_error():
     with pytest.raises(DomainError, match="unknown suite 'bogus'"):
         verify.run_suite("bogus")
